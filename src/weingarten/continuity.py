@@ -47,6 +47,7 @@ from .symeig import eigh_descending
 from .symfunc import f_and_derivatives, in_gamma_k
 
 CONVEXITY_MARGIN = 1e-10
+TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
 
 CONVERGED = "Converged"
 STEP_FAILURE = "StepFailure"
@@ -415,11 +416,7 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     for it in range(1, cfg.max_newton + 1):
         if rn <= cfg.newton_tol:
             return NewtonResult(CONVERGED, x, it - 1, rn, history)
-        lc = op.blocks(ev)
-        A2, b1, c = linearize.to_coordinate(lc, grid)
-        b1 = b1 - split.d_p
-        c = c - split.d_val
-        J = linearize.assemble_jacobian(grid, A2, b1, c)
+        J = _jacobian(op, ev, split)
         try:
             delta = spla.splu(J.tocsc()).solve(-R)
         except RuntimeError:
@@ -445,6 +442,12 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
             return NewtonResult(ADMISSIBILITY_LOSS, x, it, rn, history)
     status = CONVERGED if rn <= cfg.newton_tol else MAX_ITERATIONS
     return NewtonResult(status, x, cfg.max_newton, rn, history)
+
+
+def _jacobian(op: DiscreteOperator, ev: OperatorEval, split: RhsSplit):
+    """Sparse Jacobian of R = f - rhs over the interior unknowns."""
+    A2, b1, c = linearize.to_coordinate(op.blocks(ev), op.grid)
+    return linearize.assemble_jacobian(op.grid, A2, b1 - split.d_p, c - split.d_val)
 
 
 def newton_solve(spec: ProblemSpec, rhs, initial: GraphField, cfg: HomotopyConfig | None = None):
@@ -607,6 +610,42 @@ def verify_subsolution(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
 # ---------------------------------------------------------------------------
 # continuation driver
 
+def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
+    """Path tangent dx/dt = -J(x, t)^{-1} dR/dt at a solution x of the t problem.
+
+    dR/dt is one difference of R = f - rhs in t of size TANGENT_FD_STEP, with
+    the operator, right-hand side and boundary data all taken at t + step.  It
+    is a forward difference unless that would leave [0, 1], which the deformed
+    metric refuses.  The LU factor lives only inside this call.  Returns None
+    when no tangent can be had: an inadmissible evaluation, a singular factor
+    or a non-finite solve.
+    """
+    interior = op_at_t(t).grid.interior_ids
+    step = TANGENT_FD_STEP if t + TANGENT_FD_STEP <= 1.0 else -TANGENT_FD_STEP
+
+    def residual_at(s):
+        op = op_at_t(s)
+        full = boundary_at(s).copy()
+        full[interior] = x
+        ev = op.evaluate(full)
+        if ev is None or not op.admissible(ev, cfg.convexity_margin):
+            return None
+        split = problem_at_t(s).evaluate(op, ev)
+        return op, ev, split, ev.f - split.values
+
+    at_t, shifted = residual_at(t), residual_at(t + step)
+    if at_t is None or shifted is None:
+        return None
+    op, ev, split, R = at_t
+    *_, R_shifted = shifted
+    dR_dt = (R_shifted - R) / step
+    try:
+        tangent = spla.splu(_jacobian(op, ev, split).tocsc()).solve(-dR_dt)
+    except RuntimeError:
+        return None
+    return tangent if np.all(np.isfinite(tangent)) else None
+
+
 def _continue_in_t(label, problem_at_t, x0, boundary_at, op_at_t, cfg, rng=None,
                    ordering_floor=None, records=None):
     """March t: 0 -> 1 with adaptive steps and warm starts.
@@ -614,6 +653,11 @@ def _continue_in_t(label, problem_at_t, x0, boundary_at, op_at_t, cfg, rng=None,
     problem_at_t(t) -> rhs object; op_at_t(t) -> operator (profiles may vary);
     boundary_at is a full-node array or a callable t -> array (boundary data
     may move along the path).  Returns (x, status); appends per-step records.
+
+    A warm start that is itself inadmissible (typically moved boundary data
+    breaking convexity at the ring nodes) is replaced by the Euler predictor
+    x + (t_try - t) dx/dt; the tangent is computed once per accepted point and
+    reused across dt halvings.  Without a tangent the step is halved as before.
     """
     records = records if records is not None else []
     if not callable(boundary_at):
@@ -632,13 +676,21 @@ def _continue_in_t(label, problem_at_t, x0, boundary_at, op_at_t, cfg, rng=None,
     _record_step(records, label, 0.0, res, op0, rhs0, boundary_at(0.0), cfg, ordering_floor)
     dt = cfg.dt_init
     perturbed = False
+    tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
         op = op_at_t(t_try)
         rhs = problem_at_t(t_try)
         res = newton_core(op, rhs, x, boundary_at(t_try), cfg)
+        if res.status == ADMISSIBILITY_LOSS and res.iterations == 0:
+            if not tangent_tried:
+                tangent_tried = True
+                tangent = euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg)
+            if tangent is not None:
+                res = newton_core(op, rhs, x + (t_try - t) * tangent, boundary_at(t_try), cfg)
         if res.status == CONVERGED:
             t, x = t_try, res.x
+            tangent, tangent_tried = None, False
             _record_step(records, label, t, res, op, rhs, boundary_at(t), cfg, ordering_floor)
             dt = min(cfg.dt_growth * dt, 0.5)
             continue
@@ -648,6 +700,7 @@ def _continue_in_t(label, problem_at_t, x0, boundary_at, op_at_t, cfg, rng=None,
                 # one-time tangential nudge before declaring failure
                 perturbed = True
                 x = x + 1e-8 * rng.standard_normal(x.shape)
+                tangent, tangent_tried = None, False
                 dt = cfg.dt_min * 4.0
                 continue
             return x, res.status if res.status != CONVERGED else STEP_FAILURE, records
@@ -746,7 +799,10 @@ def boundary_bridge_path(spec: ProblemSpec, cfg, plan, v0: GraphField, records=N
     at once puts an O(1/h) spike into the stencil Hessians, so the data is
     moved continuously under the auxiliary equation G[v] = eps xi(v), whose
     linearization is invertible for every boundary value (the zero-order sign
-    argument is boundary-independent).  Step control handles the O(h) budget.
+    argument is boundary-independent).  Each warm start moves the whole
+    boundary step into the ring nodes and loses convexity there; the engine
+    then starts Newton from the Euler predictor instead, so the bridge takes a
+    few steps at every grid size.
     """
     grid = spec.grid
     eps, op = plan["epsilon"], plan["op"]

@@ -401,3 +401,11 @@ def test_criterion_10_diagnostics_sanity(stage1_runs, pipeline_k0, pipeline_curv
     report(10, ok,
            f"along all converged paths: min tau {min_tau:.3e} (> 0), min kappa "
            f"{min_kappa:.3e} (> 0), max Theta {max_theta:.3f} (finite), C1 check {c1_ok}")
+
+
+def test_bridge_steps_stay_flat_under_refinement(pipeline_k0):
+    # the Euler predictor absorbs the O(h) boundary move, so the bridge does
+    # not need more steps as the grid is refined
+    for run in pipeline_k0:
+        bridge = [r for r in run["report"].stages if r["stage"] == "bridge"]
+        assert len(bridge) <= 6, f"{run['nodes']}^2: {len(bridge)} accepted bridge steps"

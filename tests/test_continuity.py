@@ -6,7 +6,9 @@ import pytest
 from weingarten import charts as ch
 from weingarten import continuity as ct
 from weingarten import grids
-from weingarten.spaceform import SpaceFormParams, eta, profile, zeta, zeta_inverse
+from weingarten.spaceform import (
+    SpaceFormParams, eta, profile, profile_deformed, zeta, zeta_inverse,
+)
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -283,6 +285,74 @@ def test_stage2_gradient_dependent_psi():
     assert report.final_residual < 1e-9
     # the graph moved off the subsolution (psi < curvature of the subsolution)
     assert np.max(field.values[g.interior_ids] - np.log(1.0 / 1.472)) > 1e-3
+
+
+def k0_bridge_leg(nodes_across):
+    """Stage 1 of the off-centre K = 0 problem and the bridge leg that follows it."""
+    spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / (nodes_across - 1))
+    g = spec.grid
+    plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
+    v0, status, _ = ct.stage1_path(spec, ct.HomotopyConfig(), plan)
+    assert status == ct.CONVERGED
+    delta = np.zeros(g.n_nodes)
+    delta[g.boundary_ids] = (ct._boundary_v(spec) - v0.values)[g.boundary_ids]
+    rhs = ct.XiWeightedRhs(spec.sf, np.full(g.n_interior, plan["epsilon"]))
+    return plan["op"], rhs, lambda s: v0.values + s * delta, v0.values[g.interior_ids]
+
+
+def test_euler_predictor_is_second_order():
+    # x(dt) - x(0) - dt x'(0) = O(dt^2): the error quarters as dt halves
+    op, rhs, boundary_at, x = k0_bridge_leg(21)
+    cfg = ct.HomotopyConfig()
+    tangent = ct.euler_tangent(lambda s: op, lambda s: rhs, boundary_at, x, 0.0, cfg)
+    assert tangent is not None
+    errs = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        res = ct.newton_core(op, rhs, x + dt * tangent, boundary_at(dt), cfg)
+        assert res.status == ct.CONVERGED
+        errs.append(float(np.max(np.abs(res.x - x - dt * tangent))))
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((ratios > 3.0) & (ratios < 5.0)), (errs, ratios)
+
+
+def test_euler_tangent_differences_inside_the_unit_interval():
+    # at t = 1 the difference looks back: the deformed metric refuses t > 1
+    spec = geodesic_problem(H, 0.7)
+    cfg = ct.HomotopyConfig()
+    plan = ct.plan_stage_constants(spec, cfg)
+    op, v_sub = plan["op"], plan["v_sub"]
+
+    def op_at(t):
+        profile_deformed(t)
+        return op
+
+    def rhs_at(t):
+        return ct.XiWeightedRhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
+
+    x = v_sub[spec.grid.interior_ids]
+    back = ct.euler_tangent(op_at, rhs_at, lambda t: v_sub, x, 1.0, cfg)
+    ahead = ct.euler_tangent(lambda t: op, rhs_at, lambda t: v_sub, x, 1.0, cfg)
+    assert back is not None
+    # the rhs is linear in t, so both differences give the same tangent
+    np.testing.assert_allclose(back, ahead, rtol=1e-6, atol=1e-12)
+
+
+class _TangentRequested(Exception):
+    pass
+
+
+def test_euler_predictor_runs_only_on_demand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _TangentRequested
+
+    monkeypatch.setattr(ct, "euler_tangent", refuse)
+    # data equal to the subsolution: every warm start stays admissible
+    field, report = ct.solve_two_step(geodesic_problem(H, 0.6, h=0.07))
+    assert report.status == ct.CONVERGED
+    # control: the off-centre K = 0 bridge at 41^2 does ask for a tangent
+    spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 40)
+    with pytest.raises(_TangentRequested):
+        ct.solve_two_step(spec)
 
 
 def test_two_step_rejects_bad_subsolution():
