@@ -20,12 +20,13 @@ from .continuity import (
     DiscreteOperator,
     diagnostics_from_eval,
     solve_problem,
+    to_plain,
     verify_subsolution,
 )
 from .errors import AdmissibilityError, DomainRangeError, EvaluationError, ParseError, SemanticError
 from .geometry import rho_slots_to_u
 from .problems import build_problem, load_problem
-from .spaceform import SpaceFormParams, profile, zeta, zeta_inverse
+from .spaceform import SpaceFormParams, profile, zeta
 from .symfunc import all_sigmas
 
 
@@ -136,7 +137,11 @@ def _cmd_solve(args):
         _error_json(f"solve ended with status {report.status}", kind=report.status)
         return 2 if report.status == continuity.ADMISSIBILITY_LOSS else 1
     grids.save_grid(out / "solution.grid", spec.grid, field, space_form=spec.sf.K)
-    _write_csv(out / "solution.csv", spec, field)
+    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep=field.representation, sf=spec.sf)
+    ev = op.evaluate(field.values)
+    psi_hat = spec.psi_hat(op.bundle(ev))
+    _write_csv(out / "solution.csv", spec.grid, op.ambient.rho_u(ev.u), ev.state.kappa,
+               "residual", ev.f**spec.k - psi_hat**spec.k)
     sys.stdout.write(
         f"Converged: residual {report.final_residual:.3e} "
         f"(sigma-level {report.sigma_residual:.3e})\n"
@@ -148,7 +153,7 @@ def _cmd_check(args):
     _, spec, cfg, _ = _load(args)
     out = _outdir(args)
     report = verify_subsolution(spec, cfg)
-    (out / "subsolution.json").write_text(json.dumps(_clean(report), indent=1) + "\n")
+    (out / "subsolution.json").write_text(json.dumps(to_plain(report), indent=1) + "\n")
     _sidecar(out)
     if not report["ok"]:
         _error_json("; ".join(report["reasons"]), kind="AdmissibilityError")
@@ -217,17 +222,8 @@ def _cmd_curvature(args):
         "tau_min": float(st.tau.min()),
         "diagnostics": diagnostics_from_eval(op, ev) if ev.f is not None else None,
     }
-    (out / "curvature.json").write_text(json.dumps(_clean(summary), indent=1) + "\n")
-    y = grid.interior_coords()
-    rho = op.ambient.rho_u(ev.u)
-    with open(out / "curvature.csv", "w") as fh:
-        cols = [f"y{i+1}" for i in range(grid.dim)]
-        fh.write(",".join(cols + ["rho", "kappa_min", "kappa_max", "sigma_k"]) + "\n")
-        for i in range(grid.n_interior):
-            row = [repr(float(v)) for v in y[i]]
-            row += [repr(float(rho[i])), repr(float(st.kappa[i].min())),
-                    repr(float(st.kappa[i].max())), repr(float(sig[i, k]))]
-            fh.write(",".join(row) + "\n")
+    (out / "curvature.json").write_text(json.dumps(to_plain(summary), indent=1) + "\n")
+    _write_csv(out / "curvature.csv", grid, op.ambient.rho_u(ev.u), st.kappa, "sigma_k", sig[:, k])
     _sidecar(out)
     sys.stdout.write(
         f"kappa in [{summary['kappa_min']:.6g}, {summary['kappa_max']:.6g}], "
@@ -240,7 +236,7 @@ def _cmd_lincheck(args):
     _, spec, cfg, _ = _load(args)
     out = _outdir(args)
     report = lincheck_report(spec, samples=args.samples, seed=args.seed)
-    (out / "lincheck.json").write_text(json.dumps(_clean(report), indent=1) + "\n")
+    (out / "lincheck.json").write_text(json.dumps(to_plain(report), indent=1) + "\n")
     _sidecar(out)
     ok = report["max_rel_err"] < report["tolerance"]
     sys.stdout.write(
@@ -354,7 +350,7 @@ def _cmd_convergence(args):
         else:
             orders.append(None)
     payload = {"levels": levels, "observed_orders": orders}
-    (out / "convergence.json").write_text(json.dumps(_clean(payload), indent=1) + "\n")
+    (out / "convergence.json").write_text(json.dumps(to_plain(payload), indent=1) + "\n")
     _sidecar(out)
     for lv in levels:
         sys.stdout.write(f"h={lv['h']:.6g} residual={lv['residual']:.3e} "
@@ -392,37 +388,17 @@ def _field_rho(field, spec):
     return zeta(spec.sf, eta(spec.sf, field.values))
 
 
-def _write_csv(path, spec, field):
-    grid = spec.grid
-    sf = spec.sf
-    rep = field.representation
-    op = DiscreteOperator(grid, spec.k, profile(sf), rep=rep if rep != "rho" else "u", sf=sf)
-    ev = op.evaluate(field.values if rep != "rho" else zeta_inverse(sf, field.values))
-    st = ev.state
-    psi_hat = spec.psi_hat(op.bundle(ev))
-    resid = ev.f**spec.k - psi_hat**spec.k
-    rho = op.ambient.rho_u(ev.u)
+def _write_csv(path, grid, rho, kappa, last_name, last):
+    """One row per interior node: coordinates, rho, extreme curvatures, one more column."""
     y = grid.interior_coords()
     with open(path, "w") as fh:
         cols = [f"y{i+1}" for i in range(grid.dim)]
-        fh.write(",".join(cols + ["rho", "kappa_min", "kappa_max", "residual"]) + "\n")
+        fh.write(",".join(cols + ["rho", "kappa_min", "kappa_max", last_name]) + "\n")
         for i in range(grid.n_interior):
             row = [repr(float(v)) for v in y[i]]
-            row += [repr(float(rho[i])), repr(float(st.kappa[i].min())),
-                    repr(float(st.kappa[i].max())), repr(float(resid[i]))]
+            row += [repr(float(rho[i])), repr(float(kappa[i].min())),
+                    repr(float(kappa[i].max())), repr(float(last[i]))]
             fh.write(",".join(row) + "\n")
-
-
-def _clean(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, dict):
-        return {k: _clean(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_clean(v) for v in o]
-    return o
 
 
 if __name__ == "__main__":

@@ -1,34 +1,36 @@
 """Damped Newton solver and the constructive two-step continuation drivers.
 
-For K in {0, -1} the drivers follow the auxiliary equations
+Each driver is a list of legs t: 0 -> 1 that one engine walks in order,
+starting from a verified strictly locally convex subsolution vbar.  For
+K in {0, -1} the legs are
 
-    stage 1:   G[v] = ((1-t) G[vbar]/xi(vbar) + t eps) xi(v),    v = vbar on dOmega
-    stage 2:   G[v] = (1-t) eps xi(v) + t psi(z, v, Dv)
+    stage1:   G[v] = ((1-t) G[vbar]/xi(vbar) + t eps) xi(v),    v = vbar on dOmega
+    bridge:   G[v] = eps xi(v), boundary data moved from the subsolution trace
+              to the problem data (the two differ by O(h) at staircase nodes)
+    stage2:   G[v] = (1-t) eps xi(v) + t psi(z, v, Dv)
 
-with a bridge continuation between them that morphs the discrete boundary
-data from the subsolution trace to the problem data (the two differ by O(h)
-at staircase nodes), starting from a verified strictly locally convex
-subsolution vbar.  For
-K = +1 the driver deforms the background metric from the Euclidean model to
-the upper hemisphere,
+For K = +1 the driver deforms the background metric from the Euclidean model
+to the upper hemisphere,
 
-    G^t[v] = (1 - T(t)) delta2 e^{2v} + T(t) (psi^t[e^v] - eps),
+    sphere-deform:   G^t[v] = (1 - T(t)) delta2 e^{2v} + T(t) (psi^t[e^v] - eps),
 
-whose t = 0 problem is exactly the K = 0 auxiliary equation with eps = delta2,
-and finishes with the approximation schedule eps_j = eps 2^{-j} on
-G[u] = psi - eps_j.  Every accepted iterate on every path is kept strictly
-locally convex by the line search; failures are reported, never papered over.
+whose t = 0 problem is exactly the K = 0 auxiliary equation with
+eps = delta2, so the legs before it are the K = 0 stage-1 leg (labelled
+sphere-aux) and bridge leg.  It finishes with the approximation schedule
+eps_j = eps 2^{-j} on G[u] = psi - eps_j.  Every accepted iterate on every
+path is kept strictly locally convex by the line search; failures are
+reported, never papered over.
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import grids, linearize
 from .errors import AdmissibilityError, SemanticError
-from .geometry import state_from_u_slots
+from .geometry import state_from_u_slots, v_slots_to_u
 from .grids import GraphField
 from .spaceform import (
     AmbientProfile,
@@ -118,6 +120,19 @@ class NewtonResult:
     history: list
 
 
+def to_plain(o):
+    """Converts numpy scalars and arrays, also inside dicts, lists and tuples, to JSON values."""
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item()
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {k: to_plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [to_plain(v) for v in o]
+    return o
+
+
 @dataclass
 class SolveReport:
     status: str
@@ -130,32 +145,8 @@ class SolveReport:
     messages: list = dc_field(default_factory=list)
 
     def to_json(self):
-        def clean(o):
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, dict):
-                return {k: clean(v) for k, v in o.items()}
-            if isinstance(o, (list, tuple)):
-                return [clean(v) for v in o]
-            return o
-
-        return json.dumps(
-            clean(
-                {
-                    "status": self.status,
-                    "final_residual": self.final_residual,
-                    "sigma_residual": self.sigma_residual,
-                    "stages": self.stages,
-                    "constants": self.constants,
-                    "diagnostics": self.diagnostics,
-                    "ordering_violations": self.ordering_violations,
-                    "messages": self.messages,
-                }
-            ),
-            indent=1,
-        )
+        """All fields in declaration order, the key order of report.json."""
+        return json.dumps(to_plain(asdict(self)), indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +171,9 @@ class DiscreteOperator:
     """Evaluates f(kappa[field]) and its linearization over the interior nodes.
 
     rep "u": unknowns are u values.  rep "v": unknowns are v with u = eta(v)
-    (space-form eta when sf is given, plain exp for the deformed sphere path).
+    for the space form sf.  exp_eta marks the deformed sphere path: eta = exp
+    (sf K = 0) over a profile with ka = t^2, where the closed-form v blocks do
+    not hold and the blocks come from the chain rule instead.
     """
 
     def __init__(self, grid, k, ambient: AmbientProfile, rep="v", sf=None, exp_eta=False):
@@ -190,18 +183,13 @@ class DiscreteOperator:
         self.rep = rep
         self.sf = sf
         self.exp_eta = exp_eta
-        if rep == "v" and sf is None and not exp_eta:
-            raise SemanticError("v-representation needs a space form or exp_eta")
-
-    def value_floor(self):
-        if self.rep == "u":
-            return self.ambient.u_floor
-        if self.exp_eta:
-            return -np.inf
-        return ranges(self.sf).v_lower
+        if rep == "v" and sf is None:
+            raise SemanticError("v-representation needs a space form")
+        if exp_eta and (rep != "v" or sf.K != 0):
+            raise SemanticError("exp_eta needs the v-representation with eta = exp (K = 0)")
 
     def admissible_values(self, full):
-        lo = self.value_floor()
+        lo = self.ambient.u_floor if self.rep == "u" else ranges(self.sf).v_lower
         if not np.all(np.isfinite(full)):
             return False
         if np.isfinite(lo) and np.min(full) <= lo + 1e-12:
@@ -221,16 +209,7 @@ class DiscreteOperator:
             u, p_u, r_u = val, p_frame, r_frame
         else:
             p_v, r_v = p_frame, r_frame
-            if self.exp_eta:
-                u = np.exp(val)
-                p_u = u[:, None] * p_v
-                r_u = u[:, None, None] * r_v + u[:, None, None] * (
-                    p_v[:, :, None] * p_v[:, None, :]
-                )
-            else:
-                from .geometry import v_slots_to_u
-
-                u, p_u, r_u = v_slots_to_u(val, p_v, r_v, self.sf)
+            u, p_u, r_u = v_slots_to_u(val, p_v, r_v, self.sf)
         if np.min(u) <= self.ambient.u_floor + 1e-13:
             return None
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
@@ -270,8 +249,6 @@ class DiscreteOperator:
         """u at every non-exterior node (for diagnostics over the closure)."""
         if self.rep == "u":
             return full
-        if self.exp_eta:
-            return np.exp(full)
         return eta(self.sf, full)
 
     def bundle(self, ev, dval=0.0, dp=None):
@@ -284,9 +261,6 @@ class DiscreteOperator:
         if self.rep == "u":
             u = val
             p_u = p_frame
-        elif self.exp_eta:
-            u = np.exp(val)
-            p_u = u[:, None] * p_frame
         else:
             u = eta(self.sf, val)
             p_u = eta_prime(self.sf, val)[:, None] * p_frame
@@ -296,7 +270,7 @@ class DiscreteOperator:
         out = {"u": u, "rho": amb.rho_u(u), "gradnorm": np.sqrt(np.einsum("ni,ni->n", p_frame, p_frame))}
         if self.rep == "v":
             out["v"] = val
-        elif self.exp_eta or (self.sf is not None and self.sf.K == 1):
+        elif self.sf is not None and self.sf.K == 1:
             # the spherical homotopy runs in v = ln u; expose that convention
             out["v"] = np.log(u)
         elif self.sf is not None:
@@ -608,7 +582,25 @@ def verify_subsolution(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
 
 
 # ---------------------------------------------------------------------------
-# continuation driver
+# continuation engine
+
+@dataclass
+class Leg:
+    """One continuation leg t: 0 -> 1; every pipeline is a list of legs.
+
+    op_at(t) -> operator (profiles may vary); rhs_at(t) -> right-hand side;
+    boundary_at(t) -> full-node array whose boundary slots are the Dirichlet
+    data (they may move along the leg).  Accepted steps record their gap to
+    ordering_floor; rng allows one seeded nudge before a step failure.
+    """
+
+    label: str
+    op_at: object
+    rhs_at: object
+    boundary_at: object
+    ordering_floor: np.ndarray | None = None
+    rng: object = None
+
 
 def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
     """Path tangent dx/dt = -J(x, t)^{-1} dR/dt at a solution x of the t problem.
@@ -646,65 +638,73 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
     return tangent if np.all(np.isfinite(tangent)) else None
 
 
-def _continue_in_t(label, problem_at_t, x0, boundary_at, op_at_t, cfg, rng=None,
-                   ordering_floor=None, records=None):
-    """March t: 0 -> 1 with adaptive steps and warm starts.
+def _continue_in_t(leg: Leg, x0, cfg, records):
+    """March the leg's t: 0 -> 1 with adaptive steps and warm starts.
 
-    problem_at_t(t) -> rhs object; op_at_t(t) -> operator (profiles may vary);
-    boundary_at is a full-node array or a callable t -> array (boundary data
-    may move along the path).  Returns (x, status); appends per-step records.
-
-    A warm start that is itself inadmissible (typically moved boundary data
-    breaking convexity at the ring nodes) is replaced by the Euler predictor
+    Returns (x, status) and appends one record per accepted step.  A warm
+    start that is itself inadmissible (typically moved boundary data breaking
+    convexity at the ring nodes) is replaced by the Euler predictor
     x + (t_try - t) dx/dt; the tangent is computed once per accepted point and
-    reused across dt halvings.  Without a tangent the step is halved as before.
+    reused across dt halvings.  Without a tangent the step is halved.
     """
-    records = records if records is not None else []
-    if not callable(boundary_at):
-        fixed = boundary_at
-
-        def boundary_at(t):
-            return fixed
-
     t = 0.0
-    op0 = op_at_t(0.0)
-    rhs0 = problem_at_t(0.0)
-    res = newton_core(op0, rhs0, x0, boundary_at(0.0), cfg)
+    op0, rhs0 = leg.op_at(0.0), leg.rhs_at(0.0)
+    res = newton_core(op0, rhs0, x0, leg.boundary_at(0.0), cfg)
     if res.status != CONVERGED:
-        return x0, res.status, records
+        return x0, res.status
     x = res.x
-    _record_step(records, label, 0.0, res, op0, rhs0, boundary_at(0.0), cfg, ordering_floor)
+    _record_step(records, leg.label, 0.0, res, op0, rhs0, leg.boundary_at(0.0), cfg,
+                 leg.ordering_floor)
     dt = cfg.dt_init
     perturbed = False
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
-        op = op_at_t(t_try)
-        rhs = problem_at_t(t_try)
-        res = newton_core(op, rhs, x, boundary_at(t_try), cfg)
+        op = leg.op_at(t_try)
+        rhs = leg.rhs_at(t_try)
+        res = newton_core(op, rhs, x, leg.boundary_at(t_try), cfg)
         if res.status == ADMISSIBILITY_LOSS and res.iterations == 0:
             if not tangent_tried:
                 tangent_tried = True
-                tangent = euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg)
+                tangent = euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, t, cfg)
             if tangent is not None:
-                res = newton_core(op, rhs, x + (t_try - t) * tangent, boundary_at(t_try), cfg)
+                res = newton_core(op, rhs, x + (t_try - t) * tangent, leg.boundary_at(t_try), cfg)
         if res.status == CONVERGED:
             t, x = t_try, res.x
             tangent, tangent_tried = None, False
-            _record_step(records, label, t, res, op, rhs, boundary_at(t), cfg, ordering_floor)
+            _record_step(records, leg.label, t, res, op, rhs, leg.boundary_at(t), cfg,
+                         leg.ordering_floor)
             dt = min(cfg.dt_growth * dt, 0.5)
             continue
         dt *= 0.5
         if dt < cfg.dt_min:
-            if not perturbed and rng is not None:
+            if not perturbed and leg.rng is not None:
                 # one-time tangential nudge before declaring failure
                 perturbed = True
-                x = x + 1e-8 * rng.standard_normal(x.shape)
+                x = x + 1e-8 * leg.rng.standard_normal(x.shape)
                 tangent, tangent_tried = None, False
                 dt = cfg.dt_min * 4.0
                 continue
-            return x, res.status if res.status != CONVERGED else STEP_FAILURE, records
-    return x, CONVERGED, records
+            return x, res.status
+    return x, CONVERGED
+
+
+def run_legs(grid, legs, x0, cfg, records=None):
+    """Walk the legs in order, each warm-started from the previous endpoint.
+
+    Stops at the first leg that does not converge.  Returns (v field, status,
+    records): the field is the last leg's boundary data at t = 1 around its
+    interior unknowns, and records holds every accepted step.
+    """
+    records = records if records is not None else []
+    x, status = x0, CONVERGED
+    for leg in legs:
+        x, status = _continue_in_t(leg, x, cfg, records)
+        if status != CONVERGED:
+            break
+    full = leg.boundary_at(1.0).copy()
+    full[grid.interior_ids] = x
+    return GraphField(grid, full, "v"), status, records
 
 
 def _record_step(records, label, t, res: NewtonResult, op, rhs, boundary_full, cfg,
@@ -733,16 +733,81 @@ def _record_step(records, label, t, res: NewtonResult, op, rhs, boundary_full, c
 
 
 # ---------------------------------------------------------------------------
-# stage drivers (K in {0, -1})
+# legs shared by the pipelines
 
-def _subsolution_v(spec):
-    u_sub = zeta_inverse(spec.sf, spec.subsolution_rho)
-    return eta_inverse(spec.sf, u_sub)
+def stage1_leg(label, op, sf, q, eps, v_sub):
+    """G[v] = ((1-t) q + t eps) xi(v) with the subsolution's own trace as data.
+
+    With q = G[vbar]/xi(vbar) the subsolution solves the t = 0 problem.
+    """
+    return Leg(label, lambda t: op, lambda t: XiWeightedRhs(sf, (1.0 - t) * q + t * eps),
+               lambda t: v_sub, ordering_floor=v_sub[op.grid.interior_ids])
 
 
-def _boundary_v(spec):
-    u_data = zeta_inverse(spec.sf, spec.boundary_rho)
-    return eta_inverse(spec.sf, u_data)
+def bridge_leg(op, sf, eps, v_from, v_to, ordering_floor):
+    """Morph the boundary data from v_from to v_to under G[v] = eps xi(v).
+
+    The subsolution only matches the Dirichlet data on the true domain
+    boundary; at the staircase nodes they differ by O(h).  Imposing the jump
+    at once puts an O(1/h) spike into the stencil Hessians, so the data is
+    moved continuously under the auxiliary equation, whose linearization is
+    invertible for every boundary value (the zero-order sign argument is
+    boundary-independent).  Each warm start moves the whole boundary step into
+    the ring nodes and loses convexity there; the engine then starts Newton
+    from the Euler predictor instead, so the bridge takes a few steps at every
+    grid size.
+    """
+    grid = op.grid
+    delta = np.zeros(grid.n_nodes)
+    delta[grid.boundary_ids] = (v_to - v_from)[grid.boundary_ids]
+    rhs = XiWeightedRhs(sf, eps + np.zeros(grid.n_interior))
+    return Leg("bridge", lambda t: op, lambda t: rhs, lambda t: v_from + t * delta,
+               ordering_floor=ordering_floor)
+
+
+def stage2_leg(op, sf, eps, psi_hat, boundary_full, ordering_floor):
+    """G[v] = (1-t) eps xi(v) + t psi_hat(z, v, Dv) with fixed boundary data."""
+    psi_rhs = PsiRhs(psi_hat)
+    return Leg("stage2", lambda t: op,
+               lambda t: BlendRhs(1.0 - t, XiWeightedRhs(sf, eps), t, psi_rhs),
+               lambda t: boundary_full, ordering_floor=ordering_floor)
+
+
+def _xi_ratio(op, v_full):
+    """q = G[v]/xi(v) at the interior nodes, in the operator's space form."""
+    ev = op.evaluate(v_full)
+    if ev is None:
+        raise AdmissibilityError("subsolution is not admissible")
+    return ev.f / xi(op.sf, ev.val)
+
+
+def _finalize_report(spec, cfg, field, report, v_sub_full=None):
+    """Residuals against the target equation, final diagnostics, ordering gaps.
+
+    Returns (f, psi_hat) at the interior nodes of the final field.
+    """
+    grid = spec.grid
+    op = DiscreteOperator(grid, spec.k, profile(spec.sf), rep=field.representation, sf=spec.sf)
+    ev = op.evaluate(field.values)
+    psi_hat = spec.psi_hat(op.bundle(ev))
+    report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
+    report.sigma_residual = float(np.max(np.abs(ev.f**spec.k - psi_hat**spec.k)))
+    report.diagnostics["final"] = diagnostics_from_eval(op, ev, cfg.theta_N)
+    report.ordering_violations = [
+        r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
+    ]
+    if v_sub_full is not None:
+        report.diagnostics["hopf_min_inward_slope"] = hopf_boundary_check(
+            grid, field.values, v_sub_full
+        )
+    return ev.f, psi_hat
+
+
+# ---------------------------------------------------------------------------
+# two-step pipeline (K in {0, -1}): [stage1, bridge, stage2]
+
+def _rho_to_v(sf, rho):
+    return eta_inverse(sf, zeta_inverse(sf, rho))
 
 
 def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
@@ -751,12 +816,9 @@ def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
         raise SemanticError("the xi-based continuation runs for K in {0, -1}")
     if spec.k != spec.grid.dim:
         raise SemanticError("continuation drivers require k = n (Gauss curvature)")
-    v_sub = _subsolution_v(spec)
+    v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
     op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep="v", sf=spec.sf)
-    ev = op.evaluate(v_sub)
-    if ev is None:
-        raise AdmissibilityError("subsolution is not admissible")
-    q = ev.f / xi(spec.sf, ev.val)
+    q = _xi_ratio(op, v_sub)
     eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * float(q.min())
     if float(q.min()) < 1.2 * eps:
         raise SemanticError(
@@ -771,93 +833,28 @@ def stage1_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None, plan=None,
 
     Runs with the subsolution's own trace as boundary data (the continuous
     problem has v = vbar on the boundary); the morph to the staircase-sampled
-    problem data happens afterwards in boundary_bridge_path.
+    problem data is the bridge leg that follows in solve_two_step.
     """
     cfg = cfg or HomotopyConfig()
     plan = plan or plan_stage_constants(spec, cfg)
-    grid = spec.grid
-    v_sub, q, eps, op = plan["v_sub"], plan["q"], plan["epsilon"], plan["op"]
-
-    def rhs_at(t):
-        return XiWeightedRhs(spec.sf, (1.0 - t) * q + t * eps)
-
-    records = records if records is not None else []
-    x, status, records = _continue_in_t(
-        "stage1", rhs_at, v_sub[grid.interior_ids], v_sub, lambda t: op, cfg,
-        ordering_floor=v_sub[grid.interior_ids], records=records,
-    )
-    full = v_sub.copy()
-    full[grid.interior_ids] = x
-    return GraphField(grid, full, "v"), status, records
+    v_sub = plan["v_sub"]
+    leg = stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
+    return run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg, records)
 
 
-def boundary_bridge_path(spec: ProblemSpec, cfg, plan, v0: GraphField, records=None):
-    """Morph the boundary data from the subsolution trace to the problem data.
-
-    The subsolution only matches the Dirichlet data on the true domain
-    boundary; at the staircase nodes they differ by O(h).  Imposing the jump
-    at once puts an O(1/h) spike into the stencil Hessians, so the data is
-    moved continuously under the auxiliary equation G[v] = eps xi(v), whose
-    linearization is invertible for every boundary value (the zero-order sign
-    argument is boundary-independent).  Each warm start moves the whole
-    boundary step into the ring nodes and loses convexity there; the engine
-    then starts Newton from the Euler predictor instead, so the bridge takes a
-    few steps at every grid size.
-    """
-    grid = spec.grid
-    eps, op = plan["epsilon"], plan["op"]
-    v_from = v0.values
-    v_to = _boundary_v(spec)
-    delta = np.zeros(grid.n_nodes)
-    delta[grid.boundary_ids] = (v_to - v_from)[grid.boundary_ids]
-
-    def boundary_at(s):
-        return v_from + s * delta
-
-    rhs = XiWeightedRhs(spec.sf, eps + np.zeros(grid.n_interior))
-    records = records if records is not None else []
-    x, status, records = _continue_in_t(
-        "bridge", lambda s: rhs, v0.values[grid.interior_ids], boundary_at,
-        lambda s: op, cfg, ordering_floor=plan["v_sub"][grid.interior_ids],
-        records=records,
-    )
-    full = boundary_at(1.0)
-    full[grid.interior_ids] = x
-    return GraphField(grid, full, "v"), status, records
-
-
-def stage2_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None, v0: GraphField = None,
+def stage2_path(spec: ProblemSpec, cfg: HomotopyConfig | None, v0: GraphField,
                 plan=None, records=None):
     """Continuation from the auxiliary equation to G[v] = psi_hat(z, v, Dv).
 
-    v0 must solve G[v] = eps xi(v) with the problem's boundary data (stage 1
-    plus the boundary bridge); when omitted both are run here.
+    v0 must solve G[v] = eps xi(v) with the problem's boundary data, as the
+    stage-1 and bridge legs leave it.
     """
     cfg = cfg or HomotopyConfig()
     plan = plan or plan_stage_constants(spec, cfg)
-    grid = spec.grid
-    eps, op = plan["epsilon"], plan["op"]
-    records = records if records is not None else []
-    if v0 is None:
-        v0, status, records = stage1_path(spec, cfg, plan, records)
-        if status != CONVERGED:
-            raise AdmissibilityError(f"stage 1 failed with {status}")
-        v0, status, records = boundary_bridge_path(spec, cfg, plan, v0, records)
-        if status != CONVERGED:
-            raise AdmissibilityError(f"boundary bridge failed with {status}")
-    boundary_full = v0.values.copy()
-    psi_rhs = PsiRhs(spec.psi_hat)
-
-    def rhs_at(t):
-        return BlendRhs(1.0 - t, XiWeightedRhs(spec.sf, eps), t, psi_rhs)
-
-    x, status, records = _continue_in_t(
-        "stage2", rhs_at, v0.values[grid.interior_ids], boundary_full, lambda t: op, cfg,
-        ordering_floor=plan["v_sub"][grid.interior_ids], records=records,
-    )
-    full = boundary_full.copy()
-    full[grid.interior_ids] = x
-    return GraphField(grid, full, "v"), status, records
+    interior = spec.grid.interior_ids
+    leg = stage2_leg(plan["op"], spec.sf, plan["epsilon"], spec.psi_hat, v0.values,
+                     plan["v_sub"][interior])
+    return run_legs(spec.grid, [leg], v0.values[interior], cfg, records)
 
 
 def hopf_boundary_check(grid, v_full, v_sub_full):
@@ -881,52 +878,29 @@ def hopf_boundary_check(grid, v_full, v_sub_full):
 def solve_two_step(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     """Full K in {0, -1} pipeline; returns (v field, SolveReport)."""
     cfg = cfg or HomotopyConfig()
-    sub_report = verify_subsolution(spec, cfg)
-    if not sub_report["ok"]:
-        rep = SolveReport(status=ADMISSIBILITY_LOSS)
-        rep.messages = sub_report["reasons"]
-        rep.diagnostics["subsolution"] = sub_report
-        return None, rep
+    sub = verify_subsolution(spec, cfg)
+    report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
+                         diagnostics={"subsolution": sub})
+    if not sub["ok"]:
+        return None, report
     plan = plan_stage_constants(spec, cfg)
-    records = []
-    v0, status, records = stage1_path(spec, cfg, plan, records)
-    report = SolveReport(status=status, constants={"epsilon": plan["epsilon"]})
-    report.diagnostics["subsolution"] = sub_report
-    if status != CONVERGED:
-        report.stages = records
-        return v0, report
-    v0, status, records = boundary_bridge_path(spec, cfg, plan, v0, records)
-    if status != CONVERGED:
-        report.status = status
-        report.stages = records
-        return v0, report
-    v1, status, records = stage2_path(spec, cfg, v0, plan, records)
-    report.status = status
-    report.stages = records
-    if status == CONVERGED:
-        _finalize_report(spec, cfg, v1, plan["v_sub"], report)
-    return v1, report
-
-
-def _finalize_report(spec, cfg, v_field, v_sub_full, report):
-    grid = spec.grid
-    op = DiscreteOperator(grid, spec.k, profile(spec.sf), rep=v_field.representation, sf=spec.sf)
-    ev = op.evaluate(v_field.values)
-    psi_hat = spec.psi_hat(op.bundle(ev))
-    report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
-    report.sigma_residual = float(np.max(np.abs(ev.f**spec.k - psi_hat**spec.k)))
-    report.diagnostics["final"] = diagnostics_from_eval(op, ev, cfg.theta_N)
-    report.ordering_violations = [
-        r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
+    report.constants = {"epsilon": plan["epsilon"]}
+    op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
+    x_sub = v_sub[spec.grid.interior_ids]
+    bridge = bridge_leg(op, spec.sf, eps, v_sub, _rho_to_v(spec.sf, spec.boundary_rho), x_sub)
+    legs = [
+        stage1_leg("stage1", op, spec.sf, plan["q"], eps, v_sub),
+        bridge,
+        stage2_leg(op, spec.sf, eps, spec.psi_hat, bridge.boundary_at(1.0), x_sub),
     ]
-    if v_sub_full is not None:
-        report.diagnostics["hopf_min_inward_slope"] = hopf_boundary_check(
-            grid, v_field.values, v_sub_full
-        )
+    field, report.status, _ = run_legs(spec.grid, legs, x_sub, cfg, report.stages)
+    if report.status == CONVERGED:
+        _finalize_report(spec, cfg, field, report, v_sub)
+    return field, report
 
 
 # ---------------------------------------------------------------------------
-# spherical path (K = +1)
+# spherical pipeline (K = +1): [sphere-aux, bridge, sphere-deform], eps schedule
 
 def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
     """Derive eps, delta1, delta2, T(t) = t^m from the subsolution's margins."""
@@ -989,19 +963,23 @@ def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
 
 
 def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """K = +1 driver: Euclidean auxiliary solve, metric deformation, eps schedule."""
+    """K = +1 driver: Euclidean auxiliary solve, metric deformation, eps schedule.
+
+    The t = 0 legs are the K = 0 stage-1 and bridge legs with eps = delta2,
+    since profile_deformed(0) is the Euclidean profile and eta = exp there.
+    Only the deformation needs the exp-chain operator, whose metric has
+    ka = t^2 while eta stays exp.
+    """
     cfg = cfg or HomotopyConfig()
     if spec.sf.K != 1:
         raise SemanticError("sphere_path requires K = +1")
     if spec.k != spec.grid.dim:
         raise SemanticError("continuation drivers require k = n (Gauss curvature)")
     grid = spec.grid
-    report = SolveReport(status=STEP_FAILURE)
-    sub_report = verify_subsolution(spec, cfg)
-    report.diagnostics["subsolution"] = sub_report
-    if not sub_report["ok"]:
-        report.status = ADMISSIBILITY_LOSS
-        report.messages = sub_report["reasons"]
+    sub = verify_subsolution(spec, cfg)
+    report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
+                         diagnostics={"subsolution": sub})
+    if not sub["ok"]:
         return None, report
     plan = sphere_plan(spec, cfg)
     eps, delta1, delta2, m = plan["epsilon"], plan["delta1"], plan["delta2"], plan["t_exponent"]
@@ -1013,75 +991,45 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     u_sub = plan["u_sub"]
     v_sub = np.log(u_sub)
     u_data = zeta_inverse(spec.sf, spec.boundary_rho)
-    boundary_full_v = v_sub.copy()
-    boundary_full_v[grid.boundary_ids] = np.log(u_data[grid.boundary_ids])
-    records = []
+    v_data = v_sub.copy()
+    v_data[grid.boundary_ids] = np.log(u_data[grid.boundary_ids])
+    x_sub = v_sub[grid.interior_ids]
 
-    # (b) t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v} via stage 1,
-    # run against the subsolution's own trace
-    op0 = DiscreteOperator(grid, spec.k, profile_deformed(0.0), rep="v", exp_eta=True)
-    ev0 = op0.evaluate(v_sub)
-    q0 = ev0.f / np.exp(2.0 * v_sub[grid.interior_ids])
+    # (b) t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v} via the
+    # stage-1 leg against the subsolution's own trace, then the boundary bridge
+    k0 = SpaceFormParams(0)
+    op0 = DiscreteOperator(grid, spec.k, profile(k0), rep="v", sf=k0)
+    q0 = _xi_ratio(op0, v_sub)
     if float(q0.min()) <= delta2:
         report.messages.append("G0[vbar] > delta2 xi(vbar) fails; delta2 too large")
         report.status = ADMISSIBILITY_LOSS
         return None, report
-
-    def rhs_aux(t):
-        return _CoefExpSquaredRhs((1.0 - t) * q0 + t * delta2)
-
-    x, status, records = _continue_in_t(
-        "sphere-aux", rhs_aux, v_sub[grid.interior_ids], v_sub, lambda t: op0,
-        cfg, ordering_floor=v_sub[grid.interior_ids], records=records,
-    )
-    if status != CONVERGED:
-        report.status = status
-        report.stages = records
-        return None, report
-
-    # boundary bridge: morph the staircase trace to the problem data while
-    # staying on the invertible auxiliary equation
-    delta_b = boundary_full_v - v_sub
-
-    def boundary_at(s):
-        return v_sub + s * delta_b
-
-    x, status, records = _continue_in_t(
-        "bridge", lambda s: _CoefExpSquaredRhs(delta2 + np.zeros(grid.n_interior)),
-        x, boundary_at, lambda s: op0, cfg,
-        ordering_floor=v_sub[grid.interior_ids], records=records,
-    )
-    if status != CONVERGED:
-        report.status = status
-        report.stages = records
-        return None, report
-
-    # (c) deform the metric: t 0 -> 1 under (7-1)
-    rng = np.random.default_rng(cfg.perturb_seed)
     psi_rhs = PsiRhs(spec.psi_hat)
 
+    # (c) deform the metric: t 0 -> 1 under (7-1)
     def op_t(t):
-        return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", exp_eta=True)
+        return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", sf=k0, exp_eta=True)
 
     def rhs_t(t):
         T = t**m
-        return BlendRhs(1.0, _CoefExpSquaredRhs((1.0 - T) * delta2), T,
+        return BlendRhs(1.0, XiWeightedRhs(k0, (1.0 - T) * delta2), T,
                         _ShiftedRhs(psi_rhs, -eps))
 
-    x, status, records = _continue_in_t(
-        "sphere-deform", rhs_t, x, boundary_full_v, op_t, cfg, rng=rng,
-        ordering_floor=v_sub[grid.interior_ids], records=records,
-    )
-    if status != CONVERGED:
-        report.status = status
-        report.stages = records
+    legs = [
+        stage1_leg("sphere-aux", op0, k0, q0, delta2, v_sub),
+        bridge_leg(op0, k0, delta2, v_sub, v_data, x_sub),
+        Leg("sphere-deform", op_t, rhs_t, lambda t: v_data, ordering_floor=x_sub,
+            rng=np.random.default_rng(cfg.perturb_seed)),
+    ]
+    field_v, report.status, _ = run_legs(grid, legs, x_sub, cfg, report.stages)
+    if report.status != CONVERGED:
         return None, report
 
     # (d) approximation schedule on G[u] = psi_hat - eps_j at K = +1
     op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
     boundary_full_u = u_sub.copy()
     boundary_full_u[grid.boundary_ids] = u_data[grid.boundary_ids]
-    x_u = np.exp(x)
+    x_u = np.exp(field_v.values[grid.interior_ids])
     eps_prev = eps
     eps_j = eps
     target = cfg.eps_target_factor * plan["psi_hat_min"]
@@ -1092,7 +1040,6 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
         x_new, res, ok = _eps_substep(op_u, psi_rhs, x_u, eps_prev, eps_j, boundary_full_u, cfg)
         if not ok:
             report.status = res.status
-            report.stages = records
             report.messages.append(f"eps schedule stalled at eps={eps_j:.3e}")
             return None, report
         change = float(np.max(np.abs(x_new - x_u)))
@@ -1106,8 +1053,8 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
                          "monotone_nonincreasing_u": bool(step_max <= 1e-9),
                          "monotone_nondecreasing_u": bool(step_min >= -1e-9),
                          "newton_iterations": res.iterations, "residual": res.residual})
-        _record_step(records, "sphere-eps", eps_j, res, op_u, _ShiftedRhs(psi_rhs, -eps_j),
-                     boundary_full_u, cfg, None)
+        _record_step(report.stages, "sphere-eps", eps_j, res, op_u,
+                     _ShiftedRhs(psi_rhs, -eps_j), boundary_full_u, cfg, None)
         if prev_change is not None and change > 2.0 * prev_change and change > 100 * cfg.newton_tol:
             stagnated = True
         prev_change = change
@@ -1123,33 +1070,12 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     full[grid.interior_ids] = x_u
     out = GraphField(grid, full, "u")
     report.status = CONVERGED
-    report.stages = records
     # residual against the target equation G[u] = psi_hat (no eps)
-    ev = op_u.evaluate(full)
-    psi_hat = spec.psi_hat(op_u.bundle(ev))
-    report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
-    report.sigma_residual = float(np.max(np.abs(ev.f**spec.k - psi_hat**spec.k)))
-    report.diagnostics["final"] = diagnostics_from_eval(op_u, ev, cfg.theta_N)
+    f, psi_hat = _finalize_report(spec, cfg, out, report)
     report.diagnostics["final_residual_with_eps_floor"] = float(
-        np.max(np.abs(ev.f - (psi_hat - eps_j)))
+        np.max(np.abs(f - (psi_hat - eps_j)))
     )
     return out, report
-
-
-class _CoefExpSquaredRhs:
-    """coef(z) * e^{2v}."""
-
-    def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-
-    def evaluate(self, op, ev) -> RhsSplit:
-        e2 = np.exp(2.0 * ev.val)
-        n = op.grid.dim
-        return RhsSplit(
-            values=self.coef * e2,
-            d_val=2.0 * self.coef * e2,
-            d_p=np.zeros((ev.val.shape[0], n)),
-        )
 
 
 class _ShiftedRhs:

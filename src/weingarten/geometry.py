@@ -1,4 +1,4 @@
-"""Pointwise geometry of radial graphs: metric, curvature matrix, cones.
+"""Pointwise geometry of radial graphs: metric, curvature matrix, principal curvatures.
 
 States are built from per-node jets (value, gradient, covariant Hessian) in
 orthonormal frame components, so the frame formulas apply verbatim:
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainRangeError
 from .spaceform import AmbientProfile, SpaceFormParams, eta, eta_prime, eta_second, profile
 from .symeig import eigh_descending
-from .symfunc import ConeReport, cone_check as _cone_check
 
 
 @dataclass
@@ -199,11 +198,6 @@ def state_deformed_slots(u, p, r, t) -> GeometryState:
     return state
 
 
-def support_function(state: GeometryState) -> np.ndarray:
-    """tau = <V, nu> = phi^2 / sqrt(phi^2 + |grad rho|^2); positive when admissible."""
-    return state.tau
-
-
 # per-node entry points over grid fields
 
 def _node_slice(grid, node):
@@ -236,11 +230,3 @@ def geometry_deformed(field, node, t) -> GeometryState:
     u, p, r = frame_jets(field.grid, field.values)
     sl = _node_slice(field.grid, node)
     return state_deformed_slots(u[sl], p[sl], r[sl], t)
-
-
-def cone_check(kappa, k) -> ConeReport:
-    return _cone_check(kappa, k)
-
-
-def cone_check_state(state: GeometryState, k) -> ConeReport:
-    return _cone_check(state.kappa, k)

@@ -58,10 +58,6 @@ class Grid:
     def interior_coords(self):
         return self.coords[self.interior_ids]
 
-    def boundary_ring_mask(self):
-        """Interior nodes whose stencil box touches a boundary node."""
-        return np.any(self.node_class[self.box] == BOUNDARY, axis=1)
-
 
 def _offsets(n):
     return np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=int)

@@ -1,5 +1,7 @@
 """Newton solver, subsolution gate, continuation drivers, diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from weingarten import charts as ch
 from weingarten import continuity as ct
 from weingarten import grids
 from weingarten.spaceform import (
-    SpaceFormParams, eta, profile, profile_deformed, zeta, zeta_inverse,
+    SpaceFormParams, eta, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -209,19 +211,32 @@ def test_stage1_t0_returns_subsolution():
     assert all(r["zero_order_negative"] for r in records)
 
 
-def test_stage1_ordering_and_endpoint(rng):
-    spec, _ = k0_sphere_problem(h=0.06)
+def stage1_leg_run(label):
+    """(v field, status, records, operator, eps) of a stage-1 leg run to t = 1."""
     cfg = ct.HomotopyConfig()
-    plan = ct.plan_stage_constants(spec, cfg)
-    v0, status, records = ct.stage1_path(spec, cfg, plan)
-    assert status == ct.CONVERGED
-    assert all(r["ordering_min_gap"] >= -1e-10 for r in records if "ordering_min_gap" in r)
-    # endpoint solves G[v] = eps xi(v)
-    op = plan["op"]
-    ev = op.evaluate(v0.values)
-    from weingarten.spaceform import xi
+    if label == "stage1":
+        spec, _ = k0_sphere_problem(h=0.06)
+        plan = ct.plan_stage_constants(spec, cfg)
+        return (*ct.stage1_path(spec, cfg, plan), plan["op"], plan["epsilon"])
+    # K = +1 starts on the same leg: the K = 0 operator with eps = delta2
+    spec = geodesic_problem(S, 0.5, h=0.07)
+    plan = ct.sphere_plan(spec, cfg)
+    v_sub = np.log(plan["u_sub"])
+    op = ct.DiscreteOperator(spec.grid, spec.k, profile(E), rep="v", sf=E)
+    leg = ct.stage1_leg(label, op, E, ct._xi_ratio(op, v_sub), plan["delta2"], v_sub)
+    return (*ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg), op,
+            plan["delta2"])
 
-    resid = ev.f - plan["epsilon"] * xi(spec.sf, ev.val)
+
+@pytest.mark.parametrize("label", ["stage1", "sphere-aux"])
+def test_stage1_ordering_and_endpoint(label):
+    v0, status, records, op, eps = stage1_leg_run(label)
+    assert status == ct.CONVERGED
+    assert records and all(r["stage"] == label for r in records)
+    assert all(r["ordering_min_gap"] >= -1e-10 for r in records if "ordering_min_gap" in r)
+    # endpoint solves G[v] = eps xi(v); xi(v) = e^{2v} for the K = 0 operator
+    ev = op.evaluate(v0.values)
+    resid = ev.f - eps * xi(op.sf, ev.val)
     assert np.max(np.abs(resid)) < 1e-9
 
 
@@ -294,21 +309,22 @@ def k0_bridge_leg(nodes_across):
     plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
     v0, status, _ = ct.stage1_path(spec, ct.HomotopyConfig(), plan)
     assert status == ct.CONVERGED
-    delta = np.zeros(g.n_nodes)
-    delta[g.boundary_ids] = (ct._boundary_v(spec) - v0.values)[g.boundary_ids]
-    rhs = ct.XiWeightedRhs(spec.sf, np.full(g.n_interior, plan["epsilon"]))
-    return plan["op"], rhs, lambda s: v0.values + s * delta, v0.values[g.interior_ids]
+    v_sub = plan["v_sub"]
+    leg = ct.bridge_leg(plan["op"], spec.sf, plan["epsilon"], v_sub,
+                        ct._rho_to_v(spec.sf, spec.boundary_rho), v_sub[g.interior_ids])
+    return leg, v0.values[g.interior_ids]
 
 
 def test_euler_predictor_is_second_order():
     # x(dt) - x(0) - dt x'(0) = O(dt^2): the error quarters as dt halves
-    op, rhs, boundary_at, x = k0_bridge_leg(21)
+    leg, x = k0_bridge_leg(21)
     cfg = ct.HomotopyConfig()
-    tangent = ct.euler_tangent(lambda s: op, lambda s: rhs, boundary_at, x, 0.0, cfg)
+    tangent = ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0, cfg)
     assert tangent is not None
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        res = ct.newton_core(op, rhs, x + dt * tangent, boundary_at(dt), cfg)
+        res = ct.newton_core(leg.op_at(dt), leg.rhs_at(dt), x + dt * tangent,
+                             leg.boundary_at(dt), cfg)
         assert res.status == ct.CONVERGED
         errs.append(float(np.max(np.abs(res.x - x - dt * tangent))))
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
@@ -403,8 +419,25 @@ def test_sphere_path_recovers_geodesic_sphere():
     # handoff: the deformation stage starts from the auxiliary solution
     deform = [rec for rec in report.stages if rec["stage"] == "sphere-deform"]
     assert deform[0]["newton_iterations"] <= 2
+    labels = [key for key, _ in itertools.groupby(rec["stage"] for rec in report.stages)]
+    assert labels == ["sphere-aux", "bridge", "sphere-deform", "sphere-eps"]
     # the final problem keeps the residual at the eps floor against plain psi
     assert report.final_residual <= 2.0 * floor
+
+
+def test_sphere_path_lists_ordering_violations(monkeypatch):
+    # a sphere-deform step that dips below the subsolution must reach the report
+    record_step = ct._record_step
+
+    def record_with_gap(records, label, t, *args):
+        record_step(records, label, t, *args)
+        if label == "sphere-deform" and t == 0.0:
+            records[-1].update(ordering_min_gap=-1e-3, ordering_ok=False)
+
+    monkeypatch.setattr(ct, "_record_step", record_with_gap)
+    _, report = ct.sphere_path(geodesic_problem(S, 0.5, h=0.09), ct.HomotopyConfig())
+    assert report.status == ct.CONVERGED
+    assert report.ordering_violations == [-1e-3]
 
 
 def test_n3_pipeline_and_perturbed_newton():
