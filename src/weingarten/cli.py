@@ -185,10 +185,10 @@ def _field_to_u(field, sf):
     state = state_from_u_slots(u, p_u, r_u, profile(sf))
     S = r_u + u[:, None, None] * np.eye(grid.dim)
     conv = eigh_descending(S)[0][:, -1]
-    f = f_and_derivatives(state.kappa, grid.dim)[0] if np.min(conv) > 0 else None
+    f, fi = f_and_derivatives(state.kappa, grid.dim) if np.min(conv) > 0 else (None, None)
     ev = continuity.OperatorEval(
         full=field.values, val=val, p_coord=grids.fd_jets(grid, field.values)[1],
-        u=u, p_u=p_u, r_u=r_u, state=state, f=f, conv_min_eig=conv,
+        u=u, p_u=p_u, r_u=r_u, state=state, f=f, fi=fi, conv_min_eig=conv,
     )
     return ev
 
@@ -268,7 +268,7 @@ def lincheck_report(spec, samples=50, seed=0, tolerance=1e-5):
         S = B @ B.T + 0.1 * np.eye(n)
         r = (S - u[0] * np.eye(n))[None]
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, k)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
         gu = float(lc.Gu[0])
         d = 1e-6
         fd_u = (G(r, p, u + d) - G(r, p, u - d)) / (2 * d)

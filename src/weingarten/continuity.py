@@ -52,7 +52,6 @@ CONVEXITY_MARGIN = 1e-10
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
 
 CONVERGED = "Converged"
-STEP_FAILURE = "StepFailure"
 ADMISSIBILITY_LOSS = "AdmissibilityLoss"
 MAX_ITERATIONS = "MaxIterations"
 SOLVER_BREAKDOWN = "SolverBreakdown"
@@ -113,11 +112,19 @@ class ProblemSpec:
 
 @dataclass
 class NewtonResult:
+    """A Converged result carries the evaluation of x and its right-hand side.
+
+    Failed results carry none.  Whoever keeps a result drops ev and split
+    once they are read, so that no evaluation is alive during the next solve.
+    """
+
     status: str
     x: np.ndarray
     iterations: int
     residual: float
     history: list
+    ev: "OperatorEval | None" = None
+    split: "RhsSplit | None" = None
 
 
 def to_plain(o):
@@ -162,6 +169,7 @@ class OperatorEval:
     r_u: np.ndarray
     state: object
     f: np.ndarray         # operator value f(kappa)
+    fi: np.ndarray        # its gradient f_i, which builds the linearization
     conv_min_eig: np.ndarray
     p_v_frame: np.ndarray | None = None
     r_v_frame: np.ndarray | None = None
@@ -215,17 +223,17 @@ class DiscreteOperator:
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
         S = r_u + u[:, None, None] * np.eye(self.grid.dim)
         conv = eigh_descending(S)[0][:, -1]
-        f = None
+        f = fi = None
         if need_f:
             if np.min(conv) <= 0.0 and self.k == self.grid.dim:
                 return None
             try:
-                f = f_and_derivatives(state.kappa, self.k)[0]
+                f, fi = f_and_derivatives(state.kappa, self.k)
             except AdmissibilityError:
                 return None
         return OperatorEval(
             full=full, val=val, p_coord=p_coord, u=u, p_u=p_u, r_u=r_u,
-            state=state, f=f, conv_min_eig=conv, p_v_frame=p_v, r_v_frame=r_v,
+            state=state, f=f, fi=fi, conv_min_eig=conv, p_v_frame=p_v, r_v_frame=r_v,
         )
 
     def admissible(self, ev, margin):
@@ -236,14 +244,12 @@ class DiscreteOperator:
         return bool(np.all(in_gamma_k(ev.state.kappa, self.k)))
 
     def blocks(self, ev) -> linearize.LinearizedCoefficients:
-        lc_u = linearize.coefficients_u(ev.state, self.k)
+        lc_u = linearize.coefficients_u(ev.state, ev.fi)
         if self.rep == "u":
             return lc_u
         if self.exp_eta:
             return linearize.exp_chain_blocks(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
-        return linearize.coefficients_v(
-            ev.state, ev.val, ev.p_v_frame, self.sf, self.k, lc_u=lc_u
-        )
+        return linearize.coefficients_v(ev.state, ev.fi, ev.val, ev.p_v_frame, self.sf, lc_u)
 
     def u_values_all_nodes(self, full):
         """u at every non-exterior node (for diagnostics over the closure)."""
@@ -389,7 +395,7 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     history = [rn]
     for it in range(1, cfg.max_newton + 1):
         if rn <= cfg.newton_tol:
-            return NewtonResult(CONVERGED, x, it - 1, rn, history)
+            return NewtonResult(CONVERGED, x, it - 1, rn, history, ev, split)
         J = _jacobian(op, ev, split)
         try:
             delta = spla.splu(J.tocsc()).solve(-R)
@@ -414,8 +420,9 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
             lam *= 0.5
         if not accepted:
             return NewtonResult(ADMISSIBILITY_LOSS, x, it, rn, history)
-    status = CONVERGED if rn <= cfg.newton_tol else MAX_ITERATIONS
-    return NewtonResult(status, x, cfg.max_newton, rn, history)
+    if rn <= cfg.newton_tol:
+        return NewtonResult(CONVERGED, x, cfg.max_newton, rn, history, ev, split)
+    return NewtonResult(MAX_ITERATIONS, x, cfg.max_newton, rn, history)
 
 
 def _jacobian(op: DiscreteOperator, ev: OperatorEval, split: RhsSplit):
@@ -653,8 +660,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     if res.status != CONVERGED:
         return x0, res.status
     x = res.x
-    _record_step(records, leg.label, 0.0, res, op0, rhs0, leg.boundary_at(0.0), cfg,
-                 leg.ordering_floor)
+    _record_step(records, leg.label, 0.0, res, op0, cfg, leg.ordering_floor)
     dt = cfg.dt_init
     perturbed = False
     tangent, tangent_tried = None, False
@@ -672,8 +678,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         if res.status == CONVERGED:
             t, x = t_try, res.x
             tangent, tangent_tried = None, False
-            _record_step(records, leg.label, t, res, op, rhs, leg.boundary_at(t), cfg,
-                         leg.ordering_floor)
+            _record_step(records, leg.label, t, res, op, cfg, leg.ordering_floor)
             dt = min(cfg.dt_growth * dt, 0.5)
             continue
         dt *= 0.5
@@ -707,11 +712,10 @@ def run_legs(grid, legs, x0, cfg, records=None):
     return GraphField(grid, full, "v"), status, records
 
 
-def _record_step(records, label, t, res: NewtonResult, op, rhs, boundary_full, cfg,
-                 ordering_floor):
-    full = boundary_full.copy()
-    full[op.grid.interior_ids] = res.x
-    ev = op.evaluate(full)
+def _record_step(records, label, t, res: NewtonResult, op, cfg, ordering_floor):
+    """Appends the record of a Converged result from its own evaluation, then drops it."""
+    ev, split = res.ev, res.split
+    res.ev = res.split = None
     rec = {
         "stage": label,
         "t": float(t),
@@ -721,7 +725,6 @@ def _record_step(records, label, t, res: NewtonResult, op, rhs, boundary_full, c
     }
     # zero-order coefficient of the linearization at the accepted solution:
     # negative along the auxiliary stages by the maximum-principle sign
-    split = rhs.evaluate(op, ev)
     zero_order = op.blocks(ev).Gu - split.d_val
     rec["zero_order_max"] = float(np.max(zero_order))
     rec["zero_order_negative"] = bool(np.max(zero_order) < 0.0)
@@ -781,18 +784,20 @@ def _xi_ratio(op, v_full):
     return ev.f / xi(op.sf, ev.val)
 
 
-def _finalize_report(spec, cfg, field, report, v_sub_full=None):
+def _finalize_report(spec, op, field, report, v_sub_full=None):
     """Residuals against the target equation, final diagnostics, ordering gaps.
 
-    Returns (f, psi_hat) at the interior nodes of the final field.
+    op is the target equation's operator in the field's representation, the
+    one the last leg or eps step ran on; the final diagnostics are that last
+    step record's.  Returns (f, psi_hat) at the interior nodes of the final
+    field.
     """
     grid = spec.grid
-    op = DiscreteOperator(grid, spec.k, profile(spec.sf), rep=field.representation, sf=spec.sf)
     ev = op.evaluate(field.values)
     psi_hat = spec.psi_hat(op.bundle(ev))
     report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
     report.sigma_residual = float(np.max(np.abs(ev.f**spec.k - psi_hat**spec.k)))
-    report.diagnostics["final"] = diagnostics_from_eval(op, ev, cfg.theta_N)
+    report.diagnostics["final"] = dict(report.stages[-1]["diagnostics"])
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
     ]
@@ -895,7 +900,7 @@ def solve_two_step(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     ]
     field, report.status, _ = run_legs(spec.grid, legs, x_sub, cfg, report.stages)
     if report.status == CONVERGED:
-        _finalize_report(spec, cfg, field, report, v_sub)
+        _finalize_report(spec, op, field, report, v_sub)
     return field, report
 
 
@@ -1053,8 +1058,7 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
                          "monotone_nonincreasing_u": bool(step_max <= 1e-9),
                          "monotone_nondecreasing_u": bool(step_min >= -1e-9),
                          "newton_iterations": res.iterations, "residual": res.residual})
-        _record_step(report.stages, "sphere-eps", eps_j, res, op_u,
-                     _ShiftedRhs(psi_rhs, -eps_j), boundary_full_u, cfg, None)
+        _record_step(report.stages, "sphere-eps", eps_j, res, op_u, cfg, None)
         if prev_change is not None and change > 2.0 * prev_change and change > 100 * cfg.newton_tol:
             stagnated = True
         prev_change = change
@@ -1071,7 +1075,7 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     out = GraphField(grid, full, "u")
     report.status = CONVERGED
     # residual against the target equation G[u] = psi_hat (no eps)
-    f, psi_hat = _finalize_report(spec, cfg, out, report)
+    f, psi_hat = _finalize_report(spec, op_u, out, report)
     report.diagnostics["final_residual_with_eps_floor"] = float(
         np.max(np.abs(f - (psi_hat - eps_j)))
     )
@@ -1098,9 +1102,10 @@ def _eps_substep(op_u, psi_rhs, x, eps_from, eps_to, boundary_full, cfg, depth=0
     if depth >= 6 or eps_from <= eps_to:
         return x, res, False
     eps_mid = float(np.sqrt(eps_from * eps_to))
-    x2, res2, ok = _eps_substep(op_u, psi_rhs, x, eps_from, eps_mid, boundary_full, cfg, depth + 1)
+    x2, res, ok = _eps_substep(op_u, psi_rhs, x, eps_from, eps_mid, boundary_full, cfg, depth + 1)
     if not ok:
-        return x2, res2, False
+        return x2, res, False
+    del res   # the midpoint is not recorded; free its evaluation before the next solve
     return _eps_substep(op_u, psi_rhs, x2, eps_mid, eps_to, boundary_full, cfg, depth + 1)
 
 

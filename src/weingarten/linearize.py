@@ -38,19 +38,13 @@ class LinearizedCoefficients:
     Gij: np.ndarray   # (N, n, n) second-order block, positive definite when admissible
     Gs: np.ndarray    # (N, n) gradient block
     Gu: np.ndarray    # (N,) zero-order block
-    value: np.ndarray  # (N,) operator value f(kappa)
 
 
-def f_blocks(state: GeometryState, k):
-    """f(kappa), F^{ij} matrix and trace contractions used by every block."""
-    f, fi = f_and_derivatives(state.kappa, k)
-    Q = state.eigvecs
-    F = np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
-    return f, fi, F
+def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
+    """Closed-form blocks for the u-representation operator.
 
-
-def coefficients_u(state: GeometryState, k) -> LinearizedCoefficients:
-    """Closed-form blocks for the u-representation operator."""
+    fi is the gradient f_i of f at state.kappa, as f_and_derivatives returns it.
+    """
     amb = state.ambient
     u, p = state.u, state.p
     phi, w = state.phi, state.w
@@ -58,7 +52,8 @@ def coefficients_u(state: GeometryState, k) -> LinearizedCoefficients:
     zpp = amb.zeta_second_u(u)
     php = amb.phi_prime_u(u)
     gup, gmat_up, a = state.gamma_up, state.g_up, state.a
-    f, fi, F = f_blocks(state, k)
+    Q = state.eigvecs
+    F = np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
     Fa = np.einsum("...ij,...qj->...iq", F, a)
     trFa = np.einsum("...ii->...", Fa)
 
@@ -78,31 +73,28 @@ def coefficients_u(state: GeometryState, k) -> LinearizedCoefficients:
         + (php * zp / phi - phi * php * zp / w**2 + phi**2 * zpp / (zp * w**2)) * trFa
         - (phi * zp / w) * np.einsum("...ij,...ij->...", F, gmat_up)
     )
-    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gu, value=f)
+    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gu)
 
 
-def coefficients_v(state: GeometryState, v, p_v, sf: SpaceFormParams, k,
-                   lc_u: LinearizedCoefficients | None = None) -> LinearizedCoefficients:
+def coefficients_v(state: GeometryState, fi, v, p_v, sf: SpaceFormParams,
+                   lc_u: LinearizedCoefficients) -> LinearizedCoefficients:
     """v-representation blocks: chain rule for Gij/Gs, closed form for Gv.
 
     `state` must be the state of the same graph built through the u-route
-    (u = eta(v)); `lc_u` may be passed to reuse the u-blocks.
+    (u = eta(v)), fi its f_i and `lc_u` its u-blocks.
     """
-    if lc_u is None:
-        lc_u = coefficients_u(state, k)
     ep = eta_prime(sf, v)
     epp = eta_second(sf, v)
     Gij = ep[..., None, None] * lc_u.Gij
     Gs = ep[..., None] * lc_u.Gs + 2.0 * epp[..., None] * np.einsum(
         "...ij,...j->...i", lc_u.Gij, p_v
     )
-    Gv = gv_closed_form(state, v, p_v, sf, k)
-    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv, value=lc_u.value)
+    Gv = gv_closed_form(state, fi, v, p_v, sf)
+    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv)
 
 
-def gv_closed_form(state: GeometryState, v, p_v, sf: SpaceFormParams, k):
+def gv_closed_form(state: GeometryState, fi, v, p_v, sf: SpaceFormParams):
     """Gv = (K/(w_v eta')) sum f_i + (eta/eta') sum f_i kappa_i."""
-    f, fi, F = f_blocks(state, k)
     ev = eta(sf, v)
     ep = eta_prime(sf, v)
     wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
@@ -141,7 +133,7 @@ def exp_chain_blocks(lc_u: LinearizedCoefficients, u, p_v, r_v) -> LinearizedCoe
         + np.einsum("...s,...s->...", lc_u.Gs, p_v)
         + lc_u.Gu
     )
-    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv, value=lc_u.value)
+    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv)
 
 
 def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
@@ -216,8 +208,3 @@ def assemble_jacobian(grid, A2, b1, c) -> sp.csr_matrix:
     )
     return J.tocsr()
 
-
-def assemble_system(grid, A2, b1, c, residual):
-    """Newton system J delta = -residual; returns (J, rhs)."""
-    J = assemble_jacobian(grid, A2, b1, c)
-    return J, -np.asarray(residual, dtype=float)

@@ -13,10 +13,6 @@ import numpy as np
 from .errors import AdmissibilityError
 from .symeig import eigh_descending
 
-# when enabled, sigma_km1_drop re-derives its values by subset enumeration for
-# n <= 6 and asserts agreement (cancellation guard for debugging)
-DEBUG_SUBSET_CHECK = False
-
 
 def all_sigmas(kappa):
     """sigma_0 .. sigma_n of kappa, shape (..., n+1), via e_j += kappa e_{j-1}."""
@@ -55,28 +51,7 @@ def sigma_km1_drop(kappa, k):
         for j in range(1, k):
             prev = e[..., j] - ki * prev
         out[..., i] = prev
-    if DEBUG_SUBSET_CHECK and n <= 6:
-        _assert_drop_by_enumeration(kappa, k, out)
     return out
-
-
-def _assert_drop_by_enumeration(kappa, k, out):
-    import itertools
-
-    n = kappa.shape[-1]
-    flat = kappa.reshape(-1, n)
-    ref = np.empty_like(flat)
-    for i in range(n):
-        rest = np.delete(flat, i, axis=1)
-        if k == 1:
-            ref[:, i] = 1.0
-        else:
-            ref[:, i] = [
-                sum(np.prod(c) for c in itertools.combinations(row, k - 1)) for row in rest
-            ]
-    scale = np.maximum(1.0, np.abs(ref))
-    if np.max(np.abs(out.reshape(-1, n) - ref) / scale) > 1e-10:
-        raise AssertionError("synthetic division disagrees with subset enumeration")
 
 
 def in_gamma_k(kappa, k):

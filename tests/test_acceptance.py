@@ -191,7 +191,7 @@ def test_criterion_03_linearization_oracle():
 
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, k)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
         d = 1e-6
         fd_u = (G(u + d, p, r) - G(u - d, p, r)) / (2 * d)
         worst = max(worst, float(np.max(np.abs(fd_u - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu)))))
@@ -218,7 +218,7 @@ def test_criterion_03_linearization_oracle():
         v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
         uu, pu, ru = v_slots_to_u(v, p_v, r_v, sf)
         stv = state_from_u_slots(uu, pu, ru, amb)
-        gv = linearize.gv_closed_form(stv, v, p_v, sf, k)
+        gv = linearize.gv_closed_form(stv, f_and_derivatives(stv.kappa, k)[1], v, p_v, sf)
 
         def Gv(vv):
             a, b, c = v_slots_to_u(vv, p_v, r_v, sf)
@@ -247,7 +247,7 @@ def test_criterion_04_zero_order_sign():
             st = state_from_u_slots(u[keep], pu[keep], ru[keep], profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, v, p_v, sf, 2)
+            gv = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
             margin = max(margin, float(np.max(gv - psi_z * xi_prime(sf, v))))
             total += int(keep.sum())
         total = 0 if sf.K == 0 else total

@@ -371,6 +371,42 @@ def test_euler_predictor_runs_only_on_demand(monkeypatch):
         ct.solve_two_step(spec)
 
 
+def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
+    # step records and the final report read Newton's evaluation, so outside
+    # newton_core and euler_tangent only the fixed set-up evaluations remain
+    count = {"outside": 0, "depth": 0}
+    evaluate = ct.DiscreteOperator.evaluate
+
+    def counting_evaluate(self, *args, **kwargs):
+        count["outside"] += count["depth"] == 0
+        return evaluate(self, *args, **kwargs)
+
+    def inside(fn):
+        def wrapped(*args, **kwargs):
+            count["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                count["depth"] -= 1
+        return wrapped
+
+    monkeypatch.setattr(ct.DiscreteOperator, "evaluate", counting_evaluate)
+    monkeypatch.setattr(ct, "newton_core", inside(ct.newton_core))
+    monkeypatch.setattr(ct, "euler_tangent", inside(ct.euler_tangent))
+    # off-centre K = 0 sphere, 21 nodes across
+    spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 20)
+    _, report = ct.solve_two_step(spec)
+    assert report.status == ct.CONVERGED and len(report.stages) > 3
+    # verify_subsolution, _xi_ratio and the final evaluation
+    assert count["outside"] == 3
+    count["outside"] = 0
+    cfg = ct.HomotopyConfig()
+    _, report = ct.sphere_path(geodesic_problem(S, 0.5, h=0.09), cfg)
+    assert report.status == ct.CONVERGED and len(report.stages) > 3
+    # the same three plus sphere_plan's samples of the deformed metric
+    assert count["outside"] == 3 + cfg.t_samples
+
+
 def test_two_step_rejects_bad_subsolution():
     g = cap()
     y = g.coords

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from weingarten import grids, linearize
+from weingarten import continuity as ct
+from weingarten import grids, linearize, symfunc
 from weingarten.geometry import state_from_u_slots, state_from_v_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
+    eta_inverse,
     profile,
     profile_deformed,
     xi,
@@ -49,7 +51,7 @@ def test_u_blocks_match_fd(rng, sf):
     for n, k in ((2, 2), (3, 3), (3, 2)):
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, k)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, k)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -61,7 +63,7 @@ def test_deformed_blocks_match_fd(rng):
         amb = profile_deformed(t)
         u, p, r = random_admissible_slots(rng, 2, amb, count=40)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, 2)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, 2)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -74,7 +76,7 @@ def test_gs_vanishes_at_zero_gradient(rng):
         u, _, r = random_admissible_slots(rng, 2, amb, count=10)
         p = np.zeros((10, 2))
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, 2)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
         assert np.max(np.abs(lc.Gs)) < 1e-14
 
 
@@ -83,7 +85,7 @@ def test_gij_positive_definite(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=100)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, 2)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
         assert np.min(np.linalg.eigvalsh(lc.Gij)) > 0
 
 
@@ -93,7 +95,7 @@ def test_gu_bound_from_trace(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=200)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, 2)
+        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
         ratio = np.abs(lc.Gu) / (1.0 + np.einsum("nii->n", lc.Gij))
         assert np.all(np.isfinite(ratio))
         assert ratio.max() < 50.0  # states are drawn from a bounded C^1 box
@@ -124,7 +126,8 @@ def test_v_blocks_match_fd(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    lc = linearize.coefficients_v(st, v, p_v, sf, k)
+    fi = f_and_derivatives(st.kappa, k)[1]
+    lc = linearize.coefficients_v(st, fi, v, p_v, sf, linearize.coefficients_u(st, fi))
     d = 1e-6
     fd_v = (gv_value(v + d, p_v, r_v, sf, k) - gv_value(v - d, p_v, r_v, sf, k)) / (2 * d)
     assert np.max(np.abs(fd_v - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu))) < 1e-5
@@ -151,8 +154,8 @@ def test_gv_closed_form_vs_chain_rule(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    lc_u = linearize.coefficients_u(st, 2)
-    gv_closed = linearize.gv_closed_form(st, v, p_v, sf, 2)
+    lc_u = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+    gv_closed = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
     gv_chain = linearize.gv_chain_rule(lc_u, sf, v, p_v, r_v)
     assert np.max(np.abs(gv_closed - gv_chain)) < 1e-9 * max(1.0, np.max(np.abs(gv_closed)))
 
@@ -180,7 +183,7 @@ def test_exp_chain_blocks_match_fd(rng):
     keep = st.kappa[:, -1] > 5e-2
     v, p_v, r_v, u, p_u, r_u = (a[keep] for a in (v, p_v, r_v, u, p_u, r_u))
     st = state_from_u_slots(u, p_u, r_u, amb)
-    lc_u = linearize.coefficients_u(st, k)
+    lc_u = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
     lc = linearize.exp_chain_blocks(lc_u, u, p_v, r_v)
     d = 1e-6
     fd_v = (val(v + d, p_v, r_v) - val(v - d, p_v, r_v)) / (2 * d)
@@ -204,7 +207,7 @@ def test_zero_order_sign_property(rng):
             st = state_from_u_slots(u, p_u, r_u, profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, v, p_v, sf, 2)
+            gv = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
             margins.append(np.max(gv - psi_z * xi_prime(sf, v)))
         assert max(margins) < 0.0
 
@@ -241,6 +244,30 @@ def test_monotonicity_zero_gradient_is_flat(rng):
     assert np.max(np.abs(vals - vals[0])) < 1e-13
 
 
+@pytest.mark.parametrize("case", ["u", "v", "exp_eta"])
+def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
+    # f_i comes with the operator evaluation; the blocks never recompute it
+    sf = E if case == "exp_eta" else H
+    u_full = random_admissible_u_field(cap_grid, sf, rng)
+    if case == "u":
+        op, field = ct.DiscreteOperator(cap_grid, 2, profile(sf), rep="u", sf=sf), u_full
+    elif case == "v":
+        op, field = ct.DiscreteOperator(cap_grid, 2, profile(sf), rep="v", sf=sf), eta_inverse(sf, u_full)
+    else:
+        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="v", sf=sf, exp_eta=True)
+        field = np.log(u_full)
+    ev = op.evaluate(field)
+    assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("f_and_derivatives called while building blocks")
+
+    for module in (symfunc, linearize, ct):
+        monkeypatch.setattr(module, "f_and_derivatives", refuse)
+    lc = op.blocks(ev)
+    assert np.all(np.isfinite(lc.Gu)) and np.min(np.linalg.eigvalsh(lc.Gij)) > 0
+
+
 # -------------------------------------------------------------- assembly
 
 def test_manufactured_linear_round_trip(rng, cap_grid):
@@ -250,7 +277,7 @@ def test_manufactured_linear_round_trip(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = grids.frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, 2)
+    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     delta = np.sin(cap_grid.interior_coords() @ np.array([1.3, -0.7]))
@@ -273,7 +300,7 @@ def test_jacobian_matches_fd_directional(rng, cap_grid):
 
     u, p, r = grids.frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, k)
+    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     rng2 = np.random.default_rng(7)
@@ -293,7 +320,7 @@ def test_second_order_block_negative_definite(rng):
     u_full = random_admissible_u_field(g, sf, rng)
     u, p, r = grids.frame_jets(g, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, 2)
+    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, _, _ = linearize.to_coordinate(lc, g)
     J2 = linearize.assemble_jacobian(g, A2, np.zeros_like(p), np.zeros_like(u))
     dense = J2.toarray()
@@ -308,7 +335,8 @@ def test_zero_residual_zero_update(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = grids.frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, 2)
+    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
-    J, rhs = linearize.assemble_system(cap_grid, A2, b1, c, np.zeros(cap_grid.n_interior))
-    assert np.max(np.abs(spla.splu(J.tocsc()).solve(rhs))) == 0.0
+    J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
+    residual = np.zeros(cap_grid.n_interior)
+    assert np.max(np.abs(spla.splu(J.tocsc()).solve(-residual))) == 0.0
