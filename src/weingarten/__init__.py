@@ -14,7 +14,6 @@ from .continuity import (
     solve_problem,
     sphere_path,
     stage1_path,
-    stage2_path,
     verify_subsolution,
 )
 from .errors import (
@@ -58,7 +57,6 @@ __all__ = [
     "solve_problem",
     "sphere_path",
     "stage1_path",
-    "stage2_path",
     "verify_subsolution",
 ]
 

@@ -14,8 +14,8 @@ hyperplane tangent at the south pole (coordinates x):
     Gamma_ij^k = -(2/mu)(delta_ik x_j + delta_jk x_i - delta_ij x_k).
 
 Both metrics are rank-one updates of multiples of the identity, so the
-symmetric square roots sigma^{1/2}, sigma^{-1/2} have closed forms; they are
-used to orthonormalize per-node jets before applying frame formulas.
+symmetric inverse square root sigma^{-1/2} has a closed form; it
+orthonormalizes per-node jets before the frame formulas apply.
 """
 
 from dataclasses import dataclass
@@ -130,19 +130,6 @@ def christoffel(chart: Chart, y):
         - eye[:, :, None] * y[..., None, None, :]
     )
     return -2.0 * g / mu[..., None, None, None]
-
-
-def sqrt_metric(chart: Chart, y):
-    """Symmetric square root R with R R = sigma (as plain matrices)."""
-    y = np.asarray(y, dtype=float)
-    n = chart.dim
-    eye = np.eye(n)
-    mu = mu_factor(chart, y)
-    if chart.kind == GNOMONIC:
-        yy = y[..., :, None] * y[..., None, :]
-        c = 1.0 / (mu * (mu + 1.0))
-        return (eye - c[..., None, None] * yy) / mu[..., None, None]
-    return (4.0 / mu)[..., None, None] * np.broadcast_to(eye, y.shape[:-1] + (n, n)).copy()
 
 
 def inv_sqrt_metric(chart: Chart, y):

@@ -24,10 +24,11 @@ from .continuity import (
     verify_subsolution,
 )
 from .errors import AdmissibilityError, DomainRangeError, EvaluationError, ParseError, SemanticError
-from .geometry import rho_slots_to_u
+from .geometry import rho_slots_to_u, state_from_u_slots
 from .problems import build_problem, load_problem
-from .spaceform import SpaceFormParams, profile, zeta
-from .symfunc import all_sigmas
+from .spaceform import SpaceFormParams, eta, profile, zeta, zeta_inverse
+from .symeig import eigh_descending
+from .symfunc import all_sigmas, f_and_derivatives
 
 
 def main(argv=None):
@@ -165,32 +166,28 @@ def _cmd_check(args):
     return 0
 
 
-def _field_to_u(field, sf):
-    """Interior u-slots of a stored field in any representation."""
+def _evaluate_stored(field, sf, k):
+    """Operator and geometry of a stored field in any representation, without f.
+
+    u and v fields are evaluated by the operator in their own representation.
+    A rho field is differentiated as rho and its jets transformed pointwise
+    to u, with the u-representation operator reading the result.
+    """
     grid = field.grid
-    if field.representation == "u":
-        op = DiscreteOperator(grid, grid.dim, profile(sf), rep="u", sf=sf)
-        return op.evaluate(field.values)
-    if field.representation == "v":
-        op = DiscreteOperator(grid, grid.dim, profile(sf), rep="v", sf=sf)
-        return op.evaluate(field.values)
-    # rho representation: transform the jets pointwise
+    if field.representation != "rho":
+        op = DiscreteOperator(grid, k, profile(sf), rep=field.representation, sf=sf)
+        return op, op.evaluate(field.values, need_f=False)
+    op = DiscreteOperator(grid, k, profile(sf), rep="u", sf=sf)
     val, p, r = grids.frame_jets(grid, field.values)
     u, p_u, r_u = rho_slots_to_u(val, p, r, sf)
-    op = DiscreteOperator(grid, grid.dim, profile(sf), rep="u", sf=sf)
-    from .geometry import state_from_u_slots
-    from .symeig import eigh_descending
-    from .symfunc import f_and_derivatives
-
-    state = state_from_u_slots(u, p_u, r_u, profile(sf))
+    state = state_from_u_slots(u, p_u, r_u, op.ambient)
     S = r_u + u[:, None, None] * np.eye(grid.dim)
     conv = eigh_descending(S)[0][:, -1]
-    f, fi = f_and_derivatives(state.kappa, grid.dim) if np.min(conv) > 0 else (None, None)
     ev = continuity.OperatorEval(
-        full=field.values, val=val, p_coord=grids.fd_jets(grid, field.values)[1],
-        u=u, p_u=p_u, r_u=r_u, state=state, f=f, fi=fi, conv_min_eig=conv,
+        full=zeta_inverse(sf, field.values), val=val, p_coord=grids.fd_jets(grid, field.values)[1],
+        u=u, p_u=p_u, r_u=r_u, state=state, f=None, fi=None, conv_min_eig=conv,
     )
-    return ev
+    return op, ev
 
 
 def _cmd_curvature(args):
@@ -204,8 +201,7 @@ def _cmd_curvature(args):
     k = args.k or grid.dim
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    op = DiscreteOperator(grid, k, profile(sf), rep="u", sf=sf)
-    ev = _field_to_u(field, sf)
+    op, ev = _evaluate_stored(field, sf, k)
     if ev is None:
         raise AdmissibilityError("field is out of range for this space form")
     st = ev.state
@@ -220,7 +216,7 @@ def _cmd_curvature(args):
         "sigma_k_min": float(sig[:, k].min()),
         "sigma_k_max": float(sig[:, k].max()),
         "tau_min": float(st.tau.min()),
-        "diagnostics": diagnostics_from_eval(op, ev) if ev.f is not None else None,
+        "diagnostics": diagnostics_from_eval(op, ev) if ev.conv_min_eig.min() > 0 else None,
     }
     (out / "curvature.json").write_text(json.dumps(to_plain(summary), indent=1) + "\n")
     _write_csv(out / "curvature.csv", grid, op.ambient.rho_u(ev.u), st.kappa, "sigma_k", sig[:, k])
@@ -248,9 +244,6 @@ def _cmd_lincheck(args):
 
 def lincheck_report(spec, samples=50, seed=0, tolerance=1e-5):
     """FD verification of the analytic blocks at random admissible states."""
-    from .geometry import state_from_u_slots
-    from .symfunc import f_and_derivatives
-
     rng = np.random.default_rng(seed)
     n = spec.grid.dim
     amb = profile(spec.sf)
@@ -383,8 +376,6 @@ def _field_rho(field, spec):
         return field.values
     if field.representation == "u":
         return zeta(spec.sf, field.values)
-    from .spaceform import eta
-
     return zeta(spec.sf, eta(spec.sf, field.values))
 
 

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import grids, linearize
+from . import charts, grids, linearize
 from .errors import AdmissibilityError, SemanticError
 from .geometry import state_from_u_slots, v_slots_to_u
 from .grids import GraphField
@@ -48,7 +48,9 @@ from .spaceform import (
 from .symeig import eigh_descending
 from .symfunc import f_and_derivatives, in_gamma_k
 
-CONVEXITY_MARGIN = 1e-10
+CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
+MIN_LAMBDA = 1e-12        # the line search gives up below this damping
+ARMIJO = 1e-4             # sufficient-decrease constant of the line search
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
 
 CONVERGED = "Converged"
@@ -70,9 +72,6 @@ class HomotopyConfig:
     dt_growth: float = 1.5
     newton_tol: float = 1e-10
     max_newton: int = 30
-    min_lambda: float = 1e-12
-    armijo: float = 1e-4
-    convexity_margin: float = CONVEXITY_MARGIN
     eps_target_factor: float = 1e-6
     theta_N: float = 10.0
     boundary_match_factor: float = 3.0   # tolerance = factor * h * scale
@@ -179,22 +178,24 @@ class DiscreteOperator:
     """Evaluates f(kappa[field]) and its linearization over the interior nodes.
 
     rep "u": unknowns are u values.  rep "v": unknowns are v with u = eta(v)
-    for the space form sf.  exp_eta marks the deformed sphere path: eta = exp
-    (sf K = 0) over a profile with ka = t^2, where the closed-form v blocks do
-    not hold and the blocks come from the chain rule instead.
+    for the space form sf.  An ambient profile whose curvature ka differs from
+    sf.K is the deformed sphere path: eta = exp (sf K = 0) over a profile with
+    ka = t^2 > 0, where the closed-form v blocks do not hold and the blocks
+    come from the chain rule instead.
     """
 
-    def __init__(self, grid, k, ambient: AmbientProfile, rep="v", sf=None, exp_eta=False):
+    def __init__(self, grid, k, ambient: AmbientProfile, rep="v", sf=None):
         self.grid = grid
         self.k = k
         self.ambient = ambient
         self.rep = rep
         self.sf = sf
-        self.exp_eta = exp_eta
         if rep == "v" and sf is None:
             raise SemanticError("v-representation needs a space form")
-        if exp_eta and (rep != "v" or sf.K != 0):
-            raise SemanticError("exp_eta needs the v-representation with eta = exp (K = 0)")
+        if sf is not None and ambient.curvature != sf.K and (rep != "v" or sf.K != 0):
+            raise SemanticError(
+                "a profile other than the space form's needs the v-representation "
+                "with eta = exp (K = 0)")
 
     def admissible_values(self, full):
         lo = self.ambient.u_floor if self.rep == "u" else ranges(self.sf).v_lower
@@ -247,7 +248,7 @@ class DiscreteOperator:
         lc_u = linearize.coefficients_u(ev.state, ev.fi)
         if self.rep == "u":
             return lc_u
-        if self.exp_eta:
+        if self.ambient.curvature != self.sf.K:
             return linearize.exp_chain_blocks(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
         return linearize.coefficients_v(ev.state, ev.fi, ev.val, ev.p_v_frame, self.sf, lc_u)
 
@@ -359,16 +360,6 @@ class BlendRhs:
         )
 
 
-class ConstantRhs:
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def evaluate(self, op, ev) -> RhsSplit:
-        n = op.grid.dim
-        z = np.zeros((ev.val.shape[0], n))
-        return RhsSplit(values=self.values + 0.0 * ev.val, d_val=0.0 * ev.val, d_p=z)
-
-
 # ---------------------------------------------------------------------------
 # Newton iteration
 
@@ -387,7 +378,7 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
 
     x = np.asarray(x0, dtype=float).copy()
     ev = op.evaluate(compose(x))
-    if ev is None or not op.admissible(ev, cfg.convexity_margin):
+    if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
         return NewtonResult(ADMISSIBILITY_LOSS, x, 0, np.inf, [])
     split = rhs.evaluate(op, ev)
     R = ev.f - split.values
@@ -405,14 +396,14 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
             return NewtonResult(SOLVER_BREAKDOWN, x, it, rn, history)
         lam = 1.0
         accepted = False
-        while lam >= cfg.min_lambda:
+        while lam >= MIN_LAMBDA:
             x_t = x + lam * delta
             ev_t = op.evaluate(compose(x_t))
-            if ev_t is not None and op.admissible(ev_t, cfg.convexity_margin):
+            if ev_t is not None and op.admissible(ev_t, CONVEXITY_MARGIN):
                 split_t = rhs.evaluate(op, ev_t)
                 R_t = ev_t.f - split_t.values
                 rn_t = float(np.max(np.abs(R_t)))
-                if rn_t <= max(cfg.newton_tol, (1.0 - cfg.armijo * lam) * rn):
+                if rn_t <= max(cfg.newton_tol, (1.0 - ARMIJO * lam) * rn):
                     x, ev, split, R, rn = x_t, ev_t, split_t, R_t, rn_t
                     history.append(rn)
                     accepted = True
@@ -480,9 +471,7 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval, theta_N=10.0):
     grid = op.grid
     if grid.boundary_ids.size:
         p_bnd = grids.boundary_gradient_estimate(grid, u_all)
-        from . import charts as _ch
-
-        _, sigma_inv_b, _ = _ch.chart_metric(grid.chart, grid.coords[grid.boundary_ids])
+        _, sigma_inv_b, _ = charts.chart_metric(grid.chart, grid.coords[grid.boundary_ids])
         gn2 = np.einsum("nk,nkl,nl->n", p_bnd, sigma_inv_b, p_bnd)
         w_bnd_max = float(np.max(np.sqrt(u_all[grid.boundary_ids] ** 2 + gn2)))
     else:
@@ -627,7 +616,7 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
         full = boundary_at(s).copy()
         full[interior] = x
         ev = op.evaluate(full)
-        if ev is None or not op.admissible(ev, cfg.convexity_margin):
+        if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
             return None
         split = problem_at_t(s).evaluate(op, ev)
         return op, ev, split, ev.f - split.values
@@ -847,37 +836,21 @@ def stage1_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None, plan=None,
     return run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg, records)
 
 
-def stage2_path(spec: ProblemSpec, cfg: HomotopyConfig | None, v0: GraphField,
-                plan=None, records=None):
-    """Continuation from the auxiliary equation to G[v] = psi_hat(z, v, Dv).
-
-    v0 must solve G[v] = eps xi(v) with the problem's boundary data, as the
-    stage-1 and bridge legs leave it.
-    """
-    cfg = cfg or HomotopyConfig()
-    plan = plan or plan_stage_constants(spec, cfg)
-    interior = spec.grid.interior_ids
-    leg = stage2_leg(plan["op"], spec.sf, plan["epsilon"], spec.psi_hat, v0.values,
-                     plan["v_sub"][interior])
-    return run_legs(spec.grid, [leg], v0.values[interior], cfg, records)
-
-
 def hopf_boundary_check(grid, v_full, v_sub_full):
-    """One-sided inward difference of (v - vbar) at boundary nodes; diagnostic."""
+    """One-sided inward difference of (v - vbar) at boundary nodes; diagnostic.
+
+    Each boundary node takes its steepest slope towards an interior neighbor
+    in the 3^n box; the result is the least of these over the boundary.
+    """
     w = v_full - v_sub_full
-    out = []
-    for b in grid.boundary_ids:
-        idx = grid.node_index[b]
-        best = -np.inf
-        for off in grids._offsets(grid.dim):
-            j = grid.id_grid[tuple(idx + off)] if np.all(
-                (idx + off >= 0) & (idx + off < np.array(grid.lattice_shape))
-            ) else -1
-            if j >= 0 and grid.node_class[j] == grids.INTERIOR:
-                best = max(best, (w[j] - w[b]) / (grid.h * np.linalg.norm(off)))
-        if best > -np.inf:
-            out.append(best)
-    return float(np.min(out)) if out else np.nan
+    offs = grids.box_offsets(grid.dim)
+    offs = offs[np.any(offs != 0, axis=1)]
+    ids = grids.neighbor_ids(grid, grid.boundary_ids, offs)
+    inward = (ids >= 0) & (grid.node_class[ids] == grids.INTERIOR)
+    slope = (w[ids] - w[grid.boundary_ids][:, None]) / (grid.h * np.linalg.norm(offs, axis=1))
+    best = np.where(inward, slope, -np.inf).max(axis=1)
+    best = best[best > -np.inf]
+    return float(np.min(best)) if best.size else np.nan
 
 
 def solve_two_step(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
@@ -1013,7 +986,7 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
 
     # (c) deform the metric: t 0 -> 1 under (7-1)
     def op_t(t):
-        return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", sf=k0, exp_eta=True)
+        return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", sf=k0)
 
     def rhs_t(t):
         T = t**m

@@ -11,15 +11,25 @@ orthonormal frame components, so the frame formulas apply verbatim:
 with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
 Principal curvatures are the eigenvalues of a, sorted descending; the graph is
-strictly locally convex iff Hess u + u d > 0.
+strictly locally convex iff Hess u + u d > 0.  This is the one state route:
+v-jets (u = eta(v)) and rho-jets (rho = zeta(u)) are transformed pointwise to
+u-jets before it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainRangeError
-from .spaceform import AmbientProfile, SpaceFormParams, eta, eta_prime, eta_second, profile
+from .spaceform import (
+    AmbientProfile,
+    SpaceFormParams,
+    eta,
+    eta_prime,
+    eta_second,
+    profile,
+    zeta_inverse,
+    zeta_prime,
+)
 from .symeig import eigh_descending
 
 
@@ -48,16 +58,6 @@ class GeometryState:
     @property
     def dim(self):
         return self.p.shape[-1]
-
-    def node(self, i):
-        """Single-node view (plain arrays) for spot checks."""
-        return {
-            "u": self.u[i], "p": self.p[i], "r": self.r[i], "phi": self.phi[i],
-            "w": self.w[i], "g_down": self.g_down[i], "g_up": self.g_up[i],
-            "gamma_down": self.gamma_down[i], "gamma_up": self.gamma_up[i],
-            "h": self.h[i], "a": self.a[i], "kappa": self.kappa[i],
-            "tau": self.tau[i], "nu_rad": self.nu_rad[i], "nu_tan": self.nu_tan[i],
-        }
 
 
 def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
@@ -108,8 +108,6 @@ def v_slots_to_u(v, p_v, r_v, sf: SpaceFormParams):
 
 def rho_slots_to_u(rho, p_rho, r_rho, sf: SpaceFormParams):
     """Pointwise transform of frame jets under rho = zeta(u)."""
-    from .spaceform import zeta_inverse, zeta_prime
-
     u = zeta_inverse(sf, rho)
     zp = zeta_prime(sf, u)
     zpp = profile(sf).zeta_second_u(u)
@@ -118,115 +116,3 @@ def rho_slots_to_u(rho, p_rho, r_rho, sf: SpaceFormParams):
         ..., None, None
     ]
     return u, p_u, r_u
-
-
-def state_from_v_slots(v, p_v, r_v, sf: SpaceFormParams) -> GeometryState:
-    """State from v-representation jets via the direct curvature-matrix formula
-
-        a = (1/w)(eta(v) I + eta'(v) gtil Hess v gtil),
-        gtil = I - p p^T / (w (1 + w)),  w = sqrt(1 + |Dv|^2),
-
-    then completed through the u-route for the metric blocks.  The two routes
-    produce the same kappa; this one is kept as the independent expression of
-    the v-transformation and is cross-checked against the u-route in tests.
-    """
-    v = np.asarray(v, dtype=float)
-    p_v = np.asarray(p_v, dtype=float)
-    r_v = np.asarray(r_v, dtype=float)
-    n = p_v.shape[-1]
-    eye = np.eye(n)
-    ev = eta(sf, v)
-    ep = eta_prime(sf, v)
-    wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
-    pp = p_v[..., :, None] * p_v[..., None, :]
-    gtil = eye - pp / (wv * (1.0 + wv))[..., None, None]
-    a = (
-        ev[..., None, None] * eye
-        + ep[..., None, None] * np.einsum("...ik,...kl,...lj->...ij", gtil, r_v, gtil)
-    ) / wv[..., None, None]
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
-    state = state_from_u_slots(u, p_u, r_u, profile(sf))
-    kappa, Q = eigh_descending(a)
-    state.a = a
-    state.h = np.einsum(
-        "...ik,...kl,...lj->...ij", state.gamma_down, a, state.gamma_down
-    )
-    state.kappa = kappa
-    state.eigvecs = Q
-    return state
-
-
-def state_from_rho_slots(rho, p_rho, r_rho, sf: SpaceFormParams) -> GeometryState:
-    u, p_u, r_u = rho_slots_to_u(rho, p_rho, r_rho, sf)
-    return state_from_u_slots(u, p_u, r_u, profile(sf))
-
-
-def state_deformed_slots(u, p, r, t) -> GeometryState:
-    """Deformed-metric state through the explicit t-form of the curvature matrix:
-
-        a^t = (1 + |Du|^2/(u^2+t^2))^{-1/2} gtil (Hess u + u I) gtil,
-        gtil = I - p p^T / (s2 (s1 + s2)),  s1 = sqrt(u^2+t^2), s2 = sqrt(u^2+t^2+|Du|^2).
-
-    Independent of the profile route; the two agree to rounding, which the
-    endpoint tests (t = 0 vs K = 0, t = 1 vs K = +1) exercise.
-    """
-    from .spaceform import profile_deformed
-
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(u <= 0.0):
-        raise DomainRangeError("deformed geometry requires u > 0")
-    n = p.shape[-1]
-    eye = np.eye(n)
-    pn2 = np.einsum("...i,...i->...", p, p)
-    s1 = np.sqrt(u * u + t * t)
-    s2 = np.sqrt(u * u + t * t + pn2)
-    pp = p[..., :, None] * p[..., None, :]
-    gtil = eye - pp / (s2 * (s1 + s2))[..., None, None]
-    S = r + u[..., None, None] * eye
-    a = (s1 / s2)[..., None, None] * np.einsum(
-        "...ik,...kl,...lj->...ij", gtil, S, gtil
-    )
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    state = state_from_u_slots(u, p, r, profile_deformed(t))
-    kappa, Q = eigh_descending(a)
-    state.a = a
-    state.kappa = kappa
-    state.eigvecs = Q
-    return state
-
-
-# per-node entry points over grid fields
-
-def _node_slice(grid, node):
-    from .grids import interior_slot
-
-    s = interior_slot(grid, node)
-    return slice(s, s + 1)
-
-
-def geometry_from_u(field, node, sf: SpaceFormParams) -> GeometryState:
-    """Full geometric state at one interior node of a u-representation field."""
-    from .grids import frame_jets
-
-    u, p, r = frame_jets(field.grid, field.values)
-    sl = _node_slice(field.grid, node)
-    return state_from_u_slots(u[sl], p[sl], r[sl], profile(sf))
-
-
-def geometry_from_v(field, node, sf: SpaceFormParams) -> GeometryState:
-    from .grids import frame_jets
-
-    v, p, r = frame_jets(field.grid, field.values)
-    sl = _node_slice(field.grid, node)
-    return state_from_v_slots(v[sl], p[sl], r[sl], sf)
-
-
-def geometry_deformed(field, node, t) -> GeometryState:
-    from .grids import frame_jets
-
-    u, p, r = frame_jets(field.grid, field.values)
-    sl = _node_slice(field.grid, node)
-    return state_deformed_slots(u[sl], p[sl], r[sl], t)

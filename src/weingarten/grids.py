@@ -6,10 +6,10 @@ second-order stencil lies in interior-or-boundary; boundary nodes carry
 Dirichlet values sampled at their exact chart coordinates (grid-aligned
 staircase, no cut cells).
 
-Derivatives are central second order.  The covariant Hessian is
-Hess_ij = d_ij - Gamma_ij^k d_k; the convexity matrix Hess + u sigma has a
-second route through the product u_tilde = mu u evaluated with analytic chart
-derivatives, identical in the discrete jet up to rounding.
+Derivatives are central second order over the 3^n box.  The covariant
+Hessian is Hess_ij = d_ij - Gamma_ij^k d_k, and frame jets are its
+components in the orthonormal frame sigma^{-1/2}.  Boundary nodes get a
+one-sided gradient estimate for diagnostics.
 """
 
 import itertools
@@ -59,14 +59,15 @@ class Grid:
         return self.coords[self.interior_ids]
 
 
-def _offsets(n):
+def box_offsets(n):
+    """The 3^n lattice offsets of the stencil box, in lexicographic order."""
     return np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=int)
 
 
 def _classify(inside, n):
     """Interior = inside with full box inside; boundary = inside box-neighbors of interior."""
     interior = inside.copy()
-    for off in _offsets(n):
+    for off in box_offsets(n):
         if np.all(off == 0):
             continue
         interior &= np.roll(inside, shift=tuple(-off), axis=tuple(range(n)))
@@ -76,7 +77,7 @@ def _classify(inside, n):
     edge[sl] = True
     interior &= edge
     near_interior = np.zeros_like(interior)
-    for off in _offsets(n):
+    for off in box_offsets(n):
         near_interior |= np.roll(interior, shift=tuple(off), axis=tuple(range(n)))
     boundary = inside & near_interior & ~interior
     status = np.full(inside.shape, EXTERIOR, dtype=int)
@@ -97,15 +98,7 @@ def _finalize(chart, h, origin, status):
     boundary_ids = np.flatnonzero(node_class == BOUNDARY)
     if interior_ids.size == 0:
         raise AssemblyError("domain has no interior nodes at this resolution; decrease h")
-    offs = _offsets(n)
-    box = np.empty((interior_ids.size, offs.shape[0]), dtype=int)
-    int_idx = node_index[interior_ids]
-    for j, off in enumerate(offs):
-        box[:, j] = id_grid[tuple((int_idx + off).T)]
-    if np.any(box < 0):
-        bad = interior_ids[np.argwhere(box < 0)[0, 0]]
-        raise AssemblyError(f"stencil of interior node {bad} leaves the classified domain")
-    return Grid(
+    grid = Grid(
         chart=chart,
         h=float(h),
         origin=np.asarray(origin, dtype=float),
@@ -117,8 +110,24 @@ def _finalize(chart, h, origin, status):
         id_grid=id_grid,
         interior_ids=interior_ids,
         boundary_ids=boundary_ids,
-        box=box,
+        box=None,
     )
+    grid.box = neighbor_ids(grid, interior_ids, box_offsets(n))
+    if np.any(grid.box < 0):
+        bad = interior_ids[np.argwhere(grid.box < 0)[0, 0]]
+        raise AssemblyError(f"stencil of interior node {bad} leaves the classified domain")
+    return grid
+
+
+def neighbor_ids(grid, nodes, offsets):
+    """Node ids at lattice offsets (entries in {-1, 0, 1}) from each given node.
+
+    Returns shape (len(nodes), len(offsets)), with -1 where the lattice point
+    is exterior or off the lattice: the id lattice is read padded by one cell.
+    """
+    padded = np.pad(grid.id_grid, 1, constant_values=-1)
+    pos = grid.node_index[nodes][:, None, :] + 1 + np.asarray(offsets)[None, :, :]
+    return padded[tuple(np.moveaxis(pos, -1, 0))]
 
 
 def build_cap_domain(theta0, h, n=2, center=None) -> Grid:
@@ -197,11 +206,6 @@ class GraphField:
         )
 
 
-def field_from_function(grid, fn, representation):
-    """Sample fn(coords (N, n)) -> (N,) at every non-exterior node."""
-    return GraphField(grid, np.asarray(fn(grid.coords), dtype=float), representation)
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -212,7 +216,7 @@ def _jet_weights(grid):
         return grid._jet_cache[key]
     n = grid.dim
     h = grid.h
-    offs = _offsets(n)
+    offs = box_offsets(n)
     pos = {tuple(o): j for j, o in enumerate(offs)}
     m = offs.shape[0]
     W1 = np.zeros((n, m))
@@ -286,88 +290,6 @@ def frame_jets(grid, values):
     return val, p, r
 
 
-def gradient(grid, values):
-    """Coordinate gradient at interior nodes."""
-    return fd_jets(grid, values)[1]
-
-
-def gradient_norm_sq(grid, values):
-    """|grad u|^2 = sigma^{kl} u_k u_l at interior nodes."""
-    grad = gradient(grid, values)
-    _, sigma_inv, _, _, _ = chart_quantities(grid)
-    return np.einsum("nk,nkl,nl->n", grad, sigma_inv, grad)
-
-
-def covariant_hessian(grid, values):
-    """Covariant Hessian (coordinate components) at all interior nodes."""
-    return covariant_jets(grid, values)[2]
-
-
-def convexity_matrix(grid, values_u):
-    """Hess u + u sigma at interior nodes (coordinate components), direct route."""
-    val, _, hess_cov = covariant_jets(grid, values_u)
-    sigma, _, _, _, _ = chart_quantities(grid)
-    return hess_cov + val[:, None, None] * sigma
-
-
-def convexity_matrix_fast(grid, values_u):
-    """Same matrix through u_tilde = mu u with analytic chart derivatives.
-
-    Expands the u_tilde jets by the product rule using exact derivatives of mu,
-    so the result equals the direct route on identical FD jets up to rounding.
-    Gnomonic: (Hess u + u sigma)_ij = u_tilde_ij / mu.
-    Plane:    ... = u_tilde_ij / mu + (2 delta_ij/mu^2)(u_tilde - x . D u_tilde).
-    """
-    val, grad, hess = fd_jets(grid, values_u)
-    y = grid.interior_coords()
-    n = grid.dim
-    if grid.chart.kind == ch.GNOMONIC:
-        mu = np.sqrt(1.0 + np.sum(y * y, axis=-1))
-        dmu = y / mu[:, None]
-        d2mu = np.eye(n) / mu[:, None, None] - np.einsum("ni,nj->nij", y, y) / mu[:, None, None] ** 3
-        tu_hess = (
-            d2mu * val[:, None, None]
-            + np.einsum("ni,nj->nij", dmu, grad)
-            + np.einsum("ni,nj->nij", grad, dmu)
-            + mu[:, None, None] * hess
-        )
-        return tu_hess / mu[:, None, None]
-    mu = 4.0 + np.sum(y * y, axis=-1)
-    dmu = 2.0 * y
-    tu = mu * val
-    tu_grad = dmu * val[:, None] + mu[:, None] * grad
-    tu_hess = (
-        2.0 * np.eye(n) * val[:, None, None]
-        + np.einsum("ni,nj->nij", dmu, grad)
-        + np.einsum("ni,nj->nij", grad, dmu)
-        + mu[:, None, None] * hess
-    )
-    corr = (tu - np.einsum("ni,ni->n", y, tu_grad)) * 2.0 / (mu * mu)
-    return tu_hess / mu[:, None, None] + corr[:, None, None] * np.eye(n)
-
-
-# per-node views of the batched operators (node must be interior)
-
-def covariant_hessian_at(field: "GraphField", node) -> np.ndarray:
-    """Covariant Hessian at one interior node of a field."""
-    return covariant_hessian(field.grid, field.values)[interior_slot(field.grid, node)]
-
-
-def convexity_matrix_at(field: "GraphField", node) -> np.ndarray:
-    """Hess u + u sigma at one interior node; field must be in u-representation."""
-    if field.representation != "u":
-        raise ValueError("convexity matrix is defined for u-representation fields")
-    return convexity_matrix(field.grid, field.values)[interior_slot(field.grid, node)]
-
-
-def gradient_at(field: "GraphField", node) -> np.ndarray:
-    return gradient(field.grid, field.values)[interior_slot(field.grid, node)]
-
-
-def gradient_norm_sq_at(field: "GraphField", node) -> float:
-    return float(gradient_norm_sq(field.grid, field.values)[interior_slot(field.grid, node)])
-
-
 def boundary_gradient_estimate(grid, values):
     """Coordinate gradient at boundary nodes, one-sided where needed.
 
@@ -376,32 +298,14 @@ def boundary_gradient_estimate(grid, values):
     """
     n = grid.dim
     h = grid.h
-    out = np.zeros((grid.boundary_ids.size, n))
-    shape = np.array(grid.lattice_shape)
-    for j, b in enumerate(grid.boundary_ids):
-        idx = grid.node_index[b]
-        for k in range(n):
-            ip = idx.copy()
-            ip[k] += 1
-            im = idx.copy()
-            im[k] -= 1
-            idp = grid.id_grid[tuple(ip)] if np.all((ip >= 0) & (ip < shape)) else -1
-            idm = grid.id_grid[tuple(im)] if np.all((im >= 0) & (im < shape)) else -1
-            if idp >= 0 and idm >= 0:
-                out[j, k] = (values[idp] - values[idm]) / (2.0 * h)
-            elif idp >= 0:
-                out[j, k] = (values[idp] - values[b]) / h
-            elif idm >= 0:
-                out[j, k] = (values[b] - values[idm]) / h
-    return out
-
-
-def interior_slot(grid, node_id):
-    """Position of a node id within the interior arrays; error if not interior."""
-    pos = np.searchsorted(grid.interior_ids, node_id)
-    if pos >= grid.interior_ids.size or grid.interior_ids[pos] != node_id:
-        raise AssemblyError(f"node {node_id} is not interior; stencil operations undefined there")
-    return int(pos)
+    eye = np.eye(n, dtype=int)
+    ids = neighbor_ids(grid, grid.boundary_ids, np.concatenate([eye, -eye]))
+    idp, idm = ids[:, :n], ids[:, n:]
+    has_p, has_m = idp >= 0, idm >= 0
+    vb = values[grid.boundary_ids][:, None]
+    vp, vm = values[idp], values[idm]
+    return np.where(has_p & has_m, (vp - vm) / (2.0 * h),
+                    np.where(has_p, (vp - vb) / h, np.where(has_m, (vb - vm) / h, 0.0)))
 
 
 # ---------------------------------------------------------------------------

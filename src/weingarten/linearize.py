@@ -28,7 +28,6 @@ import scipy.sparse as sp
 from . import grids
 from .geometry import GeometryState
 from .spaceform import SpaceFormParams, eta, eta_prime, eta_second
-from .symfunc import f_and_derivatives
 
 
 @dataclass
@@ -103,23 +102,6 @@ def gv_closed_form(state: GeometryState, fi, v, p_v, sf: SpaceFormParams):
     return sf.K / (wv * ep) * sum_fi + (ev / ep) * sum_fk
 
 
-def gv_chain_rule(lc_u: LinearizedCoefficients, sf: SpaceFormParams, v, p_v, r_v):
-    """Gv by the pointwise chain rule from the u-blocks (test fallback).
-
-    d/dv of (eta' r + eta'' p p^T, eta' p, eta) uses eta'' = eta and
-    eta''' = eta' on every branch.
-    """
-    ev = eta(sf, v)
-    ep = eta_prime(sf, v)
-    pp = p_v[..., :, None] * p_v[..., None, :]
-    r_slot = ev[..., None, None] * r_v + ep[..., None, None] * pp
-    return (
-        np.einsum("...ij,...ij->...", lc_u.Gij, r_slot)
-        + ev * np.einsum("...s,...s->...", lc_u.Gs, p_v)
-        + lc_u.Gu * ep
-    )
-
-
 def exp_chain_blocks(lc_u: LinearizedCoefficients, u, p_v, r_v) -> LinearizedCoefficients:
     """Blocks of v -> G[e^v] from u-form blocks (deformed sphere path).
 
@@ -134,40 +116,6 @@ def exp_chain_blocks(lc_u: LinearizedCoefficients, u, p_v, r_v) -> LinearizedCoe
         + lc_u.Gu
     )
     return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv)
-
-
-def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
-    """Evaluate G^t on a t-lattice and report monotonicity in t.
-
-    Returns dict with the value table, the worst decrease over consecutive
-    lattice points, and the minimum finite-difference t-derivative.
-    """
-    from .geometry import state_deformed_slots
-
-    t_values = np.sort(np.asarray(t_values, dtype=float))
-    vals = []
-    for t in t_values:
-        st = state_deformed_slots(u, p, r, float(t))
-        vals.append(f_and_derivatives(st.kappa, k)[0])
-    vals = np.stack(vals, axis=0)  # (T, N)
-    diffs = np.diff(vals, axis=0)
-    worst = float(diffs.min()) if diffs.size else 0.0
-    # centered t-derivative at interior lattice points
-    min_deriv = np.inf
-    for t in t_values:
-        tl, tr = max(0.0, t - fd_step), min(1.0, t + fd_step)
-        if tr - tl <= 0:
-            continue
-        gl = f_and_derivatives(state_deformed_slots(u, p, r, tl).kappa, k)[0]
-        gr = f_and_derivatives(state_deformed_slots(u, p, r, tr).kappa, k)[0]
-        min_deriv = min(min_deriv, float(((gr - gl) / (tr - tl)).min()))
-    return {
-        "t_values": t_values,
-        "values": vals,
-        "worst_decrease": worst,
-        "monotone": bool(worst >= -tol),
-        "min_t_derivative": float(min_deriv),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ The ambient space is modeled as (R^{n+1}, d rho^2 + phi^2(rho) sigma) with
 
 Two substitutions are used throughout: rho = zeta(u) turns the convexity
 condition into "Hess u + u sigma > 0", and u = eta(v) gives the variable in
-which the continuation drivers run.  The deformation family phi_t, zeta_t
-interpolates the Euclidean model (t = 0) to the upper hemisphere (t = 1).
+which the continuation drivers run; xi(v) weights the auxiliary equation.
+The solver never evaluates phi as a function of rho: AmbientProfile gives
+phi, phi', zeta', zeta'' as closed forms in u, for the three space forms and
+for the deformation family sin(t rho)/t, which interpolates the Euclidean
+model (t = 0) to the upper hemisphere (t = 1).
 
 All functions accept scalars or numpy arrays and enforce strict ranges with a
 configurable margin so that derivative formulas stay finite near endpoints.
@@ -83,35 +86,6 @@ def _check_u(sf, u, margin):
 
 def _check_v(sf, v, margin):
     return _check("v", v, ranges(sf).v_lower, np.inf, margin)
-
-
-def phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
-    """Warping function: rho, sin(rho), sinh(rho) for K = 0, 1, -1."""
-    rho = _check_rho(sf, rho, margin)
-    if sf.K == 0:
-        return rho + 0.0
-    if sf.K == 1:
-        return np.sin(rho)
-    return np.sinh(rho)
-
-
-def phi_prime(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
-    rho = _check_rho(sf, rho, margin)
-    if sf.K == 0:
-        return np.ones_like(rho)
-    if sf.K == 1:
-        return np.cos(rho)
-    return np.cosh(rho)
-
-
-def capital_phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
-    """Antiderivative of phi with value 0 at rho = 0."""
-    rho = _check_rho(sf, rho, margin)
-    if sf.K == 0:
-        return 0.5 * rho * rho
-    if sf.K == 1:
-        return 1.0 - np.cos(rho)
-    return np.cosh(rho) - 1.0
 
 
 def zeta(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
@@ -198,25 +172,6 @@ def _check_t(t):
     return float(t)
 
 
-def phi_t(t, rho, margin=RANGE_MARGIN):
-    """Deformation family sin(t rho)/t; exact Euclidean limit rho at t = 0."""
-    t = _check_t(t)
-    if t == 0.0:
-        rho = _check("rho", rho, 0.0, np.inf, margin)
-        return rho + 0.0
-    rho = _check("rho", rho, 0.0, np.pi / (2.0 * t), margin)
-    return np.sin(t * rho) / t
-
-
-def zeta_t(t, u, margin=RANGE_MARGIN):
-    """Deformed change of variables arccot(u/t)/t; limit 1/u at t = 0."""
-    t = _check_t(t)
-    u = _check("u", u, 0.0, np.inf, margin)
-    if t == 0.0:
-        return 1.0 / u
-    return np.arctan2(1.0, u / t) / t
-
-
 @dataclass(frozen=True)
 class AmbientProfile:
     """Closed forms of (phi, phi', zeta', zeta'') as functions of u.
@@ -251,7 +206,7 @@ class AmbientProfile:
         return 2.0 * u / (u * u + self.curvature) ** 2
 
     def rho_u(self, u):
-        """Radial distance: zeta branch for exact forms, zeta_t for deformed."""
+        """Radial distance: zeta branch for exact forms, arccot(u/t)/t for deformed."""
         ka = self.curvature
         if ka == 0.0:
             return 1.0 / u

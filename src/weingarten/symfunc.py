@@ -6,12 +6,9 @@ shape (..., n).  sigma_k is evaluated by the incremental-product recurrence
 here and avoids subset enumeration.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AdmissibilityError
-from .symeig import eigh_descending
 
 
 def all_sigmas(kappa):
@@ -63,27 +60,6 @@ def in_gamma_k(kappa, k):
     return ok
 
 
-@dataclass
-class ConeReport:
-    k: int
-    sigmas: np.ndarray            # sigma_1 .. sigma_k
-    in_gamma_k: bool
-    strictly_locally_convex: bool  # all kappa_i > 0
-    margin: float                  # min kappa_i
-
-
-def cone_check(kappa, k) -> ConeReport:
-    kappa = np.asarray(kappa, dtype=float)
-    e = all_sigmas(kappa)
-    return ConeReport(
-        k=k,
-        sigmas=e[..., 1 : k + 1],
-        in_gamma_k=bool(np.all(in_gamma_k(kappa, k))),
-        strictly_locally_convex=bool(np.all(kappa > 0.0)),
-        margin=float(np.min(kappa)),
-    )
-
-
 def f_and_derivatives(kappa, k):
     """f = sigma_k^{1/k} and its gradient f_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(kappa|i).
 
@@ -100,14 +76,3 @@ def f_and_derivatives(kappa, k):
     f = sk ** (1.0 / k)
     fi = (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_km1_drop(kappa, k)
     return f, fi
-
-
-def F_matrix(a, k):
-    """Derivative matrix F^{ij} of A -> sigma_k^{1/k}(lambda(A)) at symmetric a.
-
-    Eigendecompose a = Q diag(kappa) Q^T and return Q diag(f_i) Q^T; positive
-    definite on the cone.  Repeated eigenvalues are harmless here.
-    """
-    w, Q = eigh_descending(a)
-    _, fi = f_and_derivatives(w, k)
-    return np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)

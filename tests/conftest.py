@@ -5,6 +5,7 @@ import pytest
 
 from weingarten import grids
 from weingarten.spaceform import AmbientProfile, SpaceFormParams, profile
+from reference import convexity_matrix
 
 
 def random_admissible_slots(rng, n, ambient: AmbientProfile, count=1,
@@ -44,7 +45,7 @@ def random_admissible_u_field(grid, sf: SpaceFormParams, rng, base=None, amp=0.1
     for _ in range(40):
         u = base * (1.0 + amp * bump)
         if np.min(u) > amb.u_floor + 1e-6:
-            conv = grids.convexity_matrix(grid, u)
+            conv = convexity_matrix(grid, u)
             eig = np.linalg.eigvalsh(conv)
             if eig.min() > 1e-8:
                 return u

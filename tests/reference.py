@@ -1,0 +1,339 @@
+"""Independent reference formulas that the tests check the library against.
+
+The solver evaluates every quantity through one route: u-jets ->
+geometry.state_from_u_slots -> the closed-form linearization blocks.  The
+formulas here express the same quantities another way (direct v- and
+deformed-metric curvature matrices, the mu u convexity product rule, the
+chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho)
+and are used only to cross-check that route.  The per-node loops at the end
+are the references for the batched boundary diagnostics.  Tests import this
+module the way they import conftest.
+"""
+
+import numpy as np
+
+from weingarten import charts as ch
+from weingarten import grids
+from weingarten.continuity import RhsSplit
+from weingarten.errors import DomainRangeError
+from weingarten.geometry import GeometryState, state_from_u_slots, v_slots_to_u
+from weingarten.linearize import LinearizedCoefficients
+from weingarten.spaceform import (
+    RANGE_MARGIN,
+    SpaceFormParams,
+    _check,
+    _check_rho,
+    _check_t,
+    eta,
+    eta_prime,
+    profile,
+    profile_deformed,
+)
+from weingarten.symeig import eigh_descending
+from weingarten.symfunc import f_and_derivatives
+
+# ---------------------------------------------------------------------------
+# space-form functions of rho
+
+
+def phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+    """Warping function: rho, sin(rho), sinh(rho) for K = 0, 1, -1."""
+    rho = _check_rho(sf, rho, margin)
+    if sf.K == 0:
+        return rho + 0.0
+    if sf.K == 1:
+        return np.sin(rho)
+    return np.sinh(rho)
+
+
+def phi_prime(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+    rho = _check_rho(sf, rho, margin)
+    if sf.K == 0:
+        return np.ones_like(rho)
+    if sf.K == 1:
+        return np.cos(rho)
+    return np.cosh(rho)
+
+
+def capital_phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+    """Antiderivative of phi with value 0 at rho = 0."""
+    rho = _check_rho(sf, rho, margin)
+    if sf.K == 0:
+        return 0.5 * rho * rho
+    if sf.K == 1:
+        return 1.0 - np.cos(rho)
+    return np.cosh(rho) - 1.0
+
+
+def phi_t(t, rho, margin=RANGE_MARGIN):
+    """Deformation family sin(t rho)/t; exact Euclidean limit rho at t = 0."""
+    t = _check_t(t)
+    if t == 0.0:
+        rho = _check("rho", rho, 0.0, np.inf, margin)
+        return rho + 0.0
+    rho = _check("rho", rho, 0.0, np.pi / (2.0 * t), margin)
+    return np.sin(t * rho) / t
+
+
+def zeta_t(t, u, margin=RANGE_MARGIN):
+    """Deformed change of variables arccot(u/t)/t; limit 1/u at t = 0."""
+    t = _check_t(t)
+    u = _check("u", u, 0.0, np.inf, margin)
+    if t == 0.0:
+        return 1.0 / u
+    return np.arctan2(1.0, u / t) / t
+
+
+# ---------------------------------------------------------------------------
+# chart and grid
+
+
+def sqrt_metric(chart: ch.Chart, y):
+    """Symmetric square root R with R R = sigma (as plain matrices)."""
+    y = np.asarray(y, dtype=float)
+    n = chart.dim
+    eye = np.eye(n)
+    mu = ch.mu_factor(chart, y)
+    if chart.kind == ch.GNOMONIC:
+        yy = y[..., :, None] * y[..., None, :]
+        c = 1.0 / (mu * (mu + 1.0))
+        return (eye - c[..., None, None] * yy) / mu[..., None, None]
+    return (4.0 / mu)[..., None, None] * np.broadcast_to(eye, y.shape[:-1] + (n, n)).copy()
+
+
+def convexity_matrix(grid, values_u):
+    """Hess u + u sigma at interior nodes (coordinate components), direct route."""
+    val, _, hess_cov = grids.covariant_jets(grid, values_u)
+    sigma, _, _, _, _ = grids.chart_quantities(grid)
+    return hess_cov + val[:, None, None] * sigma
+
+
+def convexity_matrix_fast(grid, values_u):
+    """Same matrix through u_tilde = mu u with analytic chart derivatives.
+
+    Expands the u_tilde jets by the product rule using exact derivatives of mu,
+    so the result equals the direct route on identical FD jets up to rounding.
+    Gnomonic: (Hess u + u sigma)_ij = u_tilde_ij / mu.
+    Plane:    ... = u_tilde_ij / mu + (2 delta_ij/mu^2)(u_tilde - x . D u_tilde).
+    """
+    val, grad, hess = grids.fd_jets(grid, values_u)
+    y = grid.interior_coords()
+    n = grid.dim
+    if grid.chart.kind == ch.GNOMONIC:
+        mu = np.sqrt(1.0 + np.sum(y * y, axis=-1))
+        dmu = y / mu[:, None]
+        d2mu = np.eye(n) / mu[:, None, None] - np.einsum("ni,nj->nij", y, y) / mu[:, None, None] ** 3
+        tu_hess = (
+            d2mu * val[:, None, None]
+            + np.einsum("ni,nj->nij", dmu, grad)
+            + np.einsum("ni,nj->nij", grad, dmu)
+            + mu[:, None, None] * hess
+        )
+        return tu_hess / mu[:, None, None]
+    mu = 4.0 + np.sum(y * y, axis=-1)
+    dmu = 2.0 * y
+    tu = mu * val
+    tu_grad = dmu * val[:, None] + mu[:, None] * grad
+    tu_hess = (
+        2.0 * np.eye(n) * val[:, None, None]
+        + np.einsum("ni,nj->nij", dmu, grad)
+        + np.einsum("ni,nj->nij", grad, dmu)
+        + mu[:, None, None] * hess
+    )
+    corr = (tu - np.einsum("ni,ni->n", y, tu_grad)) * 2.0 / (mu * mu)
+    return tu_hess / mu[:, None, None] + corr[:, None, None] * np.eye(n)
+
+
+# ---------------------------------------------------------------------------
+# curvature matrices
+
+
+def F_matrix(a, k):
+    """Derivative matrix F^{ij} of A -> sigma_k^{1/k}(lambda(A)) at symmetric a.
+
+    Eigendecompose a = Q diag(kappa) Q^T and return Q diag(f_i) Q^T; positive
+    definite on the cone.  Repeated eigenvalues are harmless here.
+    """
+    w, Q = eigh_descending(a)
+    _, fi = f_and_derivatives(w, k)
+    return np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
+
+
+def state_from_v_slots(v, p_v, r_v, sf: SpaceFormParams) -> GeometryState:
+    """State from v-representation jets via the direct curvature-matrix formula
+
+        a = (1/w)(eta(v) I + eta'(v) gtil Hess v gtil),
+        gtil = I - p p^T / (w (1 + w)),  w = sqrt(1 + |Dv|^2),
+
+    then completed through the u-route for the metric blocks.  The two routes
+    produce the same kappa; this one is kept as the independent expression of
+    the v-transformation and is cross-checked against the u-route in tests.
+    """
+    v = np.asarray(v, dtype=float)
+    p_v = np.asarray(p_v, dtype=float)
+    r_v = np.asarray(r_v, dtype=float)
+    n = p_v.shape[-1]
+    eye = np.eye(n)
+    ev = eta(sf, v)
+    ep = eta_prime(sf, v)
+    wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
+    pp = p_v[..., :, None] * p_v[..., None, :]
+    gtil = eye - pp / (wv * (1.0 + wv))[..., None, None]
+    a = (
+        ev[..., None, None] * eye
+        + ep[..., None, None] * np.einsum("...ik,...kl,...lj->...ij", gtil, r_v, gtil)
+    ) / wv[..., None, None]
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
+    state = state_from_u_slots(u, p_u, r_u, profile(sf))
+    kappa, Q = eigh_descending(a)
+    state.a = a
+    state.h = np.einsum(
+        "...ik,...kl,...lj->...ij", state.gamma_down, a, state.gamma_down
+    )
+    state.kappa = kappa
+    state.eigvecs = Q
+    return state
+
+
+def state_deformed_slots(u, p, r, t) -> GeometryState:
+    """Deformed-metric state through the explicit t-form of the curvature matrix:
+
+        a^t = (1 + |Du|^2/(u^2+t^2))^{-1/2} gtil (Hess u + u I) gtil,
+        gtil = I - p p^T / (s2 (s1 + s2)),  s1 = sqrt(u^2+t^2), s2 = sqrt(u^2+t^2+|Du|^2).
+
+    Independent of the profile route; the two agree to rounding, which the
+    endpoint tests (t = 0 vs K = 0, t = 1 vs K = +1) exercise.
+    """
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if np.any(u <= 0.0):
+        raise DomainRangeError("deformed geometry requires u > 0")
+    n = p.shape[-1]
+    eye = np.eye(n)
+    pn2 = np.einsum("...i,...i->...", p, p)
+    s1 = np.sqrt(u * u + t * t)
+    s2 = np.sqrt(u * u + t * t + pn2)
+    pp = p[..., :, None] * p[..., None, :]
+    gtil = eye - pp / (s2 * (s1 + s2))[..., None, None]
+    S = r + u[..., None, None] * eye
+    a = (s1 / s2)[..., None, None] * np.einsum(
+        "...ik,...kl,...lj->...ij", gtil, S, gtil
+    )
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    state = state_from_u_slots(u, p, r, profile_deformed(t))
+    kappa, Q = eigh_descending(a)
+    state.a = a
+    state.kappa = kappa
+    state.eigvecs = Q
+    return state
+
+
+# ---------------------------------------------------------------------------
+# linearization
+
+
+def gv_chain_rule(lc_u: LinearizedCoefficients, sf: SpaceFormParams, v, p_v, r_v):
+    """Gv by the pointwise chain rule from the u-blocks (test fallback).
+
+    d/dv of (eta' r + eta'' p p^T, eta' p, eta) uses eta'' = eta and
+    eta''' = eta' on every branch.
+    """
+    ev = eta(sf, v)
+    ep = eta_prime(sf, v)
+    pp = p_v[..., :, None] * p_v[..., None, :]
+    r_slot = ev[..., None, None] * r_v + ep[..., None, None] * pp
+    return (
+        np.einsum("...ij,...ij->...", lc_u.Gij, r_slot)
+        + ev * np.einsum("...s,...s->...", lc_u.Gs, p_v)
+        + lc_u.Gu * ep
+    )
+
+
+def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
+    """Evaluate G^t on a t-lattice and report monotonicity in t.
+
+    Returns dict with the value table, the worst decrease over consecutive
+    lattice points, and the minimum finite-difference t-derivative.
+    """
+    t_values = np.sort(np.asarray(t_values, dtype=float))
+    vals = []
+    for t in t_values:
+        st = state_deformed_slots(u, p, r, float(t))
+        vals.append(f_and_derivatives(st.kappa, k)[0])
+    vals = np.stack(vals, axis=0)  # (T, N)
+    diffs = np.diff(vals, axis=0)
+    worst = float(diffs.min()) if diffs.size else 0.0
+    # centered t-derivative at interior lattice points
+    min_deriv = np.inf
+    for t in t_values:
+        tl, tr = max(0.0, t - fd_step), min(1.0, t + fd_step)
+        if tr - tl <= 0:
+            continue
+        gl = f_and_derivatives(state_deformed_slots(u, p, r, tl).kappa, k)[0]
+        gr = f_and_derivatives(state_deformed_slots(u, p, r, tr).kappa, k)[0]
+        min_deriv = min(min_deriv, float(((gr - gl) / (tr - tl)).min()))
+    return {
+        "t_values": t_values,
+        "values": vals,
+        "worst_decrease": worst,
+        "monotone": bool(worst >= -tol),
+        "min_t_derivative": float(min_deriv),
+    }
+
+
+class ConstantRhs:
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def evaluate(self, op, ev) -> RhsSplit:
+        n = op.grid.dim
+        z = np.zeros((ev.val.shape[0], n))
+        return RhsSplit(values=self.values + 0.0 * ev.val, d_val=0.0 * ev.val, d_p=z)
+
+
+# ---------------------------------------------------------------------------
+# per-node loops that the batched boundary diagnostics replace
+
+
+def boundary_gradient_loop(grid, values):
+    """grids.boundary_gradient_estimate, one boundary node and axis at a time."""
+    n = grid.dim
+    h = grid.h
+    out = np.zeros((grid.boundary_ids.size, n))
+    shape = np.array(grid.lattice_shape)
+    for j, b in enumerate(grid.boundary_ids):
+        idx = grid.node_index[b]
+        for k in range(n):
+            ip = idx.copy()
+            ip[k] += 1
+            im = idx.copy()
+            im[k] -= 1
+            idp = grid.id_grid[tuple(ip)] if np.all((ip >= 0) & (ip < shape)) else -1
+            idm = grid.id_grid[tuple(im)] if np.all((im >= 0) & (im < shape)) else -1
+            if idp >= 0 and idm >= 0:
+                out[j, k] = (values[idp] - values[idm]) / (2.0 * h)
+            elif idp >= 0:
+                out[j, k] = (values[idp] - values[b]) / h
+            elif idm >= 0:
+                out[j, k] = (values[b] - values[idm]) / h
+    return out
+
+
+def hopf_boundary_loop(grid, v_full, v_sub_full):
+    """continuity.hopf_boundary_check, one boundary node and offset at a time."""
+    w = v_full - v_sub_full
+    out = []
+    for b in grid.boundary_ids:
+        idx = grid.node_index[b]
+        best = -np.inf
+        for off in grids.box_offsets(grid.dim):
+            j = grid.id_grid[tuple(idx + off)] if np.all(
+                (idx + off >= 0) & (idx + off < np.array(grid.lattice_shape))
+            ) else -1
+            if j >= 0 and grid.node_class[j] == grids.INTERIOR:
+                best = max(best, (w[j] - w[b]) / (grid.h * np.linalg.norm(off)))
+        if best > -np.inf:
+            out.append(best)
+    return float(np.min(out)) if out else np.nan

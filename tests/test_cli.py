@@ -167,6 +167,34 @@ def test_curvature_rho_grid(tmp_path):
     assert summary["kappa_min"] == pytest.approx(expect, abs=1e-10)
 
 
+def test_curvature_saddle_u_grid(tmp_path):
+    # a non-convex u-field is evaluated and reported, not refused
+    g = grids.build_cap_domain(np.pi / 5, 0.05)
+    y = g.coords
+    field = grids.GraphField(g, 2.0 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2), "u")
+    path = tmp_path / "g.grid"
+    grids.save_grid(path, g, field, space_form=0)
+    out = tmp_path / "curv"
+    rc = main(["curvature", "--grid", str(path), "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "curvature.json").read_text())
+    assert not summary["strictly_locally_convex"]
+    assert summary["kappa_min"] < 0.0 < summary["kappa_max"]
+    assert summary["diagnostics"] is None
+
+
+def test_curvature_reproduces_solve_diagnostics(problem_file, tmp_path):
+    # the stored v-field of a K = -1 solve, read back, gives the report's
+    # final diagnostics: same operator, same values
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", problem_file(GEODESIC_H), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    out2 = tmp_path / "curv"
+    assert main(["curvature", "--grid", str(out / "solution.grid"), "--out", str(out2)]) == 0
+    summary = json.loads((out2 / "curvature.json").read_text())
+    assert summary["diagnostics"] == report["diagnostics"]["final"]
+
+
 def test_lincheck(problem_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["lincheck", "--problem", problem_file(GEODESIC_H), "--out", str(out),

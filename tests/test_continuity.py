@@ -11,6 +11,7 @@ from weingarten import grids
 from weingarten.spaceform import (
     SpaceFormParams, eta, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
+from reference import ConstantRhs, hopf_boundary_loop
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -128,7 +129,7 @@ def test_newton_fixed_point_converges_immediately():
     g = spec.grid
     v_exact = np.full(g.n_nodes, float(np.log(zeta_inverse(E, 2.0))))
     field = grids.GraphField(g, v_exact, "v")
-    rhs = ct.ConstantRhs(np.full(g.n_interior, 0.5))
+    rhs = ConstantRhs(np.full(g.n_interior, 0.5))
     out, res = ct.newton_solve(spec, rhs, field)
     assert res.status == ct.CONVERGED
     assert res.iterations <= 2
@@ -159,7 +160,7 @@ def test_newton_quadratic_tail():
             break
         amp *= 0.5
     assert start is not None and amp > 1e-3
-    rhs = ct.ConstantRhs(np.full(g.n_interior, u_exact))
+    rhs = ConstantRhs(np.full(g.n_interior, u_exact))
     cfg = ct.HomotopyConfig(newton_tol=1e-13, max_newton=40)
     res = ct.newton_core(op, rhs, start[g.interior_ids], v_full, cfg)
     assert res.status == ct.CONVERGED
@@ -177,7 +178,7 @@ def test_newton_rejects_inadmissible_start():
     y = g.coords
     v_bad = np.log(1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2)))
     field = grids.GraphField(g, -v_bad, "v")  # wildly non-convex
-    rhs = ct.ConstantRhs(np.full(g.n_interior, 0.5))
+    rhs = ConstantRhs(np.full(g.n_interior, 0.5))
     out, res = ct.newton_solve(spec, rhs, field)
     assert res.status in (ct.ADMISSIBILITY_LOSS, ct.MAX_ITERATIONS)
 
@@ -192,7 +193,7 @@ def test_newton_experimental_k1():
     )
     v_full = np.full(g.n_nodes, 0.0)  # u = 1, kappa = (1,1), sigma_1 = 2
     field = grids.GraphField(g, v_full, "v")
-    rhs = ct.ConstantRhs(np.full(g.n_interior, 2.0))
+    rhs = ConstantRhs(np.full(g.n_interior, 2.0))
     out, res = ct.newton_solve(spec, rhs, field)
     assert res.status == ct.CONVERGED
 
@@ -278,6 +279,16 @@ def test_stage2_endpoint_consistency_and_solution():
     assert err < 5e-4  # O(h^2) at h = 0.05
     assert report.diagnostics["final"]["min_kappa"] > 0
     assert report.diagnostics["hopf_min_inward_slope"] > 0
+
+
+def test_hopf_check_matches_the_loop(rng):
+    mask = np.zeros((12, 12), dtype=bool)
+    mask[2:10, 2:6] = True
+    mask[6:10, 2:10] = True
+    l_shape = grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]))
+    for g in (cap(), l_shape, grids.build_cap_domain(np.pi / 5, 0.12, n=3)):
+        v, v_sub = rng.normal(size=g.n_nodes), rng.normal(size=g.n_nodes)
+        assert ct.hopf_boundary_check(g, v, v_sub) == hopf_boundary_loop(g, v, v_sub)
 
 
 def test_stage2_gradient_dependent_psi():
@@ -494,7 +505,7 @@ def test_n3_pipeline_and_perturbed_newton():
     v_exact = field.values
     bump = np.cos(g.coords @ np.array([1.0, -0.7, 0.4]))
     start = v_exact[g.interior_ids] * (1.0 + 0.004 * bump[g.interior_ids])
-    rhs = ct.ConstantRhs(np.full(g.n_interior, psi ** (1.0 / 3.0)))
+    rhs = ConstantRhs(np.full(g.n_interior, psi ** (1.0 / 3.0)))
     res = ct.newton_core(op, rhs, start, v_exact, ct.HomotopyConfig())
     assert res.status == ct.CONVERGED
     assert np.max(np.abs(res.x - v_exact[g.interior_ids])) < 1e-10

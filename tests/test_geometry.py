@@ -6,24 +6,18 @@ import pytest
 from weingarten import charts as ch
 from weingarten import grids
 from weingarten.errors import DomainRangeError
-from weingarten.geometry import (
-    rho_slots_to_u,
-    state_deformed_slots,
-    state_from_rho_slots,
-    state_from_u_slots,
-    state_from_v_slots,
-    v_slots_to_u,
-)
+from weingarten.geometry import rho_slots_to_u, state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
     eta,
-    eta_inverse,
     profile,
     profile_deformed,
+    zeta,
     zeta_inverse,
     zeta_prime,
 )
 from conftest import random_admissible_slots, random_admissible_u_field
+from reference import convexity_matrix, phi, state_deformed_slots, state_from_v_slots
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -89,8 +83,6 @@ def test_geodesic_sphere_tau(cap_grid):
     for sf, r in ((E, 2.0), (H, 0.7), (S, 0.6)):
         u_full = np.full(cap_grid.n_nodes, float(zeta_inverse(sf, r)))
         st = _field_state(cap_grid, u_full, sf)
-        from weingarten.spaceform import phi
-
         assert np.max(np.abs(st.tau - phi(sf, r))) < 1e-13
 
 
@@ -176,8 +168,6 @@ def test_cross_representation_kappa(rng):
         assert np.max(np.abs(st_v.kappa[keep] - st_u.kappa[keep])) < 1e-9
         assert np.max(np.abs(st_v.a[keep] - st_u.a[keep])) < 1e-9
         # rho route
-        from weingarten.spaceform import zeta
-
         rho = zeta(sf, u)
         zp = zeta_prime(sf, u)
         zpp = profile(sf).zeta_second_u(u)
@@ -185,7 +175,7 @@ def test_cross_representation_kappa(rng):
         r_rho = zp[:, None, None] * r_u + zpp[:, None, None] * (
             p_u[:, :, None] * p_u[:, None, :]
         )
-        st_r = state_from_rho_slots(rho, p_rho, r_rho, sf)
+        st_r = state_from_u_slots(*rho_slots_to_u(rho, p_rho, r_rho, sf), profile(sf))
         assert np.max(np.abs(st_r.kappa[keep] - st_u.kappa[keep])) < 1e-9
 
 
@@ -270,39 +260,30 @@ def test_frame_bundle_brute_force(rng):
 
 
 def test_per_node_entry_points(cap_grid):
-    from weingarten.geometry import geometry_deformed, geometry_from_u, geometry_from_v
-
-    u_field = grids.GraphField(cap_grid, np.full(cap_grid.n_nodes, 0.5), "u")
-    node = int(cap_grid.interior_ids[7])
-    st = geometry_from_u(u_field, node, E)
+    # one interior node of the batched jets through the u, v and deformed routes
+    sl = slice(7, 8)
+    u, p, r = grids.frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.5))
+    st = state_from_u_slots(u[sl], p[sl], r[sl], profile(E))
     assert st.kappa.shape == (1, 2)
     assert np.allclose(st.kappa, 0.5)
-    v_field = grids.GraphField(cap_grid, np.full(cap_grid.n_nodes, 0.8), "v")
-    st_v = geometry_from_v(v_field, node, H)
+    v, p_v, r_v = grids.frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.8))
+    st_v = state_from_v_slots(v[sl], p_v[sl], r_v[sl], H)
     assert np.all(st_v.kappa > 0)
-    st_d = geometry_deformed(u_field, node, 0.5)
+    st_d = state_deformed_slots(u[sl], p[sl], r[sl], 0.5)
     assert np.allclose(st_d.kappa, 0.5)
-    from weingarten.errors import AssemblyError
-
-    with pytest.raises(AssemblyError):
-        geometry_from_u(u_field, int(cap_grid.boundary_ids[0]), E)
 
 
 def test_grid_per_node_wrappers(cap_grid):
     values = 1.5 + 0.02 * np.sin(cap_grid.coords[:, 0])
-    field = grids.GraphField(cap_grid, values, "u")
-    node = int(cap_grid.interior_ids[11])
-    hess = grids.covariant_hessian_at(field, node)
-    assert hess.shape == (2, 2)
-    conv = grids.convexity_matrix_at(field, node)
+    slot = 11
+    _, grad, hess = grids.covariant_jets(cap_grid, values)
+    assert hess[slot].shape == (2, 2)
+    conv = convexity_matrix(cap_grid, values)[slot]
     assert np.all(np.linalg.eigvalsh(conv) > 0)
-    grad = grids.gradient_at(field, node)
-    assert grad.shape == (2,)
-    gn2 = grids.gradient_norm_sq_at(field, node)
+    assert grad[slot].shape == (2,)
+    _, sigma_inv, _, _, _ = grids.chart_quantities(cap_grid)
+    gn2 = grad[slot] @ sigma_inv[slot] @ grad[slot]
     assert gn2 >= 0.0
-    v_field = grids.GraphField(cap_grid, values, "v")
-    with pytest.raises(ValueError):
-        grids.convexity_matrix_at(v_field, node)
 
 
 def test_n3_sphere_oracle():

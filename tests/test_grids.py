@@ -6,6 +6,14 @@ import pytest
 from weingarten import charts as ch
 from weingarten import grids
 from weingarten.errors import AssemblyError
+from reference import boundary_gradient_loop, convexity_matrix, convexity_matrix_fast
+
+
+def gradient_norm_sq(grid, values):
+    """|grad u|^2 = sigma^{kl} u_k u_l at interior nodes."""
+    grad = grids.fd_jets(grid, values)[1]
+    _, sigma_inv, _, _, _ = grids.chart_quantities(grid)
+    return np.einsum("nk,nkl,nl->n", grad, sigma_inv, grad)
 
 
 def test_cap_domain_radius():
@@ -57,15 +65,15 @@ def test_constant_field_has_zero_derivatives(cap_grid):
     assert np.all(val == 3.7)
     assert np.max(np.abs(grad)) == 0.0
     assert np.max(np.abs(hess)) == 0.0
-    assert np.max(np.abs(grids.covariant_hessian(cap_grid, values))) == 0.0
-    assert np.max(np.abs(grids.gradient_norm_sq(cap_grid, values))) == 0.0
+    assert np.max(np.abs(grids.covariant_jets(cap_grid, values)[2])) == 0.0
+    assert np.max(np.abs(gradient_norm_sq(cap_grid, values))) == 0.0
 
 
 def test_gradient_at_center():
     # u = y1 has |grad u|^2 = 1 at the gnomonic center where sigma = I
     g = grids.build_cap_domain(np.pi / 4, 0.1)
     values = g.coords[:, 0].copy()
-    gn2 = grids.gradient_norm_sq(g, values)
+    gn2 = gradient_norm_sq(g, values)
     center = np.argmin(np.linalg.norm(g.interior_coords(), axis=1))
     assert gn2[center] == pytest.approx(1.0, abs=1e-12)
 
@@ -78,7 +86,7 @@ def test_fd_gradient_convergence():
         y = g.coords
         mu = np.sqrt(1.0 + np.sum(y * y, axis=1))
         values = 1.0 / mu
-        grad = grids.gradient(g, values)
+        grad = grids.fd_jets(g, values)[1]
         yi = g.interior_coords()
         mui = np.sqrt(1.0 + np.sum(yi * yi, axis=1))
         exact = -yi / mui[:, None] ** 3
@@ -95,7 +103,7 @@ def test_covariant_hessian_convergence_order():
         g = grids.build_cap_domain(np.pi / 4, h)
         y = g.coords
         values = np.sin(y[:, 0] + 0.5 * y[:, 1]) + 0.3 * y[:, 0] * y[:, 1]
-        hess = grids.covariant_hessian(g, values)
+        hess = grids.covariant_jets(g, values)[2]
         yi = g.interior_coords()
         s = np.sin(yi[:, 0] + 0.5 * yi[:, 1])
         exact_pl = np.empty_like(hess)
@@ -125,7 +133,7 @@ def test_first_harmonics_annihilate_convexity_operator():
         y = g.coords
         mu = np.sqrt(1.0 + np.sum(y * y, axis=1))
         values = (y @ b[:2] + b[2]) / mu
-        conv = grids.convexity_matrix(g, values)
+        conv = convexity_matrix(g, values)
         errs.append(np.max(np.abs(conv)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.8)
@@ -136,8 +144,8 @@ def test_convexity_fast_path_matches_direct(rng, cap_grid):
     for _ in range(20):
         k = rng.uniform(-2, 2, 2)
         values = np.cos(cap_grid.coords @ k) + 1.5
-        direct = grids.convexity_matrix(cap_grid, values)
-        fast = grids.convexity_matrix_fast(cap_grid, values)
+        direct = convexity_matrix(cap_grid, values)
+        fast = convexity_matrix_fast(cap_grid, values)
         assert np.max(np.abs(direct - fast)) < 1e-10
 
 
@@ -148,25 +156,52 @@ def test_convexity_fast_path_plane_chart(rng):
     for _ in range(10):
         k = rng.uniform(-2, 2, 2)
         values = np.cos(g.coords @ k) + 1.5
-        direct = grids.convexity_matrix(g, values)
-        fast = grids.convexity_matrix_fast(g, values)
+        direct = convexity_matrix(g, values)
+        fast = convexity_matrix_fast(g, values)
         assert np.max(np.abs(direct - fast)) < 1e-10
 
 
 def test_constant_positive_field_convexity(cap_grid):
     values = np.full(cap_grid.n_nodes, 2.0)
-    conv = grids.convexity_matrix(cap_grid, values)
+    conv = convexity_matrix(cap_grid, values)
     sigma, _, _, _, _ = grids.chart_quantities(cap_grid)
     assert np.max(np.abs(conv - 2.0 * sigma)) < 1e-14
     assert np.all(np.linalg.eigvalsh(conv) > 0)
 
 
-def test_interior_slot_errors(cap_grid):
-    bnd = cap_grid.boundary_ids[0]
+def test_neighbor_ids_mark_missing_lattice_points(cap_grid):
+    # the stencil box is the neighbor table of the interior nodes
+    offs = grids.box_offsets(2)
+    assert np.array_equal(grids.neighbor_ids(cap_grid, cap_grid.interior_ids, offs), cap_grid.box)
+    # boundary nodes: -1 exactly where the lattice point is exterior
+    ids = grids.neighbor_ids(cap_grid, cap_grid.boundary_ids, offs)
+    assert np.all(np.any(ids < 0, axis=1))
+    idx = cap_grid.node_index[cap_grid.boundary_ids][:, None, :] + offs[None, :, :]
+    assert np.array_equal(ids, cap_grid.id_grid[tuple(np.moveaxis(idx, -1, 0))])
+    # nodes on the lattice edge: points off the lattice read -1
+    status = np.full((3, 3), grids.BOUNDARY)
+    status[1, 1] = grids.INTERIOR
+    g = grids._finalize(ch.gnomonic_chart(2), 0.1, np.zeros(2), status)
+    corner = grids.neighbor_ids(g, [0], offs)[0].reshape(3, 3)
+    expect = np.full((3, 3), -1)
+    expect[1:, 1:] = [[0, 1], [3, 4]]
+    assert np.array_equal(corner, expect)
+    # an interior node on the lattice edge is refused, its stencil not wrapped
+    # around to the opposite edge
+    status[0, 1] = grids.INTERIOR
     with pytest.raises(AssemblyError):
-        grids.interior_slot(cap_grid, bnd)
-    slot = grids.interior_slot(cap_grid, cap_grid.interior_ids[5])
-    assert slot == 5
+        grids._finalize(ch.gnomonic_chart(2), 0.1, np.zeros(2), status)
+
+
+def test_boundary_gradient_matches_the_loop(rng, cap_grid):
+    mask = np.zeros((12, 12), dtype=bool)
+    mask[2:10, 2:6] = True
+    mask[6:10, 2:10] = True
+    l_shape = grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]))
+    for g in (cap_grid, l_shape, grids.build_cap_domain(np.pi / 5, 0.12, n=3)):
+        values = rng.normal(size=g.n_nodes)
+        assert np.array_equal(grids.boundary_gradient_estimate(g, values),
+                              boundary_gradient_loop(g, values))
 
 
 def test_grid_serialization_round_trip(tmp_path, cap_grid, rng):
@@ -196,5 +231,5 @@ def test_n3_cap_domain_smoke():
     assert g.dim == 3
     assert g.box.shape[1] == 27
     values = np.full(g.n_nodes, 1.0)
-    conv = grids.convexity_matrix(g, values)
+    conv = convexity_matrix(g, values)
     assert np.all(np.linalg.eigvalsh(conv) > 0)

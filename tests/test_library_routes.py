@@ -1,0 +1,97 @@
+"""Every routine in the library is on a route the library itself runs.
+
+Independent cross-check formulas live in tests/reference.py; a top-level
+function or class in src/weingarten that nothing in src/weingarten refers to
+is either such a formula or dead code, and this test names it.
+
+A reference to name N defined in module M is one of
+  * an import of N from M (``from .M import N``, also in ``__init__``);
+  * an attribute access ``alias.N`` where alias is bound to M by an import;
+  * a load of N inside M, outside N's own body, in a scope where N is not a
+    local variable (``phi`` is a local in several functions and a field of
+    GeometryState, so a bare count of names or attributes would miss that
+    ``spaceform.phi`` has no caller).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = "weingarten"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _source_module(node: ast.ImportFrom):
+    """Module stem an ImportFrom reads from ("weingarten" for the package), or None."""
+    if node.level == 1:
+        return node.module or PACKAGE
+    parts = (node.module or "").split(".")
+    if node.level == 0 and parts[0] == PACKAGE:
+        return parts[1] if len(parts) > 1 else PACKAGE
+    return None
+
+
+def _local_names(fn):
+    """Names bound in one function's own scope: parameters, targets, imports."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not fn:
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def _global_loads(tree):
+    """(name, enclosing top-level definition or None) for each load of a global."""
+    out = []
+
+    def visit(node, top, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, SCOPES):
+                visit(child, top, local | _local_names(child))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id not in local:
+                    out.append((child.id, top))
+            else:
+                visit(child, top, local)
+
+    for stmt in tree.body:
+        visit(ast.Module(body=[stmt], type_ignores=[]), getattr(stmt, "name", None), set())
+    return out
+
+
+def unreferenced_definitions():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for stem, tree in modules.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _source_module(node) is not None:
+                source = _source_module(node)
+                referenced |= {(source, a.name) for a in node.names}
+                if source == PACKAGE:
+                    aliases |= {a.asname or a.name: a.name for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                referenced.add((aliases.get(node.value.id), node.attr))
+        referenced |= {(stem, name) for name, top in _global_loads(tree) if name != top}
+    return [
+        f"{stem}.{stmt.name}"
+        for stem, tree in modules.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and (stem, stmt.name) not in referenced
+    ]
+
+
+def test_every_top_level_definition_is_referenced():
+    missing = unreferenced_definitions()
+    assert not missing, (
+        "top-level definitions nothing in src/weingarten refers to "
+        "(move cross-check formulas to tests/reference.py, delete the rest): "
+        + ", ".join(missing)
+    )

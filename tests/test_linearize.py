@@ -5,7 +5,8 @@ import pytest
 
 from weingarten import continuity as ct
 from weingarten import grids, linearize, symfunc
-from weingarten.geometry import state_from_u_slots, state_from_v_slots, v_slots_to_u
+from weingarten.errors import SemanticError
+from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
     eta_inverse,
@@ -16,6 +17,7 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import f_and_derivatives
 from conftest import random_admissible_slots, random_admissible_u_field
+from reference import deformed_monotonicity_check, gv_chain_rule, state_from_v_slots
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -156,7 +158,7 @@ def test_gv_closed_form_vs_chain_rule(rng, sf):
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
     lc_u = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     gv_closed = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
-    gv_chain = linearize.gv_chain_rule(lc_u, sf, v, p_v, r_v)
+    gv_chain = gv_chain_rule(lc_u, sf, v, p_v, r_v)
     assert np.max(np.abs(gv_closed - gv_chain)) < 1e-9 * max(1.0, np.max(np.abs(gv_closed)))
 
 
@@ -229,7 +231,7 @@ def test_concavity_in_hessian_slot(rng):
 
 def test_monotonicity_in_t(rng):
     u, p, r = random_admissible_slots(rng, 2, profile(E), count=50)
-    rep = linearize.deformed_monotonicity_check(u, p, r, [0.0, 0.25, 0.5, 0.75, 1.0], 2)
+    rep = deformed_monotonicity_check(u, p, r, [0.0, 0.25, 0.5, 0.75, 1.0], 2)
     assert rep["monotone"]
     assert rep["worst_decrease"] >= -1e-12
     assert rep["min_t_derivative"] >= -1e-10
@@ -239,7 +241,7 @@ def test_monotonicity_zero_gradient_is_flat(rng):
     u = rng.uniform(1.0, 2.0, 20)
     p = np.zeros((20, 2))
     r = np.zeros((20, 2, 2))
-    rep = linearize.deformed_monotonicity_check(u, p, r, [0.0, 0.5, 1.0], 2)
+    rep = deformed_monotonicity_check(u, p, r, [0.0, 0.5, 1.0], 2)
     vals = rep["values"]
     assert np.max(np.abs(vals - vals[0])) < 1e-13
 
@@ -254,7 +256,7 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
     elif case == "v":
         op, field = ct.DiscreteOperator(cap_grid, 2, profile(sf), rep="v", sf=sf), eta_inverse(sf, u_full)
     else:
-        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="v", sf=sf, exp_eta=True)
+        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="v", sf=sf)
         field = np.log(u_full)
     ev = op.evaluate(field)
     assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
@@ -262,10 +264,31 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
     def refuse(*args, **kwargs):
         raise AssertionError("f_and_derivatives called while building blocks")
 
-    for module in (symfunc, linearize, ct):
+    for module in (symfunc, ct):
         monkeypatch.setattr(module, "f_and_derivatives", refuse)
     lc = op.blocks(ev)
     assert np.all(np.isfinite(lc.Gu)) and np.min(np.linalg.eigvalsh(lc.Gij)) > 0
+
+
+def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
+    # the exp-chain blocks run exactly when the profile is not the space
+    # form's own (ka = t^2 > 0 with eta = exp); at t = 0 the closed form holds
+    x = np.log(random_admissible_u_field(cap_grid, E, rng))
+    for t, expect in ((0.0, linearize.coefficients_v), (0.5, linearize.exp_chain_blocks)):
+        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(t), rep="v", sf=E)
+        ev = op.evaluate(x)
+        lc_u = linearize.coefficients_u(ev.state, ev.fi)
+        if expect is linearize.coefficients_v:
+            ref = expect(ev.state, ev.fi, ev.val, ev.p_v_frame, E, lc_u)
+        else:
+            ref = expect(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
+        lc = op.blocks(ev)
+        for a, b in ((lc.Gij, ref.Gij), (lc.Gs, ref.Gs), (lc.Gu, ref.Gu)):
+            assert np.array_equal(a, b)
+    with pytest.raises(SemanticError):
+        ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="u", sf=E)
+    with pytest.raises(SemanticError):
+        ct.DiscreteOperator(cap_grid, 2, profile(E), rep="v", sf=H)
 
 
 # -------------------------------------------------------------- assembly

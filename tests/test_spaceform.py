@@ -7,13 +7,9 @@ from weingarten.errors import DomainRangeError
 from weingarten.spaceform import (
     SpaceFormParams,
     VariableRanges,
-    capital_phi,
     eta,
     eta_inverse,
     eta_prime,
-    phi,
-    phi_prime,
-    phi_t,
     profile,
     profile_deformed,
     ranges,
@@ -22,8 +18,8 @@ from weingarten.spaceform import (
     zeta,
     zeta_inverse,
     zeta_prime,
-    zeta_t,
 )
+from reference import capital_phi, phi, phi_prime, phi_t, zeta_t
 
 E = SpaceFormParams(0)
 S = SpaceFormParams(1)
