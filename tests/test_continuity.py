@@ -418,6 +418,32 @@ def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
     assert count["outside"] == 3 + cfg.t_samples
 
 
+def test_failed_step_is_retried_at_half_its_length(monkeypatch):
+    # dt grows 0.25 -> 0.375 -> 0.5, so from t = 0.625 the step is clipped to
+    # t = 1 (length 0.375).  When it fails, the retry covers half of that
+    # step, not half of the unclipped dt: halving dt alone can clip to t = 1
+    # again and repeat the failed solve
+    asked = []
+
+    def op_at(t):
+        asked.append(t)
+        return t
+
+    def newton_fails_once_at_one(op, rhs, x, boundary, cfg):
+        if op == 1.0 and asked.count(1.0) == 1:
+            return ct.NewtonResult(ct.MAX_ITERATIONS, x, cfg.max_newton, 1.0, [])
+        return ct.NewtonResult(ct.CONVERGED, x, 1, 0.0, [])
+
+    monkeypatch.setattr(ct, "newton_core", newton_fails_once_at_one)
+    monkeypatch.setattr(ct, "_record_step", lambda *args: None)
+    leg = ct.Leg("probe", op_at, lambda t: None, lambda t: None)
+    _, status = ct._continue_in_t(leg, np.zeros(1), ct.HomotopyConfig(), [])
+    assert status == ct.CONVERGED
+    assert asked[:4] == [0.0, 0.25, 0.625, 1.0]
+    assert asked[4] - asked[2] == 0.5 * (asked[3] - asked[2])
+    assert asked[-1] == 1.0
+
+
 def test_two_step_rejects_bad_subsolution():
     g = cap()
     y = g.coords
@@ -488,7 +514,7 @@ def test_sphere_path_lists_ordering_violations(monkeypatch):
 
 
 def test_n3_pipeline_and_perturbed_newton():
-    # full k = n = 3 stack: 27-point stencils, sigma_3, Jacobi eigensolver
+    # full k = n = 3 stack: 27-point stencils, sigma_3, LAPACK eigensolver
     sf = H
     r = 0.7
     g = grids.build_cap_domain(np.pi / 5, 0.1, n=3)

@@ -6,7 +6,7 @@ import pytest
 from weingarten import charts as ch
 from weingarten import grids
 from weingarten.errors import DomainRangeError
-from weingarten.geometry import rho_slots_to_u, state_from_u_slots, v_slots_to_u
+from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
     eta,
@@ -14,16 +14,18 @@ from weingarten.spaceform import (
     profile_deformed,
     zeta,
     zeta_inverse,
-    zeta_prime,
 )
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import convexity_matrix, phi, state_deformed_slots, state_from_v_slots
+from reference import (
+    convexity_matrix, frame_jets, phi, rho_slots_to_u, state_deformed_slots, state_from_v_slots,
+    zeta_prime,
+)
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
 
 def _field_state(grid, u_full, sf):
-    u, p, r = grids.frame_jets(grid, u_full)
+    u, p, r = frame_jets(grid, u_full)
     return state_from_u_slots(u, p, r, profile(sf))
 
 
@@ -182,7 +184,7 @@ def test_cross_representation_kappa(rng):
 def test_v_constant_matches_u_path(cap_grid):
     for sf in (E, S, H):
         v0 = 0.9
-        v, p_v, r_v = grids.frame_jets(cap_grid, np.full(cap_grid.n_nodes, v0))
+        v, p_v, r_v = frame_jets(cap_grid, np.full(cap_grid.n_nodes, v0))
         st_v = state_from_v_slots(v, p_v, r_v, sf)
         u_full = np.full(cap_grid.n_nodes, float(eta(sf, v0)))
         st_u = _field_state(cap_grid, u_full, sf)
@@ -262,11 +264,11 @@ def test_frame_bundle_brute_force(rng):
 def test_per_node_entry_points(cap_grid):
     # one interior node of the batched jets through the u, v and deformed routes
     sl = slice(7, 8)
-    u, p, r = grids.frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.5))
+    u, p, r = frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.5))
     st = state_from_u_slots(u[sl], p[sl], r[sl], profile(E))
     assert st.kappa.shape == (1, 2)
     assert np.allclose(st.kappa, 0.5)
-    v, p_v, r_v = grids.frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.8))
+    v, p_v, r_v = frame_jets(cap_grid, np.full(cap_grid.n_nodes, 0.8))
     st_v = state_from_v_slots(v[sl], p_v[sl], r_v[sl], H)
     assert np.all(st_v.kappa > 0)
     st_d = state_deformed_slots(u[sl], p[sl], r[sl], 0.5)

@@ -17,7 +17,7 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import f_and_derivatives
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import deformed_monotonicity_check, gv_chain_rule, state_from_v_slots
+from reference import deformed_monotonicity_check, frame_jets, gv_chain_rule, state_from_v_slots
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -298,7 +298,7 @@ def test_manufactured_linear_round_trip(rng, cap_grid):
 
     sf = E
     u_full = random_admissible_u_field(cap_grid, sf, rng)
-    u, p, r = grids.frame_jets(cap_grid, u_full)
+    u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
     lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
@@ -317,11 +317,11 @@ def test_jacobian_matches_fd_directional(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
 
     def residual(full):
-        u, p, r = grids.frame_jets(cap_grid, full)
+        u, p, r = frame_jets(cap_grid, full)
         st = state_from_u_slots(u, p, r, profile(sf))
         return f_and_derivatives(st.kappa, k)[0]
 
-    u, p, r = grids.frame_jets(cap_grid, u_full)
+    u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
     lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
@@ -341,7 +341,7 @@ def test_second_order_block_negative_definite(rng):
     g = grids.build_cap_domain(np.pi / 4, 0.12)
     sf = E
     u_full = random_admissible_u_field(g, sf, rng)
-    u, p, r = grids.frame_jets(g, u_full)
+    u, p, r = frame_jets(g, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
     lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, _, _ = linearize.to_coordinate(lc, g)
@@ -356,7 +356,7 @@ def test_zero_residual_zero_update(rng, cap_grid):
 
     sf = E
     u_full = random_admissible_u_field(cap_grid, sf, rng)
-    u, p, r = grids.frame_jets(cap_grid, u_full)
+    u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
     lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)

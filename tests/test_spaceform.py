@@ -17,9 +17,8 @@ from weingarten.spaceform import (
     xi_prime,
     zeta,
     zeta_inverse,
-    zeta_prime,
 )
-from reference import capital_phi, phi, phi_prime, phi_t, zeta_t
+from reference import capital_phi, phi, phi_prime, phi_t, zeta_prime, zeta_t
 
 E = SpaceFormParams(0)
 S = SpaceFormParams(1)

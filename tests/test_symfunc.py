@@ -132,7 +132,7 @@ def test_eigh2_matches_lapack(rng):
     assert np.max(np.abs(orth - np.eye(2))) < 1e-13
 
 
-def test_jacobi_matches_lapack(rng):
+def test_eigh_matches_lapack_n3_up(rng):
     for n in (3, 4, 6):
         a = rng.normal(0.0, 1.0, (100, n, n))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
@@ -141,6 +141,19 @@ def test_jacobi_matches_lapack(rng):
         assert np.max(np.abs(w - w_ref)) < 1e-12
         recon = np.einsum("nik,nk,njk->nij", Q, w, Q)
         assert np.max(np.abs(recon - a)) < 1e-11
+        orth = np.einsum("nki,nkj->nij", Q, Q)
+        assert np.max(np.abs(orth - np.eye(n))) < 1e-13
+
+
+def test_eigh_repeated_eigenvalues_n3(rng):
+    R, _ = np.linalg.qr(rng.normal(0.0, 1.0, (3, 3)))
+    a = np.stack([R @ np.diag([2.0, 2.0, 1.0]) @ R.T, np.eye(3)])
+    w, Q = eigh_descending(a)
+    assert np.max(np.abs(w - [[2.0, 2.0, 1.0], [1.0, 1.0, 1.0]])) < 1e-13
+    recon = np.einsum("nik,nk,njk->nij", Q, w, Q)
+    assert np.max(np.abs(recon - a)) < 1e-13
+    orth = np.einsum("nki,nkj->nij", Q, Q)
+    assert np.max(np.abs(orth - np.eye(3))) < 1e-13
 
 
 def test_eigh2_repeated_eigenvalues():
