@@ -52,6 +52,10 @@ CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may 
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
+# SuperLU options of the first factor: minimum degree on A^T + A, symmetric
+# mode and no pivoting, which suit the almost structurally symmetric box stencil
+FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+           "options": {"SymmetricMode": True}}
 
 CONVERGED = "Converged"
 ADMISSIBILITY_LOSS = "AdmissibilityLoss"
@@ -387,12 +391,8 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     for it in range(1, cfg.max_newton + 1):
         if rn <= cfg.newton_tol:
             return NewtonResult(CONVERGED, x, it - 1, rn, history, ev, split)
-        J = _jacobian(op, ev, split)
-        try:
-            delta = spla.splu(J.tocsc()).solve(-R)
-        except RuntimeError:
-            return NewtonResult(SOLVER_BREAKDOWN, x, it, rn, history)
-        if not np.all(np.isfinite(delta)):
+        delta = _lu_solve(_jacobian(op, ev, split), -R)
+        if delta is None:
             return NewtonResult(SOLVER_BREAKDOWN, x, it, rn, history)
         lam = 1.0
         accepted = False
@@ -414,6 +414,23 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     if rn <= cfg.newton_tol:
         return NewtonResult(CONVERGED, x, cfg.max_newton, rn, history, ev, split)
     return NewtonResult(MAX_ITERATIONS, x, cfg.max_newton, rn, history)
+
+
+def _lu_solve(J, b):
+    """Solve J x = b by sparse LU; None when no finite solution can be had.
+
+    The FAST_LU factor comes first.  Without pivoting it can meet a zero
+    pivot or return a non-finite solve; then SuperLU's default options
+    (COLAMD, partial pivoting) get one more try.
+    """
+    for options in (FAST_LU, {}):
+        try:
+            x = spla.splu(J, **options).solve(b)
+        except RuntimeError:
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+    return None
 
 
 def _jacobian(op: DiscreteOperator, ev: OperatorEval, split: RhsSplit):
@@ -615,8 +632,8 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
     the operator, right-hand side and boundary data all taken at t + step.  It
     is a forward difference unless that would leave [0, 1], which the deformed
     metric refuses.  The LU factor lives only inside this call.  Returns None
-    when no tangent can be had: an inadmissible evaluation, a singular factor
-    or a non-finite solve.
+    when no tangent can be had: an inadmissible evaluation, or no finite
+    solve from either factor of _lu_solve.
     """
     interior = op_at_t(t).grid.interior_ids
     step = TANGENT_FD_STEP if t + TANGENT_FD_STEP <= 1.0 else -TANGENT_FD_STEP
@@ -637,11 +654,7 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
     op, ev, split, R = at_t
     *_, R_shifted = shifted
     dR_dt = (R_shifted - R) / step
-    try:
-        tangent = spla.splu(_jacobian(op, ev, split).tocsc()).solve(-dR_dt)
-    except RuntimeError:
-        return None
-    return tangent if np.all(np.isfinite(tangent)) else None
+    return _lu_solve(_jacobian(op, ev, split), -dR_dt)
 
 
 def _continue_in_t(leg: Leg, x0, cfg, records):

@@ -134,25 +134,46 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
     return A2, b1, lc.Gu.copy()
 
 
-def assemble_jacobian(grid, A2, b1, c) -> sp.csr_matrix:
-    """Sparse Jacobian over interior unknowns from coordinate-level blocks.
+def _jacobian_pattern(grid):
+    """CSC index arrays of the interior Jacobian and its box-entry map; cached per grid.
+
+    Returns (indptr, indices, perm): entry perm[j] of the row-major
+    (N_int, 3^n) box entries is the j-th stored CSC value.  Box slots on
+    Dirichlet nodes are dropped; the box offsets are distinct, so no two
+    entries share a position.
+    """
+    key = "jacobian_pattern"
+    if key in grid._jet_cache:
+        return grid._jet_cache[key]
+    n_int = grid.n_interior
+    m = grid.box.shape[1]
+    interior_slot = np.full(grid.n_nodes, -1, dtype=int)
+    interior_slot[grid.interior_ids] = np.arange(n_int)
+    rows = np.repeat(np.arange(n_int), m)
+    cols = interior_slot[grid.box.reshape(-1)]
+    keep = np.flatnonzero(cols >= 0)
+    perm = keep[np.lexsort((rows[keep], cols[keep]))]
+    indptr = np.zeros(n_int + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols[perm], minlength=n_int), out=indptr[1:])
+    pattern = (indptr, rows[perm].astype(np.int32), perm)
+    for a in pattern:         # shared by every Jacobian of this grid
+        a.flags.writeable = False
+    grid._jet_cache[key] = pattern
+    return pattern
+
+
+def assemble_jacobian(grid, A2, b1, c) -> sp.csc_matrix:
+    """Sparse CSC Jacobian over interior unknowns from coordinate-level blocks.
 
     Dirichlet boundary nodes are eliminated: their columns never enter (the
     boundary values are fixed data, so the corresponding increments vanish).
+    The sparsity pattern is computed once per grid; each call only fills in
+    the values.
     """
     W1, W2 = grids._jet_weights(grid)
     m = grid.box.shape[1]
     entries = np.einsum("nkl,klo->no", A2, W2) + np.einsum("nm,mo->no", b1, W1)
     entries[:, m // 2] += c
+    indptr, indices, perm = _jacobian_pattern(grid)
     n_int = grid.n_interior
-    rows = np.repeat(np.arange(n_int), m)
-    cols_nodes = grid.box.reshape(-1)
-    interior_slot = np.full(grid.n_nodes, -1, dtype=int)
-    interior_slot[grid.interior_ids] = np.arange(n_int)
-    cols = interior_slot[cols_nodes]
-    keep = cols >= 0
-    J = sp.coo_matrix(
-        (entries.reshape(-1)[keep], (rows[keep], cols[keep])), shape=(n_int, n_int)
-    )
-    return J.tocsr()
-
+    return sp.csc_matrix((entries.reshape(-1)[perm], indices, indptr), shape=(n_int, n_int))

@@ -7,12 +7,14 @@ deformed-metric curvature matrices, the mu u convexity product rule, the
 chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
-route.  The per-node loops at the end
-are the references for the batched boundary diagnostics.  Tests import this
+route.  assemble_jacobian_coo builds the sparse Jacobian through a fresh COO
+matrix, the reference for the cached CSC pattern.  The per-node loops at the
+end are the references for the batched boundary diagnostics.  Tests import this
 module the way they import conftest.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from weingarten import charts as ch
 from weingarten import grids
@@ -312,6 +314,25 @@ def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
         "monotone": bool(worst >= -tol),
         "min_t_derivative": float(min_deriv),
     }
+
+
+def assemble_jacobian_coo(grid, A2, b1, c) -> sp.csr_matrix:
+    """linearize.assemble_jacobian through a COO matrix built on every call."""
+    W1, W2 = grids._jet_weights(grid)
+    m = grid.box.shape[1]
+    entries = np.einsum("nkl,klo->no", A2, W2) + np.einsum("nm,mo->no", b1, W1)
+    entries[:, m // 2] += c
+    n_int = grid.n_interior
+    rows = np.repeat(np.arange(n_int), m)
+    cols_nodes = grid.box.reshape(-1)
+    interior_slot = np.full(grid.n_nodes, -1, dtype=int)
+    interior_slot[grid.interior_ids] = np.arange(n_int)
+    cols = interior_slot[cols_nodes]
+    keep = cols >= 0
+    J = sp.coo_matrix(
+        (entries.reshape(-1)[keep], (rows[keep], cols[keep])), shape=(n_int, n_int)
+    )
+    return J.tocsr()
 
 
 class ConstantRhs:

@@ -4,13 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from weingarten import charts as ch
 from weingarten import continuity as ct
 from weingarten import grids
 from weingarten.spaceform import (
-    SpaceFormParams, eta, profile, profile_deformed, xi, zeta, zeta_inverse,
+    SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
+from conftest import random_admissible_u_field
 from reference import ConstantRhs, hopf_boundary_loop
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -442,6 +444,106 @@ def test_failed_step_is_retried_at_half_its_length(monkeypatch):
     assert asked[:4] == [0.0, 0.25, 0.625, 1.0]
     assert asked[4] - asked[2] == 0.5 * (asked[3] - asked[2])
     assert asked[-1] == 1.0
+
+
+# ------------------------------------------------------------ linear solve
+
+@pytest.fixture(scope="module")
+def k0_bridge_newton():
+    """Arguments of a 4-iteration Newton solve: the 21^2 off-centre K = 0
+    bridge at t = 0.01, warm-started from its t = 0 point; and that leg and point."""
+    leg, x = k0_bridge_leg(21)
+    t = 0.01
+    args = (leg.op_at(t), leg.rhs_at(t), x, leg.boundary_at(t), ct.HomotopyConfig())
+    return args, leg, x
+
+
+def test_lu_retries_with_default_options(monkeypatch, k0_bridge_newton):
+    args, _, _ = k0_bridge_newton
+    plain = ct.newton_core(*args)
+    assert plain.status == ct.CONVERGED and plain.iterations > 1
+    seen = []
+    splu = spla.splu
+
+    def no_unpivoted_factor(J, **options):
+        seen.append(options)
+        if options.get("diag_pivot_thresh") == 0.0:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(J, **options)
+
+    monkeypatch.setattr(spla, "splu", no_unpivoted_factor)
+    res = ct.newton_core(*args)
+    assert res.status == ct.CONVERGED
+    assert res.iterations == plain.iterations
+    # the two factors round differently; the iterates agree to rounding
+    assert np.max(np.abs(res.x - plain.x)) < 1e-12
+    assert seen == [ct.FAST_LU, {}] * res.iterations
+
+
+class _NanFactor:
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+def test_solver_breakdown_when_both_factors_fail(monkeypatch, k0_bridge_newton):
+    args, leg, x = k0_bridge_newton
+    r0 = ct.newton_core(*args).history[0]
+    calls = []
+
+    def singular(J, **options):
+        calls.append(options)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    res = ct.newton_core(*args)
+    assert res.status == ct.SOLVER_BREAKDOWN
+    assert res.iterations == 1 and res.history == [r0]
+    assert calls == [ct.FAST_LU, {}]
+    assert ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0, args[-1]) is None
+
+    calls.clear()
+
+    def nan_factor(J, **options):
+        calls.append(options)
+        return _NanFactor()
+
+    monkeypatch.setattr(spla, "splu", nan_factor)
+    res = ct.newton_core(*args)
+    assert res.status == ct.SOLVER_BREAKDOWN
+    assert res.iterations == 1 and res.history == [r0]
+    assert calls == [ct.FAST_LU, {}]
+
+
+def _jacobian_case(case):
+    """(operator, field): u, v (K = -1) and exp-chain on the 21^2 cap, or an n = 3 cap."""
+    rng = np.random.default_rng(11)
+    if case == "n3":
+        # at h = 0.12 (389 unknowns) minimum degree fills more than COLAMD
+        # (73 k against 46 k) yet still factors faster; from h = 0.1 on it fills less
+        g = grids.build_cap_domain(np.pi / 5, 0.1, n=3)
+        u = random_admissible_u_field(g, H, rng)
+        return ct.DiscreteOperator(g, 3, profile(H), rep="v", sf=H), eta_inverse(H, u)
+    g = cap(h=2.0 * np.tan(np.pi / 5) / 20)
+    if case == "exp-chain":
+        op = ct.DiscreteOperator(g, 2, profile_deformed(0.5), rep="v", sf=E)
+        return op, np.log(random_admissible_u_field(g, E, rng))
+    u = random_admissible_u_field(g, H, rng)
+    op = ct.DiscreteOperator(g, 2, profile(H), rep=case, sf=H)
+    return op, u if case == "u" else eta_inverse(H, u)
+
+
+@pytest.mark.parametrize("case", ["u", "v", "exp-chain", "n3"])
+def test_fast_factor_agrees_with_the_default(case):
+    op, field = _jacobian_case(case)
+    ev = op.evaluate(field)
+    assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
+    J = ct._jacobian(op, ev, ConstantRhs(np.zeros(op.grid.n_interior)).evaluate(op, ev))
+    b = np.sin(np.arange(J.shape[0]) * 0.37)
+    default = spla.splu(J)
+    x_ref = default.solve(b)
+    x = ct._lu_solve(J, b)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    assert spla.splu(J, **ct.FAST_LU).nnz <= default.nnz
 
 
 def test_two_step_rejects_bad_subsolution():

@@ -95,3 +95,32 @@ def test_every_top_level_definition_is_referenced():
         "(move cross-check formulas to tests/reference.py, delete the rest): "
         + ", ".join(missing)
     )
+
+
+# scipy entry points that factor a sparse matrix by LU
+LU_ENTRY_POINTS = ("splu", "spsolve", "factorized")
+
+
+def lu_references():
+    """(module, line) of every name or attribute in src/weingarten naming an LU entry point."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in LU_ENTRY_POINTS:
+                out.append((path.stem, getattr(node, "lineno", None)))
+    return out
+
+
+def test_one_lu_factorization_route():
+    # every linear solve goes through continuity._lu_solve, whose fallback
+    # to pivoted LU a second call site would bypass
+    refs = lu_references()
+    assert len(refs) == 1 and refs[0][0] == "continuity", refs
+    tree = ast.parse((SRC / "continuity.py").read_text())
+    helper = next(s for s in tree.body if getattr(s, "name", None) == "_lu_solve")
+    calls = [n for n in ast.walk(helper) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "splu"]
+    assert [c.lineno for c in calls] == [refs[0][1]]

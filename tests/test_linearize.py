@@ -17,7 +17,13 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import f_and_derivatives
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import deformed_monotonicity_check, frame_jets, gv_chain_rule, state_from_v_slots
+from reference import (
+    assemble_jacobian_coo,
+    deformed_monotonicity_check,
+    frame_jets,
+    gv_chain_rule,
+    state_from_v_slots,
+)
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
@@ -363,3 +369,25 @@ def test_zero_residual_zero_update(rng, cap_grid):
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     residual = np.zeros(cap_grid.n_interior)
     assert np.max(np.abs(spla.splu(J.tocsc()).solve(-residual))) == 0.0
+
+
+def test_assembly_matches_the_coo_route(rng, cap_grid):
+    # the cached CSC pattern stores exactly what COO -> CSR -> CSC stores,
+    # explicit zeros included (A2 is diagonal, so corner entries are 0.0)
+    mask = np.zeros((12, 12), dtype=bool)
+    mask[2:10, 2:6] = True
+    mask[6:10, 2:10] = True
+    l_shape = grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]))
+    for g in (cap_grid, l_shape, grids.build_cap_domain(np.pi / 5, 0.12, n=3)):
+        n, m = g.dim, g.n_interior
+        A2 = np.einsum("ni,ij->nij", rng.normal(size=(m, n)), np.eye(n))
+        b1, c = rng.normal(size=(m, n)), rng.normal(size=m)
+        J = linearize.assemble_jacobian(g, A2, b1, c)
+        ref = assemble_jacobian_coo(g, A2, b1, c).tocsc()
+        assert J.format == "csc" and J.shape == ref.shape
+        for a, b in ((J.indptr, ref.indptr), (J.indices, ref.indices), (J.data, ref.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        again = linearize.assemble_jacobian(g, 2.0 * A2, b1, c)
+        assert np.shares_memory(again.indices, J.indices)
+        assert np.shares_memory(again.indptr, J.indptr)
+        assert not np.shares_memory(again.data, J.data)
