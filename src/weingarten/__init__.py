@@ -13,7 +13,6 @@ from .continuity import (
     newton_solve,
     solve_problem,
     sphere_path,
-    stage1_path,
     verify_subsolution,
 )
 from .errors import (
@@ -56,7 +55,6 @@ __all__ = [
     "save_grid",
     "solve_problem",
     "sphere_path",
-    "stage1_path",
     "verify_subsolution",
 ]
 

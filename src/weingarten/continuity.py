@@ -16,9 +16,13 @@ to the upper hemisphere,
 
 whose t = 0 problem is exactly the K = 0 auxiliary equation with
 eps = delta2, so the legs before it are the K = 0 stage-1 leg (labelled
-sphere-aux) and bridge leg.  It finishes with the approximation schedule
-eps_j = eps 2^{-j} on G[u] = psi - eps_j.  Every accepted iterate on every
-path is kept strictly locally convex by the line search; failures are
+sphere-aux) and bridge leg.  The last leg removes the protective shift,
+
+    sphere-eps:   G[u] = psi - eps^{1-t} floor^t,
+
+on the K = +1 operator in the u-representation, with floor =
+eps_target_factor psi_hat_min from sphere_plan.  Every accepted iterate on
+every path is kept strictly locally convex by the line search; failures are
 reported, never papered over.
 """
 
@@ -52,6 +56,7 @@ CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may 
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
+PSI_FD_STEP = 1e-6       # relative difference step of PsiRhs in v and in Dv
 # SuperLU options of the first factor: minimum degree on A^T + A, symmetric
 # mode and no pivoting, which suit the almost structurally symmetric box stencil
 FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -81,6 +86,17 @@ class HomotopyConfig:
     boundary_match_factor: float = 3.0   # tolerance = factor * h * scale
     perturb_seed: int = 0
     t_samples: int = 33
+
+    def __post_init__(self):
+        # each of these leaves the engine stepping forever: t never reaches 1,
+        # a failed step halves without end, or the eps leg aims at floor <= 0
+        for name, ok in (("dt_init", self.dt_init > 0), ("dt_min", self.dt_min > 0),
+                         ("dt_growth", self.dt_growth >= 1),
+                         ("eps_target_factor", self.eps_target_factor > 0)):
+            if not ok:
+                raise SemanticError(f"[solver] {name}={getattr(self, name)!r} out of range: "
+                                    "dt_init, dt_min and eps_target_factor must be > 0, "
+                                    "dt_growth >= 1")
 
 
 @dataclass
@@ -326,21 +342,20 @@ class XiWeightedRhs:
 class PsiRhs:
     """rhs = psi_hat(bundle); derivatives by scale-aware central differences."""
 
-    def __init__(self, psi_hat, step=1e-6):
+    def __init__(self, psi_hat):
         self.psi_hat = psi_hat
-        self.step = step
 
     def evaluate(self, op, ev) -> RhsSplit:
         n = op.grid.dim
         vals = self.psi_hat(op.bundle(ev))
-        s = self.step * np.maximum(1.0, np.abs(ev.val))
+        s = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
         d_val = (self.psi_hat(op.bundle(ev, dval=s)) - self.psi_hat(op.bundle(ev, dval=-s))) / (
             2.0 * s
         )
         d_p = np.zeros((ev.val.shape[0], n))
         for i in range(n):
             dp = np.zeros_like(ev.p_coord)
-            sp = self.step * np.maximum(1.0, np.abs(ev.p_coord[:, i]))
+            sp = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.p_coord[:, i]))
             dp[:, i] = sp
             d_p[:, i] = (
                 self.psi_hat(op.bundle(ev, dp=dp)) - self.psi_hat(op.bundle(ev, dp=-dp))
@@ -710,9 +725,10 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
 def run_legs(grid, legs, x0, cfg, records=None):
     """Walk the legs in order, each warm-started from the previous endpoint.
 
-    Stops at the first leg that does not converge.  Returns (v field, status,
+    Stops at the first leg that does not converge.  Returns (field, status,
     records): the field is the last leg's boundary data at t = 1 around its
-    interior unknowns, and records holds every accepted step.
+    interior unknowns, in the representation of that leg's operator, and
+    records holds every accepted step.
     """
     records = records if records is not None else []
     x, status = x0, CONVERGED
@@ -722,7 +738,7 @@ def run_legs(grid, legs, x0, cfg, records=None):
             break
     full = leg.boundary_at(1.0).copy()
     full[grid.interior_ids] = x
-    return GraphField(grid, full, "v"), status, records
+    return GraphField(grid, full, leg.op_at(1.0).rep), status, records
 
 
 def _record_step(records, label, t, res: NewtonResult, op, cfg, ordering_floor):
@@ -846,20 +862,6 @@ def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
     return {"q": q, "epsilon": float(eps), "v_sub": v_sub, "op": op}
 
 
-def stage1_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None, plan=None, records=None):
-    """Continuation to the auxiliary equation G[v] = eps xi(v); returns v0 field.
-
-    Runs with the subsolution's own trace as boundary data (the continuous
-    problem has v = vbar on the boundary); the morph to the staircase-sampled
-    problem data is the bridge leg that follows in solve_two_step.
-    """
-    cfg = cfg or HomotopyConfig()
-    plan = plan or plan_stage_constants(spec, cfg)
-    v_sub = plan["v_sub"]
-    leg = stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
-    return run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg, records)
-
-
 def hopf_boundary_check(grid, v_full, v_sub_full):
     """One-sided inward difference of (v - vbar) at boundary nodes; diagnostic.
 
@@ -902,7 +904,7 @@ def solve_two_step(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
 
 
 # ---------------------------------------------------------------------------
-# spherical pipeline (K = +1): [sphere-aux, bridge, sphere-deform], eps schedule
+# spherical pipeline (K = +1): [sphere-aux, bridge, sphere-deform], then [sphere-eps]
 
 def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
     """Derive eps, delta1, delta2, T(t) = t^m from the subsolution's margins."""
@@ -965,12 +967,13 @@ def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
 
 
 def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """K = +1 driver: Euclidean auxiliary solve, metric deformation, eps schedule.
+    """K = +1 driver: Euclidean auxiliary solve, metric deformation, eps removal.
 
     The t = 0 legs are the K = 0 stage-1 and bridge legs with eps = delta2,
     since profile_deformed(0) is the Euclidean profile and eta = exp there.
     Only the deformation needs the exp-chain operator, whose metric has
-    ka = t^2 while eta stays exp.
+    ka = t^2 while eta stays exp.  The sphere-eps leg then runs on the K = +1
+    operator in u = e^v, started from the deformation's endpoint.
     """
     cfg = cfg or HomotopyConfig()
     if spec.sf.K != 1:
@@ -985,10 +988,12 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
         return None, report
     plan = sphere_plan(spec, cfg)
     eps, delta1, delta2, m = plan["epsilon"], plan["delta1"], plan["delta2"], plan["t_exponent"]
+    floor = cfg.eps_target_factor * plan["psi_hat_min"]
     report.constants = {
         "epsilon": eps, "delta1": delta1, "delta2": delta2, "t_exponent": m,
         "T_margin": plan["T_margin"], "g0_min": plan["g0_min"],
         "psi_hat_min": plan["psi_hat_min"], "psi_hat_max": plan["psi_hat_max"],
+        "eps_floor": floor,
     }
     u_sub = plan["u_sub"]
     v_sub = np.log(u_sub)
@@ -1027,54 +1032,21 @@ def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     if report.status != CONVERGED:
         return None, report
 
-    # (d) approximation schedule on G[u] = psi_hat - eps_j at K = +1
+    # (d) remove the shift on G[u] = psi_hat - eps(t), eps(t) = eps^{1-t} floor^t
     op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
     boundary_full_u = u_sub.copy()
     boundary_full_u[grid.boundary_ids] = u_data[grid.boundary_ids]
-    x_u = np.exp(field_v.values[grid.interior_ids])
-    eps_prev = eps
-    eps_j = eps
-    target = cfg.eps_target_factor * plan["psi_hat_min"]
-    schedule = []
-    prev_change = None
-    stagnated = False
-    while True:
-        x_new, res, ok = _eps_substep(op_u, psi_rhs, x_u, eps_prev, eps_j, boundary_full_u, cfg)
-        if not ok:
-            report.status = res.status
-            report.messages.append(f"eps schedule stalled at eps={eps_j:.3e}")
-            return None, report
-        change = float(np.max(np.abs(x_new - x_u)))
-        # monotonicity of the schedule is recorded, not asserted: a smaller rhs
-        # need not move the whole graph one way at the discrete level
-        step_min = float(np.min(x_new - x_u))
-        step_max = float(np.max(x_new - x_u))
-        x_u = x_new
-        schedule.append({"eps": float(eps_j), "sup_change": change,
-                         "step_min": step_min, "step_max": step_max,
-                         "monotone_nonincreasing_u": bool(step_max <= 1e-9),
-                         "monotone_nondecreasing_u": bool(step_min >= -1e-9),
-                         "newton_iterations": res.iterations, "residual": res.residual})
-        _record_step(report.stages, "sphere-eps", eps_j, res, op_u, cfg, None)
-        if prev_change is not None and change > 2.0 * prev_change and change > 100 * cfg.newton_tol:
-            stagnated = True
-        prev_change = change
-        if eps_j <= target:
-            break
-        eps_prev = eps_j
-        eps_j *= 0.5
-    report.constants["eps_floor"] = float(eps_j)
-    report.constants["eps_schedule"] = schedule
-    if stagnated:
-        report.messages.append("eps schedule shows non-decreasing sup changes; recorded, not fatal")
-    full = boundary_full_u.copy()
-    full[grid.interior_ids] = x_u
-    out = GraphField(grid, full, "u")
-    report.status = CONVERGED
+    leg = Leg("sphere-eps", lambda t: op_u,
+              lambda t: _ShiftedRhs(psi_rhs, -(eps ** (1.0 - t) * floor ** t)),
+              lambda t: boundary_full_u)
+    out, report.status, _ = run_legs(grid, [leg], np.exp(field_v.values[grid.interior_ids]),
+                                     cfg, report.stages)
+    if report.status != CONVERGED:
+        return None, report
     # residual against the target equation G[u] = psi_hat (no eps)
     f, psi_hat = _finalize_report(spec, op_u, out, report)
     report.diagnostics["final_residual_with_eps_floor"] = float(
-        np.max(np.abs(f - (psi_hat - eps_j)))
+        np.max(np.abs(f - (psi_hat - floor)))
     )
     return out, report
 
@@ -1089,21 +1061,6 @@ class _ShiftedRhs:
     def evaluate(self, op, ev) -> RhsSplit:
         s = self.inner.evaluate(op, ev)
         return RhsSplit(values=s.values + self.shift, d_val=s.d_val, d_p=s.d_p)
-
-
-def _eps_substep(op_u, psi_rhs, x, eps_from, eps_to, boundary_full, cfg, depth=0):
-    """Warm-started solve at eps_to, bisecting geometrically in eps on failure."""
-    res = newton_core(op_u, _ShiftedRhs(psi_rhs, -eps_to), x, boundary_full, cfg)
-    if res.status == CONVERGED:
-        return res.x, res, True
-    if depth >= 6 or eps_from <= eps_to:
-        return x, res, False
-    eps_mid = float(np.sqrt(eps_from * eps_to))
-    x2, res, ok = _eps_substep(op_u, psi_rhs, x, eps_from, eps_mid, boundary_full, cfg, depth + 1)
-    if not ok:
-        return x2, res, False
-    del res   # the midpoint is not recorded; free its evaluation before the next solve
-    return _eps_substep(op_u, psi_rhs, x2, eps_mid, eps_to, boundary_full, cfg, depth + 1)
 
 
 def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):

@@ -133,6 +133,19 @@ def test_check_subsolution_ok(problem_file, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("line", [
+    "dt_init = 0", "dt_min = 0", "dt_growth = 0.5", "eps_target_factor = -1e-6",
+])
+def test_solver_step_control_out_of_range_exits_1(problem_file, tmp_path, capsys, line):
+    # refused while the problem is built, before any solve could stall on it
+    text = GEODESIC_H + "\n[solver]\n" + line + "\n"
+    rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert line.split()[0] in payload["message"]
+
+
 def test_parse_error_exit_1(problem_file, tmp_path, capsys):
     rc = main([
         "solve", "--problem", problem_file(GEODESIC_H + "\n[domain]\nbogus = 1\n"),

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from weingarten import charts as ch
 from weingarten import continuity as ct
 from weingarten import grids
+from weingarten.errors import SemanticError
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
@@ -200,12 +201,33 @@ def test_newton_experimental_k1():
     assert res.status == ct.CONVERGED
 
 
+# ------------------------------------------------------------ step control
+
+@pytest.mark.parametrize("name, value", [
+    ("dt_init", 0.0), ("dt_min", -1e-4), ("dt_growth", 0.5),
+    ("eps_target_factor", 0.0), ("dt_init", float("nan")),
+])
+def test_config_refuses_step_control_that_never_ends(name, value):
+    # dt_growth < 1 shrinks the accepted steps so that t never reaches 1;
+    # dt_min <= 0 halves failed steps forever; a floor <= 0 is never reached
+    with pytest.raises(SemanticError, match=name):
+        ct.HomotopyConfig(**{name: value})
+    ct.HomotopyConfig(dt_growth=1.0)    # constant steps still reach t = 1
+
+
 # ------------------------------------------------------------ stage drivers
+
+def run_stage1(spec, cfg, plan):
+    """(v field, status, records) of the K in {0, -1} stage-1 leg run to t = 1."""
+    v_sub = plan["v_sub"]
+    leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
+    return ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)
+
 
 def test_stage1_t0_returns_subsolution():
     spec = geodesic_problem(H, 0.7)
     plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
-    v0, status, records = ct.stage1_path(spec, ct.HomotopyConfig(), plan)
+    v0, status, records = run_stage1(spec, ct.HomotopyConfig(), plan)
     assert status == ct.CONVERGED
     assert records[0]["t"] == 0.0
     assert records[0]["newton_iterations"] == 0  # vbar solves the t=0 problem
@@ -220,7 +242,7 @@ def stage1_leg_run(label):
     if label == "stage1":
         spec, _ = k0_sphere_problem(h=0.06)
         plan = ct.plan_stage_constants(spec, cfg)
-        return (*ct.stage1_path(spec, cfg, plan), plan["op"], plan["epsilon"])
+        return (*run_stage1(spec, cfg, plan), plan["op"], plan["epsilon"])
     # K = +1 starts on the same leg: the K = 0 operator with eps = delta2
     spec = geodesic_problem(S, 0.5, h=0.07)
     plan = ct.sphere_plan(spec, cfg)
@@ -320,7 +342,7 @@ def k0_bridge_leg(nodes_across):
     spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / (nodes_across - 1))
     g = spec.grid
     plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
-    v0, status, _ = ct.stage1_path(spec, ct.HomotopyConfig(), plan)
+    v0, status, _ = run_stage1(spec, ct.HomotopyConfig(), plan)
     assert status == ct.CONVERGED
     v_sub = plan["v_sub"]
     leg = ct.bridge_leg(plan["op"], spec.sf, plan["epsilon"], v_sub,
@@ -598,6 +620,36 @@ def test_sphere_path_recovers_geodesic_sphere():
     assert labels == ["sphere-aux", "bridge", "sphere-deform", "sphere-eps"]
     # the final problem keeps the residual at the eps floor against plain psi
     assert report.final_residual <= 2.0 * floor
+    # the sphere-eps leg walks t: 0 -> 1 and ends on the floor itself
+    assert floor == ct.HomotopyConfig().eps_target_factor * report.constants["psi_hat_min"]
+    eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
+    assert eps_t[0] == 0.0 and eps_t[-1] == 1.0
+    assert np.all(np.diff(eps_t) > 0)
+
+
+def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
+    # the shift removal runs on the engine, so a failed sphere-eps step is
+    # retried at half its length like a step of any other leg
+    newton_core = ct.newton_core
+    eps_calls = []
+
+    def newton_fails_first_eps_step(op, rhs, x, boundary, cfg):
+        if op.rep == "u":           # only the sphere-eps leg runs in u
+            eps_calls.append(-rhs.shift)
+            if len(eps_calls) == 2:
+                return ct.NewtonResult(ct.MAX_ITERATIONS, x, cfg.max_newton, 1.0, [])
+        return newton_core(op, rhs, x, boundary, cfg)
+
+    monkeypatch.setattr(ct, "newton_core", newton_fails_first_eps_step)
+    r, cfg = 0.5, ct.HomotopyConfig()
+    field, report = ct.sphere_path(geodesic_problem(S, r, h=0.09), cfg)
+    assert report.status == ct.CONVERGED
+    eps, floor = report.constants["epsilon"], report.constants["eps_floor"]
+    # the failed solve was the first step, t = dt_init
+    assert eps_calls[1] == eps ** (1.0 - cfg.dt_init) * floor ** cfg.dt_init
+    eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
+    assert eps_t[:2] == [0.0, 0.5 * cfg.dt_init] and eps_t[-1] == 1.0
+    assert np.max(np.abs(zeta(S, field.values) - r)) < 1e-5 + 2.0 * floor
 
 
 def test_sphere_path_lists_ordering_violations(monkeypatch):

@@ -124,3 +124,26 @@ def test_one_lu_factorization_route():
     calls = [n for n in ast.walk(helper) if isinstance(n, ast.Call)
              and getattr(n.func, "attr", None) == "splu"]
     assert [c.lineno for c in calls] == [refs[0][1]]
+
+
+def newton_core_referrers():
+    """Top-level definitions in src/weingarten, other than newton_core itself, naming it."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if getattr(stmt, "name", None) == "newton_core":
+                continue
+            for node in ast.walk(stmt):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name == "newton_core":
+                    out.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    return out
+
+
+def test_newton_runs_only_on_the_engine():
+    # every continuation step goes through _continue_in_t, whose step control,
+    # predictor and nudge a second stepping loop around newton_core would bypass;
+    # newton_solve is the single solve of the library API
+    assert newton_core_referrers() == {"continuity._continue_in_t", "continuity.newton_solve"}
