@@ -2,7 +2,7 @@
 
 Subpackages cover the scalar space-form functions, coordinate charts on the
 sphere with finite-difference calculus, pointwise curvature geometry, the
-analytic linearization, and the two-step continuation solver with its CLI.
+analytic linearization, and the continuation solver with its CLI.
 """
 
 from .continuity import (
@@ -12,7 +12,6 @@ from .continuity import (
     diagnostics_monitor,
     newton_solve,
     solve_problem,
-    sphere_path,
     verify_subsolution,
 )
 from .errors import (
@@ -54,7 +53,6 @@ __all__ = [
     "ranges",
     "save_grid",
     "solve_problem",
-    "sphere_path",
     "verify_subsolution",
 ]
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import continuity, grids, linearize
 from .continuity import (
-    CONVERGED,
     DiscreteOperator,
     diagnostics_from_eval,
     evaluate_stored,
@@ -139,7 +138,7 @@ def _cmd_solve(args):
                 f"{rec['stage']:>12s} t={rec['t']:.6f} iters={rec['newton_iterations']} "
                 f"res={rec['residual']:.3e} min_kappa={rec['diagnostics']['min_kappa']:.3e}\n"
             )
-    if field is None or report.status != CONVERGED:
+    if field is None:
         _error_json(f"solve ended with status {report.status}", kind=report.status)
         return 2 if report.status == continuity.ADMISSIBILITY_LOSS else 1
     grids.save_grid(out / "solution.grid", spec.grid, field, space_form=spec.sf.K)
@@ -156,9 +155,9 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
-    _, spec, cfg, _ = _load(args)
+    _, spec, _, _ = _load(args)
     out = _outdir(args)
-    report = verify_subsolution(spec, cfg)
+    report = verify_subsolution(spec)
     (out / "subsolution.json").write_text(json.dumps(to_plain(report), indent=1) + "\n")
     _sidecar(out)
     if not report["ok"]:
@@ -291,7 +290,7 @@ def _cmd_convergence(args):
         h = base_h / 2**lvl
         spec_l, cfg_l, exact_l = _build(pf, args, h)
         field, report = solve_problem(spec_l, cfg_l)
-        if field is None or report.status != CONVERGED:
+        if field is None:
             _error_json(f"level h={h} failed with {report.status}", kind=report.status)
             return 1
         rho = _field_rho(field, spec_l)

@@ -1,16 +1,20 @@
-"""Damped Newton solver and the constructive two-step continuation drivers.
+"""Damped Newton solver and the one continuation driver of the three space forms.
 
-Each driver is a list of legs t: 0 -> 1 that one engine walks in order,
-starting from a verified strictly locally convex subsolution vbar.  For
-K in {0, -1} the legs are
+solve_problem gates the subsolution vbar, then walks in order the legs
+t: 0 -> 1 that the space form's builder returns, starting from vbar, which is
+verified strictly locally convex.  Every leg's right-hand side is one Rhs,
+
+    a(t) xi(v) + b(t) (psi_hat + c(t)).
+
+For K in {0, -1}, two_step_legs gives
 
     stage1:   G[v] = ((1-t) G[vbar]/xi(vbar) + t eps) xi(v),    v = vbar on dOmega
     bridge:   G[v] = eps xi(v), boundary data moved from the subsolution trace
               to the problem data (the two differ by O(h) at staircase nodes)
     stage2:   G[v] = (1-t) eps xi(v) + t psi(z, v, Dv)
 
-For K = +1 the driver deforms the background metric from the Euclidean model
-to the upper hemisphere,
+For K = +1, sphere_legs deforms the background metric from the Euclidean
+model to the upper hemisphere,
 
     sphere-deform:   G^t[v] = (1 - T(t)) delta2 e^{2v} + T(t) (psi^t[e^v] - eps),
 
@@ -20,10 +24,10 @@ sphere-aux) and bridge leg.  The last leg removes the protective shift,
 
     sphere-eps:   G[u] = psi - eps^{1-t} floor^t,
 
-on the K = +1 operator in the u-representation, with floor =
-eps_target_factor psi_hat_min from sphere_plan.  Every accepted iterate on
-every path is kept strictly locally convex by the line search; failures are
-reported, never papered over.
+on the K = +1 operator in the u-representation, started from u = e^v, with
+floor = eps_target_factor psi_hat_min from sphere_plan.  Every accepted
+iterate on every path is kept strictly locally convex by the line search.  A
+solve that does not converge returns no field, only its report.
 """
 
 import json
@@ -57,6 +61,9 @@ MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
 PSI_FD_STEP = 1e-6       # relative difference step of PsiRhs in v and in Dv
+THETA_N = 10.0           # weight of log tau in the curvature-estimate monitor theta
+BOUNDARY_MATCH_FACTOR = 3.0  # subsolution trace vs data tolerance: factor * h * scale
+T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed metric
 # SuperLU options of the first factor: minimum degree on A^T + A, symmetric
 # mode and no pivoting, which suit the almost structurally symmetric box stencil
 FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -82,10 +89,6 @@ class HomotopyConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
     eps_target_factor: float = 1e-6
-    theta_N: float = 10.0
-    boundary_match_factor: float = 3.0   # tolerance = factor * h * scale
-    perturb_seed: int = 0
-    t_samples: int = 33
 
     def __post_init__(self):
         # each of these leaves the engine stepping forever: t never reaches 1,
@@ -321,24 +324,6 @@ class RhsSplit:
     d_p: np.ndarray  # derivative w.r.t. coordinate gradient, (N, n)
 
 
-class XiWeightedRhs:
-    """rhs = coef(z) * xi(v); stage-1 instances and the eps-weighted stage-2 part."""
-
-    def __init__(self, sf, coef):
-        self.sf = sf
-        self.coef = np.asarray(coef, dtype=float)
-
-    def evaluate(self, op, ev) -> RhsSplit:
-        xv = xi(self.sf, ev.val)
-        xpv = xi_prime(self.sf, ev.val)
-        n = op.grid.dim
-        return RhsSplit(
-            values=self.coef * xv,
-            d_val=self.coef * xpv,
-            d_p=np.zeros((ev.val.shape[0], n)),
-        )
-
-
 class PsiRhs:
     """rhs = psi_hat(bundle); derivatives by scale-aware central differences."""
 
@@ -363,20 +348,32 @@ class PsiRhs:
         return RhsSplit(values=vals, d_val=d_val, d_p=d_p)
 
 
-class BlendRhs:
-    """rhs = wa * A + wb * B for fixed weights (continuation blends)."""
+class Rhs:
+    """rhs = s (a xi(v)) + b (psi_hat + c), the right-hand side of every leg.
 
-    def __init__(self, wa, rhs_a, wb, rhs_b):
-        self.wa, self.rhs_a, self.wb, self.rhs_b = wa, rhs_a, wb, rhs_b
+    a may vary by node; s, b and c are numbers, and psi is a PsiRhs.  The xi
+    term is skipped when it is 0, so a leg whose space form has no xi
+    (K = +1) takes a = 0, and psi is not evaluated when b = 0.  Stage 2
+    weights its fixed eps xi(v) by s = 1 - t after the product, the order in
+    which its reports round; the other legs fold t into a.
+    """
+
+    def __init__(self, sf, a, psi=None, b=0.0, c=0.0, s=1.0):
+        self.sf, self.a, self.psi, self.b, self.c, self.s = sf, a, psi, b, c, s
 
     def evaluate(self, op, ev) -> RhsSplit:
-        a = self.rhs_a.evaluate(op, ev)
-        b = self.rhs_b.evaluate(op, ev)
-        return RhsSplit(
-            values=self.wa * a.values + self.wb * b.values,
-            d_val=self.wa * a.d_val + self.wb * b.d_val,
-            d_p=self.wa * a.d_p + self.wb * b.d_p,
-        )
+        n_int = ev.val.shape[0]
+        out = RhsSplit(values=np.zeros(n_int), d_val=np.zeros(n_int),
+                       d_p=np.zeros((n_int, op.grid.dim)))
+        if self.s and np.any(self.a):
+            out.values = self.s * (self.a * xi(self.sf, ev.val))
+            out.d_val = self.s * (self.a * xi_prime(self.sf, ev.val))
+        if self.b:
+            psi = self.psi.evaluate(op, ev)
+            out.values = out.values + self.b * (psi.values + self.c)
+            out.d_val = out.d_val + self.b * psi.d_val
+            out.d_p = self.b * psi.d_p
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +483,7 @@ def _capital_phi_profile(amb: AmbientProfile, rho):
     return (np.cosh(s * rho) - 1.0) / (-ka)
 
 
-def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval, theta_N=10.0):
+def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval):
     """Monitors from the curvature-estimate machinery; never aborts a solve."""
     st = ev.state
     kap = st.kappa
@@ -494,7 +491,7 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval, theta_N=10.0):
     det_S = np.linalg.det(S)
     P = np.einsum("ni,ni->n", kap, kap)
     rho = op.ambient.rho_u(ev.u)
-    theta = 0.5 * np.log(P) - theta_N * np.log(st.tau) + op.ambient.u_floor * _capital_phi_profile(
+    theta = 0.5 * np.log(P) - THETA_N * np.log(st.tau) + op.ambient.u_floor * _capital_phi_profile(
         op.ambient, rho
     )
     w_c1 = np.sqrt(ev.u**2 + np.einsum("ni,ni->n", ev.p_u, ev.p_u))
@@ -539,7 +536,7 @@ def evaluate_stored(field: GraphField, sf: SpaceFormParams, k=None):
     return op, op.evaluate(values, need_f=False)
 
 
-def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None, theta_N=10.0):
+def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None):
     """Per-field diagnostics record for stored graphs in any representation.
 
     Raises AdmissibilityError unless the field is in range, Hess u + u sigma > 0
@@ -549,19 +546,18 @@ def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None, theta_N=
     if (ev is None or (op.k == op.grid.dim and ev.conv_min_eig.min() <= 0.0)
             or not np.all(in_gamma_k(ev.state.kappa, op.k))):
         raise AdmissibilityError("diagnostics require an in-range, admissible field")
-    return diagnostics_from_eval(op, ev, theta_N=theta_N)
+    return diagnostics_from_eval(op, ev)
 
 
 # ---------------------------------------------------------------------------
 # subsolution verification
 
-def verify_subsolution(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
+def verify_subsolution(spec: ProblemSpec):
     """Checks convexity, the curvature inequality, and the boundary match.
 
     Returns a report dict; report["ok"] is the gate.  Works at the f-level:
     sigma_k(kappa[subsolution]) >= psi  iff  f >= psi^(1/k).
     """
-    cfg = cfg or HomotopyConfig()
     grid = spec.grid
     sf = spec.sf
     u_sub = zeta_inverse(sf, spec.subsolution_rho)
@@ -597,7 +593,7 @@ def verify_subsolution(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     u_data = zeta_inverse(sf, spec.boundary_rho)
     diff = u_sub[grid.boundary_ids] - u_data[grid.boundary_ids]
     scale = max(1.0, float(np.max(np.abs(u_data[grid.boundary_ids]))))
-    tol = cfg.boundary_match_factor * grid.h * scale
+    tol = BOUNDARY_MATCH_FACTOR * grid.h * scale
     report["boundary_mismatch"] = float(np.max(np.abs(diff))) if diff.size else 0.0
     report["boundary_tolerance"] = tol
     if diff.size and np.max(np.abs(diff)) > tol:
@@ -629,7 +625,7 @@ class Leg:
     op_at(t) -> operator (profiles may vary); rhs_at(t) -> right-hand side;
     boundary_at(t) -> full-node array whose boundary slots are the Dirichlet
     data (they may move along the leg).  Accepted steps record their gap to
-    ordering_floor; rng allows one seeded nudge before a step failure.
+    ordering_floor.
     """
 
     label: str
@@ -637,7 +633,6 @@ class Leg:
     rhs_at: object
     boundary_at: object
     ordering_floor: np.ndarray | None = None
-    rng: object = None
 
 
 def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
@@ -688,9 +683,8 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     if res.status != CONVERGED:
         return x0, res.status
     x = res.x
-    _record_step(records, leg.label, 0.0, res, op0, cfg, leg.ordering_floor)
+    _record_step(records, leg.label, 0.0, res, op0, leg.ordering_floor)
     dt = cfg.dt_init
-    perturbed = False
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
@@ -706,18 +700,11 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         if res.status == CONVERGED:
             t, x = t_try, res.x
             tangent, tangent_tried = None, False
-            _record_step(records, leg.label, t, res, op, cfg, leg.ordering_floor)
+            _record_step(records, leg.label, t, res, op, leg.ordering_floor)
             dt = min(cfg.dt_growth * dt, 0.5)
             continue
         dt = 0.5 * (t_try - t)
         if dt < cfg.dt_min:
-            if not perturbed and leg.rng is not None:
-                # one-time tangential nudge before declaring failure
-                perturbed = True
-                x = x + 1e-8 * leg.rng.standard_normal(x.shape)
-                tangent, tangent_tried = None, False
-                dt = cfg.dt_min * 4.0
-                continue
             return x, res.status
     return x, CONVERGED
 
@@ -725,23 +712,28 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
 def run_legs(grid, legs, x0, cfg, records=None):
     """Walk the legs in order, each warm-started from the previous endpoint.
 
-    Stops at the first leg that does not converge.  Returns (field, status,
-    records): the field is the last leg's boundary data at t = 1 around its
-    interior unknowns, in the representation of that leg's operator, and
-    records holds every accepted step.
+    A u-representation leg after a v-representation leg starts from
+    u = eta(v) in the space form of the previous operator.  Stops at the
+    first leg that does not converge.  Returns (field, status, records): the
+    field is the last leg's boundary data at t = 1 around its interior
+    unknowns, in the representation of that leg's operator, and records
+    holds every accepted step.
     """
     records = records if records is not None else []
-    x, status = x0, CONVERGED
+    x, status, op = x0, CONVERGED, None
     for leg in legs:
+        prev, op = op, leg.op_at(1.0)
+        if prev is not None and prev.rep == "v" and op.rep == "u":
+            x = eta(prev.sf, x)
         x, status = _continue_in_t(leg, x, cfg, records)
         if status != CONVERGED:
             break
     full = leg.boundary_at(1.0).copy()
     full[grid.interior_ids] = x
-    return GraphField(grid, full, leg.op_at(1.0).rep), status, records
+    return GraphField(grid, full, op.rep), status, records
 
 
-def _record_step(records, label, t, res: NewtonResult, op, cfg, ordering_floor):
+def _record_step(records, label, t, res: NewtonResult, op, ordering_floor):
     """Appends the record of a Converged result from its own evaluation, then drops it."""
     ev, split = res.ev, res.split
     res.ev = res.split = None
@@ -750,7 +742,7 @@ def _record_step(records, label, t, res: NewtonResult, op, cfg, ordering_floor):
         "t": float(t),
         "newton_iterations": int(res.iterations),
         "residual": float(res.residual),
-        "diagnostics": diagnostics_from_eval(op, ev, cfg.theta_N),
+        "diagnostics": diagnostics_from_eval(op, ev),
     }
     # zero-order coefficient of the linearization at the accepted solution:
     # negative along the auxiliary stages by the maximum-principle sign
@@ -772,7 +764,7 @@ def stage1_leg(label, op, sf, q, eps, v_sub):
 
     With q = G[vbar]/xi(vbar) the subsolution solves the t = 0 problem.
     """
-    return Leg(label, lambda t: op, lambda t: XiWeightedRhs(sf, (1.0 - t) * q + t * eps),
+    return Leg(label, lambda t: op, lambda t: Rhs(sf, (1.0 - t) * q + t * eps),
                lambda t: v_sub, ordering_floor=v_sub[op.grid.interior_ids])
 
 
@@ -792,17 +784,9 @@ def bridge_leg(op, sf, eps, v_from, v_to, ordering_floor):
     grid = op.grid
     delta = np.zeros(grid.n_nodes)
     delta[grid.boundary_ids] = (v_to - v_from)[grid.boundary_ids]
-    rhs = XiWeightedRhs(sf, eps + np.zeros(grid.n_interior))
+    rhs = Rhs(sf, eps)
     return Leg("bridge", lambda t: op, lambda t: rhs, lambda t: v_from + t * delta,
                ordering_floor=ordering_floor)
-
-
-def stage2_leg(op, sf, eps, psi_hat, boundary_full, ordering_floor):
-    """G[v] = (1-t) eps xi(v) + t psi_hat(z, v, Dv) with fixed boundary data."""
-    psi_rhs = PsiRhs(psi_hat)
-    return Leg("stage2", lambda t: op,
-               lambda t: BlendRhs(1.0 - t, XiWeightedRhs(sf, eps), t, psi_rhs),
-               lambda t: boundary_full, ordering_floor=ordering_floor)
 
 
 def _xi_ratio(op, v_full):
@@ -813,15 +797,15 @@ def _xi_ratio(op, v_full):
     return ev.f / xi(op.sf, ev.val)
 
 
-def _finalize_report(spec, op, field, report, v_sub_full=None):
+def _finalize_report(spec, op, field, report):
     """Residuals against the target equation, final diagnostics, ordering gaps.
 
-    op is the target equation's operator in the field's representation, the
-    one the last leg or eps step ran on; the final diagnostics are that last
-    step record's.  Returns (f, psi_hat) at the interior nodes of the final
-    field.
+    op is the last leg's operator at t = 1, the target equation's operator in
+    the field's representation; the final diagnostics are the last step
+    record's.  A v field also gets the Hopf check against the subsolution;
+    under an eps floor (K = +1) the residual against psi_hat - floor is kept
+    as well.
     """
-    grid = spec.grid
     ev = op.evaluate(field.values)
     psi_hat = spec.psi_hat(op.bundle(ev))
     report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
@@ -830,36 +814,14 @@ def _finalize_report(spec, op, field, report, v_sub_full=None):
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
     ]
-    if v_sub_full is not None:
+    if field.representation == "v":
         report.diagnostics["hopf_min_inward_slope"] = hopf_boundary_check(
-            grid, field.values, v_sub_full
+            spec.grid, field.values, _rho_to_v(spec.sf, spec.subsolution_rho)
         )
-    return ev.f, psi_hat
-
-
-# ---------------------------------------------------------------------------
-# two-step pipeline (K in {0, -1}): [stage1, bridge, stage2]
-
-def _rho_to_v(sf, rho):
-    return eta_inverse(sf, zeta_inverse(sf, rho))
-
-
-def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
-    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and pick eps."""
-    if spec.sf.K not in (0, -1):
-        raise SemanticError("the xi-based continuation runs for K in {0, -1}")
-    if spec.k != spec.grid.dim:
-        raise SemanticError("continuation drivers require k = n (Gauss curvature)")
-    v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
-    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep="v", sf=spec.sf)
-    q = _xi_ratio(op, v_sub)
-    eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * float(q.min())
-    if float(q.min()) < 1.2 * eps:
-        raise SemanticError(
-            f"epsilon={eps:.3e} violates G[vbar] > eps xi(vbar) with 20% margin "
-            f"(min ratio {q.min():.3e})"
+    if "eps_floor" in report.constants:
+        report.diagnostics["final_residual_with_eps_floor"] = float(
+            np.max(np.abs(ev.f - (psi_hat - report.constants["eps_floor"])))
         )
-    return {"q": q, "epsilon": float(eps), "v_sub": v_sub, "op": op}
 
 
 def hopf_boundary_check(grid, v_full, v_sub_full):
@@ -879,38 +841,53 @@ def hopf_boundary_check(grid, v_full, v_sub_full):
     return float(np.min(best)) if best.size else np.nan
 
 
-def solve_two_step(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """Full K in {0, -1} pipeline; returns (v field, SolveReport)."""
-    cfg = cfg or HomotopyConfig()
-    sub = verify_subsolution(spec, cfg)
-    report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
-                         diagnostics={"subsolution": sub})
-    if not sub["ok"]:
-        return None, report
+# ---------------------------------------------------------------------------
+# two-step legs (K in {0, -1}): [stage1, bridge, stage2]
+
+def _rho_to_v(sf, rho):
+    return eta_inverse(sf, zeta_inverse(sf, rho))
+
+
+def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
+    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and pick eps."""
+    if spec.sf.K not in (0, -1):
+        raise SemanticError("the xi-based continuation runs for K in {0, -1}")
+    v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
+    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep="v", sf=spec.sf)
+    q = _xi_ratio(op, v_sub)
+    eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * float(q.min())
+    if float(q.min()) < 1.2 * eps:
+        raise SemanticError(
+            f"epsilon={eps:.3e} violates G[vbar] > eps xi(vbar) with 20% margin "
+            f"(min ratio {q.min():.3e})"
+        )
+    return {"q": q, "epsilon": float(eps), "v_sub": v_sub, "op": op}
+
+
+def two_step_legs(spec: ProblemSpec, cfg: HomotopyConfig):
+    """(legs, start, constants) of the K in {0, -1} path from the subsolution."""
     plan = plan_stage_constants(spec, cfg)
-    report.constants = {"epsilon": plan["epsilon"]}
     op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
     x_sub = v_sub[spec.grid.interior_ids]
     bridge = bridge_leg(op, spec.sf, eps, v_sub, _rho_to_v(spec.sf, spec.boundary_rho), x_sub)
+    v_data, psi = bridge.boundary_at(1.0), PsiRhs(spec.psi_hat)
     legs = [
         stage1_leg("stage1", op, spec.sf, plan["q"], eps, v_sub),
         bridge,
-        stage2_leg(op, spec.sf, eps, spec.psi_hat, bridge.boundary_at(1.0), x_sub),
+        Leg("stage2", lambda t: op, lambda t: Rhs(spec.sf, eps, psi, t, s=1.0 - t),
+            lambda t: v_data, ordering_floor=x_sub),
     ]
-    field, report.status, _ = run_legs(spec.grid, legs, x_sub, cfg, report.stages)
-    if report.status == CONVERGED:
-        _finalize_report(spec, op, field, report, v_sub)
-    return field, report
+    return legs, x_sub, {"epsilon": eps}
 
 
 # ---------------------------------------------------------------------------
-# spherical pipeline (K = +1): [sphere-aux, bridge, sphere-deform], then [sphere-eps]
+# spherical legs (K = +1): [sphere-aux, bridge, sphere-deform, sphere-eps]
 
 def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
     """Derive eps, delta1, delta2, T(t) = t^m from the subsolution's margins."""
     grid = spec.grid
     u_sub = zeta_inverse(spec.sf, spec.subsolution_rho)
-    t_lattice = np.linspace(0.0, 1.0, cfg.t_samples)
+    t_lattice = np.linspace(0.0, 1.0, T_SAMPLES)
     psi_min, psi_max = np.inf, -np.inf
     g_vals = {}
     for t in t_lattice:
@@ -959,113 +936,88 @@ def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
         "delta1": float(delta1),
         "delta2": float(delta2),
         "t_exponent": int(m),
+        "T_margin": float(t_margin),
         "g0_min": g0_min,
         "psi_hat_min": psi_min,
         "psi_hat_max": psi_max,
-        "T_margin": float(t_margin),
     }
 
 
-def sphere_path(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """K = +1 driver: Euclidean auxiliary solve, metric deformation, eps removal.
+def sphere_legs(spec: ProblemSpec, cfg: HomotopyConfig):
+    """(legs, start, constants) of the K = +1 path.
 
-    The t = 0 legs are the K = 0 stage-1 and bridge legs with eps = delta2,
-    since profile_deformed(0) is the Euclidean profile and eta = exp there.
-    Only the deformation needs the exp-chain operator, whose metric has
-    ka = t^2 while eta stays exp.  The sphere-eps leg then runs on the K = +1
-    operator in u = e^v, started from the deformation's endpoint.
+    Euclidean auxiliary solve, metric deformation, eps removal.  The t = 0
+    legs are the K = 0 stage-1 and bridge legs with eps = delta2, since
+    profile_deformed(0) is the Euclidean profile and eta = exp there.  Only
+    the deformation needs the exp-chain operator, whose metric has ka = t^2
+    while eta stays exp.  The sphere-eps leg then runs on the K = +1 operator
+    in u = e^v, on G[u] = psi_hat - eps(t), eps(t) = eps^{1-t} floor^t.
     """
-    cfg = cfg or HomotopyConfig()
-    if spec.sf.K != 1:
-        raise SemanticError("sphere_path requires K = +1")
-    if spec.k != spec.grid.dim:
-        raise SemanticError("continuation drivers require k = n (Gauss curvature)")
     grid = spec.grid
-    sub = verify_subsolution(spec, cfg)
-    report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
-                         diagnostics={"subsolution": sub})
-    if not sub["ok"]:
-        return None, report
     plan = sphere_plan(spec, cfg)
-    eps, delta1, delta2, m = plan["epsilon"], plan["delta1"], plan["delta2"], plan["t_exponent"]
+    eps, delta2, m = plan["epsilon"], plan["delta2"], plan["t_exponent"]
     floor = cfg.eps_target_factor * plan["psi_hat_min"]
-    report.constants = {
-        "epsilon": eps, "delta1": delta1, "delta2": delta2, "t_exponent": m,
-        "T_margin": plan["T_margin"], "g0_min": plan["g0_min"],
-        "psi_hat_min": plan["psi_hat_min"], "psi_hat_max": plan["psi_hat_max"],
-        "eps_floor": floor,
-    }
+    constants = {key: val for key, val in plan.items() if key != "u_sub"}
+    constants["eps_floor"] = floor
     u_sub = plan["u_sub"]
     v_sub = np.log(u_sub)
     u_data = zeta_inverse(spec.sf, spec.boundary_rho)
     v_data = v_sub.copy()
     v_data[grid.boundary_ids] = np.log(u_data[grid.boundary_ids])
+    u_bnd = u_sub.copy()
+    u_bnd[grid.boundary_ids] = u_data[grid.boundary_ids]
     x_sub = v_sub[grid.interior_ids]
 
-    # (b) t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v} via the
-    # stage-1 leg against the subsolution's own trace, then the boundary bridge
+    # t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v}
     k0 = SpaceFormParams(0)
     op0 = DiscreteOperator(grid, spec.k, profile(k0), rep="v", sf=k0)
     q0 = _xi_ratio(op0, v_sub)
     if float(q0.min()) <= delta2:
-        report.messages.append("G0[vbar] > delta2 xi(vbar) fails; delta2 too large")
-        report.status = ADMISSIBILITY_LOSS
-        return None, report
-    psi_rhs = PsiRhs(spec.psi_hat)
+        raise SemanticError(
+            f"delta2={delta2:.3e} violates G0[vbar] > delta2 xi(vbar) (min ratio {q0.min():.3e})")
+    psi = PsiRhs(spec.psi_hat)
+    op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
 
-    # (c) deform the metric: t 0 -> 1 under (7-1)
     def op_t(t):
         return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", sf=k0)
 
     def rhs_t(t):
         T = t**m
-        return BlendRhs(1.0, XiWeightedRhs(k0, (1.0 - T) * delta2), T,
-                        _ShiftedRhs(psi_rhs, -eps))
+        return Rhs(k0, (1.0 - T) * delta2, psi, T, -eps)
 
     legs = [
         stage1_leg("sphere-aux", op0, k0, q0, delta2, v_sub),
         bridge_leg(op0, k0, delta2, v_sub, v_data, x_sub),
-        Leg("sphere-deform", op_t, rhs_t, lambda t: v_data, ordering_floor=x_sub,
-            rng=np.random.default_rng(cfg.perturb_seed)),
+        Leg("sphere-deform", op_t, rhs_t, lambda t: v_data, ordering_floor=x_sub),
+        Leg("sphere-eps", lambda t: op_u,
+            lambda t: Rhs(spec.sf, 0.0, psi, 1.0, -(eps ** (1.0 - t) * floor ** t)),
+            lambda t: u_bnd),
     ]
-    field_v, report.status, _ = run_legs(grid, legs, x_sub, cfg, report.stages)
-    if report.status != CONVERGED:
-        return None, report
-
-    # (d) remove the shift on G[u] = psi_hat - eps(t), eps(t) = eps^{1-t} floor^t
-    op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
-    boundary_full_u = u_sub.copy()
-    boundary_full_u[grid.boundary_ids] = u_data[grid.boundary_ids]
-    leg = Leg("sphere-eps", lambda t: op_u,
-              lambda t: _ShiftedRhs(psi_rhs, -(eps ** (1.0 - t) * floor ** t)),
-              lambda t: boundary_full_u)
-    out, report.status, _ = run_legs(grid, [leg], np.exp(field_v.values[grid.interior_ids]),
-                                     cfg, report.stages)
-    if report.status != CONVERGED:
-        return None, report
-    # residual against the target equation G[u] = psi_hat (no eps)
-    f, psi_hat = _finalize_report(spec, op_u, out, report)
-    report.diagnostics["final_residual_with_eps_floor"] = float(
-        np.max(np.abs(f - (psi_hat - floor)))
-    )
-    return out, report
+    return legs, x_sub, constants
 
 
-class _ShiftedRhs:
-    """inner rhs plus a constant shift."""
-
-    def __init__(self, inner, shift):
-        self.inner = inner
-        self.shift = shift
-
-    def evaluate(self, op, ev) -> RhsSplit:
-        s = self.inner.evaluate(op, ev)
-        return RhsSplit(values=s.values + self.shift, d_val=s.d_val, d_p=s.d_p)
-
+# ---------------------------------------------------------------------------
+# the driver
 
 def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """Dispatch on the space form; returns (field or None, SolveReport)."""
+    """(field, SolveReport) when every leg converges, else (None, SolveReport).
+
+    Requires k = n.  Gates the subsolution, walks the legs of the space
+    form's builder in one run_legs call, and finalizes the report against
+    the target equation.
+    """
     cfg = cfg or HomotopyConfig()
-    if spec.sf.K in (0, -1):
-        return solve_two_step(spec, cfg)
-    return sphere_path(spec, cfg)
+    if spec.k != spec.grid.dim:
+        raise SemanticError("continuation drivers require k = n (Gauss curvature)")
+    sub = verify_subsolution(spec)
+    report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
+                         diagnostics={"subsolution": sub})
+    if not sub["ok"]:
+        return None, report
+    build = sphere_legs if spec.sf.K == 1 else two_step_legs
+    legs, start, report.constants = build(spec, cfg)
+    field, report.status, _ = run_legs(spec.grid, legs, start, cfg, report.stages)
+    if report.status != CONVERGED:
+        return None, report
+    _finalize_report(spec, legs[-1].op_at(1.0), field, report)
+    return field, report

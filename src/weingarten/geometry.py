@@ -3,17 +3,19 @@
 States are built from per-node jets (value, gradient, covariant Hessian) in
 orthonormal frame components, so the frame formulas apply verbatim:
 
-    g_ij     = phi^2 d_ij + zeta'^2 u_i u_j
-    gamma_ij = phi d_ij + zeta'^2 u_i u_j / (phi + w)           (gamma gamma = g)
-    h_ij     = (-zeta' phi / w)(Hess_ij u + u d_ij)
-    a_ij     = gamma^{ik} h_kl gamma^{lj},      w = sqrt(phi^2 + zeta'^2 |Du|^2)
+    g^ij     = (d_ij - zeta'^2 u_i u_j / w^2) / phi^2
+    gamma^ij = (d_ij - zeta'^2 u_i u_j / (w (phi + w))) / phi   (gamma gamma = g)
+    a_ij     = (-zeta' phi / w) gamma^{ik} (Hess_kl u + u d_kl) gamma^{lj},
+    w = sqrt(phi^2 + zeta'^2 |Du|^2)
 
 with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
 Principal curvatures are the eigenvalues of a, sorted descending; the graph is
 strictly locally convex iff Hess u + u d > 0.  This is the one state route:
 v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a
-stored rho field is read as u = zeta^-1(rho) and differentiated as u.
+stored rho field is read as u = zeta^-1(rho) and differentiated as u.  The
+lowered-index g_ij, gamma_ij and second fundamental form, which the solver
+never reads, are written out in tests/reference.py for the identity tests.
 """
 
 from dataclasses import dataclass
@@ -37,20 +39,14 @@ class GeometryState:
     ambient: AmbientProfile
     u: np.ndarray            # (N,)
     p: np.ndarray            # (N, n) frame gradient of u
-    r: np.ndarray            # (N, n, n) frame covariant Hessian of u
     phi: np.ndarray
     w: np.ndarray            # sqrt(phi^2 + zeta'^2 |p|^2)
-    g_down: np.ndarray
     g_up: np.ndarray
-    gamma_down: np.ndarray
     gamma_up: np.ndarray
-    h: np.ndarray
     a: np.ndarray
     kappa: np.ndarray        # (N, n) descending
     eigvecs: np.ndarray      # (N, n, n), a = Q diag(kappa) Q^T
     tau: np.ndarray          # support function
-    nu_rad: np.ndarray       # radial component of the outer unit normal
-    nu_tan: np.ndarray       # (N, n) frame tangential components
 
     @property
     def dim(self):
@@ -70,24 +66,18 @@ def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
     pn2 = np.einsum("...i,...i->...", p, p)
     w = np.sqrt(phi**2 + zp**2 * pn2)
     pp = p[..., :, None] * p[..., None, :]
-    g_down = phi[..., None, None] ** 2 * eye + zp[..., None, None] ** 2 * pp
     g_up = (eye - (zp**2 / w**2)[..., None, None] * pp) / phi[..., None, None] ** 2
-    gamma_down = phi[..., None, None] * eye + (zp**2 / (phi + w))[..., None, None] * pp
     gamma_up = (eye - (zp**2 / (w * (phi + w)))[..., None, None] * pp) / phi[..., None, None]
     S = r + u[..., None, None] * eye
     coef = (-zp * phi / w)[..., None, None]
-    h = coef * S
     a = coef * np.einsum("...ik,...kl,...lj->...ij", gamma_up, S, gamma_up)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     kappa, Q = eigh_descending(a)
     # tau = phi^2 / sqrt(phi^2 + |grad rho|^2) with grad rho = zeta' grad u
     tau = phi**2 / w
-    nu_rad = phi / w
-    nu_tan = (phi / w)[..., None] * p
     return GeometryState(
-        ambient=ambient, u=u, p=p, r=r, phi=phi, w=w,
-        g_down=g_down, g_up=g_up, gamma_down=gamma_down, gamma_up=gamma_up,
-        h=h, a=a, kappa=kappa, eigvecs=Q, tau=tau, nu_rad=nu_rad, nu_tan=nu_tan,
+        ambient=ambient, u=u, p=p, phi=phi, w=w, g_up=g_up, gamma_up=gamma_up,
+        a=a, kappa=kappa, eigvecs=Q, tau=tau,
     )
 
 

@@ -7,7 +7,7 @@ See the README for the full schema and an annotated example.
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -19,17 +19,16 @@ from .expressions import Expression, parse_expression
 from .spaceform import SpaceFormParams, ranges
 
 _TOP_KEYS = {"space_form", "curvature_order", "dimension"}
+# the [solver] keys are the HomotopyConfig fields, parsed as the field's type
+_SOLVER_TYPES = {f.name: int if f.type in (int, int | None) else float
+                 for f in fields(HomotopyConfig)}
 _SECTION_KEYS = {
     "domain": {"kind", "theta0", "h", "chart", "center", "mask_file", "origin", "radius"},
     "psi": {"expr"},
     "boundary": {"rho"},
     "subsolution": {"rho", "sphere", "file"},
     "exact": {"rho"},
-    "solver": {
-        "newton_tol", "max_newton", "dt_init", "dt_min", "dt_growth",
-        "epsilon", "delta1", "delta2", "t_exponent", "eps_target_factor",
-        "theta_N", "boundary_match_factor", "perturb_seed", "t_samples",
-    },
+    "solver": set(_SOLVER_TYPES),
 }
 
 # variables an expression may reference, per field role
@@ -179,12 +178,7 @@ def _validate(raw) -> ProblemFile:
         if bad:
             raise SemanticError(f"[exact] may only reference chart coordinates, not {sorted(bad)}")
 
-    solver = {}
-    for key, val in raw.get("solver", {}).items():
-        if key in ("max_newton", "t_exponent", "perturb_seed", "t_samples"):
-            solver[key] = int(val)
-        else:
-            solver[key] = float(val)
+    solver = {key: _SOLVER_TYPES[key](val) for key, val in raw.get("solver", {}).items()}
 
     return ProblemFile(
         space_form=K, curvature_order=k, dimension=n, domain=domain,

@@ -3,7 +3,7 @@
 The solver evaluates every quantity through one route: u-jets ->
 geometry.state_from_u_slots -> the closed-form linearization blocks.  The
 formulas here express the same quantities another way (direct v- and
-deformed-metric curvature matrices, the mu u convexity product rule, the
+deformed-metric curvature matrices, the lowered-index metric forms, the mu u convexity product rule, the
 chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
@@ -221,12 +221,26 @@ def state_from_v_slots(v, p_v, r_v, sf: SpaceFormParams) -> GeometryState:
     state = state_from_u_slots(u, p_u, r_u, profile(sf))
     kappa, Q = eigh_descending(a)
     state.a = a
-    state.h = np.einsum(
-        "...ik,...kl,...lj->...ij", state.gamma_down, a, state.gamma_down
-    )
     state.kappa = kappa
     state.eigvecs = Q
     return state
+
+
+def lowered_forms(state: GeometryState):
+    """(g_ij, gamma_ij) of a state, the lowered-index metric and its square root
+
+        g_ij     = phi^2 d_ij + zeta'^2 u_i u_j
+        gamma_ij = phi d_ij + zeta'^2 u_i u_j / (phi + w),
+
+    against which the identity tests check the state's g_up and gamma_up.
+    """
+    zp = state.ambient.zeta_prime_u(state.u)
+    ph, w, p = state.phi, state.w, state.p
+    eye = np.eye(p.shape[-1])
+    pp = p[..., :, None] * p[..., None, :]
+    g_down = ph[..., None, None] ** 2 * eye + zp[..., None, None] ** 2 * pp
+    gamma_down = ph[..., None, None] * eye + (zp**2 / (ph + w))[..., None, None] * pp
+    return g_down, gamma_down
 
 
 def state_deformed_slots(u, p, r, t) -> GeometryState:

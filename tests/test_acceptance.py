@@ -25,7 +25,7 @@ from weingarten.spaceform import (
 )
 from weingarten.symfunc import all_sigmas, f_and_derivatives, in_gamma_k
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import deformed_monotonicity_check, frame_jets
+from reference import deformed_monotonicity_check, frame_jets, lowered_forms
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 THETA0 = np.pi / 5
@@ -111,7 +111,7 @@ def pipeline_k0():
         g = cap_grid_n(nodes)
         spec, rho_exact = k0_pipeline_spec(g)
         t0 = time.time()
-        field, rep = ct.solve_two_step(spec, ct.HomotopyConfig())
+        field, rep = ct.solve_problem(spec, ct.HomotopyConfig())
         runs.append({
             "nodes": nodes, "h": g.h, "spec": spec, "field": field, "report": rep,
             "rho_exact": rho_exact, "seconds": time.time() - t0,
@@ -125,11 +125,11 @@ def pipeline_curved():
     g = cap_grid_n(33)
     spec_h = geodesic_spec(H, 0.6, g)
     t0 = time.time()
-    field_h, rep_h = ct.solve_two_step(spec_h, ct.HomotopyConfig())
+    field_h, rep_h = ct.solve_problem(spec_h, ct.HomotopyConfig())
     sec_h = time.time() - t0
     spec_s = geodesic_spec(S, 0.5, g)
     t0 = time.time()
-    field_s, rep_s = ct.sphere_path(spec_s, ct.HomotopyConfig())
+    field_s, rep_s = ct.solve_problem(spec_s, ct.HomotopyConfig())
     sec_s = time.time() - t0
     return {
         "hyperbolic": {"spec": spec_h, "field": field_h, "report": rep_h, "r": 0.6,
@@ -150,9 +150,10 @@ def test_criterion_01_algebraic_identities():
             u_full = random_admissible_u_field(g, sf, rng)
             u, p, r = frame_jets(g, u_full)
             st = state_from_u_slots(u, p, r, profile(sf))
-            gg = np.einsum("nik,nkj->nij", st.gamma_down, st.gamma_down)
-            inv = np.einsum("nik,nkj->nij", st.gamma_up, st.gamma_down)
-            worst = max(worst, float(np.max(np.abs(gg - st.g_down))),
+            g_down, gamma_down = lowered_forms(st)
+            gg = np.einsum("nik,nkj->nij", gamma_down, gamma_down)
+            inv = np.einsum("nik,nkj->nij", st.gamma_up, gamma_down)
+            worst = max(worst, float(np.max(np.abs(gg - g_down))),
                         float(np.max(np.abs(inv - np.eye(2)))))
     report(1, worst < 1e-12,
            f"gamma.gamma = g and gamma_up = gamma_down^-1: max deviation {worst:.2e} (tol 1e-12)")
@@ -277,7 +278,7 @@ def test_criterion_06_stage1_uniqueness_and_ordering(stage1_runs):
         v_sub = plan["v_sub"]
         x_prev = v_sub[g.interior_ids]
         for t in (0.25, 0.5, 0.75):
-            rhs = ct.XiWeightedRhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
+            rhs = ct.Rhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
             res_a = ct.newton_core(plan["op"], rhs, x_prev, v_sub, cfg)
             res_b = ct.newton_core(plan["op"], rhs, v_sub[g.interior_ids], v_sub, cfg)
             assert res_a.status == ct.CONVERGED and res_b.status == ct.CONVERGED

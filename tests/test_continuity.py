@@ -1,6 +1,7 @@
 """Newton solver, subsolution gate, continuation drivers, diagnostics."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from weingarten import charts as ch
 from weingarten import continuity as ct
-from weingarten import grids
+from weingarten import grids, problems
 from weingarten.errors import SemanticError
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
@@ -17,6 +18,7 @@ from conftest import random_admissible_u_field
 from reference import ConstantRhs, hopf_boundary_loop
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
+PROBLEM_DIR = Path(__file__).resolve().parents[1] / "problems"
 
 
 def const_psi(value):
@@ -280,7 +282,7 @@ def test_stage1_uniqueness_probe(sf_case):
     q, eps = plan["q"], plan["epsilon"]
     x_prev = v_sub[g.interior_ids]
     for t in (0.25, 0.5, 0.75):
-        rhs = ct.XiWeightedRhs(spec.sf, (1.0 - t) * q + t * eps)
+        rhs = ct.Rhs(spec.sf, (1.0 - t) * q + t * eps)
         res_a = ct.newton_core(op, rhs, x_prev, v_sub, cfg)
         res_b = ct.newton_core(op, rhs, v_sub[g.interior_ids], v_sub, cfg)
         assert res_a.status == ct.CONVERGED and res_b.status == ct.CONVERGED
@@ -292,7 +294,7 @@ def test_stage1_uniqueness_probe(sf_case):
 def test_stage2_endpoint_consistency_and_solution():
     spec, rho_exact = k0_sphere_problem(h=0.05)
     cfg = ct.HomotopyConfig()
-    field, report = ct.solve_two_step(spec, cfg)
+    field, report = ct.solve_problem(spec, cfg)
     assert report.status == ct.CONVERGED
     stage2 = [r for r in report.stages if r["stage"] == "stage2"]
     assert stage2[0]["newton_iterations"] <= 2  # v0 solves the handoff problem
@@ -330,7 +332,7 @@ def test_stage2_gradient_dependent_psi():
                           boundary_rho=rho, subsolution_rho=rho)
     rep = ct.verify_subsolution(spec)
     assert rep["ok"], rep["reasons"]
-    field, report = ct.solve_two_step(spec)
+    field, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED
     assert report.final_residual < 1e-9
     # the graph moved off the subsolution (psi < curvature of the subsolution)
@@ -378,7 +380,7 @@ def test_euler_tangent_differences_inside_the_unit_interval():
         return op
 
     def rhs_at(t):
-        return ct.XiWeightedRhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
+        return ct.Rhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
 
     x = v_sub[spec.grid.interior_ids]
     back = ct.euler_tangent(op_at, rhs_at, lambda t: v_sub, x, 1.0, cfg)
@@ -398,12 +400,12 @@ def test_euler_predictor_runs_only_on_demand(monkeypatch):
 
     monkeypatch.setattr(ct, "euler_tangent", refuse)
     # data equal to the subsolution: every warm start stays admissible
-    field, report = ct.solve_two_step(geodesic_problem(H, 0.6, h=0.07))
+    field, report = ct.solve_problem(geodesic_problem(H, 0.6, h=0.07))
     assert report.status == ct.CONVERGED
     # control: the off-centre K = 0 bridge at 41^2 does ask for a tangent
     spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 40)
     with pytest.raises(_TangentRequested):
-        ct.solve_two_step(spec)
+        ct.solve_problem(spec)
 
 
 def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
@@ -430,16 +432,15 @@ def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
     monkeypatch.setattr(ct, "euler_tangent", inside(ct.euler_tangent))
     # off-centre K = 0 sphere, 21 nodes across
     spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 20)
-    _, report = ct.solve_two_step(spec)
+    _, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED and len(report.stages) > 3
     # verify_subsolution, _xi_ratio and the final evaluation
     assert count["outside"] == 3
     count["outside"] = 0
-    cfg = ct.HomotopyConfig()
-    _, report = ct.sphere_path(geodesic_problem(S, 0.5, h=0.09), cfg)
+    _, report = ct.solve_problem(geodesic_problem(S, 0.5, h=0.09))
     assert report.status == ct.CONVERGED and len(report.stages) > 3
     # the same three plus sphere_plan's samples of the deformed metric
-    assert count["outside"] == 3 + cfg.t_samples
+    assert count["outside"] == 3 + ct.T_SAMPLES
 
 
 def test_failed_step_is_retried_at_half_its_length(monkeypatch):
@@ -576,7 +577,7 @@ def test_two_step_rejects_bad_subsolution():
         sf=E, k=2, grid=g, psi_sigma=const_psi(1.0),
         boundary_rho=rho_sub, subsolution_rho=rho_sub,
     )
-    field, report = ct.solve_two_step(spec)
+    field, report = ct.solve_problem(spec)
     assert field is None
     assert report.status == ct.ADMISSIBILITY_LOSS
 
@@ -584,7 +585,7 @@ def test_two_step_rejects_bad_subsolution():
 def test_hyperbolic_two_step_recovers_geodesic_sphere():
     r = 0.6
     spec = geodesic_problem(H, r, h=0.07)
-    field, report = ct.solve_two_step(spec)
+    field, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED
     u = eta(H, field.values)
     rho_num = zeta(H, u)
@@ -607,7 +608,7 @@ def test_sphere_plan_constants():
 def test_sphere_path_recovers_geodesic_sphere():
     r = 0.5
     spec = geodesic_problem(S, r, h=0.07)
-    field, report = ct.sphere_path(spec, ct.HomotopyConfig())
+    field, report = ct.solve_problem(spec, ct.HomotopyConfig())
     assert report.status == ct.CONVERGED
     rho_num = zeta(S, field.values)
     floor = report.constants["eps_floor"]
@@ -635,14 +636,14 @@ def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
 
     def newton_fails_first_eps_step(op, rhs, x, boundary, cfg):
         if op.rep == "u":           # only the sphere-eps leg runs in u
-            eps_calls.append(-rhs.shift)
+            eps_calls.append(-rhs.c)
             if len(eps_calls) == 2:
                 return ct.NewtonResult(ct.MAX_ITERATIONS, x, cfg.max_newton, 1.0, [])
         return newton_core(op, rhs, x, boundary, cfg)
 
     monkeypatch.setattr(ct, "newton_core", newton_fails_first_eps_step)
     r, cfg = 0.5, ct.HomotopyConfig()
-    field, report = ct.sphere_path(geodesic_problem(S, r, h=0.09), cfg)
+    field, report = ct.solve_problem(geodesic_problem(S, r, h=0.09), cfg)
     assert report.status == ct.CONVERGED
     eps, floor = report.constants["epsilon"], report.constants["eps_floor"]
     # the failed solve was the first step, t = dt_init
@@ -662,7 +663,7 @@ def test_sphere_path_lists_ordering_violations(monkeypatch):
             records[-1].update(ordering_min_gap=-1e-3, ordering_ok=False)
 
     monkeypatch.setattr(ct, "_record_step", record_with_gap)
-    _, report = ct.sphere_path(geodesic_problem(S, 0.5, h=0.09), ct.HomotopyConfig())
+    _, report = ct.solve_problem(geodesic_problem(S, 0.5, h=0.09), ct.HomotopyConfig())
     assert report.status == ct.CONVERGED
     assert report.ordering_violations == [-1e-3]
 
@@ -677,7 +678,7 @@ def test_n3_pipeline_and_perturbed_newton():
     rho = np.full(g.n_nodes, r)
     spec = ct.ProblemSpec(sf=sf, k=3, grid=g, psi_sigma=const_psi(psi),
                           boundary_rho=rho, subsolution_rho=rho)
-    field, report = ct.solve_two_step(spec)
+    field, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED
     assert np.max(np.abs(zeta(sf, eta(sf, field.values)) - r)) < 1e-12
     # non-trivial n = 3 Newton: recover the constant from a displaced start
@@ -689,6 +690,30 @@ def test_n3_pipeline_and_perturbed_newton():
     res = ct.newton_core(op, rhs, start, v_exact, ct.HomotopyConfig())
     assert res.status == ct.CONVERGED
     assert np.max(np.abs(res.x - v_exact[g.interior_ids])) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["offcenter_sphere_k0.wg", "geodesic_spherical.wg"])
+def test_failed_solve_returns_no_field(name):
+    # one Newton iteration per step cannot reach newton_tol; both families
+    # then return the report alone, never a partial field
+    pf = problems.load_problem(PROBLEM_DIR / name)
+    spec, cfg, _ = problems.build_problem(pf, h_override=0.09)
+    cfg.max_newton = 1
+    field, report = ct.solve_problem(spec, cfg)
+    assert field is None
+    assert report.status == ct.MAX_ITERATIONS
+
+
+def test_sphere_delta2_above_the_xi_ratio_is_refused(monkeypatch):
+    # G0[vbar] > delta2 xi(vbar) is a constant check, refused like its siblings
+    sphere_plan = ct.sphere_plan
+
+    def plan_with_large_delta2(spec, cfg):
+        return {**sphere_plan(spec, cfg), "delta2": 1e3}
+
+    monkeypatch.setattr(ct, "sphere_plan", plan_with_large_delta2)
+    with pytest.raises(SemanticError, match="delta2"):
+        ct.solve_problem(geodesic_problem(S, 0.5, h=0.09))
 
 
 def test_solve_problem_dispatch():
@@ -716,7 +741,7 @@ def test_diagnostics_constant_field():
 
 def test_diagnostics_along_converged_paths():
     spec = geodesic_problem(H, 0.7, h=0.08)
-    _, report = ct.solve_two_step(spec)
+    _, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED
     for rec in report.stages:
         d = rec["diagnostics"]

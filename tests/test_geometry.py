@@ -5,6 +5,7 @@ import pytest
 
 from weingarten import charts as ch
 from weingarten import grids
+from weingarten.continuity import DiscreteOperator
 from weingarten.errors import DomainRangeError
 from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
@@ -17,8 +18,8 @@ from weingarten.spaceform import (
 )
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import (
-    convexity_matrix, frame_jets, phi, rho_slots_to_u, state_deformed_slots, state_from_v_slots,
-    zeta_prime,
+    convexity_matrix, frame_jets, lowered_forms, phi, rho_slots_to_u, state_deformed_slots,
+    state_from_v_slots, zeta_prime,
 )
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -36,11 +37,12 @@ def test_gamma_squares_to_metric_random_states(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=200)
         st = state_from_u_slots(u, p, r, amb)
-        gg = np.einsum("nik,nkj->nij", st.gamma_down, st.gamma_down)
-        assert np.max(np.abs(gg - st.g_down)) < 1e-12
-        inv = np.einsum("nik,nkj->nij", st.gamma_up, st.gamma_down)
+        g_down, gamma_down = lowered_forms(st)
+        gg = np.einsum("nik,nkj->nij", gamma_down, gamma_down)
+        assert np.max(np.abs(gg - g_down)) < 1e-12
+        inv = np.einsum("nik,nkj->nij", st.gamma_up, gamma_down)
         assert np.max(np.abs(inv - np.eye(2))) < 1e-12
-        ginv = np.einsum("nik,nkj->nij", st.g_up, st.g_down)
+        ginv = np.einsum("nik,nkj->nij", st.g_up, g_down)
         assert np.max(np.abs(ginv - np.eye(2))) < 1e-12
 
 
@@ -49,9 +51,10 @@ def test_identities_on_fields(rng, cap_grid):
         for _ in range(3):
             u_full = random_admissible_u_field(cap_grid, sf, rng)
             st = _field_state(cap_grid, u_full, sf)
-            gg = np.einsum("nik,nkj->nij", st.gamma_down, st.gamma_down)
-            assert np.max(np.abs(gg - st.g_down)) < 1e-12
-            inv = np.einsum("nik,nkj->nij", st.gamma_up, st.gamma_down)
+            g_down, gamma_down = lowered_forms(st)
+            gg = np.einsum("nik,nkj->nij", gamma_down, gamma_down)
+            assert np.max(np.abs(gg - g_down)) < 1e-12
+            inv = np.einsum("nik,nkj->nij", st.gamma_up, gamma_down)
             assert np.max(np.abs(inv - np.eye(2))) < 1e-12
 
 
@@ -144,15 +147,17 @@ def test_off_center_sphere_embedding_and_tau():
     assert np.max(np.abs(st.tau - tau_ambient)) < 1e-8
 
 
-def test_normal_is_unit(rng):
+def test_normal_is_unit(rng, cap_grid):
+    # the normal that psi reads: the nu_rad and nu_tan* variables of the bundle
     for sf in (E, S, H):
-        amb = profile(sf)
-        u, p, r = random_admissible_slots(rng, 2, amb, count=100)
-        st = state_from_u_slots(u, p, r, amb)
+        op = DiscreteOperator(cap_grid, 2, profile(sf), rep="u", sf=sf)
+        ev = op.evaluate(random_admissible_u_field(cap_grid, sf, rng), need_f=False)
+        bundle = op.bundle(ev)
+        nu_tan = np.stack([bundle["nu_tan1"], bundle["nu_tan2"]], axis=1)
         # |nu|^2 in the warped metric: phi^2 |tan|^2 + rad^2 = 1
-        norm2 = st.phi**2 * np.einsum("ni,ni->n", st.nu_tan, st.nu_tan) + st.nu_rad**2
+        norm2 = ev.state.phi**2 * np.einsum("ni,ni->n", nu_tan, nu_tan) + bundle["nu_rad"]**2
         assert np.max(np.abs(norm2 - 1.0)) < 1e-12
-        assert np.all(st.tau > 0)
+        assert np.all(ev.state.tau > 0)
 
 
 # --------------------------------------------------------------- representations

@@ -126,24 +126,30 @@ def test_one_lu_factorization_route():
     assert [c.lineno for c in calls] == [refs[0][1]]
 
 
-def newton_core_referrers():
-    """Top-level definitions in src/weingarten, other than newton_core itself, naming it."""
+def referrers(name):
+    """Top-level definitions in src/weingarten, other than name itself, naming it."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if getattr(stmt, "name", None) == "newton_core":
+            if getattr(stmt, "name", None) == name:
                 continue
             for node in ast.walk(stmt):
-                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                found = getattr(node, "attr", None) or getattr(node, "id", None)
                 if isinstance(node, ast.alias):
-                    name = node.name
-                if name == "newton_core":
+                    found = node.name
+                if found == name:
                     out.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
     return out
 
 
 def test_newton_runs_only_on_the_engine():
-    # every continuation step goes through _continue_in_t, whose step control,
-    # predictor and nudge a second stepping loop around newton_core would bypass;
+    # every continuation step goes through _continue_in_t, whose step control
+    # and predictor a second stepping loop around newton_core would bypass;
     # newton_solve is the single solve of the library API
-    assert newton_core_referrers() == {"continuity._continue_in_t", "continuity.newton_solve"}
+    assert referrers("newton_core") == {"continuity._continue_in_t", "continuity.newton_solve"}
+
+
+def test_one_driver_walks_the_legs():
+    # every space form's legs are walked by the one run_legs call of
+    # solve_problem, so the subsolution gate and the report finalizer run once
+    assert referrers("run_legs") == {"continuity.solve_problem"}

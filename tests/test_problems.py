@@ -135,6 +135,17 @@ def test_solver_overrides():
     assert cfg.epsilon == 0.125
 
 
+def test_solver_keys_are_the_config_fields():
+    # [solver] accepts exactly the HomotopyConfig fields, each parsed as its type
+    text = MINIMAL + "\n[solver]\nt_exponent = 3\ndelta2 = 0.01\ndt_growth = 2\n"
+    _, cfg, _ = build_problem(parse_problem(text))
+    assert (cfg.t_exponent, cfg.delta2, cfg.dt_growth) == (3, 0.01, 2.0)
+    assert isinstance(cfg.t_exponent, int) and isinstance(cfg.dt_growth, float)
+    for key in ("theta_N", "boundary_match_factor", "perturb_seed", "t_samples"):
+        with pytest.raises(ParseError, match="unknown key"):
+            parse_problem(MINIMAL + f"\n[solver]\n{key} = 1\n")
+
+
 def test_range_validation_at_build():
     bad = MINIMAL.replace("space_form = 0", "space_form = 1").replace(
         "[boundary]\nrho = 1", "[boundary]\nrho = 2"
