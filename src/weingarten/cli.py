@@ -29,6 +29,8 @@ from .problems import build_problem, load_problem
 from .spaceform import SpaceFormParams, eta, profile, zeta
 from .symfunc import all_sigmas, f_and_derivatives
 
+LINCHECK_TOLERANCE = 1e-5  # max relative error of the analytic blocks against FD
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -178,10 +180,9 @@ def _cmd_curvature(args):
     if K is None:
         raise SemanticError("space form unknown: add a space_form header or pass --space-form")
     sf = SpaceFormParams(int(K))
-    k = args.k or grid.dim
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    op, ev = evaluate_stored(field, sf, k)
+    op, ev = evaluate_stored(field, sf, args.k)
+    k = op.k
+    out = _outdir(args)
     if ev is None:
         raise AdmissibilityError("field is out of range for this space form")
     st = ev.state
@@ -209,7 +210,7 @@ def _cmd_curvature(args):
 
 
 def _cmd_lincheck(args):
-    _, spec, cfg, _ = _load(args)
+    _, spec, _, _ = _load(args)
     out = _outdir(args)
     report = lincheck_report(spec, samples=args.samples, seed=args.seed)
     (out / "lincheck.json").write_text(json.dumps(to_plain(report), indent=1) + "\n")
@@ -222,7 +223,7 @@ def _cmd_lincheck(args):
     return 0 if ok else 1
 
 
-def lincheck_report(spec, samples=50, seed=0, tolerance=1e-5):
+def lincheck_report(spec, samples=50, seed=0):
     """FD verification of the analytic blocks at random admissible states."""
     rng = np.random.default_rng(seed)
     n = spec.grid.dim
@@ -272,7 +273,7 @@ def lincheck_report(spec, samples=50, seed=0, tolerance=1e-5):
         "dimension": n,
         "samples": samples,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": LINCHECK_TOLERANCE,
         "max_rel_err_Gij": worst["Gij"],
         "max_rel_err_Gs": worst["Gs"],
         "max_rel_err_Gu": worst["Gu"],

@@ -25,7 +25,7 @@ sphere-aux) and bridge leg.  The last leg removes the protective shift,
     sphere-eps:   G[u] = psi - eps^{1-t} floor^t,
 
 on the K = +1 operator in the u-representation, started from u = e^v, with
-floor = eps_target_factor psi_hat_min from sphere_plan.  Every accepted
+floor = EPS_TARGET_FACTOR psi_hat_min from sphere_plan.  Every accepted
 iterate on every path is kept strictly locally convex by the line search.  A
 solve that does not converge returns no field, only its report.
 """
@@ -64,6 +64,10 @@ PSI_FD_STEP = 1e-6       # relative difference step of PsiRhs in v and in Dv
 THETA_N = 10.0           # weight of log tau in the curvature-estimate monitor theta
 BOUNDARY_MATCH_FACTOR = 3.0  # subsolution trace vs data tolerance: factor * h * scale
 T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed metric
+DT_INIT = 0.25           # first step in t of every leg
+DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
+DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
+EPS_TARGET_FACTOR = 1e-6  # K = +1 eps floor = factor * min psi_hat
 # SuperLU options of the first factor: minimum degree on A^T + A, symmetric
 # mode and no pivoting, which suit the almost structurally symmetric box stencil
 FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -77,29 +81,10 @@ SOLVER_BREAKDOWN = "SolverBreakdown"
 
 @dataclass
 class HomotopyConfig:
-    """Continuation constants and step control; None means derive from margins."""
+    """Newton's stopping rule, the only [solver] keys; every continuation constant is derived."""
 
-    epsilon: float | None = None
-    delta1: float | None = None
-    delta2: float | None = None
-    t_exponent: int | None = None
-    dt_init: float = 0.25
-    dt_min: float = 1e-4
-    dt_growth: float = 1.5
     newton_tol: float = 1e-10
     max_newton: int = 30
-    eps_target_factor: float = 1e-6
-
-    def __post_init__(self):
-        # each of these leaves the engine stepping forever: t never reaches 1,
-        # a failed step halves without end, or the eps leg aims at floor <= 0
-        for name, ok in (("dt_init", self.dt_init > 0), ("dt_min", self.dt_min > 0),
-                         ("dt_growth", self.dt_growth >= 1),
-                         ("eps_target_factor", self.eps_target_factor > 0)):
-            if not ok:
-                raise SemanticError(f"[solver] {name}={getattr(self, name)!r} out of range: "
-                                    "dt_init, dt_min and eps_target_factor must be > 0, "
-                                    "dt_growth >= 1")
 
 
 @dataclass
@@ -451,19 +436,19 @@ def _jacobian(op: DiscreteOperator, ev: OperatorEval, split: RhsSplit):
     return linearize.assemble_jacobian(op.grid, A2, b1 - split.d_p, c - split.d_val)
 
 
-def newton_solve(spec: ProblemSpec, rhs, initial: GraphField, cfg: HomotopyConfig | None = None):
+def newton_solve(spec: ProblemSpec, rhs, initial: GraphField):
     """Single Newton solve of f(kappa) = rhs in the initial field's representation.
 
     k < n is allowed here (Gamma_k admissibility); the continuation drivers
     require k = n.
     """
-    cfg = cfg or HomotopyConfig()
     rep = initial.representation
     if rep == "rho":
         raise SemanticError("newton_solve operates on u- or v-representation fields")
     op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep=rep, sf=spec.sf)
     boundary_full = initial.values.copy()
-    res = newton_core(op, rhs, initial.values[spec.grid.interior_ids], boundary_full, cfg)
+    res = newton_core(op, rhs, initial.values[spec.grid.interior_ids], boundary_full,
+                      HomotopyConfig())
     out = initial.copy_with(values=boundary_full)
     out.values[spec.grid.interior_ids] = res.x
     return out, res
@@ -527,12 +512,17 @@ def evaluate_stored(field: GraphField, sf: SpaceFormParams, k=None):
 
     u and v fields are evaluated by the operator of their own representation;
     a rho field is read as u = zeta^-1(rho) on the u-representation operator.
-    The evaluation is None when the field is out of range.
+    k defaults to n and must lie in 1..n.  The evaluation is None when the
+    field is out of range.
     """
     rep, values = field.representation, field.values
     if rep == "rho":
         rep, values = "u", zeta_inverse(sf, values)
-    op = DiscreteOperator(field.grid, k or field.grid.dim, profile(sf), rep=rep, sf=sf)
+    n = field.grid.dim
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise SemanticError(f"curvature order k={k} outside 1..{n}")
+    op = DiscreteOperator(field.grid, k, profile(sf), rep=rep, sf=sf)
     return op, op.evaluate(values, need_f=False)
 
 
@@ -635,7 +625,7 @@ class Leg:
     ordering_floor: np.ndarray | None = None
 
 
-def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t, cfg):
+def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t):
     """Path tangent dx/dt = -J(x, t)^{-1} dR/dt at a solution x of the t problem.
 
     dR/dt is one difference of R = f - rhs in t of size TANGENT_FD_STEP, with
@@ -684,7 +674,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         return x0, res.status
     x = res.x
     _record_step(records, leg.label, 0.0, res, op0, leg.ordering_floor)
-    dt = cfg.dt_init
+    dt = DT_INIT
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
@@ -694,17 +684,17 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         if res.status == ADMISSIBILITY_LOSS and res.iterations == 0:
             if not tangent_tried:
                 tangent_tried = True
-                tangent = euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, t, cfg)
+                tangent = euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, t)
             if tangent is not None:
                 res = newton_core(op, rhs, x + (t_try - t) * tangent, leg.boundary_at(t_try), cfg)
         if res.status == CONVERGED:
             t, x = t_try, res.x
             tangent, tangent_tried = None, False
             _record_step(records, leg.label, t, res, op, leg.ordering_floor)
-            dt = min(cfg.dt_growth * dt, 0.5)
+            dt = min(DT_GROWTH * dt, 0.5)
             continue
         dt = 0.5 * (t_try - t)
-        if dt < cfg.dt_min:
+        if dt < DT_MIN:
             return x, res.status
     return x, CONVERGED
 
@@ -848,25 +838,19 @@ def _rho_to_v(sf, rho):
     return eta_inverse(sf, zeta_inverse(sf, rho))
 
 
-def plan_stage_constants(spec: ProblemSpec, cfg: HomotopyConfig):
-    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and pick eps."""
+def plan_stage_constants(spec: ProblemSpec):
+    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and eps = min q / 2."""
     if spec.sf.K not in (0, -1):
         raise SemanticError("the xi-based continuation runs for K in {0, -1}")
     v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
     op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep="v", sf=spec.sf)
     q = _xi_ratio(op, v_sub)
-    eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * float(q.min())
-    if float(q.min()) < 1.2 * eps:
-        raise SemanticError(
-            f"epsilon={eps:.3e} violates G[vbar] > eps xi(vbar) with 20% margin "
-            f"(min ratio {q.min():.3e})"
-        )
-    return {"q": q, "epsilon": float(eps), "v_sub": v_sub, "op": op}
+    return {"q": q, "epsilon": 0.5 * float(q.min()), "v_sub": v_sub, "op": op}
 
 
-def two_step_legs(spec: ProblemSpec, cfg: HomotopyConfig):
+def two_step_legs(spec: ProblemSpec):
     """(legs, start, constants) of the K in {0, -1} path from the subsolution."""
-    plan = plan_stage_constants(spec, cfg)
+    plan = plan_stage_constants(spec)
     op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
     x_sub = v_sub[spec.grid.interior_ids]
     bridge = bridge_leg(op, spec.sf, eps, v_sub, _rho_to_v(spec.sf, spec.boundary_rho), x_sub)
@@ -883,7 +867,7 @@ def two_step_legs(spec: ProblemSpec, cfg: HomotopyConfig):
 # ---------------------------------------------------------------------------
 # spherical legs (K = +1): [sphere-aux, bridge, sphere-deform, sphere-eps]
 
-def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
+def sphere_plan(spec: ProblemSpec):
     """Derive eps, delta1, delta2, T(t) = t^m from the subsolution's margins."""
     grid = spec.grid
     u_sub = zeta_inverse(spec.sf, spec.subsolution_rho)
@@ -900,35 +884,23 @@ def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
         psi_max = max(psi_max, float(ph.max()))
         g_vals[float(t)] = (ev_t.f, ph)
     g0_min = float(g_vals[0.0][0].min())
-    eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * min(g0_min, 0.5 * psi_min)
-    if eps <= 0 or eps >= min(g0_min, 0.5 * psi_min) + 1e-15:
-        raise SemanticError(f"epsilon={eps:.3e} must lie below min(G0[usub]), psi^t/2")
-    delta2 = cfg.delta2 if cfg.delta2 is not None else eps / (4.0 * float((u_sub**2).max()))
-    if delta2 * float((u_sub**2).max()) >= 0.5 * eps:
-        raise SemanticError("delta2 max(usub^2) must stay below eps/2")
+    # G0[usub] > 0 (admissible) and psi_hat > 0, so 0 < eps < min(G0[usub], psi^t/2)
+    eps = 0.5 * min(g0_min, 0.5 * psi_min)
+    # delta2 max(usub^2) = eps/4, below eps/2
+    delta2 = eps / (4.0 * float((u_sub**2).max()))
     # delta1: largest candidate with G^t[usub] > psi^t[usub] - eps/2 at 10% margin
-    delta1 = cfg.delta1
-    if delta1 is None:
-        for cand in (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125):
-            ok = True
-            for t in t_lattice[t_lattice >= 1.0 - cand - 1e-12]:
-                f_t, ph_t = g_vals[float(t)]
-                if np.min(f_t - ph_t + 0.5 * eps) < 0.1 * (0.5 * eps):
-                    ok = False
-                    break
-            if ok:
-                delta1 = cand
-                break
-        if delta1 is None:
-            raise SemanticError("no delta1 candidate satisfies the near-t=1 inequality")
+    for delta1 in (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125):
+        if all(np.min(f_t - ph_t + 0.5 * eps) >= 0.1 * (0.5 * eps)
+               for t, (f_t, ph_t) in g_vals.items() if t >= 1.0 - delta1 - 1e-12):
+            break
+    else:
+        raise SemanticError("no delta1 candidate satisfies the near-t=1 inequality")
     # T(t) = t^m with min G0 > 2 T(1-delta1) max psi^t
-    m = cfg.t_exponent
-    if m is None:
-        m = 1
-        while m < 400 and not g0_min > 2.0 * (1.0 - delta1) ** m * psi_max:
-            m += 1
-        if m >= 400:
-            raise SemanticError("no exponent m <= 400 satisfies the T(t) inequality")
+    m = 1
+    while m < 400 and not g0_min > 2.0 * (1.0 - delta1) ** m * psi_max:
+        m += 1
+    if m >= 400:
+        raise SemanticError("no exponent m <= 400 satisfies the T(t) inequality")
     t_margin = g0_min - 2.0 * (1.0 - delta1) ** m * psi_max
     return {
         "u_sub": u_sub,
@@ -943,7 +915,7 @@ def sphere_plan(spec: ProblemSpec, cfg: HomotopyConfig):
     }
 
 
-def sphere_legs(spec: ProblemSpec, cfg: HomotopyConfig):
+def sphere_legs(spec: ProblemSpec):
     """(legs, start, constants) of the K = +1 path.
 
     Euclidean auxiliary solve, metric deformation, eps removal.  The t = 0
@@ -954,9 +926,9 @@ def sphere_legs(spec: ProblemSpec, cfg: HomotopyConfig):
     in u = e^v, on G[u] = psi_hat - eps(t), eps(t) = eps^{1-t} floor^t.
     """
     grid = spec.grid
-    plan = sphere_plan(spec, cfg)
+    plan = sphere_plan(spec)
     eps, delta2, m = plan["epsilon"], plan["delta2"], plan["t_exponent"]
-    floor = cfg.eps_target_factor * plan["psi_hat_min"]
+    floor = EPS_TARGET_FACTOR * plan["psi_hat_min"]
     constants = {key: val for key, val in plan.items() if key != "u_sub"}
     constants["eps_floor"] = floor
     u_sub = plan["u_sub"]
@@ -1015,7 +987,7 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     if not sub["ok"]:
         return None, report
     build = sphere_legs if spec.sf.K == 1 else two_step_legs
-    legs, start, report.constants = build(spec, cfg)
+    legs, start, report.constants = build(spec)
     field, report.status, _ = run_legs(spec.grid, legs, start, cfg, report.stages)
     if report.status != CONVERGED:
         return None, report

@@ -198,11 +198,9 @@ class GraphField:
                 f"field has {self.values.shape} values for {self.grid.n_nodes} nodes"
             )
 
-    def copy_with(self, values=None, representation=None):
+    def copy_with(self, values=None):
         return GraphField(
-            self.grid,
-            self.values.copy() if values is None else values,
-            self.representation if representation is None else representation,
+            self.grid, self.values.copy() if values is None else values, self.representation
         )
 
 

@@ -20,8 +20,7 @@ from .spaceform import SpaceFormParams, ranges
 
 _TOP_KEYS = {"space_form", "curvature_order", "dimension"}
 # the [solver] keys are the HomotopyConfig fields, parsed as the field's type
-_SOLVER_TYPES = {f.name: int if f.type in (int, int | None) else float
-                 for f in fields(HomotopyConfig)}
+_SOLVER_TYPES = {f.name: f.type for f in fields(HomotopyConfig)}
 _SECTION_KEYS = {
     "domain": {"kind", "theta0", "h", "chart", "center", "mask_file", "origin", "radius"},
     "psi": {"expr"},

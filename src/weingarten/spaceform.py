@@ -12,8 +12,8 @@ phi, phi', zeta', zeta'' as closed forms in u, for the three space forms and
 for the deformation family sin(t rho)/t, which interpolates the Euclidean
 model (t = 0) to the upper hemisphere (t = 1).
 
-All functions accept scalars or numpy arrays and enforce strict ranges with a
-configurable margin so that derivative formulas stay finite near endpoints.
+All functions accept scalars or numpy arrays and enforce strict ranges with the
+margin RANGE_MARGIN so that derivative formulas stay finite near endpoints.
 """
 
 from dataclasses import dataclass
@@ -56,41 +56,41 @@ def ranges(sf: SpaceFormParams) -> VariableRanges:
     return _RANGES[sf.K]
 
 
-def _check(name, x, lower, upper, margin):
+def _check(name, x, lower, upper):
     x = np.asarray(x, dtype=float)
     if np.isfinite(lower):
-        bad = x <= lower + margin
+        bad = x <= lower + RANGE_MARGIN
     else:
         bad = ~np.isfinite(x)
     if np.any(bad):
         worst = np.min(x) if np.isfinite(lower) else x[bad].flat[0]
         raise DomainRangeError(
-            f"{name}={worst!r} outside ({lower}, {upper}): must exceed {lower} by margin {margin}"
+            f"{name}={worst!r} outside ({lower}, {upper}): must exceed {lower} by margin {RANGE_MARGIN}"
         )
     if np.isfinite(upper):
-        bad = x >= upper - margin
+        bad = x >= upper - RANGE_MARGIN
         if np.any(bad):
             raise DomainRangeError(
-                f"{name}={np.max(x)!r} outside ({lower}, {upper}): must stay below {upper} by margin {margin}"
+                f"{name}={np.max(x)!r} outside ({lower}, {upper}): must stay below {upper} by margin {RANGE_MARGIN}"
             )
     return x
 
 
-def _check_rho(sf, rho, margin):
-    return _check("rho", rho, 0.0, ranges(sf).rho_upper, margin)
+def _check_rho(sf, rho):
+    return _check("rho", rho, 0.0, ranges(sf).rho_upper)
 
 
-def _check_u(sf, u, margin):
-    return _check("u", u, ranges(sf).u_lower, np.inf, margin)
+def _check_u(sf, u):
+    return _check("u", u, ranges(sf).u_lower, np.inf)
 
 
-def _check_v(sf, v, margin):
-    return _check("v", v, ranges(sf).v_lower, np.inf, margin)
+def _check_v(sf, v):
+    return _check("v", v, ranges(sf).v_lower, np.inf)
 
 
-def zeta(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
+def zeta(sf: SpaceFormParams, u):
     """rho = zeta(u): 1/u, arccot(u), arccoth(u) for K = 0, 1, -1.  Decreasing."""
-    u = _check_u(sf, u, margin)
+    u = _check_u(sf, u)
     if sf.K == 0:
         return 1.0 / u
     if sf.K == 1:
@@ -98,9 +98,9 @@ def zeta(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
     return 0.5 * np.log((u + 1.0) / (u - 1.0))
 
 
-def zeta_inverse(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+def zeta_inverse(sf: SpaceFormParams, rho):
     """u with zeta(u) = rho: 1/rho, cot(rho), coth(rho)."""
-    rho = _check_rho(sf, rho, margin)
+    rho = _check_rho(sf, rho)
     if sf.K == 0:
         return 1.0 / rho
     if sf.K == 1:
@@ -108,9 +108,9 @@ def zeta_inverse(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
     return np.cosh(rho) / np.sinh(rho)
 
 
-def eta(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
+def eta(sf: SpaceFormParams, v):
     """u = eta(v): exp(v), sinh(v), cosh(v) for K = 0, 1, -1."""
-    v = _check_v(sf, v, margin)
+    v = _check_v(sf, v)
     if sf.K == 0:
         return np.exp(v)
     if sf.K == 1:
@@ -118,8 +118,8 @@ def eta(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
     return np.cosh(v)
 
 
-def eta_inverse(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
-    u = _check_u(sf, u, margin)
+def eta_inverse(sf: SpaceFormParams, u):
+    u = _check_u(sf, u)
     if sf.K == 0:
         return np.log(u)
     if sf.K == 1:
@@ -127,8 +127,8 @@ def eta_inverse(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
     return np.arccosh(u)
 
 
-def eta_prime(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
-    v = _check_v(sf, v, margin)
+def eta_prime(sf: SpaceFormParams, v):
+    v = _check_v(sf, v)
     if sf.K == 0:
         return np.exp(v)
     if sf.K == 1:
@@ -136,25 +136,25 @@ def eta_prime(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
     return np.sinh(v)
 
 
-def eta_second(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
+def eta_second(sf: SpaceFormParams, v):
     """eta'' equals eta for every branch."""
-    return eta(sf, v, margin)
+    return eta(sf, v)
 
 
-def xi(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
+def xi(sf: SpaceFormParams, v):
     """Auxiliary-equation weight: exp(2v) for K = 0, sinh(v) for K = -1."""
     if sf.K == 1:
         raise DomainRangeError("xi is defined for K in {0, -1} only; the spherical path uses its own homotopy")
-    v = _check_v(sf, v, margin)
+    v = _check_v(sf, v)
     if sf.K == 0:
         return np.exp(2.0 * v)
     return np.sinh(v)
 
 
-def xi_prime(sf: SpaceFormParams, v, margin=RANGE_MARGIN):
+def xi_prime(sf: SpaceFormParams, v):
     if sf.K == 1:
         raise DomainRangeError("xi is defined for K in {0, -1} only; the spherical path uses its own homotopy")
-    v = _check_v(sf, v, margin)
+    v = _check_v(sf, v)
     if sf.K == 0:
         return 2.0 * np.exp(2.0 * v)
     return np.cosh(v)
@@ -184,8 +184,8 @@ class AmbientProfile:
     def u_floor(self) -> float:
         return float(np.sqrt(-self.curvature)) if self.curvature < 0 else 0.0
 
-    def check_u(self, u, margin=RANGE_MARGIN):
-        return _check("u", u, self.u_floor, np.inf, margin)
+    def check_u(self, u):
+        return _check("u", u, self.u_floor, np.inf)
 
     def phi_u(self, u):
         return 1.0 / np.sqrt(u * u + self.curvature)

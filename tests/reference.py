@@ -23,7 +23,6 @@ from weingarten.errors import DomainRangeError
 from weingarten.geometry import GeometryState, state_from_u_slots, v_slots_to_u
 from weingarten.linearize import LinearizedCoefficients
 from weingarten.spaceform import (
-    RANGE_MARGIN,
     SpaceFormParams,
     _check,
     _check_rho,
@@ -42,9 +41,9 @@ from weingarten.symfunc import f_and_derivatives
 # space-form functions of rho, and zeta' of u
 
 
-def phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+def phi(sf: SpaceFormParams, rho):
     """Warping function: rho, sin(rho), sinh(rho) for K = 0, 1, -1."""
-    rho = _check_rho(sf, rho, margin)
+    rho = _check_rho(sf, rho)
     if sf.K == 0:
         return rho + 0.0
     if sf.K == 1:
@@ -52,8 +51,8 @@ def phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
     return np.sinh(rho)
 
 
-def phi_prime(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
-    rho = _check_rho(sf, rho, margin)
+def phi_prime(sf: SpaceFormParams, rho):
+    rho = _check_rho(sf, rho)
     if sf.K == 0:
         return np.ones_like(rho)
     if sf.K == 1:
@@ -61,9 +60,9 @@ def phi_prime(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
     return np.cosh(rho)
 
 
-def capital_phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
+def capital_phi(sf: SpaceFormParams, rho):
     """Antiderivative of phi with value 0 at rho = 0."""
-    rho = _check_rho(sf, rho, margin)
+    rho = _check_rho(sf, rho)
     if sf.K == 0:
         return 0.5 * rho * rho
     if sf.K == 1:
@@ -71,28 +70,28 @@ def capital_phi(sf: SpaceFormParams, rho, margin=RANGE_MARGIN):
     return np.cosh(rho) - 1.0
 
 
-def phi_t(t, rho, margin=RANGE_MARGIN):
+def phi_t(t, rho):
     """Deformation family sin(t rho)/t; exact Euclidean limit rho at t = 0."""
     t = _check_t(t)
     if t == 0.0:
-        rho = _check("rho", rho, 0.0, np.inf, margin)
+        rho = _check("rho", rho, 0.0, np.inf)
         return rho + 0.0
-    rho = _check("rho", rho, 0.0, np.pi / (2.0 * t), margin)
+    rho = _check("rho", rho, 0.0, np.pi / (2.0 * t))
     return np.sin(t * rho) / t
 
 
-def zeta_t(t, u, margin=RANGE_MARGIN):
+def zeta_t(t, u):
     """Deformed change of variables arccot(u/t)/t; limit 1/u at t = 0."""
     t = _check_t(t)
-    u = _check("u", u, 0.0, np.inf, margin)
+    u = _check("u", u, 0.0, np.inf)
     if t == 0.0:
         return 1.0 / u
     return np.arctan2(1.0, u / t) / t
 
 
-def zeta_prime(sf: SpaceFormParams, u, margin=RANGE_MARGIN):
+def zeta_prime(sf: SpaceFormParams, u):
     """zeta' = -1/u^2, -1/(1+u^2), -1/(u^2-1); negative on the whole range."""
-    u = _check_u(sf, u, margin)
+    u = _check_u(sf, u)
     return -1.0 / (u * u + sf.K)
 
 

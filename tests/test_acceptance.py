@@ -94,7 +94,7 @@ def stage1_runs():
         ("K=-1", geodesic_spec(H, 0.7, g)),
     ):
         cfg = ct.HomotopyConfig()
-        plan = ct.plan_stage_constants(spec, cfg)
+        plan = ct.plan_stage_constants(spec)
         v_sub = plan["v_sub"]
         leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
         v0, status, records = ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)

@@ -137,13 +137,14 @@ def test_check_subsolution_ok(problem_file, tmp_path):
     "dt_init = 0", "dt_min = 0", "dt_growth = 0.5", "eps_target_factor = -1e-6",
 ])
 def test_solver_step_control_out_of_range_exits_1(problem_file, tmp_path, capsys, line):
-    # refused while the problem is built, before any solve could stall on it
+    # step control is not a [solver] key: refused while the file is parsed,
+    # before any solve could stall on it
     text = GEODESIC_H + "\n[solver]\n" + line + "\n"
     rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
     assert rc == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "SemanticError"
-    assert line.split()[0] in payload["message"]
+    assert payload["error"] == "ParseError"
+    assert f"unknown key {line.split()[0]!r}" in payload["message"]
 
 
 def test_parse_error_exit_1(problem_file, tmp_path, capsys):
@@ -168,6 +169,20 @@ def test_solve_offcenter_and_curvature_roundtrip(problem_file, tmp_path):
     # converged off-center sphere: kappa == 1 up to O(h^2)
     assert abs(summary["kappa_min"] - 1.0) < 5e-3
     assert abs(summary["kappa_max"] - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize("k", ["3", "-1", "0"])
+def test_curvature_order_outside_1_to_n_exits_1(tmp_path, capsys, k):
+    g = grids.build_cap_domain(np.pi / 5, 0.1)
+    path = tmp_path / "g.grid"
+    grids.save_grid(path, g, grids.GraphField(g, np.full(g.n_nodes, 0.7), "rho"), space_form=-1)
+    out = tmp_path / "curv"
+    rc = main(["curvature", "--grid", str(path), "--out", str(out), "--k", k])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert f"k={k} outside 1..2" in payload["message"]
+    assert not (out / "curvature.json").exists()
 
 
 def test_curvature_rho_grid(tmp_path):

@@ -203,20 +203,6 @@ def test_newton_experimental_k1():
     assert res.status == ct.CONVERGED
 
 
-# ------------------------------------------------------------ step control
-
-@pytest.mark.parametrize("name, value", [
-    ("dt_init", 0.0), ("dt_min", -1e-4), ("dt_growth", 0.5),
-    ("eps_target_factor", 0.0), ("dt_init", float("nan")),
-])
-def test_config_refuses_step_control_that_never_ends(name, value):
-    # dt_growth < 1 shrinks the accepted steps so that t never reaches 1;
-    # dt_min <= 0 halves failed steps forever; a floor <= 0 is never reached
-    with pytest.raises(SemanticError, match=name):
-        ct.HomotopyConfig(**{name: value})
-    ct.HomotopyConfig(dt_growth=1.0)    # constant steps still reach t = 1
-
-
 # ------------------------------------------------------------ stage drivers
 
 def run_stage1(spec, cfg, plan):
@@ -228,7 +214,7 @@ def run_stage1(spec, cfg, plan):
 
 def test_stage1_t0_returns_subsolution():
     spec = geodesic_problem(H, 0.7)
-    plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
+    plan = ct.plan_stage_constants(spec)
     v0, status, records = run_stage1(spec, ct.HomotopyConfig(), plan)
     assert status == ct.CONVERGED
     assert records[0]["t"] == 0.0
@@ -243,11 +229,11 @@ def stage1_leg_run(label):
     cfg = ct.HomotopyConfig()
     if label == "stage1":
         spec, _ = k0_sphere_problem(h=0.06)
-        plan = ct.plan_stage_constants(spec, cfg)
+        plan = ct.plan_stage_constants(spec)
         return (*run_stage1(spec, cfg, plan), plan["op"], plan["epsilon"])
     # K = +1 starts on the same leg: the K = 0 operator with eps = delta2
     spec = geodesic_problem(S, 0.5, h=0.07)
-    plan = ct.sphere_plan(spec, cfg)
+    plan = ct.sphere_plan(spec)
     v_sub = np.log(plan["u_sub"])
     op = ct.DiscreteOperator(spec.grid, spec.k, profile(E), rep="v", sf=E)
     leg = ct.stage1_leg(label, op, E, ct._xi_ratio(op, v_sub), plan["delta2"], v_sub)
@@ -275,7 +261,7 @@ def test_stage1_uniqueness_probe(sf_case):
     else:
         spec = geodesic_problem(H, 0.7, h=0.06)
     cfg = ct.HomotopyConfig()
-    plan = ct.plan_stage_constants(spec, cfg)
+    plan = ct.plan_stage_constants(spec)
     g = spec.grid
     v_sub = plan["v_sub"]
     op = plan["op"]
@@ -343,7 +329,7 @@ def k0_bridge_leg(nodes_across):
     """Stage 1 of the off-centre K = 0 problem and the bridge leg that follows it."""
     spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / (nodes_across - 1))
     g = spec.grid
-    plan = ct.plan_stage_constants(spec, ct.HomotopyConfig())
+    plan = ct.plan_stage_constants(spec)
     v0, status, _ = run_stage1(spec, ct.HomotopyConfig(), plan)
     assert status == ct.CONVERGED
     v_sub = plan["v_sub"]
@@ -356,7 +342,7 @@ def test_euler_predictor_is_second_order():
     # x(dt) - x(0) - dt x'(0) = O(dt^2): the error quarters as dt halves
     leg, x = k0_bridge_leg(21)
     cfg = ct.HomotopyConfig()
-    tangent = ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0, cfg)
+    tangent = ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0)
     assert tangent is not None
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
@@ -371,8 +357,7 @@ def test_euler_predictor_is_second_order():
 def test_euler_tangent_differences_inside_the_unit_interval():
     # at t = 1 the difference looks back: the deformed metric refuses t > 1
     spec = geodesic_problem(H, 0.7)
-    cfg = ct.HomotopyConfig()
-    plan = ct.plan_stage_constants(spec, cfg)
+    plan = ct.plan_stage_constants(spec)
     op, v_sub = plan["op"], plan["v_sub"]
 
     def op_at(t):
@@ -383,8 +368,8 @@ def test_euler_tangent_differences_inside_the_unit_interval():
         return ct.Rhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
 
     x = v_sub[spec.grid.interior_ids]
-    back = ct.euler_tangent(op_at, rhs_at, lambda t: v_sub, x, 1.0, cfg)
-    ahead = ct.euler_tangent(lambda t: op, rhs_at, lambda t: v_sub, x, 1.0, cfg)
+    back = ct.euler_tangent(op_at, rhs_at, lambda t: v_sub, x, 1.0)
+    ahead = ct.euler_tangent(lambda t: op, rhs_at, lambda t: v_sub, x, 1.0)
     assert back is not None
     # the rhs is linear in t, so both differences give the same tangent
     np.testing.assert_allclose(back, ahead, rtol=1e-6, atol=1e-12)
@@ -522,7 +507,7 @@ def test_solver_breakdown_when_both_factors_fail(monkeypatch, k0_bridge_newton):
     assert res.status == ct.SOLVER_BREAKDOWN
     assert res.iterations == 1 and res.history == [r0]
     assert calls == [ct.FAST_LU, {}]
-    assert ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0, args[-1]) is None
+    assert ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0) is None
 
     calls.clear()
 
@@ -597,7 +582,7 @@ def test_hyperbolic_two_step_recovers_geodesic_sphere():
 
 def test_sphere_plan_constants():
     spec = geodesic_problem(S, 0.5, h=0.07)
-    plan = ct.sphere_plan(spec, ct.HomotopyConfig())
+    plan = ct.sphere_plan(spec)
     assert plan["epsilon"] > 0
     assert plan["delta2"] * float((plan["u_sub"] ** 2).max()) < 0.5 * plan["epsilon"]
     assert plan["T_margin"] > 0
@@ -622,7 +607,7 @@ def test_sphere_path_recovers_geodesic_sphere():
     # the final problem keeps the residual at the eps floor against plain psi
     assert report.final_residual <= 2.0 * floor
     # the sphere-eps leg walks t: 0 -> 1 and ends on the floor itself
-    assert floor == ct.HomotopyConfig().eps_target_factor * report.constants["psi_hat_min"]
+    assert floor == ct.EPS_TARGET_FACTOR * report.constants["psi_hat_min"]
     eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
     assert eps_t[0] == 0.0 and eps_t[-1] == 1.0
     assert np.all(np.diff(eps_t) > 0)
@@ -646,10 +631,10 @@ def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
     field, report = ct.solve_problem(geodesic_problem(S, r, h=0.09), cfg)
     assert report.status == ct.CONVERGED
     eps, floor = report.constants["epsilon"], report.constants["eps_floor"]
-    # the failed solve was the first step, t = dt_init
-    assert eps_calls[1] == eps ** (1.0 - cfg.dt_init) * floor ** cfg.dt_init
+    # the failed solve was the first step, t = DT_INIT
+    assert eps_calls[1] == eps ** (1.0 - ct.DT_INIT) * floor ** ct.DT_INIT
     eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
-    assert eps_t[:2] == [0.0, 0.5 * cfg.dt_init] and eps_t[-1] == 1.0
+    assert eps_t[:2] == [0.0, 0.5 * ct.DT_INIT] and eps_t[-1] == 1.0
     assert np.max(np.abs(zeta(S, field.values) - r)) < 1e-5 + 2.0 * floor
 
 
@@ -708,8 +693,8 @@ def test_sphere_delta2_above_the_xi_ratio_is_refused(monkeypatch):
     # G0[vbar] > delta2 xi(vbar) is a constant check, refused like its siblings
     sphere_plan = ct.sphere_plan
 
-    def plan_with_large_delta2(spec, cfg):
-        return {**sphere_plan(spec, cfg), "delta2": 1e3}
+    def plan_with_large_delta2(spec):
+        return {**sphere_plan(spec), "delta2": 1e3}
 
     monkeypatch.setattr(ct, "sphere_plan", plan_with_large_delta2)
     with pytest.raises(SemanticError, match="delta2"):

@@ -14,6 +14,7 @@ A reference to name N defined in module M is one of
 """
 
 import ast
+import functools
 from pathlib import Path
 
 PACKAGE = "weingarten"
@@ -153,3 +154,96 @@ def test_one_driver_walks_the_legs():
     # every space form's legs are walked by the one run_legs call of
     # solve_problem, so the subsolution gate and the report finalizer run once
     assert referrers("run_legs") == {"continuity.solve_problem"}
+
+
+
+# where calls to the library are looked for
+CALLER_DIRS = ("src", "tests", "perfbench")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@functools.cache
+def _tree(path):
+    return ast.parse(path.read_text())
+
+
+def optional_parameters():
+    """(definition, callee name, parameter, positional index or None, def node) per default.
+
+    The callee name is what a call spells: the def's own name, or its class's
+    name for an __init__.  A method's positional index leaves out self.
+    """
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner in ast.walk(_tree(path)):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, DEFS):
+                    continue
+                method = isinstance(owner, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                label = f"{path.stem}.{owner.name + '.' if method else ''}{fn.name}"
+                callee = owner.name if method and fn.name == "__init__" else fn.name
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    out.append((label, callee, positional[i].arg, i - method, fn))
+                out += [(label, callee, a.arg, None, fn)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls_by_name():
+    """(call, enclosing def or None) of every call in CALLER_DIRS, keyed by the called name."""
+    calls = {}
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                calls.setdefault(name, []).append((child, fn))
+            visit(child, child if isinstance(child, DEFS) else fn)
+
+    for folder in CALLER_DIRS:
+        for path in sorted((SRC.parents[1] / folder).rglob("*.py")):
+            visit(_tree(path), None)
+    return calls
+
+
+def _argument(call, param, index):
+    """What a call passes for the parameter, by keyword, by position or through * / **."""
+    for kw in call.keywords:
+        if kw.arg in (param, None):
+            return kw.value
+    if index is not None and (len(call.args) > index
+                              or any(isinstance(a, ast.Starred) for a in call.args)):
+        return call.args[min(index, len(call.args) - 1)]
+    return None
+
+
+def unpassed_parameters():
+    """Defaulted parameters that no call sets.
+
+    A call that only forwards an unset parameter of its own def (a wrapper
+    g(x, margin=1e-12) calling f(x, margin)) sets nothing, so the search
+    runs to a fixed point.
+    """
+    params, calls = optional_parameters(), calls_by_name()
+    unset = set()
+    while True:
+        found = set()
+        for _, callee, param, index, fn in params:
+            args = [(_argument(c, param, index), encl) for c, encl in calls.get(callee, [])]
+            if not any(a is not None and (encl, getattr(a, "id", None)) not in unset
+                       for a, encl in args):
+                found.add((fn, param))
+        if found == unset:
+            break
+        unset = found
+    return [f"{label}({param})" for label, _, param, _, fn in params if (fn, param) in unset]
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no caller sets is a constant: name it as one in the
+    # module instead of offering a setting nothing sets
+    missing = unpassed_parameters()
+    assert not missing, "defaulted parameters no call passes: " + ", ".join(missing)

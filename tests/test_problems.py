@@ -127,21 +127,23 @@ def test_build_problem_h_override():
 
 
 def test_solver_overrides():
-    text = MINIMAL + "\n[solver]\nnewton_tol = 1e-8\nmax_newton = 11\nepsilon = 0.125\n"
+    text = MINIMAL + "\n[solver]\nnewton_tol = 1e-8\nmax_newton = 11\n"
     pf = parse_problem(text)
     _, cfg, _ = build_problem(pf)
     assert cfg.newton_tol == 1e-8
     assert cfg.max_newton == 11
-    assert cfg.epsilon == 0.125
 
 
 def test_solver_keys_are_the_config_fields():
-    # [solver] accepts exactly the HomotopyConfig fields, each parsed as its type
-    text = MINIMAL + "\n[solver]\nt_exponent = 3\ndelta2 = 0.01\ndt_growth = 2\n"
+    # [solver] accepts exactly the HomotopyConfig fields, each parsed as its type;
+    # the continuation constants and the step control are not settings
+    text = MINIMAL + "\n[solver]\nnewton_tol = 1\nmax_newton = 7\n"
     _, cfg, _ = build_problem(parse_problem(text))
-    assert (cfg.t_exponent, cfg.delta2, cfg.dt_growth) == (3, 0.01, 2.0)
-    assert isinstance(cfg.t_exponent, int) and isinstance(cfg.dt_growth, float)
-    for key in ("theta_N", "boundary_match_factor", "perturb_seed", "t_samples"):
+    assert (cfg.newton_tol, cfg.max_newton) == (1.0, 7)
+    assert isinstance(cfg.newton_tol, float) and isinstance(cfg.max_newton, int)
+    for key in ("epsilon", "delta1", "delta2", "t_exponent", "dt_init", "dt_min",
+                "dt_growth", "eps_target_factor",
+                "theta_N", "boundary_match_factor", "perturb_seed", "t_samples"):
         with pytest.raises(ParseError, match="unknown key"):
             parse_problem(MINIMAL + f"\n[solver]\n{key} = 1\n")
 
