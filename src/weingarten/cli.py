@@ -41,6 +41,7 @@ def main(argv=None):
 
     p_solve = sub.add_parser("solve", help="run the continuation solver on a problem file")
     _common(p_solve)
+    _newton_flags(p_solve)
     p_solve.add_argument("--trace", action="store_true", help="print per-step records")
 
     p_check = sub.add_parser("check-subsolution", help="verify the subsolution only")
@@ -60,6 +61,7 @@ def main(argv=None):
 
     p_conv = sub.add_parser("convergence", help="refinement study on a problem file")
     _common(p_conv)
+    _newton_flags(p_conv)
     p_conv.add_argument("--levels", type=int, default=3)
 
     args = parser.parse_args(argv)
@@ -77,6 +79,10 @@ def _common(p):
     p.add_argument("--problem", required=True, help="problem definition file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--h", type=float, default=None, help="override the grid spacing")
+
+
+def _newton_flags(p):
+    """The [solver] overrides, for the subcommands that run Newton."""
     p.add_argument("--tol", type=float, default=None, help="override the Newton tolerance")
     p.add_argument("--max-newton", type=int, default=None)
 
@@ -87,17 +93,16 @@ def _error_json(message, kind="Error"):
 
 def _load(args):
     pf = load_problem(args.problem)
-    return (pf, *_build(pf, args, args.h))
+    return (pf, *build_problem(pf, h_override=args.h))
 
 
-def _build(pf, args, h):
-    """build_problem at spacing h, with the --tol and --max-newton overrides applied."""
-    spec, cfg, exact = build_problem(pf, h_override=h)
+def _configured(cfg, args):
+    """cfg with the --tol and --max-newton overrides applied."""
     if args.tol is not None:
         cfg.newton_tol = args.tol
     if args.max_newton is not None:
         cfg.max_newton = args.max_newton
-    return spec, cfg, exact
+    return cfg
 
 
 def _outdir(args):
@@ -129,7 +134,7 @@ def _dispatch(args):
 def _cmd_solve(args):
     pf, spec, cfg, _ = _load(args)
     out = _outdir(args)
-    field, report = solve_problem(spec, cfg)
+    field, report = solve_problem(spec, _configured(cfg, args))
     payload = json.loads(report.to_json())
     payload["problem"] = pf.raw
     (out / "report.json").write_text(json.dumps(payload, indent=1) + "\n")
@@ -282,15 +287,15 @@ def lincheck_report(spec, samples=50, seed=0):
 
 
 def _cmd_convergence(args):
-    pf, spec, cfg, exact = _load(args)
+    pf, spec, _, exact = _load(args)
     out = _outdir(args)
     base_h = spec.grid.h
     levels = []
     fields = []
     for lvl in range(args.levels):
         h = base_h / 2**lvl
-        spec_l, cfg_l, exact_l = _build(pf, args, h)
-        field, report = solve_problem(spec_l, cfg_l)
+        spec_l, cfg_l, exact_l = build_problem(pf, h_override=h)
+        field, report = solve_problem(spec_l, _configured(cfg_l, args))
         if field is None:
             _error_json(f"level h={h} failed with {report.status}", kind=report.status)
             return 1

@@ -8,7 +8,7 @@ verified strictly locally convex.  Every leg's right-hand side is one Rhs,
 
 For K in {0, -1}, two_step_legs gives
 
-    stage1:   G[v] = ((1-t) G[vbar]/xi(vbar) + t eps) xi(v),    v = vbar on dOmega
+    stage1:   G[v] = q^{1-t} eps^t xi(v),  q = G[vbar]/xi(vbar),  v = vbar on dOmega
     bridge:   G[v] = eps xi(v), boundary data moved from the subsolution trace
               to the problem data (the two differ by O(h) at staircase nodes)
     stage2:   G[v] = (1-t) eps xi(v) + t psi(z, v, Dv)
@@ -59,6 +59,8 @@ from .symfunc import f_and_derivatives, in_gamma_k
 CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
+STAGNATION_WINDOW = 3     # Newton stops when the residual, over this many accepted
+STAGNATION_FACTOR = 0.9   # iterations, stays above this share of its earlier value
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
 PSI_FD_STEP = 1e-6       # relative difference step of PsiRhs in v and in Dv
 THETA_N = 10.0           # weight of log tau in the curvature-estimate monitor theta
@@ -75,8 +77,10 @@ FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 
 CONVERGED = "Converged"
 ADMISSIBILITY_LOSS = "AdmissibilityLoss"
+LINE_SEARCH_FAILURE = "LineSearchFailure"
 MAX_ITERATIONS = "MaxIterations"
 SOLVER_BREAKDOWN = "SolverBreakdown"
+STAGNATION = "Stagnation"
 
 
 @dataclass
@@ -119,10 +123,10 @@ class ProblemSpec:
 
 @dataclass
 class NewtonResult:
-    """A Converged result carries the evaluation of x and its right-hand side.
+    """A Converged result carries the evaluation of x.
 
-    Failed results carry none.  Whoever keeps a result drops ev and split
-    once they are read, so that no evaluation is alive during the next solve.
+    Failed results carry none.  Whoever keeps a result drops ev once it is
+    read, so that no evaluation is alive during the next solve.
     """
 
     status: str
@@ -131,7 +135,6 @@ class NewtonResult:
     residual: float
     history: list
     ev: "OperatorEval | None" = None
-    split: "RhsSplit | None" = None
 
 
 def to_plain(o):
@@ -302,22 +305,17 @@ class DiscreteOperator:
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-@dataclass
-class RhsSplit:
-    values: np.ndarray
-    d_val: np.ndarray
-    d_p: np.ndarray  # derivative w.r.t. coordinate gradient, (N, n)
-
-
 class PsiRhs:
     """rhs = psi_hat(bundle); derivatives by scale-aware central differences."""
 
     def __init__(self, psi_hat):
         self.psi_hat = psi_hat
 
-    def evaluate(self, op, ev) -> RhsSplit:
+    def evaluate(self, op, ev):
+        return self.psi_hat(op.bundle(ev))
+
+    def derivatives(self, op, ev):
         n = op.grid.dim
-        vals = self.psi_hat(op.bundle(ev))
         s = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
         d_val = (self.psi_hat(op.bundle(ev, dval=s)) - self.psi_hat(op.bundle(ev, dval=-s))) / (
             2.0 * s
@@ -330,7 +328,7 @@ class PsiRhs:
             d_p[:, i] = (
                 self.psi_hat(op.bundle(ev, dp=dp)) - self.psi_hat(op.bundle(ev, dp=-dp))
             ) / (2.0 * sp)
-        return RhsSplit(values=vals, d_val=d_val, d_p=d_p)
+        return d_val, d_p
 
 
 class Rhs:
@@ -341,24 +339,36 @@ class Rhs:
     (K = +1) takes a = 0, and psi is not evaluated when b = 0.  Stage 2
     weights its fixed eps xi(v) by s = 1 - t after the product, the order in
     which its reports round; the other legs fold t into a.
+
+    Like PsiRhs it has two methods: evaluate gives the values at the interior
+    nodes, all that a line-search trial reads, and derivatives gives
+    (d_val, d_p), the derivatives in the unknown and in its coordinate
+    gradient, shaped (N,) and (N, n), which only the Jacobian of an accepted
+    iterate and its step record read.
     """
 
     def __init__(self, sf, a, psi=None, b=0.0, c=0.0, s=1.0):
         self.sf, self.a, self.psi, self.b, self.c, self.s = sf, a, psi, b, c, s
+        self.xi_term = bool(s) and bool(np.any(a))
 
-    def evaluate(self, op, ev) -> RhsSplit:
-        n_int = ev.val.shape[0]
-        out = RhsSplit(values=np.zeros(n_int), d_val=np.zeros(n_int),
-                       d_p=np.zeros((n_int, op.grid.dim)))
-        if self.s and np.any(self.a):
-            out.values = self.s * (self.a * xi(self.sf, ev.val))
-            out.d_val = self.s * (self.a * xi_prime(self.sf, ev.val))
+    def evaluate(self, op, ev):
+        values = np.zeros(ev.val.shape[0])
+        if self.xi_term:
+            values = self.s * (self.a * xi(self.sf, ev.val))
         if self.b:
-            psi = self.psi.evaluate(op, ev)
-            out.values = out.values + self.b * (psi.values + self.c)
-            out.d_val = out.d_val + self.b * psi.d_val
-            out.d_p = self.b * psi.d_p
-        return out
+            values = values + self.b * (self.psi.evaluate(op, ev) + self.c)
+        return values
+
+    def derivatives(self, op, ev):
+        d_val = np.zeros(ev.val.shape[0])
+        d_p = np.zeros((ev.val.shape[0], op.grid.dim))
+        if self.xi_term:
+            d_val = self.s * (self.a * xi_prime(self.sf, ev.val))
+        if self.b:
+            psi_d_val, psi_d_p = self.psi.derivatives(op, ev)
+            d_val = d_val + self.b * psi_d_val
+            d_p = self.b * psi_d_p
+        return d_val, d_p
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +379,15 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
 
     boundary_full is a full-node array whose boundary slots supply the
     Dirichlet data; interior slots are overwritten by the unknowns.
+
+    Converged means the residual reached cfg.newton_tol, or that it is
+    already at its rounding floor (see rounding_floor) and the full step,
+    admissible, cannot lower it.  A call whose accepted residuals fell by
+    less than 1 - STAGNATION_FACTOR over STAGNATION_WINDOW iterations stops
+    as Stagnation, so that the engine halves the step instead of spending
+    max_newton iterations on a flat residual.  A line search that finds no
+    acceptable damping reports AdmissibilityLoss when one of its trials was
+    inadmissible (as is a start at iteration 0), else LineSearchFailure.
     """
     grid = op.grid
 
@@ -381,36 +400,53 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     ev = op.evaluate(compose(x))
     if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
         return NewtonResult(ADMISSIBILITY_LOSS, x, 0, np.inf, [])
-    split = rhs.evaluate(op, ev)
-    R = ev.f - split.values
+    b = rhs.evaluate(op, ev)
+    R = ev.f - b
     rn = float(np.max(np.abs(R)))
     history = [rn]
     for it in range(1, cfg.max_newton + 1):
         if rn <= cfg.newton_tol:
-            return NewtonResult(CONVERGED, x, it - 1, rn, history, ev, split)
-        delta = _lu_solve(_jacobian(op, ev, split), -R)
+            return NewtonResult(CONVERGED, x, it - 1, rn, history, ev)
+        J = _jacobian(op, ev, rhs)
+        delta = _lu_solve(J, -R)
         if delta is None:
             return NewtonResult(SOLVER_BREAKDOWN, x, it, rn, history)
         lam = 1.0
-        accepted = False
+        accepted = inadmissible = False
         while lam >= MIN_LAMBDA:
             x_t = x + lam * delta
             ev_t = op.evaluate(compose(x_t))
             if ev_t is not None and op.admissible(ev_t, CONVEXITY_MARGIN):
-                split_t = rhs.evaluate(op, ev_t)
-                R_t = ev_t.f - split_t.values
+                b_t = rhs.evaluate(op, ev_t)
+                R_t = ev_t.f - b_t
                 rn_t = float(np.max(np.abs(R_t)))
                 if rn_t <= max(cfg.newton_tol, (1.0 - ARMIJO * lam) * rn):
-                    x, ev, split, R, rn = x_t, ev_t, split_t, R_t, rn_t
+                    x, ev, b, R, rn = x_t, ev_t, b_t, R_t, rn_t
                     history.append(rn)
                     accepted = True
                     break
+                if lam == 1.0 and rn <= rounding_floor(J, x, b):
+                    return NewtonResult(CONVERGED, x, it - 1, rn, history, ev)
+            else:
+                inadmissible = True
             lam *= 0.5
         if not accepted:
-            return NewtonResult(ADMISSIBILITY_LOSS, x, it, rn, history)
+            return NewtonResult(ADMISSIBILITY_LOSS if inadmissible else LINE_SEARCH_FAILURE,
+                                x, it, rn, history)
+        if (rn > cfg.newton_tol and len(history) > STAGNATION_WINDOW
+                and rn > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]):
+            return NewtonResult(STAGNATION, x, it, rn, history)
     if rn <= cfg.newton_tol:
-        return NewtonResult(CONVERGED, x, cfg.max_newton, rn, history, ev, split)
+        return NewtonResult(CONVERGED, x, cfg.max_newton, rn, history, ev)
     return NewtonResult(MAX_ITERATIONS, x, cfg.max_newton, rn, history)
+
+
+def rounding_floor(J, x, b):
+    """eps_mach (|J| |x| + |b|) in the sup norm: the residual R = f - b, of
+    Jacobian J at the unknowns x, cannot be resolved below this level
+    (Kelley 1995, ch. 5)."""
+    J_norm = float(abs(J).sum(axis=1).max())
+    return np.finfo(float).eps * (J_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
 
 
 def _lu_solve(J, b):
@@ -430,10 +466,11 @@ def _lu_solve(J, b):
     return None
 
 
-def _jacobian(op: DiscreteOperator, ev: OperatorEval, split: RhsSplit):
+def _jacobian(op: DiscreteOperator, ev: OperatorEval, rhs):
     """Sparse Jacobian of R = f - rhs over the interior unknowns."""
     A2, b1, c = linearize.to_coordinate(op.blocks(ev), op.grid)
-    return linearize.assemble_jacobian(op.grid, A2, b1 - split.d_p, c - split.d_val)
+    d_val, d_p = rhs.derivatives(op, ev)
+    return linearize.assemble_jacobian(op.grid, A2, b1 - d_p, c - d_val)
 
 
 def newton_solve(spec: ProblemSpec, rhs, initial: GraphField):
@@ -499,7 +536,6 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval):
         "min_tau": float(st.tau.min()),
         "max_theta": float(theta.max()),
         "max_w_c1": float(w_c1.max()),
-        "c1_interior_max": float(w_c1.max()),
         "c1_bound": c1_bound,
         "c1_soft_ok": bool(w_c1.max() <= c1_bound + 1e-8),
         "min_u": float(ev.u.min()),
@@ -639,22 +675,21 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t):
     step = TANGENT_FD_STEP if t + TANGENT_FD_STEP <= 1.0 else -TANGENT_FD_STEP
 
     def residual_at(s):
-        op = op_at_t(s)
+        op, rhs = op_at_t(s), problem_at_t(s)
         full = boundary_at(s).copy()
         full[interior] = x
         ev = op.evaluate(full)
         if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
             return None
-        split = problem_at_t(s).evaluate(op, ev)
-        return op, ev, split, ev.f - split.values
+        return op, rhs, ev, ev.f - rhs.evaluate(op, ev)
 
     at_t, shifted = residual_at(t), residual_at(t + step)
     if at_t is None or shifted is None:
         return None
-    op, ev, split, R = at_t
+    op, rhs, ev, R = at_t
     *_, R_shifted = shifted
     dR_dt = (R_shifted - R) / step
-    return _lu_solve(_jacobian(op, ev, split), -dR_dt)
+    return _lu_solve(_jacobian(op, ev, rhs), -dR_dt)
 
 
 def _continue_in_t(leg: Leg, x0, cfg, records):
@@ -673,7 +708,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     if res.status != CONVERGED:
         return x0, res.status
     x = res.x
-    _record_step(records, leg.label, 0.0, res, op0, leg.ordering_floor)
+    _record_step(records, leg.label, 0.0, res, op0, rhs0, leg.ordering_floor)
     dt = DT_INIT
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
@@ -690,7 +725,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         if res.status == CONVERGED:
             t, x = t_try, res.x
             tangent, tangent_tried = None, False
-            _record_step(records, leg.label, t, res, op, leg.ordering_floor)
+            _record_step(records, leg.label, t, res, op, rhs, leg.ordering_floor)
             dt = min(DT_GROWTH * dt, 0.5)
             continue
         dt = 0.5 * (t_try - t)
@@ -723,10 +758,9 @@ def run_legs(grid, legs, x0, cfg, records=None):
     return GraphField(grid, full, op.rep), status, records
 
 
-def _record_step(records, label, t, res: NewtonResult, op, ordering_floor):
+def _record_step(records, label, t, res: NewtonResult, op, rhs, ordering_floor):
     """Appends the record of a Converged result from its own evaluation, then drops it."""
-    ev, split = res.ev, res.split
-    res.ev = res.split = None
+    ev, res.ev = res.ev, None
     rec = {
         "stage": label,
         "t": float(t),
@@ -736,7 +770,7 @@ def _record_step(records, label, t, res: NewtonResult, op, ordering_floor):
     }
     # zero-order coefficient of the linearization at the accepted solution:
     # negative along the auxiliary stages by the maximum-principle sign
-    zero_order = op.blocks(ev).Gu - split.d_val
+    zero_order = op.blocks(ev).Gu - rhs.derivatives(op, ev)[0]
     rec["zero_order_max"] = float(np.max(zero_order))
     rec["zero_order_negative"] = bool(np.max(zero_order) < 0.0)
     if ordering_floor is not None:
@@ -750,11 +784,15 @@ def _record_step(records, label, t, res: NewtonResult, op, ordering_floor):
 # legs shared by the pipelines
 
 def stage1_leg(label, op, sf, q, eps, v_sub):
-    """G[v] = ((1-t) q + t eps) xi(v) with the subsolution's own trace as data.
+    """G[v] = q^{1-t} eps^t xi(v) with the subsolution's own trace as data.
 
-    With q = G[vbar]/xi(vbar) the subsolution solves the t = 0 problem.
+    With q = G[vbar]/xi(vbar) the subsolution solves the t = 0 problem.  The
+    coefficient moves geometrically, like the shift of sphere-eps: equal steps
+    in t scale it by equal ratios.  A linear blend keeps it near q until late
+    and then drops it by most of q/eps in the last steps, where Newton stalls
+    on K = +1 (q = 16 delta2 there).
     """
-    return Leg(label, lambda t: op, lambda t: Rhs(sf, (1.0 - t) * q + t * eps),
+    return Leg(label, lambda t: op, lambda t: Rhs(sf, q ** (1.0 - t) * eps**t),
                lambda t: v_sub, ordering_floor=v_sub[op.grid.interior_ids])
 
 
@@ -944,9 +982,6 @@ def sphere_legs(spec: ProblemSpec):
     k0 = SpaceFormParams(0)
     op0 = DiscreteOperator(grid, spec.k, profile(k0), rep="v", sf=k0)
     q0 = _xi_ratio(op0, v_sub)
-    if float(q0.min()) <= delta2:
-        raise SemanticError(
-            f"delta2={delta2:.3e} violates G0[vbar] > delta2 xi(vbar) (min ratio {q0.min():.3e})")
     psi = PsiRhs(spec.psi_hat)
     op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
 

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from weingarten import charts as ch
 from weingarten import grids
-from weingarten.continuity import RhsSplit
 from weingarten.errors import DomainRangeError
 from weingarten.geometry import GeometryState, state_from_u_slots, v_slots_to_u
 from weingarten.linearize import LinearizedCoefficients
@@ -352,10 +351,11 @@ class ConstantRhs:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def evaluate(self, op, ev) -> RhsSplit:
-        n = op.grid.dim
-        z = np.zeros((ev.val.shape[0], n))
-        return RhsSplit(values=self.values + 0.0 * ev.val, d_val=0.0 * ev.val, d_p=z)
+    def evaluate(self, op, ev):
+        return self.values + 0.0 * ev.val
+
+    def derivatives(self, op, ev):
+        return 0.0 * ev.val, np.zeros((ev.val.shape[0], op.grid.dim))
 
 
 # ---------------------------------------------------------------------------

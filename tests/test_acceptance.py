@@ -400,7 +400,7 @@ def test_criterion_10_diagnostics_sanity(stage1_runs, pipeline_k0, pipeline_curv
             min_tau = min(min_tau, d["min_tau"])
             min_kappa = min(min_kappa, d["min_kappa"])
             max_theta = max(max_theta, d["max_theta"])
-            c1_ok &= d["c1_interior_max"] <= d["c1_bound"] + 1e-8
+            c1_ok &= d["max_w_c1"] <= d["c1_bound"] + 1e-8
     ok = min_tau > 0 and min_kappa > 0 and np.isfinite(max_theta) and c1_ok
     report(10, ok,
            f"along all converged paths: min tau {min_tau:.3e} (> 0), min kappa "

@@ -266,6 +266,22 @@ def test_convergence_subcommand(problem_file, tmp_path, capsys):
     assert payload["observed_orders"][0] > 1.7
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["lincheck", "--samples", "1"], ["--tol", "5"]),
+    (["check-subsolution"], ["--tol", "nan"]),
+    (["check-subsolution"], ["--max-newton", "-3"]),
+])
+def test_newton_flags_only_where_newton_runs(problem_file, tmp_path, capsys, command, flag):
+    # neither command solves, so a Newton setting there is a usage error,
+    # not a value silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--problem", problem_file(GEODESIC_H), "--out", str(tmp_path / "o"),
+              *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convergence_applies_max_newton(problem_file, tmp_path, capsys):
     # one Newton iteration is too few at h = 0.09, for solve and for every
     # level of a refinement study alike

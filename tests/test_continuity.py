@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from weingarten import charts as ch
 from weingarten import continuity as ct
 from weingarten import grids, problems
-from weingarten.errors import SemanticError
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
@@ -522,6 +521,58 @@ def test_solver_breakdown_when_both_factors_fail(monkeypatch, k0_bridge_newton):
     assert calls == [ct.FAST_LU, {}]
 
 
+def test_flat_residual_stops_as_stagnation(monkeypatch, k0_bridge_newton):
+    # a Jacobian 100 times too large makes every full step 1% of the Newton
+    # step: each is accepted, yet the residual falls by only ~1% an iteration.
+    # The call stops once STAGNATION_WINDOW of them fell by less than 10%
+    args, _, _ = k0_bridge_newton
+    jacobian = ct._jacobian
+    monkeypatch.setattr(ct, "_jacobian", lambda *a: 100.0 * jacobian(*a))
+    res = ct.newton_core(*args)
+    assert res.status == ct.STAGNATION
+    assert res.iterations == ct.STAGNATION_WINDOW
+    hist = res.history
+    assert len(hist) == ct.STAGNATION_WINDOW + 1 and all(np.diff(hist) < 0)
+    assert hist[-1] > ct.STAGNATION_FACTOR * hist[0] > args[-1].newton_tol
+
+
+def test_failed_line_search_on_admissible_trials_names_its_cause(monkeypatch, k0_bridge_newton):
+    # the reversed Newton direction raises the residual at every damping,
+    # while every trial near the start stays admissible
+    args, _, _ = k0_bridge_newton
+    jacobian = ct._jacobian
+    trials = []
+    admissible = ct.DiscreteOperator.admissible
+
+    def recording_admissible(self, ev, margin):
+        trials.append(admissible(self, ev, margin))
+        return trials[-1]
+
+    monkeypatch.setattr(ct, "_jacobian", lambda *a: -jacobian(*a))
+    monkeypatch.setattr(ct.DiscreteOperator, "admissible", recording_admissible)
+    res = ct.newton_core(*args)
+    assert res.status == ct.LINE_SEARCH_FAILURE
+    assert res.iterations == 1 and len(res.history) == 1
+    # the start and one trial per halving down to MIN_LAMBDA, all admissible
+    assert len(trials) == 1 + int(np.ceil(-np.log2(ct.MIN_LAMBDA))) and all(trials)
+
+
+def test_newton_stops_at_the_rounding_floor(k0_bridge_newton):
+    # from a converged state no step can reach newton_tol = 1e-16: the
+    # residual is already at eps_mach (|J| |x| + |rhs|), and the full step,
+    # admissible, does not lower it, so the call is Converged where it stands
+    args, _, _ = k0_bridge_newton
+    op, rhs, _, boundary, _ = args
+    x = ct.newton_core(*args).x
+    res = ct.newton_core(op, rhs, x, boundary, ct.HomotopyConfig(newton_tol=1e-16))
+    assert res.status == ct.CONVERGED
+    full = boundary.copy()
+    full[op.grid.interior_ids] = res.x
+    ev = op.evaluate(full)
+    floor = ct.rounding_floor(ct._jacobian(op, ev, rhs), res.x, rhs.evaluate(op, ev))
+    assert 1e-16 < res.residual <= floor < 1e-12
+
+
 def _jacobian_case(case):
     """(operator, field): u, v (K = -1) and exp-chain on the 21^2 cap, or an n = 3 cap."""
     rng = np.random.default_rng(11)
@@ -545,7 +596,7 @@ def test_fast_factor_agrees_with_the_default(case):
     op, field = _jacobian_case(case)
     ev = op.evaluate(field)
     assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
-    J = ct._jacobian(op, ev, ConstantRhs(np.zeros(op.grid.n_interior)).evaluate(op, ev))
+    J = ct._jacobian(op, ev, ConstantRhs(np.zeros(op.grid.n_interior)))
     b = np.sin(np.arange(J.shape[0]) * 0.37)
     default = spla.splu(J)
     x_ref = default.solve(b)
@@ -687,18 +738,6 @@ def test_failed_solve_returns_no_field(name):
     field, report = ct.solve_problem(spec, cfg)
     assert field is None
     assert report.status == ct.MAX_ITERATIONS
-
-
-def test_sphere_delta2_above_the_xi_ratio_is_refused(monkeypatch):
-    # G0[vbar] > delta2 xi(vbar) is a constant check, refused like its siblings
-    sphere_plan = ct.sphere_plan
-
-    def plan_with_large_delta2(spec):
-        return {**sphere_plan(spec), "delta2": 1e3}
-
-    monkeypatch.setattr(ct, "sphere_plan", plan_with_large_delta2)
-    with pytest.raises(SemanticError, match="delta2"):
-        ct.solve_problem(geodesic_problem(S, 0.5, h=0.09))
 
 
 def test_solve_problem_dispatch():

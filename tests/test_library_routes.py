@@ -247,3 +247,57 @@ def test_every_optional_parameter_is_passed():
     # module instead of offering a setting nothing sets
     missing = unpassed_parameters()
     assert not missing, "defaulted parameters no call passes: " + ", ".join(missing)
+
+
+README = SRC.parents[1] / "README.md"
+
+
+def status_constants():
+    """{name: value} of the module-level string constants of continuity, the solver statuses."""
+    tree = _tree(SRC / "continuity.py")
+    return {
+        stmt.targets[0].id: stmt.value.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    }
+
+
+def returned_names():
+    """Names and attributes that some return statement in src/weingarten hands back.
+
+    A name inside a comparison (``status == ADMISSIBILITY_LOSS``) is read,
+    not returned, and does not count.
+    """
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.Compare):
+            return
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Return) and node.value is not None:
+                visit(node.value)
+    return found
+
+
+def readme_statuses():
+    """Backticked names of the README sentence that starts with 'Solver statuses:'."""
+    text = " ".join(README.read_text().split())
+    sentence = text.split("Solver statuses:", 1)[1].split(".", 1)[0]
+    return set(sentence.split("`")[1::2])
+
+
+def test_every_status_is_returned_and_documented():
+    # a status nothing returns is a promise the solver never keeps, and one
+    # the README does not list cannot be looked up by a user who meets it
+    statuses = status_constants()
+    assert {"CONVERGED", "ADMISSIBILITY_LOSS", "STAGNATION"} <= set(statuses)
+    assert sorted(set(statuses) - returned_names()) == []
+    assert readme_statuses() == set(statuses.values())
