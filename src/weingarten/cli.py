@@ -364,12 +364,13 @@ def _field_rho(field, spec):
 
 
 def _write_csv(path, grid, rho, kappa, last_name, last):
-    """One row per interior node: coordinates, rho, extreme curvatures, one more column."""
+    """One row per interior node in ascending node id: coordinates, rho,
+    extreme curvatures, one more column."""
     y = grid.interior_coords()
     with open(path, "w") as fh:
         cols = [f"y{i+1}" for i in range(grid.dim)]
         fh.write(",".join(cols + ["rho", "kappa_min", "kappa_max", last_name]) + "\n")
-        for i in range(grid.n_interior):
+        for i in np.argsort(grid.interior_ids):
             row = [repr(float(v)) for v in y[i]]
             row += [repr(float(rho[i])), repr(float(kappa[i].min())),
                     repr(float(kappa[i].max())), repr(float(last[i]))]

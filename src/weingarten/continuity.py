@@ -70,9 +70,11 @@ DT_INIT = 0.25           # first step in t of every leg
 DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
 DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
 EPS_TARGET_FACTOR = 1e-6  # K = +1 eps floor = factor * min psi_hat
-# SuperLU options of the first factor: minimum degree on A^T + A, symmetric
-# mode and no pivoting, which suit the almost structurally symmetric box stencil
-FAST_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+# SuperLU options of the first factor: the natural column order, since the grid
+# numbers its unknowns in nested-dissection order (grids.interior_ids), plus
+# symmetric mode and no pivoting, which suit the almost structurally symmetric
+# box stencil
+FAST_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
            "options": {"SymmetricMode": True}}
 
 CONVERGED = "Converged"
@@ -578,6 +580,12 @@ def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None):
 # ---------------------------------------------------------------------------
 # subsolution verification
 
+def _lowest_node_at_min(grid, values):
+    """Smallest node id among the interior nodes where values is least, so
+    that ties do not depend on the numbering of the unknowns."""
+    return int(grid.interior_ids[values == values.min()].min())
+
+
 def verify_subsolution(spec: ProblemSpec):
     """Checks convexity, the curvature inequality, and the boundary match.
 
@@ -597,7 +605,7 @@ def verify_subsolution(spec: ProblemSpec):
     conv = ev.conv_min_eig
     report["convexity_margin"] = float(conv.min())
     if conv.min() <= 0.0:
-        worst = int(grid.interior_ids[int(np.argmin(conv))])
+        worst = _lowest_node_at_min(grid, conv)
         report["ok"] = False
         report["worst_node"] = worst
         report["reasons"].append(
@@ -609,7 +617,7 @@ def verify_subsolution(spec: ProblemSpec):
     gap = f_sub - psi_hat
     report["inequality_margin"] = float(gap.min())
     if gap.min() < -1e-9 * max(1.0, float(np.max(np.abs(psi_hat)))):
-        worst = int(grid.interior_ids[int(np.argmin(gap))])
+        worst = _lowest_node_at_min(grid, gap)
         report["ok"] = False
         report["worst_node"] = worst
         report["reasons"].append(

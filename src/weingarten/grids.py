@@ -21,6 +21,7 @@ from . import charts as ch
 from .errors import AssemblyError
 
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
+DISSECTION_LEAF = 8  # nested dissection keeps node-id order in parts this small
 _CLASS_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
 _CLASS_IDS = {v: k for k, v in _CLASS_NAMES.items()}
 
@@ -38,7 +39,7 @@ class Grid:
     node_class: np.ndarray        # (N,) INTERIOR/BOUNDARY
     coords: np.ndarray            # (N, n) chart coordinates
     id_grid: np.ndarray           # lattice -> node id or -1
-    interior_ids: np.ndarray      # (N_int,)
+    interior_ids: np.ndarray      # (N_int,) in nested-dissection order, not sorted
     boundary_ids: np.ndarray      # (N_bnd,)
     box: np.ndarray               # (N_int, 3^n) node ids of the full stencil box
     _jet_cache: dict = dc_field(default_factory=dict, repr=False)
@@ -86,6 +87,48 @@ def _classify(inside, n):
     return status
 
 
+def _dissection_order(index):
+    """Nested-dissection order of lattice points (rows of index), as positions.
+
+    Recursive coordinate bisection (George 1973), one level of every part at
+    a time: each part splits its lattice box on the longest axis at the
+    median plane of its points and is numbered below the plane, then above
+    it, then on it; parts of at most DISSECTION_LEAF points keep their given
+    order.  The 3^n box stencil couples only points whose indices differ by
+    at most 1, so the plane separates the two halves on any mask, and their
+    Jacobian blocks factor without fill between them.
+    """
+    m, n = index.shape
+    coord = np.ascontiguousarray(index.T)          # (n, m), entries >= 0
+    span = int(coord.max()) + 1
+    lo = np.repeat(coord.min(axis=1)[:, None], m, axis=1)  # lattice box of each point's part
+    hi = np.repeat(coord.max(axis=1)[:, None], m, axis=1)
+    part = np.zeros(m, dtype=np.intp)   # position of the first point of each point's part
+    split = np.ones(m, dtype=bool)
+    while True:
+        count = np.bincount(part, minlength=m)
+        split &= count[part] > DISSECTION_LEAF
+        pts = np.flatnonzero(split)
+        if pts.size == 0:
+            return np.argsort(part, kind="stable")
+        ext = hi[:, pts] - lo[:, pts]
+        axis = np.zeros(pts.size, dtype=np.intp)
+        for a in range(1, n):
+            axis[ext[a] > ext[axis, np.arange(pts.size)]] = a
+        c = coord[axis, pts]
+        p = part[pts]
+        key = np.sort(p * span + c)     # each part's coordinates, ascending
+        plane = key[np.searchsorted(key, p * span) + count[p] // 2] - p * span
+        below, above, on = c < plane, c > plane, c == plane
+        n_below = np.bincount(p[below], minlength=m)[p]
+        n_above = np.bincount(p[above], minlength=m)[p]
+        part[pts[above]] += n_below[above]
+        part[pts[on]] += n_below[on] + n_above[on]
+        hi[axis[below], pts[below]] = plane[below] - 1
+        lo[axis[above], pts[above]] = plane[above] + 1
+        split[pts[on]] = False
+
+
 def _finalize(chart, h, origin, status):
     n = chart.dim
     non_ext = status != EXTERIOR
@@ -98,6 +141,7 @@ def _finalize(chart, h, origin, status):
     boundary_ids = np.flatnonzero(node_class == BOUNDARY)
     if interior_ids.size == 0:
         raise AssemblyError("domain has no interior nodes at this resolution; decrease h")
+    interior_ids = interior_ids[_dissection_order(node_index[interior_ids])]
     grid = Grid(
         chart=chart,
         h=float(h),

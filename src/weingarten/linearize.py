@@ -137,6 +137,9 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
 def _jacobian_pattern(grid):
     """CSC index arrays of the interior Jacobian and its box-entry map; cached per grid.
 
+    Rows and columns follow grid.interior_ids, which is in nested-dissection
+    order, so the matrix is factored as stored, with no fill-reducing
+    permutation of its own (continuity.FAST_LU).
     Returns (indptr, indices, perm): entry perm[j] of the row-major
     (N_int, 3^n) box entries is the j-th stored CSC value.  Box slots on
     Dirichlet nodes are dropped; the box offsets are distinct, so no two

@@ -245,6 +245,17 @@ def test_curvature_reproduces_solve_diagnostics(problem_file, tmp_path):
     assert summary["diagnostics"] == report["diagnostics"]["final"]
 
 
+def test_csv_rows_follow_node_ids(problem_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", problem_file(GEODESIC_H), "--out", str(out)]) == 0
+    assert main(["curvature", "--grid", str(out / "solution.grid"), "--out", str(out)]) == 0
+    grid = grids.load_grid(out / "solution.grid")[0]
+    expect = grid.coords[np.sort(grid.interior_ids)]
+    for name in ("solution.csv", "curvature.csv"):
+        y = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=(0, 1))
+        assert np.array_equal(y, expect)
+
+
 def test_lincheck(problem_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["lincheck", "--problem", problem_file(GEODESIC_H), "--out", str(out),

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from weingarten import charts as ch
-from weingarten import grids
+from weingarten import grids, linearize
 from weingarten.errors import AssemblyError
 from reference import boundary_gradient_loop, convexity_matrix, convexity_matrix_fast
 
@@ -38,10 +39,15 @@ def test_boundary_count_scales_like_perimeter():
     assert 1.5 < r1 < 3.0 and 1.5 < r2 < 3.0
 
 
-def test_mask_domain_l_shape():
+def l_shape_mask():
     mask = np.zeros((12, 12), dtype=bool)
     mask[2:10, 2:6] = True
     mask[6:10, 2:10] = True
+    return mask
+
+
+def test_mask_domain_l_shape():
+    mask = l_shape_mask()
     g = grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]))
     assert g.n_interior > 0
     klass = g.node_class[g.box]
@@ -50,6 +56,30 @@ def test_mask_domain_l_shape():
     with pytest.raises(ValueError):
         grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]), max_radius=0.1)
     grids.build_from_mask(mask, 0.05, origin=np.array([-0.3, -0.3]), max_radius=2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grids.build_cap_domain(np.pi / 5, 0.05),
+    lambda: grids.build_cap_domain(np.pi / 5, 0.12, n=3),
+    lambda: grids.build_from_mask(l_shape_mask(), 0.05, origin=np.array([-0.3, -0.3])),
+], ids=["cap-n2", "cap-n3", "l-shape"])
+def test_interior_ids_in_dissection_order(make):
+    g = make()
+    ids = g.interior_ids
+    assert np.array_equal(np.sort(ids), np.flatnonzero(g.node_class == grids.INTERIOR))
+    # top-level split: the median lattice plane across the longest axis
+    idx = g.node_index[ids]
+    axis = int(np.argmax(idx.max(axis=0) - idx.min(axis=0)))
+    c = idx[:, axis]
+    plane = np.sort(c)[c.size // 2]
+    below, above = np.flatnonzero(c < plane), np.flatnonzero(c > plane)
+    assert below.size > 0 and above.size > 0
+    # numbered below, then above, then on the plane
+    assert below.max() < above.min() and above.max() < np.flatnonzero(c == plane).min()
+    # the plane separates the halves: no Jacobian entry couples them
+    indptr, indices, _ = linearize._jacobian_pattern(g)
+    J = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(ids.size, ids.size))
+    assert J[below][:, above].nnz == 0 and J[above][:, below].nnz == 0
 
 
 def test_unresolvable_domain_rejected():
@@ -214,6 +244,7 @@ def test_grid_serialization_round_trip(tmp_path, cap_grid, rng):
     assert f2.representation == "u"
     assert g2.n_nodes == cap_grid.n_nodes
     assert np.array_equal(g2.node_class, cap_grid.node_class)
+    assert np.array_equal(g2.interior_ids, cap_grid.interior_ids)
     assert np.array_equal(f2.values, values)  # bit-exact floats via repr
     assert np.allclose(g2.coords, cap_grid.coords)
     assert g2.chart.kind == cap_grid.chart.kind
