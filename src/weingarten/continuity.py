@@ -22,10 +22,10 @@ whose t = 0 problem is exactly the K = 0 auxiliary equation with
 eps = delta2, so the legs before it are the K = 0 stage-1 leg (labelled
 sphere-aux) and bridge leg.  The last leg removes the protective shift,
 
-    sphere-eps:   G[u] = psi - eps^{1-t} floor^t,
+    sphere-eps:   G[u] = psi - (1 - t) eps,
 
-on the K = +1 operator in the u-representation, started from u = e^v, with
-floor = EPS_TARGET_FACTOR psi_hat_min from sphere_plan.  Every accepted
+on the K = +1 operator in the u-representation, started from u = e^v, so
+that the path ends on the target equation G[u] = psi itself.  Every accepted
 iterate on every path is kept strictly locally convex by the line search.  A
 solve that does not converge returns no field, only its report.
 """
@@ -69,7 +69,6 @@ T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed m
 DT_INIT = 0.25           # first step in t of every leg
 DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
 DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
-EPS_TARGET_FACTOR = 1e-6  # K = +1 eps floor = factor * min psi_hat
 # SuperLU options of the first factor: the natural column order, since the grid
 # numbers its unknowns in nested-dissection order (grids.interior_ids), plus
 # symmetric mode and no pivoting, which suit the almost structurally symmetric
@@ -795,10 +794,10 @@ def stage1_leg(label, op, sf, q, eps, v_sub):
     """G[v] = q^{1-t} eps^t xi(v) with the subsolution's own trace as data.
 
     With q = G[vbar]/xi(vbar) the subsolution solves the t = 0 problem.  The
-    coefficient moves geometrically, like the shift of sphere-eps: equal steps
-    in t scale it by equal ratios.  A linear blend keeps it near q until late
-    and then drops it by most of q/eps in the last steps, where Newton stalls
-    on K = +1 (q = 16 delta2 there).
+    coefficient moves geometrically: equal steps in t scale it by equal
+    ratios.  A linear blend keeps it near q until late and then drops it by
+    most of q/eps in the last steps, where Newton stalls on K = +1
+    (q = 16 delta2 there).
     """
     return Leg(label, lambda t: op, lambda t: Rhs(sf, q ** (1.0 - t) * eps**t),
                lambda t: v_sub, ordering_floor=v_sub[op.grid.interior_ids])
@@ -838,9 +837,7 @@ def _finalize_report(spec, op, field, report):
 
     op is the last leg's operator at t = 1, the target equation's operator in
     the field's representation; the final diagnostics are the last step
-    record's.  A v field also gets the Hopf check against the subsolution;
-    under an eps floor (K = +1) the residual against psi_hat - floor is kept
-    as well.
+    record's.  A v field also gets the Hopf check against the subsolution.
     """
     ev = op.evaluate(field.values)
     psi_hat = spec.psi_hat(op.bundle(ev))
@@ -853,10 +850,6 @@ def _finalize_report(spec, op, field, report):
     if field.representation == "v":
         report.diagnostics["hopf_min_inward_slope"] = hopf_boundary_check(
             spec.grid, field.values, _rho_to_v(spec.sf, spec.subsolution_rho)
-        )
-    if "eps_floor" in report.constants:
-        report.diagnostics["final_residual_with_eps_floor"] = float(
-            np.max(np.abs(ev.f - (psi_hat - report.constants["eps_floor"])))
         )
 
 
@@ -969,14 +962,13 @@ def sphere_legs(spec: ProblemSpec):
     profile_deformed(0) is the Euclidean profile and eta = exp there.  Only
     the deformation needs the exp-chain operator, whose metric has ka = t^2
     while eta stays exp.  The sphere-eps leg then runs on the K = +1 operator
-    in u = e^v, on G[u] = psi_hat - eps(t), eps(t) = eps^{1-t} floor^t.
+    in u = e^v, on G[u] = psi_hat - (1 - t) eps: its t = 0 problem is the
+    deformation's endpoint and its t = 1 problem the target equation.
     """
     grid = spec.grid
     plan = sphere_plan(spec)
     eps, delta2, m = plan["epsilon"], plan["delta2"], plan["t_exponent"]
-    floor = EPS_TARGET_FACTOR * plan["psi_hat_min"]
     constants = {key: val for key, val in plan.items() if key != "u_sub"}
-    constants["eps_floor"] = floor
     u_sub = plan["u_sub"]
     v_sub = np.log(u_sub)
     u_data = zeta_inverse(spec.sf, spec.boundary_rho)
@@ -1005,7 +997,7 @@ def sphere_legs(spec: ProblemSpec):
         bridge_leg(op0, k0, delta2, v_sub, v_data, x_sub),
         Leg("sphere-deform", op_t, rhs_t, lambda t: v_data, ordering_floor=x_sub),
         Leg("sphere-eps", lambda t: op_u,
-            lambda t: Rhs(spec.sf, 0.0, psi, 1.0, -(eps ** (1.0 - t) * floor ** t)),
+            lambda t: Rhs(spec.sf, 0.0, psi, 1.0, -(1.0 - t) * eps),
             lambda t: u_bnd),
     ]
     return legs, x_sub, constants

@@ -8,9 +8,9 @@ Grammar (usual precedence, ^ binds tightest and is right-associative):
     power  := atom ('^' unary)?
     atom   := number | name | name '(' expr (',' expr)* ')' | '(' expr ')'
 
-Functions: exp, log, sin, cos, sinh, cosh, sqrt, pow, min, max.  Evaluation is
-vectorized over numpy arrays and total: any non-finite result raises a located
-EvaluationError (division by zero, log of a negative, ...).
+Functions: exp, log, sin, cos, atan, sinh, cosh, sqrt, pow, min, max.
+Evaluation is vectorized over numpy arrays and total: any non-finite result
+raises a located EvaluationError (division by zero, log of a negative, ...).
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ FUNCTIONS = {
     "log": (1, np.log),
     "sin": (1, np.sin),
     "cos": (1, np.cos),
+    "atan": (1, np.arctan),
     "sinh": (1, np.sinh),
     "cosh": (1, np.cosh),
     "sqrt": (1, np.sqrt),

@@ -326,7 +326,6 @@ def test_criterion_08_full_pipeline_curved(pipeline_curved):
     h2 = hy["spec"].grid.h ** 2
     rho_s = zeta(S, sp["field"].values)
     err_s = float(np.max(np.abs(rho_s - sp["r"])))
-    floor = sp["report"].constants["eps_floor"]
     min_kappa_path = min(
         rec["diagnostics"]["min_kappa"]
         for rep in (hy["report"], sp["report"])
@@ -337,14 +336,14 @@ def test_criterion_08_full_pipeline_curved(pipeline_curved):
     handoff_s = [r for r in sp["report"].stages if r["stage"] == "sphere-deform"][0]["residual"]
     ok = (
         err_h <= 10 * h2
-        and err_s <= 1e-6 + 2.0 * floor
+        and err_s <= 1e-12
         and min_kappa_path > 0
         and handoffs <= tol
         and handoff_s <= tol
     )
     report(8, ok,
            f"K=-1 err {err_h:.2e} (<= C h^2); K=+1 err {err_s:.2e} "
-           f"(<= 1e-6 + eps floor {floor:.1e}); min kappa on paths {min_kappa_path:.2e}; "
+           f"(<= 1e-12); min kappa on paths {min_kappa_path:.2e}; "
            f"handoff residuals {handoffs:.1e}, {handoff_s:.1e} (<= tol {tol:.0e})")
 
 

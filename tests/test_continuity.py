@@ -671,18 +671,16 @@ def test_sphere_path_recovers_geodesic_sphere():
     field, report = ct.solve_problem(spec, ct.HomotopyConfig())
     assert report.status == ct.CONVERGED
     rho_num = zeta(S, field.values)
-    floor = report.constants["eps_floor"]
-    assert np.max(np.abs(rho_num - r)) < 1e-6 + 2.0 * floor
+    # the path ends on G[u] = psi itself, where constant data is discretely exact
+    assert np.max(np.abs(rho_num - r)) <= 1e-12
     assert report.diagnostics["final"]["min_kappa"] > 0
     # handoff: the deformation stage starts from the auxiliary solution
     deform = [rec for rec in report.stages if rec["stage"] == "sphere-deform"]
     assert deform[0]["newton_iterations"] <= 2
     labels = [key for key, _ in itertools.groupby(rec["stage"] for rec in report.stages)]
     assert labels == ["sphere-aux", "bridge", "sphere-deform", "sphere-eps"]
-    # the final problem keeps the residual at the eps floor against plain psi
-    assert report.final_residual <= 2.0 * floor
-    # the sphere-eps leg walks t: 0 -> 1 and ends on the floor itself
-    assert floor == ct.EPS_TARGET_FACTOR * report.constants["psi_hat_min"]
+    assert report.final_residual <= ct.HomotopyConfig().newton_tol
+    # the sphere-eps leg walks t: 0 -> 1, from the shift eps to none
     eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
     assert eps_t[0] == 0.0 and eps_t[-1] == 1.0
     assert np.all(np.diff(eps_t) > 0)
@@ -705,12 +703,26 @@ def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
     r, cfg = 0.5, ct.HomotopyConfig()
     field, report = ct.solve_problem(geodesic_problem(S, r, h=0.09), cfg)
     assert report.status == ct.CONVERGED
-    eps, floor = report.constants["epsilon"], report.constants["eps_floor"]
     # the failed solve was the first step, t = DT_INIT
-    assert eps_calls[1] == eps ** (1.0 - ct.DT_INIT) * floor ** ct.DT_INIT
+    assert eps_calls[1] == (1.0 - ct.DT_INIT) * report.constants["epsilon"]
     eps_t = [rec["t"] for rec in report.stages if rec["stage"] == "sphere-eps"]
     assert eps_t[:2] == [0.0, 0.5 * ct.DT_INIT] and eps_t[-1] == 1.0
-    assert np.max(np.abs(zeta(S, field.values) - r)) < 1e-5 + 2.0 * floor
+    assert np.max(np.abs(zeta(S, field.values) - r)) <= 1e-12
+
+
+def test_offcenter_sphere_path_converges_at_second_order():
+    # the off-centre geodesic sphere is not discretely exact: at two nested
+    # spacings the K = +1 path reaches G[u] = psi and the error falls as h^2
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_geodesic_spherical.wg")
+    errors = []
+    for h in (2.0 * pf.domain["h"], pf.domain["h"]):
+        spec, cfg, exact = problems.build_problem(pf, h_override=h)
+        field, report = ct.solve_problem(spec, cfg)
+        assert report.status == ct.CONVERGED
+        assert report.final_residual <= cfg.newton_tol
+        ids = spec.grid.interior_ids
+        errors.append(float(np.max(np.abs(zeta(S, field.values) - exact)[ids])))
+    assert 1.8 <= np.log2(errors[0] / errors[1]) <= 2.2
 
 
 def test_sphere_path_lists_ordering_violations(monkeypatch):

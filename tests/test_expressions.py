@@ -29,6 +29,8 @@ def test_functions():
     assert ev("pow(2, 10)") == 1024.0
     assert ev("sqrt(u)", u=4.0) == 2.0
     assert np.isclose(ev("sin(y1)^2 + cos(y1)^2", y1=0.7), 1.0)
+    assert np.isclose(ev("4*atan(1)"), np.pi)
+    assert ev("atan(-u)", u=0.3) == -np.arctan(0.3)
 
 
 def test_vectorized_evaluation():
