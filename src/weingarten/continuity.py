@@ -53,7 +53,7 @@ from .spaceform import (
     xi_prime,
     zeta_inverse,
 )
-from .symeig import eigh_descending
+from .symeig import least_eigenvalue
 from .symfunc import f_and_derivatives, in_gamma_k
 
 CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
@@ -224,7 +224,7 @@ class DiscreteOperator:
         val, p_coord, hess_cov = grids.covariant_jets(self.grid, full)
         _, _, _, _, B = grids.chart_quantities(self.grid)
         p_frame = np.einsum("nij,nj->ni", B, p_coord)
-        r_frame = np.einsum("nia,nab,nbj->nij", B, hess_cov, B)
+        r_frame = B @ hess_cov @ B
         p_v = r_v = None
         if self.rep == "u":
             u, p_u, r_u = val, p_frame, r_frame
@@ -235,7 +235,7 @@ class DiscreteOperator:
             return None
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
         S = r_u + u[:, None, None] * np.eye(self.grid.dim)
-        conv = eigh_descending(S)[0][:, -1]
+        conv = least_eigenvalue(S)
         f = fi = None
         if need_f:
             if np.min(conv) <= 0.0 and self.k == self.grid.dim:
@@ -524,7 +524,7 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval):
     if grid.boundary_ids.size:
         p_bnd = grids.boundary_gradient_estimate(grid, u_all)
         _, sigma_inv_b, _ = charts.chart_metric(grid.chart, grid.coords[grid.boundary_ids])
-        gn2 = np.einsum("nk,nkl,nl->n", p_bnd, sigma_inv_b, p_bnd)
+        gn2 = np.einsum("nk,nk->n", p_bnd, (sigma_inv_b @ p_bnd[..., None])[..., 0])
         w_bnd_max = float(np.max(np.sqrt(u_all[grid.boundary_ids] ** 2 + gn2)))
     else:
         w_bnd_max = -np.inf

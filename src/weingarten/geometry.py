@@ -70,7 +70,7 @@ def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
     gamma_up = (eye - (zp**2 / (w * (phi + w)))[..., None, None] * pp) / phi[..., None, None]
     S = r + u[..., None, None] * eye
     coef = (-zp * phi / w)[..., None, None]
-    a = coef * np.einsum("...ik,...kl,...lj->...ij", gamma_up, S, gamma_up)
+    a = coef * (gamma_up @ S @ gamma_up)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     kappa, Q = eigh_descending(a)
     # tau = phi^2 / sqrt(phi^2 + |grad rho|^2) with grad rho = zeta' grad u

@@ -17,7 +17,10 @@ except the zero-order one, which has its own closed form
     Gv = (K/(w_v eta')) sum f_i + (eta/eta') F^{ij} a_{ij},   w_v = sqrt(1+|Dv|^2).
 
 All formulas are in orthonormal frame components; `to_coordinate` converts the
-blocks for assembly against plain finite-difference stencils.
+blocks for assembly against plain finite-difference stencils.  The index sums
+run as batched matmul on the (N, n, n) stacks: F = Q diag(f_i) Q^T,
+G^{ij} from gamma F gamma^T, the two G^s sums as gamma^T (F a^T) p and
+gamma^T (F a^T)^T p, and A2 = B G B; tests/reference.py keeps them as einsum.
 """
 
 from dataclasses import dataclass
@@ -39,6 +42,11 @@ class LinearizedCoefficients:
     Gu: np.ndarray    # (N,) zero-order block
 
 
+def _T(m):
+    """Transpose of each matrix in an (..., n, n) stack (a view)."""
+    return np.swapaxes(m, -1, -2)
+
+
 def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
     """Closed-form blocks for the u-representation operator.
 
@@ -52,21 +60,23 @@ def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
     php = amb.phi_prime_u(u)
     gup, gmat_up, a = state.gamma_up, state.g_up, state.a
     Q = state.eigvecs
-    F = np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
-    Fa = np.einsum("...ij,...qj->...iq", F, a)
+    F = (Q * fi[..., None, :]) @ _T(Q)
+    Fa = F @ _T(a)
     trFa = np.einsum("...ii->...", Fa)
 
-    Gij = (-phi * zp / w)[..., None, None] * np.einsum("...ik,...kl,...jl->...ij", gup, F, gup)
+    Gij = (-phi * zp / w)[..., None, None] * (gup @ F @ _T(gup))
 
-    gFap = np.einsum("...is,...iq,...q->...s", gup, Fa, p)
-    gaFp = np.einsum("...qs,...iq,...i->...s", gup, Fa, p)
+    pc = p[..., None]         # p as a column of each stack
+    Fap = Fa @ pc
+    gFap = (_T(gup) @ Fap)[..., 0]
+    gaFp = (_T(gup) @ (_T(Fa) @ pc))[..., 0]
     Gs = (
         -2.0 * (zp**2 / (w * (phi + w)))[..., None] * (w[..., None] * gFap + phi[..., None] * gaFp)
         - (zp**2 / w**2)[..., None] * trFa[..., None] * p
     )
 
     t1 = np.einsum("...iq,...iq->...", (phi * php * zp)[..., None, None] * gmat_up, Fa)
-    t1 = t1 + (zp * zpp / w**2) * np.einsum("...i,...iq,...q->...", p, Fa, p)
+    t1 = t1 + (zp * zpp / w**2) * np.einsum("...i,...i->...", p, Fap[..., 0])
     Gu = (
         -2.0 * t1
         + (php * zp / phi - phi * php * zp / w**2 + phi**2 * zpp / (zp * w**2)) * trFa
@@ -129,7 +139,7 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
     covariant Hessian is folded into b1.
     """
     _, _, _, gamma, B = grids.chart_quantities(grid)
-    A2 = np.einsum("nki,nij,njl->nkl", B, lc.Gij, B)
+    A2 = B @ lc.Gij @ B
     b1 = np.einsum("nmi,ni->nm", B, lc.Gs) - np.einsum("nij,nijm->nm", A2, gamma)
     return A2, b1, lc.Gu.copy()
 

@@ -5,7 +5,9 @@ matrices), numpy.linalg.eigh (LAPACK) for n >= 3.  Eigenvalues are returned
 in descending order with an orthonormal eigenvector matrix Q such that
 a = Q diag(w) Q^T.  Repeated eigenvalues are fine: any orthonormal basis
 of the eigenspace is acceptable downstream (only first derivatives of
-spectral functions are ever needed).
+spectral functions are ever needed).  least_eigenvalue gives the smallest
+eigenvalue alone (numpy.linalg.eigvalsh for n >= 3) for the convexity check,
+which needs no eigenvectors.
 """
 
 import numpy as np
@@ -21,6 +23,21 @@ def eigh_descending(a):
         return _eigh2(a)
     w, Q = np.linalg.eigh(a)
     return w[..., ::-1], Q[..., ::-1]
+
+
+def least_eigenvalue(a):
+    """Smallest eigenvalue of each matrix in a batch of symmetric matrices.
+
+    a: (..., n, n) symmetric.  Returns (...,): the last eigenvalue that
+    eigh_descending would return, without computing eigenvectors.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 2:
+        p = a[..., 0, 0]
+        q = a[..., 1, 1]
+        # the w2 of _eigh2, so both routes agree bit for bit
+        return 0.5 * (p + q) - np.hypot(0.5 * (p - q), a[..., 0, 1])
+    return np.linalg.eigvalsh(a)[..., 0]
 
 
 def _eigh2(a):

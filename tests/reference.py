@@ -7,7 +7,10 @@ deformed-metric curvature matrices, the lowered-index metric forms, the mu u con
 chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
-route.  assemble_jacobian_coo builds the sparse Jacobian through a fresh COO
+route.  The solver forms its per-node products as batched matmul; the
+same contractions written as einsum (curvature_matrix_einsum,
+coefficients_u_einsum, to_coordinate_einsum and frame_jets) are their
+references.  assemble_jacobian_coo builds the sparse Jacobian through a fresh COO
 matrix, the reference for the cached CSC pattern.  The per-node loops at the
 end are the references for the batched boundary diagnostics.  Tests import this
 module the way they import conftest.
@@ -326,6 +329,57 @@ def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
         "monotone": bool(worst >= -tol),
         "min_t_derivative": float(min_deriv),
     }
+
+
+def curvature_matrix_einsum(state: GeometryState, r):
+    """state.a as a three-operand einsum: (-zeta' phi/w) gamma^{ik} (r + u d)_{kl} gamma^{lj}."""
+    u = state.u
+    coef = -state.ambient.zeta_prime_u(u) * state.phi / state.w
+    S = r + u[..., None, None] * np.eye(r.shape[-1])
+    a = coef[..., None, None] * np.einsum("...ik,...kl,...lj->...ij", state.gamma_up, S, state.gamma_up)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def coefficients_u_einsum(state: GeometryState, fi) -> LinearizedCoefficients:
+    """linearize.coefficients_u with every contraction written as one einsum.
+
+    Each formula is read straight off the index form in the linearize module
+    docstring, so gamma, a and Q need not be symmetric or orthogonal here:
+    a transposed operand in the library shows up on random matrices.
+    """
+    amb = state.ambient
+    u, p = state.u, state.p
+    phi, w = state.phi, state.w
+    zp = amb.zeta_prime_u(u)
+    zpp = amb.zeta_second_u(u)
+    php = amb.phi_prime_u(u)
+    gup, gmat_up, a, Q = state.gamma_up, state.g_up, state.a, state.eigvecs
+    F = np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
+    Fa = np.einsum("...ij,...qj->...iq", F, a)
+    trFa = np.einsum("...ii->...", Fa)
+    Gij = (-phi * zp / w)[..., None, None] * np.einsum("...ik,...kl,...jl->...ij", gup, F, gup)
+    gFap = np.einsum("...is,...iq,...q->...s", gup, Fa, p)
+    gaFp = np.einsum("...qs,...iq,...i->...s", gup, Fa, p)
+    Gs = (
+        -2.0 * (zp**2 / (w * (phi + w)))[..., None] * (w[..., None] * gFap + phi[..., None] * gaFp)
+        - (zp**2 / w**2)[..., None] * trFa[..., None] * p
+    )
+    t1 = np.einsum("...iq,...iq->...", (phi * php * zp)[..., None, None] * gmat_up, Fa)
+    t1 = t1 + (zp * zpp / w**2) * np.einsum("...i,...iq,...q->...", p, Fa, p)
+    Gu = (
+        -2.0 * t1
+        + (php * zp / phi - phi * php * zp / w**2 + phi**2 * zpp / (zp * w**2)) * trFa
+        - (phi * zp / w) * np.einsum("...ij,...ij->...", F, gmat_up)
+    )
+    return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gu)
+
+
+def to_coordinate_einsum(lc: LinearizedCoefficients, grid):
+    """(A2, b1) of linearize.to_coordinate: A2_kl = B_ki G^ij B_jl, b1 = B G^s - A2 : Gamma."""
+    _, _, _, gamma, B = grids.chart_quantities(grid)
+    A2 = np.einsum("nki,nij,njl->nkl", B, lc.Gij, B)
+    b1 = np.einsum("nmi,ni->nm", B, lc.Gs) - np.einsum("nij,nijm->nm", A2, gamma)
+    return A2, b1
 
 
 def assemble_jacobian_coo(grid, A2, b1, c) -> sp.csr_matrix:

@@ -11,6 +11,10 @@ A reference to name N defined in module M is one of
     local variable (``phi`` is a local in several functions and a field of
     GeometryState, so a bare count of names or attributes would miss that
     ``spaceform.phi`` has no caller).
+
+The other tests here pin single routes (LU, Newton, the leg driver, the
+statuses) and keep three-operand einsum contractions, several times slower
+than the same product as a chain of batched ``@``, out of the package.
 """
 
 import ast
@@ -301,3 +305,21 @@ def test_every_status_is_returned_and_documented():
     assert {"CONVERGED", "ADMISSIBILITY_LOSS", "STAGNATION"} <= set(statuses)
     assert sorted(set(statuses) - returned_names()) == []
     assert readme_statuses() == set(statuses.values())
+
+
+def many_operand_einsums():
+    """module:line of every einsum call in src/weingarten with three or more array operands."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "einsum"
+                    and len(node.args) - 1 >= 3):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_einsum_with_three_operands():
+    # per-node products of matrix stacks are chains of batched @; a
+    # three-operand einsum over (N, n, n) stacks takes two to seven times as long
+    assert many_operand_einsums() == []

@@ -1,5 +1,7 @@
 """Analytic coefficient blocks against finite differences; assembly checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,13 @@ from weingarten.symfunc import f_and_derivatives
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import (
     assemble_jacobian_coo,
+    coefficients_u_einsum,
+    curvature_matrix_einsum,
     deformed_monotonicity_check,
     frame_jets,
     gv_chain_rule,
     state_from_v_slots,
+    to_coordinate_einsum,
 )
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -295,6 +300,53 @@ def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
         ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="u", sf=E)
     with pytest.raises(SemanticError):
         ct.DiscreteOperator(cap_grid, 2, profile(E), rep="v", sf=H)
+
+
+# ------------------------------------ batched matmul against the einsum forms
+
+def _close(x, ref, rel=1e-13):
+    return np.max(np.abs(x - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_curvature_matrix_matches_einsum_reference(rng, n):
+    amb = profile(H)
+    u, p, r = random_admissible_slots(rng, n, amb, count=200)
+    r = r + 0.3 * rng.normal(size=r.shape)
+    st = state_from_u_slots(u, p, r, amb)
+    assert _close(st.a, curvature_matrix_einsum(st, r))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_u_blocks_match_einsum_reference(rng, n):
+    # gamma, a and Q without symmetry or orthogonality: a transposed operand fails
+    amb = profile(S)
+    u, p, r = random_admissible_slots(rng, n, amb, count=200)
+    st = state_from_u_slots(u, p, r, amb)
+    st = dataclasses.replace(
+        st, **{name: getattr(st, name) + 0.3 * rng.normal(size=st.a.shape)
+               for name in ("gamma_up", "a", "eigvecs")})
+    fi = rng.uniform(0.2, 1.0, p.shape)
+    lc, ref = linearize.coefficients_u(st, fi), coefficients_u_einsum(st, fi)
+    for x, y in ((lc.Gij, ref.Gij), (lc.Gs, ref.Gs), (lc.Gu, ref.Gu)):
+        assert _close(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_contractions_match_einsum_reference(rng, n):
+    # the cached frame B is made non-symmetric, so B H B and B^T H B differ
+    grid = grids.build_cap_domain(np.pi / 5, 0.12, n=n)
+    *rest, B = grids.chart_quantities(grid)
+    grid._jet_cache["chart_quantities"] = (*rest, B + 0.2 * rng.normal(size=B.shape))
+    u_full = random_admissible_u_field(grid, H, rng)
+    ev = ct.DiscreteOperator(grid, n, profile(H), rep="u", sf=H).evaluate(u_full, need_f=False)
+    assert _close(ev.r_u, frame_jets(grid, u_full)[2])
+    m = grid.n_interior
+    lc = linearize.LinearizedCoefficients(
+        Gij=rng.normal(size=(m, n, n)), Gs=rng.normal(size=(m, n)), Gu=rng.normal(size=m))
+    A2, b1, _ = linearize.to_coordinate(lc, grid)
+    A2_ref, b1_ref = to_coordinate_einsum(lc, grid)
+    assert _close(A2, A2_ref) and _close(b1, b1_ref)
 
 
 # -------------------------------------------------------------- assembly

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weingarten.errors import AdmissibilityError
-from weingarten.symeig import eigh_descending
+from weingarten.symeig import eigh_descending, least_eigenvalue
 from weingarten.symfunc import (
     all_sigmas,
     f_and_derivatives,
@@ -154,6 +154,21 @@ def test_eigh_repeated_eigenvalues_n3(rng):
     assert np.max(np.abs(recon - a)) < 1e-13
     orth = np.einsum("nki,nkj->nij", Q, Q)
     assert np.max(np.abs(orth - np.eye(3))) < 1e-13
+
+
+def test_least_eigenvalue_is_the_last_of_eigh(rng):
+    # bit for bit at n = 2 (the closed form), to rounding at n >= 3 (eigvalsh)
+    for n in (2, 3):
+        a = rng.normal(0.0, 1.0, (300, n, n))
+        a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        a = np.concatenate([a, np.broadcast_to(2.5 * np.eye(n), (2, n, n))])
+        lam, ref = least_eigenvalue(a), eigh_descending(a)[0][..., -1]
+        assert lam.shape == (302,)
+        if n == 2:
+            assert np.array_equal(lam, ref)
+        else:
+            assert np.max(np.abs(lam - ref)) < 1e-13
+        assert np.max(np.abs(lam[-2:] - 2.5)) < 1e-14
 
 
 def test_eigh2_repeated_eigenvalues():
