@@ -27,7 +27,7 @@ from .errors import AdmissibilityError, DomainRangeError, EvaluationError, Parse
 from .geometry import state_from_u_slots
 from .problems import build_problem, load_problem
 from .spaceform import SpaceFormParams, eta, profile, zeta
-from .symfunc import all_sigmas, f_and_derivatives
+from .symfunc import all_sigmas, f_and_derivatives, f_and_F
 
 LINCHECK_TOLERANCE = 1e-5  # max relative error of the analytic blocks against FD
 
@@ -247,7 +247,7 @@ def lincheck_report(spec, samples=50, seed=0):
         S = B @ B.T + 0.1 * np.eye(n)
         r = (S - u[0] * np.eye(n))[None]
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
         gu = float(lc.Gu[0])
         d = 1e-6
         fd_u = (G(r, p, u + d) - G(r, p, u - d)) / (2 * d)

@@ -53,8 +53,8 @@ from .spaceform import (
     xi_prime,
     zeta_inverse,
 )
-from .symeig import least_eigenvalue
-from .symfunc import f_and_derivatives, in_gamma_k
+from .symeig import least_eigenvalue, mm
+from .symfunc import f_and_derivatives, f_and_F, in_gamma_k
 
 CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
@@ -99,7 +99,9 @@ class ProblemSpec:
     psi_sigma maps a variable bundle (dict of per-node arrays) to the
     prescribed sigma_k value; boundary_rho and subsolution_rho are full node
     arrays of radial distances (boundary slots of boundary_rho are the
-    Dirichlet data; the subsolution keeps its own trace).
+    Dirichlet data; the subsolution keeps its own trace).  psi_reads_field is
+    False when psi reads the chart coordinates y_i only, so that its
+    derivatives in the field vanish.
     """
 
     sf: SpaceFormParams
@@ -108,6 +110,7 @@ class ProblemSpec:
     psi_sigma: object
     boundary_rho: np.ndarray
     subsolution_rho: np.ndarray
+    psi_reads_field: bool = True
 
     def __post_init__(self):
         n = self.grid.dim
@@ -180,7 +183,7 @@ class OperatorEval:
     r_u: np.ndarray
     state: object
     f: np.ndarray         # operator value f(kappa)
-    fi: np.ndarray        # its gradient f_i, which builds the linearization
+    F: np.ndarray         # its derivative df/da, which builds the linearization
     conv_min_eig: np.ndarray
     p_v_frame: np.ndarray | None = None
     r_v_frame: np.ndarray | None = None
@@ -224,7 +227,7 @@ class DiscreteOperator:
         val, p_coord, hess_cov = grids.covariant_jets(self.grid, full)
         _, _, _, _, B = grids.chart_quantities(self.grid)
         p_frame = np.einsum("nij,nj->ni", B, p_coord)
-        r_frame = B @ hess_cov @ B
+        r_frame = mm(mm(B, hess_cov), B)
         p_v = r_v = None
         if self.rep == "u":
             u, p_u, r_u = val, p_frame, r_frame
@@ -236,17 +239,17 @@ class DiscreteOperator:
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
         S = r_u + u[:, None, None] * np.eye(self.grid.dim)
         conv = least_eigenvalue(S)
-        f = fi = None
+        f = F = None
         if need_f:
             if np.min(conv) <= 0.0 and self.k == self.grid.dim:
                 return None
             try:
-                f, fi = f_and_derivatives(state.kappa, self.k)
+                f, F = f_and_F(state.a, self.k)
             except AdmissibilityError:
                 return None
         return OperatorEval(
             full=full, val=val, p_coord=p_coord, u=u, p_u=p_u, r_u=r_u,
-            state=state, f=f, fi=fi, conv_min_eig=conv, p_v_frame=p_v, r_v_frame=r_v,
+            state=state, f=f, F=F, conv_min_eig=conv, p_v_frame=p_v, r_v_frame=r_v,
         )
 
     def admissible(self, ev, margin):
@@ -254,15 +257,16 @@ class DiscreteOperator:
             return False
         if self.k == self.grid.dim:
             return bool(np.min(ev.conv_min_eig) >= margin)
-        return bool(np.all(in_gamma_k(ev.state.kappa, self.k)))
+        # f_and_F refused every state outside Gamma_k when it made ev.F
+        return ev.F is not None
 
     def blocks(self, ev) -> linearize.LinearizedCoefficients:
-        lc_u = linearize.coefficients_u(ev.state, ev.fi)
+        lc_u = linearize.coefficients_u(ev.state, ev.F)
         if self.rep == "u":
             return lc_u
         if self.ambient.curvature != self.sf.K:
             return linearize.exp_chain_blocks(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
-        return linearize.coefficients_v(ev.state, ev.fi, ev.val, ev.p_v_frame, self.sf, lc_u)
+        return linearize.coefficients_v(ev.state, ev.F, ev.val, ev.p_v_frame, self.sf, lc_u)
 
     def u_values_all_nodes(self, full):
         """u at every non-exterior node (for diagnostics over the closure)."""
@@ -307,16 +311,23 @@ class DiscreteOperator:
 # right-hand sides
 
 class PsiRhs:
-    """rhs = psi_hat(bundle); derivatives by scale-aware central differences."""
+    """rhs = psi_hat(bundle); derivatives by scale-aware central differences.
 
-    def __init__(self, psi_hat):
+    A psi that reads no field variable (reads_field False) has derivatives
+    exactly 0, which derivatives returns without evaluating psi.
+    """
+
+    def __init__(self, psi_hat, reads_field):
         self.psi_hat = psi_hat
+        self.reads_field = reads_field
 
     def evaluate(self, op, ev):
         return self.psi_hat(op.bundle(ev))
 
     def derivatives(self, op, ev):
         n = op.grid.dim
+        if not self.reads_field:
+            return np.zeros(ev.val.shape[0]), np.zeros((ev.val.shape[0], n))
         s = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
         d_val = (self.psi_hat(op.bundle(ev, dval=s)) - self.psi_hat(op.bundle(ev, dval=-s))) / (
             2.0 * s
@@ -893,7 +904,7 @@ def two_step_legs(spec: ProblemSpec):
     op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
     x_sub = v_sub[spec.grid.interior_ids]
     bridge = bridge_leg(op, spec.sf, eps, v_sub, _rho_to_v(spec.sf, spec.boundary_rho), x_sub)
-    v_data, psi = bridge.boundary_at(1.0), PsiRhs(spec.psi_hat)
+    v_data, psi = bridge.boundary_at(1.0), PsiRhs(spec.psi_hat, spec.psi_reads_field)
     legs = [
         stage1_leg("stage1", op, spec.sf, plan["q"], eps, v_sub),
         bridge,
@@ -982,7 +993,7 @@ def sphere_legs(spec: ProblemSpec):
     k0 = SpaceFormParams(0)
     op0 = DiscreteOperator(grid, spec.k, profile(k0), rep="v", sf=k0)
     q0 = _xi_ratio(op0, v_sub)
-    psi = PsiRhs(spec.psi_hat)
+    psi = PsiRhs(spec.psi_hat, spec.psi_reads_field)
     op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
 
     def op_t(t):

@@ -11,7 +11,12 @@ orthonormal frame components, so the frame formulas apply verbatim:
 with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
 Principal curvatures are the eigenvalues of a, sorted descending; the graph is
-strictly locally convex iff Hess u + u d > 0.  This is the one state route:
+strictly locally convex iff Hess u + u d > 0.  kappa and its eigenvectors are
+computed on first read: the Newton iteration reads only a (symfunc.f_and_F),
+so only step records, diagnostics and the CLI pay an eigensolve.  The
+per-node products are symeig.mm, written out over the small matrices.
+
+This is the one state route:
 v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a
 stored rho field is read as u = zeta^-1(rho) and differentiated as u.  The
 lowered-index g_ij, gamma_ij and second fundamental form, which the solver
@@ -19,6 +24,7 @@ never reads, are written out in tests/reference.py for the identity tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .spaceform import (
     eta_prime,
     eta_second,
 )
-from .symeig import eigh_descending
+from .symeig import eigh_descending, mm
 
 
 @dataclass
@@ -44,13 +50,27 @@ class GeometryState:
     g_up: np.ndarray
     gamma_up: np.ndarray
     a: np.ndarray
-    kappa: np.ndarray        # (N, n) descending
-    eigvecs: np.ndarray      # (N, n, n), a = Q diag(kappa) Q^T
     tau: np.ndarray          # support function
 
     @property
     def dim(self):
         return self.p.shape[-1]
+
+    # kappa and eigvecs come from one eigensolve, each kept unless already set
+
+    @cached_property
+    def kappa(self):
+        """(N, n) principal curvatures, descending; assignable like a field."""
+        kappa, eigvecs = eigh_descending(self.a)
+        self.__dict__.setdefault("eigvecs", eigvecs)
+        return kappa
+
+    @cached_property
+    def eigvecs(self):
+        """(N, n, n) Q with a = Q diag(kappa) Q^T; assignable like a field."""
+        kappa, eigvecs = eigh_descending(self.a)
+        self.__dict__.setdefault("kappa", kappa)
+        return eigvecs
 
 
 def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
@@ -70,14 +90,13 @@ def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
     gamma_up = (eye - (zp**2 / (w * (phi + w)))[..., None, None] * pp) / phi[..., None, None]
     S = r + u[..., None, None] * eye
     coef = (-zp * phi / w)[..., None, None]
-    a = coef * (gamma_up @ S @ gamma_up)
+    a = coef * mm(mm(gamma_up, S), gamma_up)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    kappa, Q = eigh_descending(a)
     # tau = phi^2 / sqrt(phi^2 + |grad rho|^2) with grad rho = zeta' grad u
     tau = phi**2 / w
     return GeometryState(
         ambient=ambient, u=u, p=p, phi=phi, w=w, g_up=g_up, gamma_up=gamma_up,
-        a=a, kappa=kappa, eigvecs=Q, tau=tau,
+        a=a, tau=tau,
     )
 
 

@@ -298,7 +298,8 @@ def fd_jets(grid, values):
     center = vbox[:, grid.box.shape[1] // 2].copy()
     vbox = vbox - center[:, None]
     grad = vbox @ W1.T
-    hess = np.einsum("nm,klm->nkl", vbox, W2)
+    n = W2.shape[0]
+    hess = (vbox @ W2.reshape(n * n, -1).T).reshape(-1, n, n)
     return center, grad, hess
 
 

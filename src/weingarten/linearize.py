@@ -10,15 +10,16 @@ derivative blocks are closed-form:
              + (phi' zeta'/phi - phi phi' zeta'/w^2 + phi^2 zeta''/(zeta' w^2)) F^{ij} a_{ij}
              - (phi zeta'/w) F^{ij} g^{ij}
 
-with w = sqrt(phi^2 + zeta'^2 |Du|^2) and F^{ij} the spectral derivative of f.
+with w = sqrt(phi^2 + zeta'^2 |Du|^2) and F^{ij} = df/da_ij, which
+symfunc.f_and_F gives from a without an eigensolve.
 The v-representation blocks follow by the pointwise chain rule u = eta(v),
 except the zero-order one, which has its own closed form
 
-    Gv = (K/(w_v eta')) sum f_i + (eta/eta') F^{ij} a_{ij},   w_v = sqrt(1+|Dv|^2).
+    Gv = (K/(w_v eta')) tr F + (eta/eta') F^{ij} a_{ij},   w_v = sqrt(1+|Dv|^2).
 
 All formulas are in orthonormal frame components; `to_coordinate` converts the
 blocks for assembly against plain finite-difference stencils.  The index sums
-run as batched matmul on the (N, n, n) stacks: F = Q diag(f_i) Q^T,
+run as products of the (N, n, n) stacks written out by symeig.mm:
 G^{ij} from gamma F gamma^T, the two G^s sums as gamma^T (F a^T) p and
 gamma^T (F a^T)^T p, and A2 = B G B; tests/reference.py keeps them as einsum.
 """
@@ -31,6 +32,7 @@ import scipy.sparse as sp
 from . import grids
 from .geometry import GeometryState
 from .spaceform import SpaceFormParams, eta, eta_prime, eta_second
+from .symeig import mm
 
 
 @dataclass
@@ -47,10 +49,10 @@ def _T(m):
     return np.swapaxes(m, -1, -2)
 
 
-def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
+def coefficients_u(state: GeometryState, F) -> LinearizedCoefficients:
     """Closed-form blocks for the u-representation operator.
 
-    fi is the gradient f_i of f at state.kappa, as f_and_derivatives returns it.
+    F is the (N, n, n) derivative df/da at state.a, as f_and_F returns it.
     """
     amb = state.ambient
     u, p = state.u, state.p
@@ -59,17 +61,15 @@ def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
     zpp = amb.zeta_second_u(u)
     php = amb.phi_prime_u(u)
     gup, gmat_up, a = state.gamma_up, state.g_up, state.a
-    Q = state.eigvecs
-    F = (Q * fi[..., None, :]) @ _T(Q)
-    Fa = F @ _T(a)
+    Fa = mm(F, _T(a))
     trFa = np.einsum("...ii->...", Fa)
 
-    Gij = (-phi * zp / w)[..., None, None] * (gup @ F @ _T(gup))
+    Gij = (-phi * zp / w)[..., None, None] * mm(mm(gup, F), _T(gup))
 
     pc = p[..., None]         # p as a column of each stack
-    Fap = Fa @ pc
-    gFap = (_T(gup) @ Fap)[..., 0]
-    gaFp = (_T(gup) @ (_T(Fa) @ pc))[..., 0]
+    Fap = mm(Fa, pc)
+    gFap = mm(_T(gup), Fap)[..., 0]
+    gaFp = mm(_T(gup), mm(_T(Fa), pc))[..., 0]
     Gs = (
         -2.0 * (zp**2 / (w * (phi + w)))[..., None] * (w[..., None] * gFap + phi[..., None] * gaFp)
         - (zp**2 / w**2)[..., None] * trFa[..., None] * p
@@ -85,12 +85,12 @@ def coefficients_u(state: GeometryState, fi) -> LinearizedCoefficients:
     return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gu)
 
 
-def coefficients_v(state: GeometryState, fi, v, p_v, sf: SpaceFormParams,
+def coefficients_v(state: GeometryState, F, v, p_v, sf: SpaceFormParams,
                    lc_u: LinearizedCoefficients) -> LinearizedCoefficients:
     """v-representation blocks: chain rule for Gij/Gs, closed form for Gv.
 
     `state` must be the state of the same graph built through the u-route
-    (u = eta(v)), fi its f_i and `lc_u` its u-blocks.
+    (u = eta(v)), F its df/da and `lc_u` its u-blocks.
     """
     ep = eta_prime(sf, v)
     epp = eta_second(sf, v)
@@ -98,17 +98,20 @@ def coefficients_v(state: GeometryState, fi, v, p_v, sf: SpaceFormParams,
     Gs = ep[..., None] * lc_u.Gs + 2.0 * epp[..., None] * np.einsum(
         "...ij,...j->...i", lc_u.Gij, p_v
     )
-    Gv = gv_closed_form(state, fi, v, p_v, sf)
+    Gv = gv_closed_form(state, F, v, p_v, sf)
     return LinearizedCoefficients(Gij=Gij, Gs=Gs, Gu=Gv)
 
 
-def gv_closed_form(state: GeometryState, fi, v, p_v, sf: SpaceFormParams):
-    """Gv = (K/(w_v eta')) sum f_i + (eta/eta') sum f_i kappa_i."""
+def gv_closed_form(state: GeometryState, F, v, p_v, sf: SpaceFormParams):
+    """Gv = (K/(w_v eta')) sum f_i + (eta/eta') sum f_i kappa_i.
+
+    sum f_i = tr F and sum f_i kappa_i = F : a, so no eigenvalue is needed.
+    """
     ev = eta(sf, v)
     ep = eta_prime(sf, v)
     wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
-    sum_fi = np.einsum("...i->...", fi)
-    sum_fk = np.einsum("...i,...i->...", fi, state.kappa)
+    sum_fi = np.einsum("...ii->...", F)
+    sum_fk = np.einsum("...ij,...ij->...", F, state.a)
     return sf.K / (wv * ep) * sum_fi + (ev / ep) * sum_fk
 
 
@@ -139,7 +142,7 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
     covariant Hessian is folded into b1.
     """
     _, _, _, gamma, B = grids.chart_quantities(grid)
-    A2 = B @ lc.Gij @ B
+    A2 = mm(mm(B, lc.Gij), B)
     b1 = np.einsum("nmi,ni->nm", B, lc.Gs) - np.einsum("nij,nijm->nm", A2, gamma)
     return A2, b1, lc.Gu.copy()
 

@@ -34,8 +34,13 @@ _SECTION_KEYS = {
 _GEOM_VARS = {"rho", "u", "v", "gradnorm", "nu_rad"}
 
 
+def _position_vars(n):
+    """The chart coordinates: what a graph over the chart may reference."""
+    return {f"y{i+1}" for i in range(n)}
+
+
 def _point_vars(n):
-    out = {f"y{i+1}" for i in range(n)}
+    out = _position_vars(n)
     out |= {f"p{i+1}" for i in range(n)}
     out |= {f"nu_tan{i+1}" for i in range(n)}
     return out
@@ -142,7 +147,7 @@ def _validate(raw) -> ProblemFile:
         if bad:
             raise SemanticError(f"[{label}] references unknown variable(s) {sorted(bad)}")
     # boundary / subsolution / exact are graphs over the chart: position only
-    pos_only = _point_vars(n) - {f"p{i+1}" for i in range(n)} - {f"nu_tan{i+1}" for i in range(n)}
+    pos_only = _position_vars(n)
     for label, expr in (("boundary", boundary),):
         bad = expr.variables - pos_only
         if bad:
@@ -286,6 +291,7 @@ def build_problem(pf: ProblemFile, h_override=None):
     spec = ProblemSpec(
         sf=sf, k=pf.curvature_order, grid=grid,
         psi_sigma=pf.psi.evaluate,
+        psi_reads_field=bool(pf.psi.variables - _position_vars(grid.dim)),
         boundary_rho=rho_data, subsolution_rho=rho_sub,
     )
     cfg = HomotopyConfig(**pf.solver)

@@ -7,7 +7,9 @@ a = Q diag(w) Q^T.  Repeated eigenvalues are fine: any orthonormal basis
 of the eigenspace is acceptable downstream (only first derivatives of
 spectral functions are ever needed).  least_eigenvalue gives the smallest
 eigenvalue alone (numpy.linalg.eigvalsh for n >= 3) for the convexity check,
-which needs no eigenvectors.
+which needs no eigenvectors.  mm multiplies stacks of these small matrices
+entry by entry: on 2x2 stacks numpy's matmul loop takes two to six times as
+long, on 3x3 stacks about as long.
 """
 
 import numpy as np
@@ -23,6 +25,24 @@ def eigh_descending(a):
         return _eigh2(a)
     w, Q = np.linalg.eigh(a)
     return w[..., ::-1], Q[..., ::-1]
+
+
+def mm(A, B):
+    """A @ B for stacks of small matrices, written out over the last two axes.
+
+    A: (..., n, m), B: (..., m, p); the leading axes broadcast.  Each entry is
+    one multiply-add over the stack per term, the inner index summed in
+    order; transposed views are fine.
+    """
+    n, m, p = A.shape[-2], A.shape[-1], B.shape[-1]
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (n, p))
+    for i in range(n):
+        for j in range(p):
+            s = A[..., i, 0] * B[..., 0, j]
+            for l in range(1, m):
+                s += A[..., i, l] * B[..., l, j]
+            out[..., i, j] = s
+    return out
 
 
 def least_eigenvalue(a):

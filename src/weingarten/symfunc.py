@@ -4,11 +4,18 @@ All routines are batched over a leading axis of states; kappa arrays have
 shape (..., n).  sigma_k is evaluated by the incremental-product recurrence
 (coefficients of prod (x + kappa_i)), which is stable for the small n used
 here and avoids subset enumeration.
+
+f_and_F works on the curvature matrix a itself: the derivative of
+f = sigma_k(kappa(a))^{1/k} in a is (1/k) sigma_k^{1/k-1} T_{k-1}(a), with
+the Newton tensor T_{k-1}(a) = sum_j (-1)^j sigma_{k-1-j} a^j (Reilly 1973),
+a polynomial in a, so the Newton iteration needs no eigendecomposition.
+For k = n, T_{n-1} is the adjugate of a and sigma_n its determinant.
 """
 
 import numpy as np
 
 from .errors import AdmissibilityError
+from .symeig import mm
 
 
 def all_sigmas(kappa):
@@ -76,3 +83,86 @@ def f_and_derivatives(kappa, k):
     f = sk ** (1.0 / k)
     fi = (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_km1_drop(kappa, k)
     return f, fi
+
+
+def f_and_F(a, k):
+    """f = sigma_k^{1/k} of the eigenvalues of a, and the matrix F = df/da.
+
+    a: (..., n, n) symmetric.  Returns f: (...) and F: (..., n, n), with
+    F = Q diag(f_i) Q^T for a = Q diag(kappa) Q^T, computed from the entries
+    of a.  For k = n and n <= 3, T_{n-1} is the adjugate from the 2x2
+    cofactors and sigma_n the determinant; power traces would lose the sign
+    of a small sigma_n to cancellation.  Otherwise sigma_1..sigma_k come
+    from the power traces tr(a^j) by Newton's identities.  Raises
+    AdmissibilityError when any state leaves Gamma_k, as f_and_derivatives
+    does.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    if k == n and n in (2, 3):
+        sig, T = _det_adjugate(a)
+    else:
+        sig, T = _newton_tensor(a, k)
+    outside = ~np.all(sig[..., 1:k + 1] > 0.0, axis=-1)
+    if np.any(outside):
+        raise AdmissibilityError(
+            f"kappa outside Gamma_{k} at {np.count_nonzero(outside)} state(s); "
+            f"first index {np.argwhere(outside)[0]}"
+        )
+    sk = sig[..., k]
+    f = sk ** (1.0 / k)
+    F = ((1.0 / k) * sk ** (1.0 / k - 1.0))[..., None, None] * T
+    return f, F
+
+
+def _det_adjugate(a):
+    """(sigma_0..sigma_n, adj a) of symmetric 2x2 or 3x3 stacks, by cofactors."""
+    sig = np.empty(a.shape[:-2] + (a.shape[-1] + 1,))
+    sig[..., 0] = 1.0
+    sig[..., 1] = np.trace(a, axis1=-2, axis2=-1)
+    adj = np.empty(a.shape)
+    if a.shape[-1] == 2:
+        adj[..., 0, 0] = a[..., 1, 1]
+        adj[..., 1, 1] = a[..., 0, 0]
+        adj[..., 0, 1] = -a[..., 0, 1]
+        adj[..., 1, 0] = -a[..., 1, 0]
+        sig[..., 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        return sig, adj
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            # cyclic indices give the cofactor of a_ij with its sign
+            adj[..., j, i] = a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+    sig[..., 2] = adj[..., 0, 0] + adj[..., 1, 1] + adj[..., 2, 2]
+    # a_ii det a = adj_jj adj_kk - adj_jk adj_kj (Desnanot-Jacobi) at the largest
+    # a_ii: near a singular a its rounding error is hundreds of times smaller
+    # than a row of cofactors gives.  A largest a_ii <= 0 means tr a <= 0, outside.
+    minors = np.stack([adj[..., j, j] * adj[..., k, k] - adj[..., j, k] * adj[..., k, j]
+                       for j, k in ((1, 2), (2, 0), (0, 1))], axis=-1)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    i = np.argmax(diag, axis=-1)[..., None]
+    sig[..., 3] = (np.take_along_axis(minors, i, -1) / np.take_along_axis(diag, i, -1))[..., 0]
+    return sig, adj
+
+
+def _newton_tensor(a, k):
+    """(sigma_0..sigma_k, T_{k-1}(a)) from the power traces p_j = tr(a^{j-1} a).
+
+    Newton's identities: j sigma_j = sum_{i=1}^{j} (-1)^{i-1} sigma_{j-i} p_i.
+    """
+    powers = [np.broadcast_to(np.eye(a.shape[-1]), a.shape)]     # a^0 .. a^{k-1}
+    for _ in range(1, k):
+        powers.append(mm(powers[-1], a))
+    p = [None] + [np.einsum("...ij,...ji->...", m, a) for m in powers]
+    sig = np.empty(a.shape[:-2] + (k + 1,))
+    sig[..., 0] = 1.0
+    for j in range(1, k + 1):
+        acc = sig[..., j - 1] * p[1]
+        for i in range(2, j + 1):
+            acc = acc + (-1.0) ** (i - 1) * sig[..., j - i] * p[i]
+        sig[..., j] = acc / j
+    T = sig[..., k - 1, None, None] * powers[0]
+    for j in range(1, k):
+        T = T + ((-1.0) ** j * sig[..., k - 1 - j])[..., None, None] * powers[j]
+    return sig, T

@@ -1,5 +1,7 @@
 """Shared generators for randomized admissible states and fields."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def random_admissible_u_field(grid, sf: SpaceFormParams, rng, base=None, amp=0.1
                 return u
         amp *= 0.5
     raise AssertionError("could not build an admissible random field")
+
+
+def refuse_eigensolves(monkeypatch):
+    """Make every binding of symeig.eigh_descending in the package raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve where none is needed")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weingarten") and hasattr(module, "eigh_descending"):
+            monkeypatch.setattr(module, "eigh_descending", refuse)
 
 
 @pytest.fixture

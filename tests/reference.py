@@ -7,13 +7,15 @@ deformed-metric curvature matrices, the lowered-index metric forms, the mu u con
 chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
-route.  The solver forms its per-node products as batched matmul; the
+route.  The solver writes its per-node products out entry by entry
+(symeig.mm) and takes F^{ij} from the Newton tensor (symfunc.f_and_F); the
 same contractions written as einsum (curvature_matrix_einsum,
-coefficients_u_einsum, to_coordinate_einsum and frame_jets) are their
-references.  assemble_jacobian_coo builds the sparse Jacobian through a fresh COO
-matrix, the reference for the cached CSC pattern.  The per-node loops at the
-end are the references for the batched boundary diagnostics.  Tests import this
-module the way they import conftest.
+coefficients_u_einsum, to_coordinate_einsum and frame_jets) and F_matrix,
+from the eigendecomposition, are their references.  assemble_jacobian_coo
+builds the sparse Jacobian through a fresh COO matrix, the reference for the
+cached CSC pattern.  The per-node loops at the end are the references for the
+batched boundary diagnostics.  Tests import this module the way they import
+conftest.
 """
 
 import numpy as np
@@ -340,12 +342,12 @@ def curvature_matrix_einsum(state: GeometryState, r):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def coefficients_u_einsum(state: GeometryState, fi) -> LinearizedCoefficients:
+def coefficients_u_einsum(state: GeometryState, F) -> LinearizedCoefficients:
     """linearize.coefficients_u with every contraction written as one einsum.
 
     Each formula is read straight off the index form in the linearize module
-    docstring, so gamma, a and Q need not be symmetric or orthogonal here:
-    a transposed operand in the library shows up on random matrices.
+    docstring, so gamma, a and F need not be symmetric here: a transposed
+    operand in the library shows up on random matrices.
     """
     amb = state.ambient
     u, p = state.u, state.p
@@ -353,8 +355,7 @@ def coefficients_u_einsum(state: GeometryState, fi) -> LinearizedCoefficients:
     zp = amb.zeta_prime_u(u)
     zpp = amb.zeta_second_u(u)
     php = amb.phi_prime_u(u)
-    gup, gmat_up, a, Q = state.gamma_up, state.g_up, state.a, state.eigvecs
-    F = np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
+    gup, gmat_up, a = state.gamma_up, state.g_up, state.a
     Fa = np.einsum("...ij,...qj->...iq", F, a)
     trFa = np.einsum("...ii->...", Fa)
     Gij = (-phi * zp / w)[..., None, None] * np.einsum("...ik,...kl,...jl->...ij", gup, F, gup)

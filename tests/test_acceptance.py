@@ -23,7 +23,7 @@ from weingarten.spaceform import (
     zeta,
     zeta_inverse,
 )
-from weingarten.symfunc import all_sigmas, f_and_derivatives, in_gamma_k
+from weingarten.symfunc import all_sigmas, f_and_derivatives, f_and_F, in_gamma_k
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import deformed_monotonicity_check, frame_jets, lowered_forms
 
@@ -195,7 +195,7 @@ def test_criterion_03_linearization_oracle():
 
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
         d = 1e-6
         fd_u = (G(u + d, p, r) - G(u - d, p, r)) / (2 * d)
         worst = max(worst, float(np.max(np.abs(fd_u - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu)))))
@@ -222,7 +222,7 @@ def test_criterion_03_linearization_oracle():
         v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
         uu, pu, ru = v_slots_to_u(v, p_v, r_v, sf)
         stv = state_from_u_slots(uu, pu, ru, amb)
-        gv = linearize.gv_closed_form(stv, f_and_derivatives(stv.kappa, k)[1], v, p_v, sf)
+        gv = linearize.gv_closed_form(stv, f_and_F(stv.a, k)[1], v, p_v, sf)
 
         def Gv(vv):
             a, b, c = v_slots_to_u(vv, p_v, r_v, sf)
@@ -251,7 +251,7 @@ def test_criterion_04_zero_order_sign():
             st = state_from_u_slots(u[keep], pu[keep], ru[keep], profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
+            gv = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
             margin = max(margin, float(np.max(gv - psi_z * xi_prime(sf, v))))
             total += int(keep.sum())
         total = 0 if sf.K == 0 else total

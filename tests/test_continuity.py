@@ -13,7 +13,7 @@ from weingarten import grids, problems
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
-from conftest import random_admissible_u_field
+from conftest import random_admissible_u_field, refuse_eigensolves
 from reference import ConstantRhs, hopf_boundary_loop
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -205,8 +205,9 @@ def test_newton_rejects_inadmissible_start():
     assert res.status in (ct.ADMISSIBILITY_LOSS, ct.MAX_ITERATIONS)
 
 
-def test_newton_experimental_k1():
-    # k < n single solve: mean-curvature-type equation f = sigma_1 on a graph
+def test_newton_experimental_k1(monkeypatch):
+    # k < n single solve: mean-curvature-type equation f = sigma_1 on a graph.
+    # Its admissibility is the cone test f_and_F made, so no eigensolve runs
     g = cap()
     spec = ct.ProblemSpec(
         sf=E, k=1, grid=g, psi_sigma=const_psi(1.0),
@@ -215,9 +216,81 @@ def test_newton_experimental_k1():
     )
     v_full = np.full(g.n_nodes, 0.0)  # u = 1, kappa = (1,1), sigma_1 = 2
     field = grids.GraphField(g, v_full, "v")
-    rhs = ConstantRhs(np.full(g.n_interior, 2.0))
-    out, res = ct.newton_solve(spec, rhs, field)
-    assert res.status == ct.CONVERGED
+    refuse_eigensolves(monkeypatch)
+    for value in (2.0, 2.2):
+        out, res = ct.newton_solve(spec, ConstantRhs(np.full(g.n_interior, value)), field)
+        assert res.status == ct.CONVERGED
+    assert res.iterations > 0
+
+
+PSI_TEMPLATE = """
+space_form = {K}
+curvature_order = {n}
+dimension = {n}
+
+[domain]
+kind = cap
+theta0 = 0.6283185307179586
+h = {h}
+
+[psi]
+expr = {expr}
+
+[boundary]
+rho = 0.7
+
+[subsolution]
+rho = 0.7
+"""
+
+
+def psi_case(expr, K=-1, n=2, h=0.1):
+    """(spec, operator, evaluation at a bumped geodesic sphere) with psi = expr."""
+    pf = problems.parse_problem(PSI_TEMPLATE.format(K=K, n=n, h=h, expr=expr))
+    spec, _, _ = problems.build_problem(pf)
+    sf, g = spec.sf, spec.grid
+    op = ct.DiscreteOperator(g, n, profile(sf), rep="v", sf=sf)
+    u = zeta_inverse(sf, spec.subsolution_rho) * (1.0 + 0.02 * np.cos(g.coords @ np.ones(n)))
+    return spec, op, op.evaluate(eta_inverse(sf, u))
+
+
+def counted(psi_hat):
+    """psi_hat with a list of the bundles it was called on."""
+    calls = []
+
+    def psi(bundle):
+        calls.append(bundle)
+        return psi_hat(bundle)
+
+    return psi, calls
+
+
+@pytest.mark.parametrize("expr", ["1", "2 + y1^2"])
+def test_psi_of_chart_coordinates_is_not_differenced(expr):
+    spec, op, ev = psi_case(expr)
+    assert not spec.psi_reads_field
+    psi, calls = counted(spec.psi_hat)
+    d_val, d_p = ct.PsiRhs(psi, spec.psi_reads_field).derivatives(op, ev)
+    assert calls == []
+    assert np.all(d_val == 0.0) and np.all(d_p == 0.0)
+    assert d_val.shape == ev.val.shape and d_p.shape == ev.p_coord.shape
+
+
+def test_psi_of_the_normal_is_differenced():
+    # n = 3, psi = c nu_rad^2: the central differences in v and each p_i
+    spec, op, ev = psi_case("4.529978038745476 * nu_rad^2", n=3, h=0.2)
+    assert spec.psi_reads_field
+    psi, calls = counted(spec.psi_hat)
+    d_val, d_p = ct.PsiRhs(psi, spec.psi_reads_field).derivatives(op, ev)
+    assert len(calls) == 2 + 2 * 3
+    psi_at = lambda **shift: spec.psi_hat(op.bundle(ev, **shift))
+    s = ct.PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
+    assert np.array_equal(d_val, (psi_at(dval=s) - psi_at(dval=-s)) / (2.0 * s))
+    assert np.any(d_val != 0.0)
+    for i in range(3):
+        dp = np.zeros_like(ev.p_coord)
+        dp[:, i] = ct.PSI_FD_STEP * np.maximum(1.0, np.abs(ev.p_coord[:, i]))
+        assert np.array_equal(d_p[:, i], (psi_at(dp=dp) - psi_at(dp=-dp)) / (2.0 * dp[:, i]))
 
 
 # ------------------------------------------------------------ stage drivers

@@ -13,13 +13,23 @@ A reference to name N defined in module M is one of
     ``spaceform.phi`` has no caller).
 
 The other tests here pin single routes (LU, Newton, the leg driver, the
-statuses) and keep three-operand einsum contractions, several times slower
-than the same product as a chain of batched ``@``, out of the package.
+statuses) and keep three-operand einsum contractions out of the package,
+and batched ``@`` and eigensolves out of the Newton hot path, where the
+products written out (symeig.mm) and the Newton tensor (symfunc.f_and_F)
+take their place.
 """
 
 import ast
 import functools
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from weingarten import continuity as ct
+from weingarten import grids, linearize
+from weingarten.spaceform import SpaceFormParams, eta_inverse, profile, zeta_inverse
+from conftest import refuse_eigensolves
 
 PACKAGE = "weingarten"
 SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
@@ -323,3 +333,34 @@ def test_no_einsum_with_three_operands():
     # per-node products of matrix stacks are chains of batched @; a
     # three-operand einsum over (N, n, n) stacks takes two to seven times as long
     assert many_operand_einsums() == []
+
+
+def hot_path_matmuls():
+    """module:line of every @ in geometry, linearize and DiscreteOperator's methods."""
+    roots = [("geometry", _tree(SRC / "geometry.py")), ("linearize", _tree(SRC / "linearize.py"))]
+    roots += [("continuity", s) for s in _tree(SRC / "continuity.py").body
+              if isinstance(s, ast.ClassDef) and s.name == "DiscreteOperator"]
+    return [f"{stem}:{node.lineno}" for stem, root in roots for node in ast.walk(root)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+
+
+def test_no_matmul_in_the_newton_hot_path():
+    # numpy's matmul loop takes two to six times as long as symeig.mm on
+    # stacks of 2x2 matrices
+    assert hot_path_matmuls() == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_work_runs_without_an_eigensolve(monkeypatch, n):
+    # evaluation, blocks and coordinate conversion read a, never kappa
+    refuse_eigensolves(monkeypatch)
+    sf = SpaceFormParams(-1)
+    grid = grids.build_cap_domain(np.pi / 5, 0.1 if n == 2 else 0.2, n=n)
+    bump = 1.0 + 0.01 * np.cos(grid.coords @ np.linspace(1.0, -0.5, n))
+    u = zeta_inverse(sf, np.full(grid.n_nodes, 0.7)) * bump
+    for rep, field in (("u", u), ("v", eta_inverse(sf, u))):
+        op = ct.DiscreteOperator(grid, n, profile(sf), rep=rep, sf=sf)
+        ev = op.evaluate(field)
+        assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
+        A2, b1, c = linearize.to_coordinate(op.blocks(ev), grid)
+        assert np.all(np.isfinite(A2)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(c))

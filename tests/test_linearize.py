@@ -17,7 +17,7 @@ from weingarten.spaceform import (
     xi,
     xi_prime,
 )
-from weingarten.symfunc import f_and_derivatives
+from weingarten.symfunc import f_and_derivatives, f_and_F
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import (
     assemble_jacobian_coo,
@@ -64,7 +64,7 @@ def test_u_blocks_match_fd(rng, sf):
     for n, k in ((2, 2), (3, 3), (3, 2)):
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, k)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -76,7 +76,7 @@ def test_deformed_blocks_match_fd(rng):
         amb = profile_deformed(t)
         u, p, r = random_admissible_slots(rng, 2, amb, count=40)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, 2)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -89,7 +89,7 @@ def test_gs_vanishes_at_zero_gradient(rng):
         u, _, r = random_admissible_slots(rng, 2, amb, count=10)
         p = np.zeros((10, 2))
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
         assert np.max(np.abs(lc.Gs)) < 1e-14
 
 
@@ -98,7 +98,7 @@ def test_gij_positive_definite(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=100)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
         assert np.min(np.linalg.eigvalsh(lc.Gij)) > 0
 
 
@@ -108,7 +108,7 @@ def test_gu_bound_from_trace(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=200)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
         ratio = np.abs(lc.Gu) / (1.0 + np.einsum("nii->n", lc.Gij))
         assert np.all(np.isfinite(ratio))
         assert ratio.max() < 50.0  # states are drawn from a bounded C^1 box
@@ -139,8 +139,8 @@ def test_v_blocks_match_fd(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    fi = f_and_derivatives(st.kappa, k)[1]
-    lc = linearize.coefficients_v(st, fi, v, p_v, sf, linearize.coefficients_u(st, fi))
+    F = f_and_F(st.a, k)[1]
+    lc = linearize.coefficients_v(st, F, v, p_v, sf, linearize.coefficients_u(st, F))
     d = 1e-6
     fd_v = (gv_value(v + d, p_v, r_v, sf, k) - gv_value(v - d, p_v, r_v, sf, k)) / (2 * d)
     assert np.max(np.abs(fd_v - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu))) < 1e-5
@@ -167,8 +167,8 @@ def test_gv_closed_form_vs_chain_rule(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    lc_u = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
-    gv_closed = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
+    lc_u = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+    gv_closed = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
     gv_chain = gv_chain_rule(lc_u, sf, v, p_v, r_v)
     assert np.max(np.abs(gv_closed - gv_chain)) < 1e-9 * max(1.0, np.max(np.abs(gv_closed)))
 
@@ -196,7 +196,7 @@ def test_exp_chain_blocks_match_fd(rng):
     keep = st.kappa[:, -1] > 5e-2
     v, p_v, r_v, u, p_u, r_u = (a[keep] for a in (v, p_v, r_v, u, p_u, r_u))
     st = state_from_u_slots(u, p_u, r_u, amb)
-    lc_u = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
+    lc_u = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
     lc = linearize.exp_chain_blocks(lc_u, u, p_v, r_v)
     d = 1e-6
     fd_v = (val(v + d, p_v, r_v) - val(v - d, p_v, r_v)) / (2 * d)
@@ -220,7 +220,7 @@ def test_zero_order_sign_property(rng):
             st = state_from_u_slots(u, p_u, r_u, profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_derivatives(st.kappa, 2)[1], v, p_v, sf)
+            gv = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
             margins.append(np.max(gv - psi_z * xi_prime(sf, v)))
         assert max(margins) < 0.0
 
@@ -259,7 +259,7 @@ def test_monotonicity_zero_gradient_is_flat(rng):
 
 @pytest.mark.parametrize("case", ["u", "v", "exp_eta"])
 def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
-    # f_i comes with the operator evaluation; the blocks never recompute it
+    # F comes with the operator evaluation; the blocks never recompute it
     sf = E if case == "exp_eta" else H
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     if case == "u":
@@ -273,10 +273,11 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
     assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("f_and_derivatives called while building blocks")
+        raise AssertionError("f or its derivative computed while building blocks")
 
     for module in (symfunc, ct):
         monkeypatch.setattr(module, "f_and_derivatives", refuse)
+        monkeypatch.setattr(module, "f_and_F", refuse)
     lc = op.blocks(ev)
     assert np.all(np.isfinite(lc.Gu)) and np.min(np.linalg.eigvalsh(lc.Gij)) > 0
 
@@ -288,9 +289,9 @@ def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
     for t, expect in ((0.0, linearize.coefficients_v), (0.5, linearize.exp_chain_blocks)):
         op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(t), rep="v", sf=E)
         ev = op.evaluate(x)
-        lc_u = linearize.coefficients_u(ev.state, ev.fi)
+        lc_u = linearize.coefficients_u(ev.state, ev.F)
         if expect is linearize.coefficients_v:
-            ref = expect(ev.state, ev.fi, ev.val, ev.p_v_frame, E, lc_u)
+            ref = expect(ev.state, ev.F, ev.val, ev.p_v_frame, E, lc_u)
         else:
             ref = expect(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
         lc = op.blocks(ev)
@@ -319,15 +320,15 @@ def test_curvature_matrix_matches_einsum_reference(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_u_blocks_match_einsum_reference(rng, n):
-    # gamma, a and Q without symmetry or orthogonality: a transposed operand fails
+    # gamma, a and F without symmetry: a transposed operand fails
     amb = profile(S)
     u, p, r = random_admissible_slots(rng, n, amb, count=200)
     st = state_from_u_slots(u, p, r, amb)
+    F = f_and_F(st.a, n)[1] + 0.3 * rng.normal(size=st.a.shape)
     st = dataclasses.replace(
         st, **{name: getattr(st, name) + 0.3 * rng.normal(size=st.a.shape)
-               for name in ("gamma_up", "a", "eigvecs")})
-    fi = rng.uniform(0.2, 1.0, p.shape)
-    lc, ref = linearize.coefficients_u(st, fi), coefficients_u_einsum(st, fi)
+               for name in ("gamma_up", "a")})
+    lc, ref = linearize.coefficients_u(st, F), coefficients_u_einsum(st, F)
     for x, y in ((lc.Gij, ref.Gij), (lc.Gs, ref.Gs), (lc.Gu, ref.Gu)):
         assert _close(x, y)
 
@@ -358,7 +359,7 @@ def test_manufactured_linear_round_trip(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     delta = np.sin(cap_grid.interior_coords() @ np.array([1.3, -0.7]))
@@ -381,7 +382,7 @@ def test_jacobian_matches_fd_directional(rng, cap_grid):
 
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, k)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     rng2 = np.random.default_rng(7)
@@ -401,7 +402,7 @@ def test_second_order_block_negative_definite(rng):
     u_full = random_admissible_u_field(g, sf, rng)
     u, p, r = frame_jets(g, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
     A2, _, _ = linearize.to_coordinate(lc, g)
     J2 = linearize.assemble_jacobian(g, A2, np.zeros_like(p), np.zeros_like(u))
     dense = J2.toarray()
@@ -416,7 +417,7 @@ def test_zero_residual_zero_update(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_derivatives(st.kappa, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     residual = np.zeros(cap_grid.n_interior)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from weingarten.errors import AdmissibilityError
-from weingarten.symeig import eigh_descending, least_eigenvalue
+from weingarten.symeig import eigh_descending, least_eigenvalue, mm
 from weingarten.symfunc import (
     all_sigmas,
     f_and_derivatives,
+    f_and_F,
     in_gamma_k,
     sigma_k,
     sigma_km1_drop,
@@ -219,3 +220,59 @@ def test_F_contraction_bounded_by_f(rng):
     contraction = np.einsum("ni,ni->n", fi, kappa)
     assert np.max(np.abs(contraction - f)) < 1e-12  # Euler identity
     assert np.all(contraction <= f + 1e-12)
+
+
+# ------------------------------------------- F = df/da without an eigensolve
+
+def stack_with_spread(rng, count, n, spread):
+    """Random symmetric (count, n, n) stack, eigenvalues log-uniform in [1, spread]."""
+    kappa = np.exp(rng.uniform(0.0, np.log(spread), (count, n)))
+    Q = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    a = np.einsum("...ik,...k,...jk->...ij", Q, kappa, Q)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spread", [1e2, 1e4])
+def test_f_and_F_match_the_eigen_route(rng, n, spread):
+    # at spread 1e4 the eigen route itself keeps only about 12 digits of
+    # F (its eigenvectors), and sigma_n of a near-singular a about as many
+    a = stack_with_spread(rng, 1000, n, spread)
+    for k in range(1, n + 1):
+        f, F = f_and_F(a, k)
+        f_ref = f_and_derivatives(eigh_descending(a)[0], k)[0]
+        F_ref = F_matrix(a, k)
+        tol = 1e-10 if k == n and spread > 1e2 else 1e-12
+        assert np.max(np.abs(f - f_ref) / f_ref) <= tol
+        err = np.max(np.abs(F - F_ref), axis=(-2, -1)) / np.max(np.abs(F_ref), axis=(-2, -1))
+        assert np.max(err) <= tol
+
+
+def test_f_and_F_at_a_triple_eigenvalue():
+    # every principal curvature equal, as on the n = 3 geodesic sphere
+    f, F = f_and_F(1.7 * np.eye(3)[None], 3)
+    assert f[0] == pytest.approx(1.7, rel=1e-15)
+    assert np.all(F[0][~np.eye(3, dtype=bool)] == 0.0)
+    assert np.allclose(np.diag(F[0]), 1.0 / 3.0, rtol=1e-15, atol=0.0)
+
+
+def test_f_and_F_refuses_states_outside_the_cone():
+    # kappa = (3, -1, -1): sigma_1 = 1 and sigma_3 = 3 are positive, sigma_2 = -5
+    a = np.diag([3.0, -1.0, -1.0])[None]
+    assert f_and_F(a, 1)[0][0] == 1.0
+    for k in (2, 3):
+        with pytest.raises(AdmissibilityError):
+            f_and_F(a, k)
+    with pytest.raises(AdmissibilityError):
+        f_and_F(np.diag([3.0, -1.0])[None], 2)
+
+
+def test_mm_matches_matmul(rng):
+    # each entry within two roundings of its sum of |products| of @'s entry
+    for n in (2, 3):
+        A, B = rng.normal(size=(2, 300, n, n))
+        p = rng.normal(size=(300, n, 1))
+        At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+        for X, Y in ((A, B), (At, B), (A, Bt), (At, Bt), (A, p), (At, p)):
+            scale = np.abs(X) @ np.abs(Y)
+            assert np.all(np.abs(mm(X, Y) - X @ Y) <= 1e-15 * scale)
