@@ -31,7 +31,7 @@ solve that does not converge returns no field, only its report.
 """
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -66,7 +66,7 @@ PSI_FD_STEP = 1e-6       # relative difference step of PsiRhs in v and in Dv
 THETA_N = 10.0           # weight of log tau in the curvature-estimate monitor theta
 BOUNDARY_MATCH_FACTOR = 3.0  # subsolution trace vs data tolerance: factor * h * scale
 T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed metric
-DT_INIT = 0.25           # first step in t of every leg
+DT_INIT = 0.25           # first step in t of a leg, unless the leg sets its own
 DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
 DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
 # SuperLU options of the first factor: the natural column order, since the grid
@@ -236,13 +236,14 @@ class DiscreteOperator:
             u, p_u, r_u = v_slots_to_u(val, p_v, r_v, self.sf)
         if np.min(u) <= self.ambient.u_floor + 1e-13:
             return None
-        state = state_from_u_slots(u, p_u, r_u, self.ambient)
         S = r_u + u[:, None, None] * np.eye(self.grid.dim)
         conv = least_eigenvalue(S)
+        # a trial that is not strictly convex is refused before its geometry is built
+        if need_f and self.k == self.grid.dim and np.min(conv) <= 0.0:
+            return None
+        state = state_from_u_slots(u, p_u, r_u, self.ambient)
         f = F = None
         if need_f:
-            if np.min(conv) <= 0.0 and self.k == self.grid.dim:
-                return None
             try:
                 f, F = f_and_F(state.a, self.k)
             except AdmissibilityError:
@@ -313,16 +314,24 @@ class DiscreteOperator:
 class PsiRhs:
     """rhs = psi_hat(bundle); derivatives by scale-aware central differences.
 
-    A psi that reads no field variable (reads_field False) has derivatives
-    exactly 0, which derivatives returns without evaluating psi.
+    A psi that reads no field variable (reads_field False) depends only on
+    the grid's chart coordinates: evaluate computes it once and returns that
+    array (read-only) from then on, and derivatives returns exactly 0
+    without evaluating psi.
     """
 
     def __init__(self, psi_hat, reads_field):
         self.psi_hat = psi_hat
         self.reads_field = reads_field
+        self._fixed = None
 
     def evaluate(self, op, ev):
-        return self.psi_hat(op.bundle(ev))
+        if self.reads_field:
+            return self.psi_hat(op.bundle(ev))
+        if self._fixed is None:
+            self._fixed = self.psi_hat(op.bundle(ev))
+            self._fixed.setflags(write=False)
+        return self._fixed
 
     def derivatives(self, op, ev):
         n = op.grid.dim
@@ -669,7 +678,7 @@ class Leg:
     op_at(t) -> operator (profiles may vary); rhs_at(t) -> right-hand side;
     boundary_at(t) -> full-node array whose boundary slots are the Dirichlet
     data (they may move along the leg).  Accepted steps record their gap to
-    ordering_floor.
+    ordering_floor.  first_step is the first step in t the engine tries.
     """
 
     label: str
@@ -677,6 +686,7 @@ class Leg:
     rhs_at: object
     boundary_at: object
     ordering_floor: np.ndarray | None = None
+    first_step: float = DT_INIT
 
 
 def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t):
@@ -717,8 +727,9 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     start that is itself inadmissible (typically moved boundary data breaking
     convexity at the ring nodes) is replaced by the Euler predictor
     x + (t_try - t) dx/dt; the tangent is computed once per accepted point and
-    reused across dt halvings.  A failed step t -> t_try is retried at half its
-    length, t_try - t, which is less than dt when t + dt was clipped to 1.
+    reused across dt halvings.  The first step is leg.first_step.  A failed
+    step t -> t_try is retried at half its length, t_try - t, which is less
+    than dt when t + dt was clipped to 1.
     """
     t = 0.0
     op0, rhs0 = leg.op_at(0.0), leg.rhs_at(0.0)
@@ -727,7 +738,7 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         return x0, res.status
     x = res.x
     _record_step(records, leg.label, 0.0, res, op0, rhs0, leg.ordering_floor)
-    dt = DT_INIT
+    dt = leg.first_step
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
@@ -824,8 +835,8 @@ def bridge_leg(op, sf, eps, v_from, v_to, ordering_floor):
     invertible for every boundary value (the zero-order sign argument is
     boundary-independent).  Each warm start moves the whole boundary step into
     the ring nodes and loses convexity there; the engine then starts Newton
-    from the Euler predictor instead, so the bridge takes a few steps at every
-    grid size.
+    from the Euler predictor instead, so the bridge's step count does not
+    grow with the grid.
     """
     grid = op.grid
     delta = np.zeros(grid.n_nodes)
@@ -899,7 +910,13 @@ def plan_stage_constants(spec: ProblemSpec):
 
 
 def two_step_legs(spec: ProblemSpec):
-    """(legs, start, constants) of the K in {0, -1} path from the subsolution."""
+    """(legs, start, constants) of the K in {0, -1} path from the subsolution.
+
+    The zero-order coefficient of every leg's linearization has a fixed sign,
+    so the linearization is invertible at every t and nothing along the path
+    asks for small steps: each leg first tries t: 0 -> 1 whole, and halves
+    from there only when that step fails.
+    """
     plan = plan_stage_constants(spec)
     op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
     x_sub = v_sub[spec.grid.interior_ids]
@@ -911,7 +928,7 @@ def two_step_legs(spec: ProblemSpec):
         Leg("stage2", lambda t: op, lambda t: Rhs(spec.sf, eps, psi, t, s=1.0 - t),
             lambda t: v_data, ordering_floor=x_sub),
     ]
-    return legs, x_sub, {"epsilon": eps}
+    return [replace(leg, first_step=1.0) for leg in legs], x_sub, {"epsilon": eps}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Newton solver, subsolution gate, continuation drivers, diagnostics."""
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,22 @@ def test_newton_rejects_inadmissible_start():
     assert res.status in (ct.ADMISSIBILITY_LOSS, ct.MAX_ITERATIONS)
 
 
+def test_non_convex_trial_is_refused_before_its_geometry(monkeypatch):
+    spec = geodesic_problem(E, 2.0)
+    y = spec.grid.coords
+    v_bad = -np.log(1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2)))
+    op = ct.DiscreteOperator(spec.grid, 2, profile(E), rep="v", sf=E)
+    # without f (diagnostics of a stored field) the state is still built
+    ev = op.evaluate(v_bad, need_f=False)
+    assert ev is not None and ev.conv_min_eig.min() <= 0.0
+
+    def refuse(*args):
+        raise AssertionError("geometry built for a non-convex trial")
+
+    monkeypatch.setattr(ct, "state_from_u_slots", refuse)
+    assert op.evaluate(v_bad) is None
+
+
 def test_newton_experimental_k1(monkeypatch):
     # k < n single solve: mean-curvature-type equation f = sigma_1 on a graph.
     # Its admissibility is the cone test f_and_F made, so no eigensolve runs
@@ -270,10 +287,15 @@ def test_psi_of_chart_coordinates_is_not_differenced(expr):
     spec, op, ev = psi_case(expr)
     assert not spec.psi_reads_field
     psi, calls = counted(spec.psi_hat)
-    d_val, d_p = ct.PsiRhs(psi, spec.psi_reads_field).derivatives(op, ev)
+    rhs = ct.PsiRhs(psi, spec.psi_reads_field)
+    d_val, d_p = rhs.derivatives(op, ev)
     assert calls == []
     assert np.all(d_val == 0.0) and np.all(d_p == 0.0)
     assert d_val.shape == ev.val.shape and d_p.shape == ev.p_coord.shape
+    # psi of the y_i alone is evaluated once and kept
+    values = rhs.evaluate(op, ev)
+    assert rhs.evaluate(op, ev) is values and len(calls) == 1
+    assert np.array_equal(values, spec.psi_hat(op.bundle(ev)))
 
 
 def test_psi_of_the_normal_is_differenced():
@@ -281,8 +303,12 @@ def test_psi_of_the_normal_is_differenced():
     spec, op, ev = psi_case("4.529978038745476 * nu_rad^2", n=3, h=0.2)
     assert spec.psi_reads_field
     psi, calls = counted(spec.psi_hat)
-    d_val, d_p = ct.PsiRhs(psi, spec.psi_reads_field).derivatives(op, ev)
+    rhs = ct.PsiRhs(psi, spec.psi_reads_field)
+    d_val, d_p = rhs.derivatives(op, ev)
     assert len(calls) == 2 + 2 * 3
+    rhs.evaluate(op, ev)
+    rhs.evaluate(op, ev)
+    assert len(calls) == 2 + 2 * 3 + 2
     psi_at = lambda **shift: spec.psi_hat(op.bundle(ev, **shift))
     s = ct.PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
     assert np.array_equal(d_val, (psi_at(dval=s) - psi_at(dval=-s)) / (2.0 * s))
@@ -724,6 +750,53 @@ def test_hyperbolic_two_step_recovers_geodesic_sphere():
     rho_num = zeta(H, u)
     assert np.max(np.abs(rho_num - r)) < 1e-10  # constants are discretely exact
     assert report.sigma_residual < 1e-10
+
+
+def test_two_step_legs_first_try_the_whole_leg(monkeypatch):
+    # the auxiliary linearizations are invertible at every t, so each leg's
+    # first step asks for t = 1; the K = +1 legs keep DT_INIT
+    two_step_legs = ct.two_step_legs
+    asked = {}
+
+    def asking(leg):
+        def rhs_at(t):
+            asked.setdefault(leg.label, []).append(t)
+            return leg.rhs_at(t)
+        return replace(leg, rhs_at=rhs_at)
+
+    def recording_legs(spec):
+        legs, start, constants = two_step_legs(spec)
+        return [asking(leg) for leg in legs], start, constants
+
+    monkeypatch.setattr(ct, "two_step_legs", recording_legs)
+    # off-centre K = 0 sphere, 21 nodes across
+    spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 20)
+    _, report = ct.solve_problem(spec)
+    assert report.status == ct.CONVERGED
+    assert list(asked) == ["stage1", "bridge", "stage2"]
+    assert all(ts[:2] == [0.0, 1.0] for ts in asked.values()), asked
+    legs, _, _ = ct.sphere_legs(geodesic_problem(S, 0.5, h=0.09))
+    assert [leg.first_step for leg in legs] == [ct.DT_INIT] * 4
+
+
+def test_two_step_path_refinement_sweep():
+    # whole-leg first steps converge at every grid of a sweep: the off-centre
+    # K = 0 sphere at second order, the K = -1 geodesic sphere to rounding
+    def sweep(name, nodes_across):
+        pf = problems.load_problem(PROBLEM_DIR / name)
+        for nodes in nodes_across:
+            h = 2.0 * np.tan(np.pi / 5) / (nodes - 1)
+            spec, cfg, exact = problems.build_problem(pf, h_override=h)
+            field, report = ct.solve_problem(spec, cfg)
+            assert report.status == ct.CONVERGED, (name, nodes)
+            rho = zeta(spec.sf, eta(spec.sf, field.values))
+            yield h, float(np.max(np.abs(rho - exact)[spec.grid.interior_ids]))
+
+    h, err = np.array(list(sweep("offcenter_sphere_k0.wg", (17, 23, 41)))).T
+    order = np.polyfit(np.log(h), np.log(err), 1)[0]
+    assert 1.8 <= order <= 2.2, (err, order)
+    for _, err in sweep("geodesic_hyperbolic.wg", (17, 41)):
+        assert err <= 1e-12
 
 
 # ------------------------------------------------------------ sphere path

@@ -158,8 +158,9 @@ def test_eigh_repeated_eigenvalues_n3(rng):
 
 
 def test_least_eigenvalue_is_the_last_of_eigh(rng):
-    # bit for bit at n = 2 (the closed form), to rounding at n >= 3 (eigvalsh)
-    for n in (2, 3):
+    # bit for bit at n = 2 (the closed form shared with eigh_descending), to
+    # rounding at n = 3 (Smith's formula) and n = 4 (eigvalsh)
+    for n in (2, 3, 4):
         a = rng.normal(0.0, 1.0, (300, n, n))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
         a = np.concatenate([a, np.broadcast_to(2.5 * np.eye(n), (2, n, n))])
@@ -170,6 +171,22 @@ def test_least_eigenvalue_is_the_last_of_eigh(rng):
         else:
             assert np.max(np.abs(lam - ref)) < 1e-13
         assert np.max(np.abs(lam[-2:] - 2.5)) < 1e-14
+    # n = 3 near repeated eigenvalues.  c I + s E: a spread ~ s around a
+    # multiple of the identity
+    e = rng.normal(0.0, 1.0, (200, 3, 3))
+    e = 0.5 * (e + np.swapaxes(e, 1, 2))
+    stacks = [1.3 * np.eye(3) + s * e for s in (0.0, 1e-14, 1e-10, 1e-6)]
+    # an O(1) spread with the two smallest or the two largest eigenvalues
+    # (nearly) equal; the trigonometric formula alone loses half the digits
+    # of the split in the first case
+    q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (200, 3, 3)))
+    for gap in (0.0, 1e-14, 1e-10, 1e-6):
+        for w in ((0.4, 0.4 + gap, 2.0), (0.4, 2.0, 2.0 + gap)):
+            a = (q * np.array(w)) @ np.swapaxes(q, 1, 2)
+            stacks.append(0.5 * (a + np.swapaxes(a, 1, 2)))
+    for a in stacks:
+        ref = np.linalg.eigvalsh(a)[:, 0]
+        assert np.max(np.abs(least_eigenvalue(a) - ref)) < 1e-13
 
 
 def test_eigh2_repeated_eigenvalues():
