@@ -50,7 +50,7 @@ def main(argv=None):
     p_curv = sub.add_parser("curvature", help="pointwise geometry of a stored graph field")
     p_curv.add_argument("--grid", required=True, help="grid file with an attached field")
     p_curv.add_argument("--out", required=True)
-    p_curv.add_argument("--k", type=int, default=None, help="curvature order (default n)")
+    p_curv.add_argument("--k", type=int, default=None, help="sigma_k order to report (default n)")
     p_curv.add_argument("--space-form", type=int, default=None,
                         help="K if the grid file lacks a space_form header")
 
@@ -149,11 +149,12 @@ def _cmd_solve(args):
         _error_json(f"solve ended with status {report.status}", kind=report.status)
         return 2 if report.status == continuity.ADMISSIBILITY_LOSS else 1
     grids.save_grid(out / "solution.grid", spec.grid, field, space_form=spec.sf.K)
-    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep=field.representation, sf=spec.sf)
+    op = DiscreteOperator(spec.grid, profile(spec.sf), rep=field.representation, sf=spec.sf)
     ev = op.evaluate(field.values)
     psi_hat = spec.psi_hat(op.bundle(ev))
+    n = spec.grid.dim
     _write_csv(out / "solution.csv", spec.grid, op.ambient.rho_u(ev.u), ev.state.kappa,
-               "residual", ev.f**spec.k - psi_hat**spec.k)
+               "residual", ev.f**n - psi_hat**n)
     sys.stdout.write(
         f"Converged: residual {report.final_residual:.3e} "
         f"(sigma-level {report.sigma_residual:.3e})\n"
@@ -185,8 +186,10 @@ def _cmd_curvature(args):
     if K is None:
         raise SemanticError("space form unknown: add a space_form header or pass --space-form")
     sf = SpaceFormParams(int(K))
-    op, ev = evaluate_stored(field, sf, args.k)
-    k = op.k
+    k = grid.dim if args.k is None else args.k
+    if not 1 <= k <= grid.dim:
+        raise SemanticError(f"curvature order k={k} outside 1..{grid.dim}")
+    op, ev = evaluate_stored(field, sf)
     out = _outdir(args)
     if ev is None:
         raise AdmissibilityError("field is out of range for this space form")
@@ -233,12 +236,11 @@ def lincheck_report(spec, samples=50, seed=0):
     rng = np.random.default_rng(seed)
     n = spec.grid.dim
     amb = profile(spec.sf)
-    k = spec.k
     worst = {"Gij": 0.0, "Gs": 0.0, "Gu": 0.0}
 
     def G(r, p, u):
         st = state_from_u_slots(u, p, r, amb)
-        return float(f_and_derivatives(st.kappa, k)[0][0])
+        return float(f_and_derivatives(st.kappa, n)[0][0])
 
     for _ in range(samples):
         u = np.array([rng.uniform(1.4, 2.5)])
@@ -247,7 +249,7 @@ def lincheck_report(spec, samples=50, seed=0):
         S = B @ B.T + 0.1 * np.eye(n)
         r = (S - u[0] * np.eye(n))[None]
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         gu = float(lc.Gu[0])
         d = 1e-6
         fd_u = (G(r, p, u + d) - G(r, p, u - d)) / (2 * d)
@@ -274,7 +276,7 @@ def lincheck_report(spec, samples=50, seed=0):
         )
     return {
         "space_form": spec.sf.K,
-        "k": k,
+        "k": n,
         "dimension": n,
         "samples": samples,
         "seed": seed,

@@ -54,7 +54,7 @@ from .spaceform import (
     zeta_inverse,
 )
 from .symeig import least_eigenvalue, mm
-from .symfunc import f_and_derivatives, f_and_F, in_gamma_k
+from .symfunc import f_and_derivatives, f_and_F
 
 CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
@@ -94,10 +94,10 @@ class HomotopyConfig:
 
 @dataclass
 class ProblemSpec:
-    """One Dirichlet problem: space form, order, domain, data.
+    """One Dirichlet problem for sigma_n(kappa) = psi: space form, domain, data.
 
     psi_sigma maps a variable bundle (dict of per-node arrays) to the
-    prescribed sigma_k value; boundary_rho and subsolution_rho are full node
+    prescribed sigma_n value; boundary_rho and subsolution_rho are full node
     arrays of radial distances (boundary slots of boundary_rho are the
     Dirichlet data; the subsolution keeps its own trace).  psi_reads_field is
     False when psi reads the chart coordinates y_i only, so that its
@@ -105,24 +105,18 @@ class ProblemSpec:
     """
 
     sf: SpaceFormParams
-    k: int
     grid: grids.Grid
     psi_sigma: object
     boundary_rho: np.ndarray
     subsolution_rho: np.ndarray
     psi_reads_field: bool = True
 
-    def __post_init__(self):
-        n = self.grid.dim
-        if self.k < 1 or self.k > n:
-            raise SemanticError(f"curvature order k={self.k} outside 1..{n}")
-
     def psi_hat(self, bundle):
-        """f-level right-hand side psi^(1/k); must be positive."""
+        """f-level right-hand side psi^(1/n); must be positive."""
         vals = np.asarray(self.psi_sigma(bundle), dtype=float)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
             raise SemanticError("psi must be positive and finite on the domain")
-        return vals ** (1.0 / self.k)
+        return vals ** (1.0 / self.grid.dim)
 
 
 @dataclass
@@ -190,7 +184,7 @@ class OperatorEval:
 
 
 class DiscreteOperator:
-    """Evaluates f(kappa[field]) and its linearization over the interior nodes.
+    """Evaluates f(kappa[field]) = sigma_n^(1/n) and its linearization over the interior nodes.
 
     rep "u": unknowns are u values.  rep "v": unknowns are v with u = eta(v)
     for the space form sf.  An ambient profile whose curvature ka differs from
@@ -199,9 +193,8 @@ class DiscreteOperator:
     come from the chain rule instead.
     """
 
-    def __init__(self, grid, k, ambient: AmbientProfile, rep="v", sf=None):
+    def __init__(self, grid, ambient: AmbientProfile, rep="v", sf=None):
         self.grid = grid
-        self.k = k
         self.ambient = ambient
         self.rep = rep
         self.sf = sf
@@ -239,13 +232,13 @@ class DiscreteOperator:
         S = r_u + u[:, None, None] * np.eye(self.grid.dim)
         conv = least_eigenvalue(S)
         # a trial that is not strictly convex is refused before its geometry is built
-        if need_f and self.k == self.grid.dim and np.min(conv) <= 0.0:
+        if need_f and np.min(conv) <= 0.0:
             return None
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
         f = F = None
         if need_f:
             try:
-                f, F = f_and_F(state.a, self.k)
+                f, F = f_and_F(state.a)
             except AdmissibilityError:
                 return None
         return OperatorEval(
@@ -254,12 +247,7 @@ class DiscreteOperator:
         )
 
     def admissible(self, ev, margin):
-        if ev is None:
-            return False
-        if self.k == self.grid.dim:
-            return bool(np.min(ev.conv_min_eig) >= margin)
-        # f_and_F refused every state outside Gamma_k when it made ev.F
-        return ev.F is not None
+        return ev is not None and bool(np.min(ev.conv_min_eig) >= margin)
 
     def blocks(self, ev) -> linearize.LinearizedCoefficients:
         lc_u = linearize.coefficients_u(ev.state, ev.F)
@@ -353,13 +341,11 @@ class PsiRhs:
 
 
 class Rhs:
-    """rhs = s (a xi(v)) + b (psi_hat + c), the right-hand side of every leg.
+    """rhs = a xi(v) + b (psi_hat + c), the right-hand side of every leg.
 
-    a may vary by node; s, b and c are numbers, and psi is a PsiRhs.  The xi
+    a may vary by node; b and c are numbers, and psi is a PsiRhs.  The xi
     term is skipped when it is 0, so a leg whose space form has no xi
-    (K = +1) takes a = 0, and psi is not evaluated when b = 0.  Stage 2
-    weights its fixed eps xi(v) by s = 1 - t after the product, the order in
-    which its reports round; the other legs fold t into a.
+    (K = +1) takes a = 0, and psi is not evaluated when b = 0.
 
     Like PsiRhs it has two methods: evaluate gives the values at the interior
     nodes, all that a line-search trial reads, and derivatives gives
@@ -368,14 +354,14 @@ class Rhs:
     iterate and its step record read.
     """
 
-    def __init__(self, sf, a, psi=None, b=0.0, c=0.0, s=1.0):
-        self.sf, self.a, self.psi, self.b, self.c, self.s = sf, a, psi, b, c, s
-        self.xi_term = bool(s) and bool(np.any(a))
+    def __init__(self, sf, a, psi=None, b=0.0, c=0.0):
+        self.sf, self.a, self.psi, self.b, self.c = sf, a, psi, b, c
+        self.xi_term = bool(np.any(a))
 
     def evaluate(self, op, ev):
         values = np.zeros(ev.val.shape[0])
         if self.xi_term:
-            values = self.s * (self.a * xi(self.sf, ev.val))
+            values = self.a * xi(self.sf, ev.val)
         if self.b:
             values = values + self.b * (self.psi.evaluate(op, ev) + self.c)
         return values
@@ -384,7 +370,7 @@ class Rhs:
         d_val = np.zeros(ev.val.shape[0])
         d_p = np.zeros((ev.val.shape[0], op.grid.dim))
         if self.xi_term:
-            d_val = self.s * (self.a * xi_prime(self.sf, ev.val))
+            d_val = self.a * xi_prime(self.sf, ev.val)
         if self.b:
             psi_d_val, psi_d_p = self.psi.derivatives(op, ev)
             d_val = d_val + self.b * psi_d_val
@@ -495,15 +481,11 @@ def _jacobian(op: DiscreteOperator, ev: OperatorEval, rhs):
 
 
 def newton_solve(spec: ProblemSpec, rhs, initial: GraphField):
-    """Single Newton solve of f(kappa) = rhs in the initial field's representation.
-
-    k < n is allowed here (Gamma_k admissibility); the continuation drivers
-    require k = n.
-    """
+    """Single Newton solve of f(kappa) = rhs in the initial field's representation."""
     rep = initial.representation
     if rep == "rho":
         raise SemanticError("newton_solve operates on u- or v-representation fields")
-    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep=rep, sf=spec.sf)
+    op = DiscreteOperator(spec.grid, profile(spec.sf), rep=rep, sf=spec.sf)
     boundary_full = initial.values.copy()
     res = newton_core(op, rhs, initial.values[spec.grid.interior_ids], boundary_full,
                       HomotopyConfig())
@@ -564,34 +546,28 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval):
     }
 
 
-def evaluate_stored(field: GraphField, sf: SpaceFormParams, k=None):
+def evaluate_stored(field: GraphField, sf: SpaceFormParams):
     """(operator, evaluation without f) of a stored field in any representation.
 
     u and v fields are evaluated by the operator of their own representation;
     a rho field is read as u = zeta^-1(rho) on the u-representation operator.
-    k defaults to n and must lie in 1..n.  The evaluation is None when the
-    field is out of range.
+    The evaluation is None when the field is out of range.
     """
     rep, values = field.representation, field.values
     if rep == "rho":
         rep, values = "u", zeta_inverse(sf, values)
-    n = field.grid.dim
-    k = n if k is None else k
-    if not 1 <= k <= n:
-        raise SemanticError(f"curvature order k={k} outside 1..{n}")
-    op = DiscreteOperator(field.grid, k, profile(sf), rep=rep, sf=sf)
+    op = DiscreteOperator(field.grid, profile(sf), rep=rep, sf=sf)
     return op, op.evaluate(values, need_f=False)
 
 
-def diagnostics_monitor(field: GraphField, sf: SpaceFormParams, k=None):
+def diagnostics_monitor(field: GraphField, sf: SpaceFormParams):
     """Per-field diagnostics record for stored graphs in any representation.
 
-    Raises AdmissibilityError unless the field is in range, Hess u + u sigma > 0
-    when k = n, and kappa lies in Gamma_k.
+    Raises AdmissibilityError unless the field is in range and strictly
+    locally convex (Hess u + u sigma > 0).
     """
-    op, ev = evaluate_stored(field, sf, k)
-    if (ev is None or (op.k == op.grid.dim and ev.conv_min_eig.min() <= 0.0)
-            or not np.all(in_gamma_k(ev.state.kappa, op.k))):
+    op, ev = evaluate_stored(field, sf)
+    if ev is None or ev.conv_min_eig.min() <= 0.0:
         raise AdmissibilityError("diagnostics require an in-range, admissible field")
     return diagnostics_from_eval(op, ev)
 
@@ -609,12 +585,12 @@ def verify_subsolution(spec: ProblemSpec):
     """Checks convexity, the curvature inequality, and the boundary match.
 
     Returns a report dict; report["ok"] is the gate.  Works at the f-level:
-    sigma_k(kappa[subsolution]) >= psi  iff  f >= psi^(1/k).
+    sigma_n(kappa[subsolution]) >= psi  iff  f >= psi^(1/n).
     """
     grid = spec.grid
     sf = spec.sf
     u_sub = zeta_inverse(sf, spec.subsolution_rho)
-    op = DiscreteOperator(grid, spec.k, profile(sf), rep="u", sf=sf)
+    op = DiscreteOperator(grid, profile(sf), rep="u", sf=sf)
     ev = op.evaluate(u_sub, need_f=False)
     report = {"ok": True, "reasons": [], "worst_node": None}
     if ev is None:
@@ -631,7 +607,7 @@ def verify_subsolution(spec: ProblemSpec):
             f"subsolution not strictly locally convex: min eigenvalue {conv.min():.3e} at node {worst}"
         )
         return report
-    f_sub = f_and_derivatives(ev.state.kappa, spec.k)[0]
+    f_sub = f_and_derivatives(ev.state.kappa, grid.dim)[0]
     psi_hat = spec.psi_hat(op.bundle(ev))
     gap = f_sub - psi_hat
     report["inequality_margin"] = float(gap.min())
@@ -640,7 +616,7 @@ def verify_subsolution(spec: ProblemSpec):
         report["ok"] = False
         report["worst_node"] = worst
         report["reasons"].append(
-            f"sigma_k(kappa[subsolution]) < psi: f-level gap {gap.min():.3e} at node {worst}"
+            f"sigma_n(kappa[subsolution]) < psi: f-level gap {gap.min():.3e} at node {worst}"
         )
     # boundary match at the staircase nodes, in the u variable
     u_data = zeta_inverse(sf, spec.boundary_rho)
@@ -864,7 +840,8 @@ def _finalize_report(spec, op, field, report):
     ev = op.evaluate(field.values)
     psi_hat = spec.psi_hat(op.bundle(ev))
     report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
-    report.sigma_residual = float(np.max(np.abs(ev.f**spec.k - psi_hat**spec.k)))
+    n = spec.grid.dim
+    report.sigma_residual = float(np.max(np.abs(ev.f**n - psi_hat**n)))
     report.diagnostics["final"] = dict(report.stages[-1]["diagnostics"])
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
@@ -904,7 +881,7 @@ def plan_stage_constants(spec: ProblemSpec):
     if spec.sf.K not in (0, -1):
         raise SemanticError("the xi-based continuation runs for K in {0, -1}")
     v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
-    op = DiscreteOperator(spec.grid, spec.k, profile(spec.sf), rep="v", sf=spec.sf)
+    op = DiscreteOperator(spec.grid, profile(spec.sf), rep="v", sf=spec.sf)
     q = _xi_ratio(op, v_sub)
     return {"q": q, "epsilon": 0.5 * float(q.min()), "v_sub": v_sub, "op": op}
 
@@ -925,7 +902,7 @@ def two_step_legs(spec: ProblemSpec):
     legs = [
         stage1_leg("stage1", op, spec.sf, plan["q"], eps, v_sub),
         bridge,
-        Leg("stage2", lambda t: op, lambda t: Rhs(spec.sf, eps, psi, t, s=1.0 - t),
+        Leg("stage2", lambda t: op, lambda t: Rhs(spec.sf, (1.0 - t) * eps, psi, t),
             lambda t: v_data, ordering_floor=x_sub),
     ]
     return [replace(leg, first_step=1.0) for leg in legs], x_sub, {"epsilon": eps}
@@ -942,7 +919,7 @@ def sphere_plan(spec: ProblemSpec):
     psi_min, psi_max = np.inf, -np.inf
     g_vals = {}
     for t in t_lattice:
-        op_t = DiscreteOperator(grid, spec.k, profile_deformed(t), rep="u")
+        op_t = DiscreteOperator(grid, profile_deformed(t), rep="u")
         ev_t = op_t.evaluate(u_sub)
         if ev_t is None:
             raise AdmissibilityError(f"subsolution is not admissible in the deformed metric t={t}")
@@ -1008,13 +985,13 @@ def sphere_legs(spec: ProblemSpec):
 
     # t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v}
     k0 = SpaceFormParams(0)
-    op0 = DiscreteOperator(grid, spec.k, profile(k0), rep="v", sf=k0)
+    op0 = DiscreteOperator(grid, profile(k0), rep="v", sf=k0)
     q0 = _xi_ratio(op0, v_sub)
     psi = PsiRhs(spec.psi_hat, spec.psi_reads_field)
-    op_u = DiscreteOperator(grid, spec.k, profile(spec.sf), rep="u", sf=spec.sf)
+    op_u = DiscreteOperator(grid, profile(spec.sf), rep="u", sf=spec.sf)
 
     def op_t(t):
-        return DiscreteOperator(grid, spec.k, profile_deformed(t), rep="v", sf=k0)
+        return DiscreteOperator(grid, profile_deformed(t), rep="v", sf=k0)
 
     def rhs_t(t):
         T = t**m
@@ -1037,13 +1014,10 @@ def sphere_legs(spec: ProblemSpec):
 def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     """(field, SolveReport) when every leg converges, else (None, SolveReport).
 
-    Requires k = n.  Gates the subsolution, walks the legs of the space
-    form's builder in one run_legs call, and finalizes the report against
-    the target equation.
+    Gates the subsolution, walks the legs of the space form's builder in
+    one run_legs call, and finalizes the report against the target equation.
     """
     cfg = cfg or HomotopyConfig()
-    if spec.k != spec.grid.dim:
-        raise SemanticError("continuation drivers require k = n (Gauss curvature)")
     sub = verify_subsolution(spec)
     report = SolveReport(ADMISSIBILITY_LOSS, messages=list(sub["reasons"]),
                          diagnostics={"subsolution": sub})

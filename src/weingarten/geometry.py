@@ -33,7 +33,6 @@ from .spaceform import (
     SpaceFormParams,
     eta,
     eta_prime,
-    eta_second,
 )
 from .symeig import eigh_descending, mm
 
@@ -101,12 +100,11 @@ def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:
 
 
 def v_slots_to_u(v, p_v, r_v, sf: SpaceFormParams):
-    """Pointwise transform of frame jets under u = eta(v)."""
+    """Pointwise transform of frame jets under u = eta(v), where eta'' = eta."""
     ev = eta(sf, v)
     ep = eta_prime(sf, v)
-    epp = eta_second(sf, v)
     p_u = ep[..., None] * p_v
-    r_u = ep[..., None, None] * r_v + epp[..., None, None] * (
+    r_u = ep[..., None, None] * r_v + ev[..., None, None] * (
         p_v[..., :, None] * p_v[..., None, :]
     )
     return ev, p_u, r_u

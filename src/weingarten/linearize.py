@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from . import grids
 from .geometry import GeometryState
-from .spaceform import SpaceFormParams, eta, eta_prime, eta_second
+from .spaceform import SpaceFormParams, eta, eta_prime
 from .symeig import mm
 
 
@@ -90,12 +90,12 @@ def coefficients_v(state: GeometryState, F, v, p_v, sf: SpaceFormParams,
     """v-representation blocks: chain rule for Gij/Gs, closed form for Gv.
 
     `state` must be the state of the same graph built through the u-route
-    (u = eta(v)), F its df/da and `lc_u` its u-blocks.
+    (u = eta(v)), F its df/da and `lc_u` its u-blocks.  eta'' = eta, so
+    the second derivative is state.u.
     """
     ep = eta_prime(sf, v)
-    epp = eta_second(sf, v)
     Gij = ep[..., None, None] * lc_u.Gij
-    Gs = ep[..., None] * lc_u.Gs + 2.0 * epp[..., None] * np.einsum(
+    Gs = ep[..., None] * lc_u.Gs + 2.0 * state.u[..., None] * np.einsum(
         "...ij,...j->...i", lc_u.Gij, p_v
     )
     Gv = gv_closed_form(state, F, v, p_v, sf)

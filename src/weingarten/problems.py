@@ -51,7 +51,6 @@ class ProblemFile:
     """Validated problem definition; `raw` preserves the original strings."""
 
     space_form: int
-    curvature_order: int
     dimension: int
     domain: dict
     psi: Expression
@@ -99,31 +98,45 @@ def _need(raw, section, key):
     return raw[section][key]
 
 
+def _number(raw, section, key, kind=float):
+    """raw[section][key] read as kind: int, float, or list (space-separated floats).
+
+    A value that does not read as kind is a SemanticError naming the key.
+    """
+    text = _need(raw, section, key)
+    try:
+        return [float(v) for v in text.split()] if kind is list else kind(text)
+    except ValueError:
+        where = "" if section == "_top" else f" in [{section}]"
+        expected = {int: "an integer", float: "a number", list: "a list of numbers"}[kind]
+        raise SemanticError(f"{key!r}{where} must be {expected}, got {text!r}") from None
+
+
 def _validate(raw) -> ProblemFile:
     top = raw.get("_top", {})
     if "space_form" not in top:
         raise SemanticError("missing required key 'space_form'")
-    K = int(top["space_form"])
+    K = _number(raw, "_top", "space_form", int)
     if K not in (-1, 0, 1):
         raise SemanticError(f"space_form must be -1, 0 or 1, got {K}")
-    n = int(top.get("dimension", 2))
+    n = _number(raw, "_top", "dimension", int) if "dimension" in top else 2
     if n < 2:
         raise SemanticError("dimension must be >= 2")
-    k = int(top.get("curvature_order", n))
-    if not 1 <= k <= n:
-        raise SemanticError(f"curvature_order {k} outside 1..{n}")
+    # the solver solves sigma_n(kappa) = psi; the key may only restate that
+    if "curvature_order" in top and _number(raw, "_top", "curvature_order", int) != n:
+        raise SemanticError(
+            f"curvature_order must equal dimension ({n}), got {top['curvature_order']}")
 
     dom_raw = raw.get("domain", {})
     kind = dom_raw.get("kind", "cap")
     if kind not in ("cap", "mask"):
         raise SemanticError(f"domain kind must be cap or mask, got {kind!r}")
-    if "h" not in dom_raw:
-        raise SemanticError("missing required key 'h' in [domain]")
-    domain = {"kind": kind, "h": float(dom_raw["h"]), "chart": dom_raw.get("chart", "gnomonic")}
+    domain = {"kind": kind, "h": _number(raw, "domain", "h"),
+              "chart": dom_raw.get("chart", "gnomonic")}
     if domain["chart"] not in (ch.GNOMONIC, ch.PLANE):
         raise SemanticError(f"chart must be gnomonic or plane, got {domain['chart']!r}")
     if kind == "cap":
-        theta0 = float(_need(raw, "domain", "theta0"))
+        theta0 = _number(raw, "domain", "theta0")
         if not 0.0 < theta0 < np.pi / 2:
             raise SemanticError(
                 f"theta0={theta0} outside (0, pi/2): the domain may not contain a hemisphere"
@@ -131,11 +144,11 @@ def _validate(raw) -> ProblemFile:
         domain["theta0"] = theta0
     else:
         domain["mask_file"] = _need(raw, "domain", "mask_file")
-        domain["radius"] = float(dom_raw["radius"]) if "radius" in dom_raw else None
+        domain["radius"] = _number(raw, "domain", "radius") if "radius" in dom_raw else None
         if "origin" in dom_raw:
-            domain["origin"] = [float(v) for v in dom_raw["origin"].split()]
+            domain["origin"] = _number(raw, "domain", "origin", list)
     if "center" in dom_raw:
-        domain["center"] = [float(v) for v in dom_raw["center"].split()]
+        domain["center"] = _number(raw, "domain", "center", list)
         if len(domain["center"]) != n + 1:
             raise SemanticError(f"chart center needs {n + 1} components")
 
@@ -166,7 +179,7 @@ def _validate(raw) -> ProblemFile:
             )
         subsolution = {"kind": "expr", "expr": expr}
     elif given[0] == "sphere":
-        vals = [float(v) for v in sub_raw["sphere"].split()]
+        vals = _number(raw, "subsolution", "sphere", list)
         if len(vals) != n + 2:
             raise SemanticError(
                 f"[subsolution] sphere needs R and {n + 1} center components"
@@ -182,10 +195,10 @@ def _validate(raw) -> ProblemFile:
         if bad:
             raise SemanticError(f"[exact] may only reference chart coordinates, not {sorted(bad)}")
 
-    solver = {key: _SOLVER_TYPES[key](val) for key, val in raw.get("solver", {}).items()}
+    solver = {key: _number(raw, "solver", key, _SOLVER_TYPES[key]) for key in raw.get("solver", {})}
 
     return ProblemFile(
-        space_form=K, curvature_order=k, dimension=n, domain=domain,
+        space_form=K, dimension=n, domain=domain,
         psi=psi, boundary=boundary, subsolution=subsolution, exact=exact,
         solver=solver, raw=raw,
     )
@@ -289,7 +302,7 @@ def build_problem(pf: ProblemFile, h_override=None):
         rho_sub = fld.values
     _range_check_rho(sf, rho_sub, "subsolution")
     spec = ProblemSpec(
-        sf=sf, k=pf.curvature_order, grid=grid,
+        sf=sf, grid=grid,
         psi_sigma=pf.psi.evaluate,
         psi_reads_field=bool(pf.psi.variables - _position_vars(grid.dim)),
         boundary_rho=rho_data, subsolution_rho=rho_sub,

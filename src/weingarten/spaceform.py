@@ -109,7 +109,7 @@ def zeta_inverse(sf: SpaceFormParams, rho):
 
 
 def eta(sf: SpaceFormParams, v):
-    """u = eta(v): exp(v), sinh(v), cosh(v) for K = 0, 1, -1."""
+    """u = eta(v): exp(v), sinh(v), cosh(v) for K = 0, 1, -1; eta'' = eta for each."""
     v = _check_v(sf, v)
     if sf.K == 0:
         return np.exp(v)
@@ -134,11 +134,6 @@ def eta_prime(sf: SpaceFormParams, v):
     if sf.K == 1:
         return np.cosh(v)
     return np.sinh(v)
-
-
-def eta_second(sf: SpaceFormParams, v):
-    """eta'' equals eta for every branch."""
-    return eta(sf, v)
 
 
 def xi(sf: SpaceFormParams, v):

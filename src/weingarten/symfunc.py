@@ -6,16 +6,15 @@ shape (..., n).  sigma_k is evaluated by the incremental-product recurrence
 here and avoids subset enumeration.
 
 f_and_F works on the curvature matrix a itself: the derivative of
-f = sigma_k(kappa(a))^{1/k} in a is (1/k) sigma_k^{1/k-1} T_{k-1}(a), with
-the Newton tensor T_{k-1}(a) = sum_j (-1)^j sigma_{k-1-j} a^j (Reilly 1973),
-a polynomial in a, so the Newton iteration needs no eigendecomposition.
-For k = n, T_{n-1} is the adjugate of a and sigma_n its determinant.
+f = sigma_n(kappa(a))^{1/n} in a is (1/n) sigma_n^{1/n-1} T_{n-1}(a), with
+the Newton tensor T_{n-1}(a) = adj a (Reilly 1973) and sigma_n = det a, so
+for n <= 3 the Newton iteration needs no eigendecomposition.
 """
 
 import numpy as np
 
 from .errors import AdmissibilityError
-from .symeig import mm
+from .symeig import eigh_descending, mm
 
 
 def all_sigmas(kappa):
@@ -85,33 +84,32 @@ def f_and_derivatives(kappa, k):
     return f, fi
 
 
-def f_and_F(a, k):
-    """f = sigma_k^{1/k} of the eigenvalues of a, and the matrix F = df/da.
+def f_and_F(a):
+    """f = sigma_n^{1/n} of the eigenvalues of a, and the matrix F = df/da.
 
     a: (..., n, n) symmetric.  Returns f: (...) and F: (..., n, n), with
-    F = Q diag(f_i) Q^T for a = Q diag(kappa) Q^T, computed from the entries
-    of a.  For k = n and n <= 3, T_{n-1} is the adjugate from the 2x2
-    cofactors and sigma_n the determinant; power traces would lose the sign
-    of a small sigma_n to cancellation.  Otherwise sigma_1..sigma_k come
-    from the power traces tr(a^j) by Newton's identities.  Raises
-    AdmissibilityError when any state leaves Gamma_k, as f_and_derivatives
-    does.
+    F = Q diag(f_i) Q^T for a = Q diag(kappa) Q^T.  For n <= 3 both come
+    from the entries of a: T_{n-1} is the adjugate from the 2x2 cofactors
+    and sigma_n the determinant.  For n >= 4 they come from the eigen route,
+    eigh_descending and f_and_derivatives.  Raises AdmissibilityError when
+    any state leaves Gamma_n, as f_and_derivatives does.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
-    if k == n and n in (2, 3):
-        sig, T = _det_adjugate(a)
-    else:
-        sig, T = _newton_tensor(a, k)
-    outside = ~np.all(sig[..., 1:k + 1] > 0.0, axis=-1)
+    if n > 3:
+        kappa, Q = eigh_descending(a)
+        f, fi = f_and_derivatives(kappa, n)
+        return f, mm(Q * fi[..., None, :], np.swapaxes(Q, -1, -2))
+    sig, T = _det_adjugate(a)
+    outside = ~np.all(sig[..., 1:] > 0.0, axis=-1)
     if np.any(outside):
         raise AdmissibilityError(
-            f"kappa outside Gamma_{k} at {np.count_nonzero(outside)} state(s); "
+            f"kappa outside Gamma_{n} at {np.count_nonzero(outside)} state(s); "
             f"first index {np.argwhere(outside)[0]}"
         )
-    sk = sig[..., k]
-    f = sk ** (1.0 / k)
-    F = ((1.0 / k) * sk ** (1.0 / k - 1.0))[..., None, None] * T
+    sn = sig[..., n]
+    f = sn ** (1.0 / n)
+    F = ((1.0 / n) * sn ** (1.0 / n - 1.0))[..., None, None] * T
     return f, F
 
 
@@ -144,25 +142,3 @@ def _det_adjugate(a):
     i = np.argmax(diag, axis=-1)[..., None]
     sig[..., 3] = (np.take_along_axis(minors, i, -1) / np.take_along_axis(diag, i, -1))[..., 0]
     return sig, adj
-
-
-def _newton_tensor(a, k):
-    """(sigma_0..sigma_k, T_{k-1}(a)) from the power traces p_j = tr(a^{j-1} a).
-
-    Newton's identities: j sigma_j = sum_{i=1}^{j} (-1)^{i-1} sigma_{j-i} p_i.
-    """
-    powers = [np.broadcast_to(np.eye(a.shape[-1]), a.shape)]     # a^0 .. a^{k-1}
-    for _ in range(1, k):
-        powers.append(mm(powers[-1], a))
-    p = [None] + [np.einsum("...ij,...ji->...", m, a) for m in powers]
-    sig = np.empty(a.shape[:-2] + (k + 1,))
-    sig[..., 0] = 1.0
-    for j in range(1, k + 1):
-        acc = sig[..., j - 1] * p[1]
-        for i in range(2, j + 1):
-            acc = acc + (-1.0) ** (i - 1) * sig[..., j - i] * p[i]
-        sig[..., j] = acc / j
-    T = sig[..., k - 1, None, None] * powers[0]
-    for j in range(1, k):
-        T = T + ((-1.0) ** j * sig[..., k - 1 - j])[..., None, None] * powers[j]
-    return sig, T

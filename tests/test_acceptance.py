@@ -66,7 +66,7 @@ def k0_pipeline_spec(grid, R=1.0, c3=0.3, R_small=0.9):
     rho_G = cz_b + np.sqrt(R**2 - c3**2 + cz_b**2)
     rho_sub = smaller_sphere_rho(grid, R_small, rho_G)
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=grid, psi_sigma=const_psi(1.0 / R**2),
+        sf=E, grid=grid, psi_sigma=const_psi(1.0 / R**2),
         boundary_rho=rho_exact, subsolution_rho=rho_sub,
     )
     return spec, rho_exact
@@ -77,7 +77,7 @@ def geodesic_spec(sf, r, grid):
     u0 = float(zeta_inverse(sf, r))
     psi = (profile(sf).phi_prime_u(u0) / profile(sf).phi_u(u0)) ** 2
     return ct.ProblemSpec(
-        sf=sf, k=2, grid=grid, psi_sigma=const_psi(psi),
+        sf=sf, grid=grid, psi_sigma=const_psi(psi),
         boundary_rho=rho, subsolution_rho=rho,
     )
 
@@ -195,7 +195,7 @@ def test_criterion_03_linearization_oracle():
 
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         d = 1e-6
         fd_u = (G(u + d, p, r) - G(u - d, p, r)) / (2 * d)
         worst = max(worst, float(np.max(np.abs(fd_u - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu)))))
@@ -222,7 +222,7 @@ def test_criterion_03_linearization_oracle():
         v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
         uu, pu, ru = v_slots_to_u(v, p_v, r_v, sf)
         stv = state_from_u_slots(uu, pu, ru, amb)
-        gv = linearize.gv_closed_form(stv, f_and_F(stv.a, k)[1], v, p_v, sf)
+        gv = linearize.gv_closed_form(stv, f_and_F(stv.a)[1], v, p_v, sf)
 
         def Gv(vv):
             a, b, c = v_slots_to_u(vv, p_v, r_v, sf)
@@ -251,7 +251,7 @@ def test_criterion_04_zero_order_sign():
             st = state_from_u_slots(u[keep], pu[keep], ru[keep], profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
+            gv = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
             margin = max(margin, float(np.max(gv - psi_z * xi_prime(sf, v))))
             total += int(keep.sum())
         total = 0 if sf.K == 0 else total

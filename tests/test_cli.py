@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from weingarten.cli import main
 from weingarten.continuity import diagnostics_monitor
 from weingarten.errors import AdmissibilityError
 from weingarten.spaceform import SpaceFormParams
+
+REPO = Path(__file__).resolve().parent.parent
 
 GEODESIC_H = """
 space_form = -1
@@ -157,6 +160,45 @@ def test_parse_error_exit_1(problem_file, tmp_path, capsys):
     assert "bogus" in err
 
 
+CAP = "kind = cap\ntheta0 = 0.6283185307179586"
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("space_form = -1", "space_form = hyperbolic", "space_form"),
+    ("dimension = 2", "dimension = 2.0", "dimension"),
+    ("curvature_order = 2", "curvature_order = two", "curvature_order"),
+    ("h = 0.08", "h = 0.08.1", "h"),
+    ("theta0 = 0.6283185307179586", "theta0 = pi/5", "theta0"),
+    (CAP, CAP + "\ncenter = 0 0 one", "center"),
+    (CAP, "kind = mask\nmask_file = none.mask\nradius = wide", "radius"),
+    (CAP, "kind = mask\nmask_file = none.mask\norigin = 0 x", "origin"),
+    ("[subsolution]\nrho = 0.6", "[subsolution]\nsphere = 1 0 0 zero", "sphere"),
+    ("[psi]", "[solver]\nnewton_tol = tiny\n\n[psi]", "newton_tol"),
+    ("[psi]", "[solver]\nmax_newton = 3.5\n\n[psi]", "max_newton"),
+])
+def test_non_numeric_value_exits_1(problem_file, tmp_path, capsys, old, new, key):
+    # a value that does not read as a number is a SemanticError naming its
+    # key, with the error JSON, not a traceback
+    text = GEODESIC_H.replace(old, new, 1)
+    assert text != GEODESIC_H
+    rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert repr(key) in payload["message"]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["check-subsolution"], ["lincheck"]])
+def test_curvature_order_other_than_dimension_exits_1(problem_file, tmp_path, capsys, command):
+    # the solver solves sigma_n(kappa) = psi only
+    text = GEODESIC_H.replace("curvature_order = 2", "curvature_order = 1")
+    rc = main([*command, "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert "curvature_order must equal dimension (2)" in payload["message"]
+
+
 def test_solve_offcenter_and_curvature_roundtrip(problem_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["solve", "--problem", problem_file(OFFCENTER), "--out", str(out)])
@@ -200,8 +242,7 @@ def test_curvature_rho_grid(tmp_path):
 
 def test_curvature_saddle_u_grid(tmp_path):
     # a non-convex u-field is evaluated and reported, not refused; the
-    # library monitor still refuses it for k = n, and not for k = 1, since
-    # sigma_1 > 0 keeps it in Gamma_1
+    # library monitor still refuses it
     g = grids.build_cap_domain(np.pi / 5, 0.05)
     y = g.coords
     field = grids.GraphField(g, 2.0 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2), "u")
@@ -216,7 +257,6 @@ def test_curvature_saddle_u_grid(tmp_path):
     assert summary["diagnostics"] is None
     with pytest.raises(AdmissibilityError):
         diagnostics_monitor(field, SpaceFormParams(0))
-    assert diagnostics_monitor(field, SpaceFormParams(0), k=1)["min_kappa"] < 0.0
 
 
 def test_curvature_rho_grid_matches_diagnostics_monitor(tmp_path):
@@ -263,6 +303,20 @@ def test_lincheck(problem_file, tmp_path, capsys):
     assert rc == 0
     report = json.loads((out / "lincheck.json").read_text())
     assert report["max_rel_err"] < 1e-5
+
+
+PROBLEMS = sorted(REPO.glob("problems/*.wg")) + [REPO / "perfbench/problems/hyperbolic_nu_n3.wg"]
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
+def test_lincheck_on_every_problem_file(tmp_path, capsys, path):
+    # the analytic blocks agree with differences of f in every space form,
+    # at n = 2 and n = 3
+    out = tmp_path / "out"
+    assert main(["lincheck", "--problem", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "lincheck.json").read_text())
+    assert report["k"] == report["dimension"]
+    assert report["max_rel_err"] < report["tolerance"]
 
 
 def test_convergence_subcommand(problem_file, tmp_path, capsys):

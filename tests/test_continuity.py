@@ -14,7 +14,7 @@ from weingarten import grids, problems
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
-from conftest import random_admissible_u_field, refuse_eigensolves
+from conftest import random_admissible_u_field
 from reference import ConstantRhs, hopf_boundary_loop
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
@@ -50,7 +50,7 @@ def k0_sphere_problem(h=0.08, R=1.0, c3=0.3, R_small=0.9, theta0=np.pi / 5):
     rho_G = float(off_center_rho_at_angle(theta0, R, c3))
     rho_sub = smaller_sphere_rho(g, theta0, rho_G, R_small)
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=g, psi_sigma=const_psi(1.0 / R**2),
+        sf=E, grid=g, psi_sigma=const_psi(1.0 / R**2),
         boundary_rho=rho_exact, subsolution_rho=rho_sub,
     )
     return spec, rho_exact
@@ -67,7 +67,7 @@ def geodesic_problem(sf, r, h=0.08, theta0=np.pi / 5):
     phi_ratio = float(profile(sf).phi_prime_u(zeta_inverse(sf, r)) / profile(sf).phi_u(zeta_inverse(sf, r)))
     psi = phi_ratio**2
     return ct.ProblemSpec(
-        sf=sf, k=2, grid=g, psi_sigma=const_psi(psi),
+        sf=sf, grid=g, psi_sigma=const_psi(psi),
         boundary_rho=rho, subsolution_rho=rho,
     )
 
@@ -95,7 +95,7 @@ def test_verify_subsolution_rejects_saddle():
     y = g.coords
     rho_sub = 1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2))
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=g, psi_sigma=const_psi(1.0),
+        sf=E, grid=g, psi_sigma=const_psi(1.0),
         boundary_rho=rho_sub, subsolution_rho=rho_sub,
     )
     rep = ct.verify_subsolution(spec)
@@ -110,12 +110,12 @@ def test_verify_subsolution_names_the_lowest_tied_node():
     y = g.coords
     rho_sub = 1.0 / (1.5 - 2.0 * (y[:, 0] ** 2 + y[:, 1] ** 2))
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=g, psi_sigma=const_psi(1.0),
+        sf=E, grid=g, psi_sigma=const_psi(1.0),
         boundary_rho=rho_sub, subsolution_rho=rho_sub,
     )
     rep = ct.verify_subsolution(spec)
     assert not rep["ok"] and rep["convexity_margin"] <= 0.0
-    op = ct.DiscreteOperator(g, 2, profile(E), rep="u", sf=E)
+    op = ct.DiscreteOperator(g, profile(E), rep="u", sf=E)
     conv = op.evaluate(zeta_inverse(E, rho_sub), need_f=False).conv_min_eig
     tied = g.interior_ids[conv == conv.min()]
     assert tied.size > 1
@@ -126,7 +126,7 @@ def test_verify_subsolution_rejects_violated_inequality():
     # geodesic sphere but psi demands more curvature than the graph has
     spec = geodesic_problem(E, 2.0)
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=spec.grid, psi_sigma=const_psi(10.0),
+        sf=E, grid=spec.grid, psi_sigma=const_psi(10.0),
         boundary_rho=spec.boundary_rho, subsolution_rho=spec.subsolution_rho,
     )
     rep = ct.verify_subsolution(spec)
@@ -138,7 +138,7 @@ def test_verify_subsolution_rejects_boundary_mismatch():
     g = cap()
     rho = np.full(g.n_nodes, 2.0)
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=g, psi_sigma=const_psi(0.2),
+        sf=E, grid=g, psi_sigma=const_psi(0.2),
         boundary_rho=rho, subsolution_rho=rho * 1.5,
     )
     rep = ct.verify_subsolution(spec)
@@ -166,7 +166,7 @@ def test_newton_quadratic_tail():
     g = spec.grid
     u_exact = float(zeta_inverse(E, 2.0))
     v_full = np.full(g.n_nodes, np.log(u_exact))
-    op = ct.DiscreteOperator(g, 2, profile(E), rep="v", sf=E)
+    op = ct.DiscreteOperator(g, profile(E), rep="v", sf=E)
     # smooth perturbation with a cubic cutoff so the composed start stays
     # admissible against the constant boundary trace
     r_cap = np.tan(np.pi / 5)
@@ -210,7 +210,7 @@ def test_non_convex_trial_is_refused_before_its_geometry(monkeypatch):
     spec = geodesic_problem(E, 2.0)
     y = spec.grid.coords
     v_bad = -np.log(1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2)))
-    op = ct.DiscreteOperator(spec.grid, 2, profile(E), rep="v", sf=E)
+    op = ct.DiscreteOperator(spec.grid, profile(E), rep="v", sf=E)
     # without f (diagnostics of a stored field) the state is still built
     ev = op.evaluate(v_bad, need_f=False)
     assert ev is not None and ev.conv_min_eig.min() <= 0.0
@@ -220,24 +220,6 @@ def test_non_convex_trial_is_refused_before_its_geometry(monkeypatch):
 
     monkeypatch.setattr(ct, "state_from_u_slots", refuse)
     assert op.evaluate(v_bad) is None
-
-
-def test_newton_experimental_k1(monkeypatch):
-    # k < n single solve: mean-curvature-type equation f = sigma_1 on a graph.
-    # Its admissibility is the cone test f_and_F made, so no eigensolve runs
-    g = cap()
-    spec = ct.ProblemSpec(
-        sf=E, k=1, grid=g, psi_sigma=const_psi(1.0),
-        boundary_rho=np.full(g.n_nodes, 1.0),
-        subsolution_rho=np.full(g.n_nodes, 1.0),
-    )
-    v_full = np.full(g.n_nodes, 0.0)  # u = 1, kappa = (1,1), sigma_1 = 2
-    field = grids.GraphField(g, v_full, "v")
-    refuse_eigensolves(monkeypatch)
-    for value in (2.0, 2.2):
-        out, res = ct.newton_solve(spec, ConstantRhs(np.full(g.n_interior, value)), field)
-        assert res.status == ct.CONVERGED
-    assert res.iterations > 0
 
 
 PSI_TEMPLATE = """
@@ -266,7 +248,7 @@ def psi_case(expr, K=-1, n=2, h=0.1):
     pf = problems.parse_problem(PSI_TEMPLATE.format(K=K, n=n, h=h, expr=expr))
     spec, _, _ = problems.build_problem(pf)
     sf, g = spec.sf, spec.grid
-    op = ct.DiscreteOperator(g, n, profile(sf), rep="v", sf=sf)
+    op = ct.DiscreteOperator(g, profile(sf), rep="v", sf=sf)
     u = zeta_inverse(sf, spec.subsolution_rho) * (1.0 + 0.02 * np.cos(g.coords @ np.ones(n)))
     return spec, op, op.evaluate(eta_inverse(sf, u))
 
@@ -351,7 +333,7 @@ def stage1_leg_run(label):
     spec = geodesic_problem(S, 0.5, h=0.07)
     plan = ct.sphere_plan(spec)
     v_sub = np.log(plan["u_sub"])
-    op = ct.DiscreteOperator(spec.grid, spec.k, profile(E), rep="v", sf=E)
+    op = ct.DiscreteOperator(spec.grid, profile(E), rep="v", sf=E)
     leg = ct.stage1_leg(label, op, E, ct._xi_ratio(op, v_sub), plan["delta2"], v_sub)
     return (*ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg), op,
             plan["delta2"])
@@ -430,7 +412,7 @@ def test_stage2_gradient_dependent_psi():
         w = np.sqrt(1.0 + b["gradnorm"] ** 2)
         return (1.0 / 1.6**2) * (1.0 + 0.1 / w)
 
-    spec = ct.ProblemSpec(sf=E, k=2, grid=g, psi_sigma=psi,
+    spec = ct.ProblemSpec(sf=E, grid=g, psi_sigma=psi,
                           boundary_rho=rho, subsolution_rho=rho)
     rep = ct.verify_subsolution(spec)
     assert rep["ok"], rep["reasons"]
@@ -699,13 +681,13 @@ def _jacobian_case(case):
         # 12% less at h = 0.1 (757), 32% less at h = 0.07 (2,895)
         g = grids.build_cap_domain(np.pi / 5, 0.1, n=3)
         u = random_admissible_u_field(g, H, rng)
-        return ct.DiscreteOperator(g, 3, profile(H), rep="v", sf=H), eta_inverse(H, u)
+        return ct.DiscreteOperator(g, profile(H), rep="v", sf=H), eta_inverse(H, u)
     g = cap(h=2.0 * np.tan(np.pi / 5) / 20)
     if case == "exp-chain":
-        op = ct.DiscreteOperator(g, 2, profile_deformed(0.5), rep="v", sf=E)
+        op = ct.DiscreteOperator(g, profile_deformed(0.5), rep="v", sf=E)
         return op, np.log(random_admissible_u_field(g, E, rng))
     u = random_admissible_u_field(g, H, rng)
-    op = ct.DiscreteOperator(g, 2, profile(H), rep=case, sf=H)
+    op = ct.DiscreteOperator(g, profile(H), rep=case, sf=H)
     return op, u if case == "u" else eta_inverse(H, u)
 
 
@@ -733,7 +715,7 @@ def test_two_step_rejects_bad_subsolution():
     y = g.coords
     rho_sub = 1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2))
     spec = ct.ProblemSpec(
-        sf=E, k=2, grid=g, psi_sigma=const_psi(1.0),
+        sf=E, grid=g, psi_sigma=const_psi(1.0),
         boundary_rho=rho_sub, subsolution_rho=rho_sub,
     )
     field, report = ct.solve_problem(spec)
@@ -894,13 +876,13 @@ def test_n3_pipeline_and_perturbed_newton():
     u0 = float(zeta_inverse(sf, r))
     psi = (profile(sf).phi_prime_u(u0) / profile(sf).phi_u(u0)) ** 3
     rho = np.full(g.n_nodes, r)
-    spec = ct.ProblemSpec(sf=sf, k=3, grid=g, psi_sigma=const_psi(psi),
+    spec = ct.ProblemSpec(sf=sf, grid=g, psi_sigma=const_psi(psi),
                           boundary_rho=rho, subsolution_rho=rho)
     field, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED
     assert np.max(np.abs(zeta(sf, eta(sf, field.values)) - r)) < 1e-12
     # non-trivial n = 3 Newton: recover the constant from a displaced start
-    op = ct.DiscreteOperator(g, 3, profile(sf), rep="v", sf=sf)
+    op = ct.DiscreteOperator(g, profile(sf), rep="v", sf=sf)
     v_exact = field.values
     bump = np.cos(g.coords @ np.array([1.0, -0.7, 0.4]))
     start = v_exact[g.interior_ids] * (1.0 + 0.004 * bump[g.interior_ids])

@@ -150,7 +150,7 @@ def test_off_center_sphere_embedding_and_tau():
 def test_normal_is_unit(rng, cap_grid):
     # the normal that psi reads: the nu_rad and nu_tan* variables of the bundle
     for sf in (E, S, H):
-        op = DiscreteOperator(cap_grid, 2, profile(sf), rep="u", sf=sf)
+        op = DiscreteOperator(cap_grid, profile(sf), rep="u", sf=sf)
         ev = op.evaluate(random_admissible_u_field(cap_grid, sf, rng), need_f=False)
         bundle = op.bundle(ev)
         nu_tan = np.stack([bundle["nu_tan1"], bundle["nu_tan2"]], axis=1)

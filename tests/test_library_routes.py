@@ -359,7 +359,7 @@ def test_newton_work_runs_without_an_eigensolve(monkeypatch, n):
     bump = 1.0 + 0.01 * np.cos(grid.coords @ np.linspace(1.0, -0.5, n))
     u = zeta_inverse(sf, np.full(grid.n_nodes, 0.7)) * bump
     for rep, field in (("u", u), ("v", eta_inverse(sf, u))):
-        op = ct.DiscreteOperator(grid, n, profile(sf), rep=rep, sf=sf)
+        op = ct.DiscreteOperator(grid, profile(sf), rep=rep, sf=sf)
         ev = op.evaluate(field)
         assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
         A2, b1, c = linearize.to_coordinate(op.blocks(ev), grid)

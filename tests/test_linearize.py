@@ -20,6 +20,7 @@ from weingarten.spaceform import (
 from weingarten.symfunc import f_and_derivatives, f_and_F
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import (
+    F_matrix,
     assemble_jacobian_coo,
     coefficients_u_einsum,
     curvature_matrix_einsum,
@@ -64,7 +65,9 @@ def test_u_blocks_match_fd(rng, sf):
     for n, k in ((2, 2), (3, 3), (3, 2)):
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
+        # f_and_F is sigma_n's; the blocks take any F, so k < n uses the eigen route
+        F = f_and_F(st.a)[1] if k == n else F_matrix(st.a, k)
+        lc = linearize.coefficients_u(st, F)
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, k)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -76,7 +79,7 @@ def test_deformed_blocks_match_fd(rng):
         amb = profile_deformed(t)
         u, p, r = random_admissible_slots(rng, 2, amb, count=40)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         fd_r, fd_p, fd_u = fd_blocks(u, p, r, amb, 2)
         assert np.max(np.abs(fd_r - lc.Gij)) / max(1.0, np.max(np.abs(lc.Gij))) < 1e-5
         assert np.max(np.abs(fd_p - lc.Gs)) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
@@ -89,7 +92,7 @@ def test_gs_vanishes_at_zero_gradient(rng):
         u, _, r = random_admissible_slots(rng, 2, amb, count=10)
         p = np.zeros((10, 2))
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         assert np.max(np.abs(lc.Gs)) < 1e-14
 
 
@@ -98,7 +101,7 @@ def test_gij_positive_definite(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=100)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         assert np.min(np.linalg.eigvalsh(lc.Gij)) > 0
 
 
@@ -108,7 +111,7 @@ def test_gu_bound_from_trace(rng):
         amb = profile(sf)
         u, p, r = random_admissible_slots(rng, 2, amb, count=200)
         st = state_from_u_slots(u, p, r, amb)
-        lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+        lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
         ratio = np.abs(lc.Gu) / (1.0 + np.einsum("nii->n", lc.Gij))
         assert np.all(np.isfinite(ratio))
         assert ratio.max() < 50.0  # states are drawn from a bounded C^1 box
@@ -139,7 +142,7 @@ def test_v_blocks_match_fd(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    F = f_and_F(st.a, k)[1]
+    F = f_and_F(st.a)[1]
     lc = linearize.coefficients_v(st, F, v, p_v, sf, linearize.coefficients_u(st, F))
     d = 1e-6
     fd_v = (gv_value(v + d, p_v, r_v, sf, k) - gv_value(v - d, p_v, r_v, sf, k)) / (2 * d)
@@ -167,8 +170,8 @@ def test_gv_closed_form_vs_chain_rule(rng, sf):
     v, p_v, r_v = _v_states(rng, sf)
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    lc_u = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
-    gv_closed = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
+    lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
+    gv_closed = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
     gv_chain = gv_chain_rule(lc_u, sf, v, p_v, r_v)
     assert np.max(np.abs(gv_closed - gv_chain)) < 1e-9 * max(1.0, np.max(np.abs(gv_closed)))
 
@@ -196,7 +199,7 @@ def test_exp_chain_blocks_match_fd(rng):
     keep = st.kappa[:, -1] > 5e-2
     v, p_v, r_v, u, p_u, r_u = (a[keep] for a in (v, p_v, r_v, u, p_u, r_u))
     st = state_from_u_slots(u, p_u, r_u, amb)
-    lc_u = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
+    lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
     lc = linearize.exp_chain_blocks(lc_u, u, p_v, r_v)
     d = 1e-6
     fd_v = (val(v + d, p_v, r_v) - val(v - d, p_v, r_v)) / (2 * d)
@@ -220,7 +223,7 @@ def test_zero_order_sign_property(rng):
             st = state_from_u_slots(u, p_u, r_u, profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_F(st.a, 2)[1], v, p_v, sf)
+            gv = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
             margins.append(np.max(gv - psi_z * xi_prime(sf, v)))
         assert max(margins) < 0.0
 
@@ -263,11 +266,11 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
     sf = E if case == "exp_eta" else H
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     if case == "u":
-        op, field = ct.DiscreteOperator(cap_grid, 2, profile(sf), rep="u", sf=sf), u_full
+        op, field = ct.DiscreteOperator(cap_grid, profile(sf), rep="u", sf=sf), u_full
     elif case == "v":
-        op, field = ct.DiscreteOperator(cap_grid, 2, profile(sf), rep="v", sf=sf), eta_inverse(sf, u_full)
+        op, field = ct.DiscreteOperator(cap_grid, profile(sf), rep="v", sf=sf), eta_inverse(sf, u_full)
     else:
-        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="v", sf=sf)
+        op = ct.DiscreteOperator(cap_grid, profile_deformed(0.5), rep="v", sf=sf)
         field = np.log(u_full)
     ev = op.evaluate(field)
     assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
@@ -287,7 +290,7 @@ def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
     # form's own (ka = t^2 > 0 with eta = exp); at t = 0 the closed form holds
     x = np.log(random_admissible_u_field(cap_grid, E, rng))
     for t, expect in ((0.0, linearize.coefficients_v), (0.5, linearize.exp_chain_blocks)):
-        op = ct.DiscreteOperator(cap_grid, 2, profile_deformed(t), rep="v", sf=E)
+        op = ct.DiscreteOperator(cap_grid, profile_deformed(t), rep="v", sf=E)
         ev = op.evaluate(x)
         lc_u = linearize.coefficients_u(ev.state, ev.F)
         if expect is linearize.coefficients_v:
@@ -298,9 +301,9 @@ def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
         for a, b in ((lc.Gij, ref.Gij), (lc.Gs, ref.Gs), (lc.Gu, ref.Gu)):
             assert np.array_equal(a, b)
     with pytest.raises(SemanticError):
-        ct.DiscreteOperator(cap_grid, 2, profile_deformed(0.5), rep="u", sf=E)
+        ct.DiscreteOperator(cap_grid, profile_deformed(0.5), rep="u", sf=E)
     with pytest.raises(SemanticError):
-        ct.DiscreteOperator(cap_grid, 2, profile(E), rep="v", sf=H)
+        ct.DiscreteOperator(cap_grid, profile(E), rep="v", sf=H)
 
 
 # ------------------------------------ batched matmul against the einsum forms
@@ -324,7 +327,7 @@ def test_u_blocks_match_einsum_reference(rng, n):
     amb = profile(S)
     u, p, r = random_admissible_slots(rng, n, amb, count=200)
     st = state_from_u_slots(u, p, r, amb)
-    F = f_and_F(st.a, n)[1] + 0.3 * rng.normal(size=st.a.shape)
+    F = f_and_F(st.a)[1] + 0.3 * rng.normal(size=st.a.shape)
     st = dataclasses.replace(
         st, **{name: getattr(st, name) + 0.3 * rng.normal(size=st.a.shape)
                for name in ("gamma_up", "a")})
@@ -340,7 +343,7 @@ def test_frame_contractions_match_einsum_reference(rng, n):
     *rest, B = grids.chart_quantities(grid)
     grid._jet_cache["chart_quantities"] = (*rest, B + 0.2 * rng.normal(size=B.shape))
     u_full = random_admissible_u_field(grid, H, rng)
-    ev = ct.DiscreteOperator(grid, n, profile(H), rep="u", sf=H).evaluate(u_full, need_f=False)
+    ev = ct.DiscreteOperator(grid, profile(H), rep="u", sf=H).evaluate(u_full, need_f=False)
     assert _close(ev.r_u, frame_jets(grid, u_full)[2])
     m = grid.n_interior
     lc = linearize.LinearizedCoefficients(
@@ -359,7 +362,7 @@ def test_manufactured_linear_round_trip(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     delta = np.sin(cap_grid.interior_coords() @ np.array([1.3, -0.7]))
@@ -382,7 +385,7 @@ def test_jacobian_matches_fd_directional(rng, cap_grid):
 
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_F(st.a, k)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     rng2 = np.random.default_rng(7)
@@ -402,7 +405,7 @@ def test_second_order_block_negative_definite(rng):
     u_full = random_admissible_u_field(g, sf, rng)
     u, p, r = frame_jets(g, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
     A2, _, _ = linearize.to_coordinate(lc, g)
     J2 = linearize.assemble_jacobian(g, A2, np.zeros_like(p), np.zeros_like(u))
     dense = J2.toarray()
@@ -417,7 +420,7 @@ def test_zero_residual_zero_update(rng, cap_grid):
     u_full = random_admissible_u_field(cap_grid, sf, rng)
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))
-    lc = linearize.coefficients_u(st, f_and_F(st.a, 2)[1])
+    lc = linearize.coefficients_u(st, f_and_F(st.a)[1])
     A2, b1, c = linearize.to_coordinate(lc, cap_grid)
     J = linearize.assemble_jacobian(cap_grid, A2, b1, c)
     residual = np.zeros(cap_grid.n_interior)

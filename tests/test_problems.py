@@ -32,7 +32,7 @@ sphere = 1 0 0 0
 def test_minimal_parses():
     pf = parse_problem(MINIMAL)
     assert pf.space_form == 0
-    assert pf.curvature_order == 2
+    assert pf.dimension == 2
     assert pf.domain["kind"] == "cap"
     assert pf.subsolution["kind"] == "sphere"
     assert pf.exact is None
@@ -70,6 +70,13 @@ def test_hemisphere_condition_enforced():
 def test_bad_space_form():
     with pytest.raises(SemanticError, match="space_form"):
         parse_problem(MINIMAL.replace("space_form = 0", "space_form = 2"))
+
+
+def test_curvature_order_must_equal_dimension():
+    # an omitted curvature_order means n; any other value is refused
+    assert parse_problem(MINIMAL.replace("curvature_order = 2\n", "")).dimension == 2
+    with pytest.raises(SemanticError, match="curvature_order must equal dimension"):
+        parse_problem(MINIMAL.replace("curvature_order = 2", "curvature_order = 1"))
 
 
 def test_boundary_rejects_state_variables():

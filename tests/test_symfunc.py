@@ -255,19 +255,32 @@ def test_f_and_F_match_the_eigen_route(rng, n, spread):
     # at spread 1e4 the eigen route itself keeps only about 12 digits of
     # F (its eigenvectors), and sigma_n of a near-singular a about as many
     a = stack_with_spread(rng, 1000, n, spread)
-    for k in range(1, n + 1):
-        f, F = f_and_F(a, k)
-        f_ref = f_and_derivatives(eigh_descending(a)[0], k)[0]
-        F_ref = F_matrix(a, k)
-        tol = 1e-10 if k == n and spread > 1e2 else 1e-12
-        assert np.max(np.abs(f - f_ref) / f_ref) <= tol
-        err = np.max(np.abs(F - F_ref), axis=(-2, -1)) / np.max(np.abs(F_ref), axis=(-2, -1))
-        assert np.max(err) <= tol
+    f, F = f_and_F(a)
+    f_ref = f_and_derivatives(eigh_descending(a)[0], n)[0]
+    F_ref = F_matrix(a, n)
+    tol = 1e-10 if spread > 1e2 else 1e-12
+    assert np.max(np.abs(f - f_ref) / f_ref) <= tol
+    err = np.max(np.abs(F - F_ref), axis=(-2, -1)) / np.max(np.abs(F_ref), axis=(-2, -1))
+    assert np.max(err) <= tol
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("spread", [1e2, 1e4])
+def test_f_and_F_from_n_4_match_lu(rng, n, spread):
+    # n >= 4 takes the eigen route; the oracle is LU, not an eigensolve:
+    # f = det(a)^(1/n) and F = (f/n) a^-1, the adjugate over n det(a)^(1 - 1/n)
+    a = stack_with_spread(rng, 1000, n, spread)
+    f, F = f_and_F(a)
+    f_lu = np.linalg.det(a) ** (1.0 / n)
+    assert np.max(np.abs(f - f_lu) / f_lu) <= 1e-12
+    if spread == 1e2:
+        F_lu = (f_lu / n)[:, None, None] * np.linalg.inv(a)
+        assert np.max(np.abs(F - F_lu)) <= 1e-9
 
 
 def test_f_and_F_at_a_triple_eigenvalue():
     # every principal curvature equal, as on the n = 3 geodesic sphere
-    f, F = f_and_F(1.7 * np.eye(3)[None], 3)
+    f, F = f_and_F(1.7 * np.eye(3)[None])
     assert f[0] == pytest.approx(1.7, rel=1e-15)
     assert np.all(F[0][~np.eye(3, dtype=bool)] == 0.0)
     assert np.allclose(np.diag(F[0]), 1.0 / 3.0, rtol=1e-15, atol=0.0)
@@ -275,13 +288,10 @@ def test_f_and_F_at_a_triple_eigenvalue():
 
 def test_f_and_F_refuses_states_outside_the_cone():
     # kappa = (3, -1, -1): sigma_1 = 1 and sigma_3 = 3 are positive, sigma_2 = -5
-    a = np.diag([3.0, -1.0, -1.0])[None]
-    assert f_and_F(a, 1)[0][0] == 1.0
-    for k in (2, 3):
-        with pytest.raises(AdmissibilityError):
-            f_and_F(a, k)
     with pytest.raises(AdmissibilityError):
-        f_and_F(np.diag([3.0, -1.0])[None], 2)
+        f_and_F(np.diag([3.0, -1.0, -1.0])[None])
+    with pytest.raises(AdmissibilityError):
+        f_and_F(np.diag([3.0, -1.0])[None])
 
 
 def test_mm_matches_matmul(rng):
