@@ -32,6 +32,7 @@ solve that does not converge returns no field, only its report.
 
 import json
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -41,6 +42,7 @@ from .errors import AdmissibilityError, SemanticError
 from .geometry import state_from_u_slots, v_slots_to_u
 from .grids import GraphField
 from .spaceform import (
+    RANGE_MARGIN,
     AmbientProfile,
     SpaceFormParams,
     eta,
@@ -53,10 +55,10 @@ from .spaceform import (
     xi_prime,
     zeta_inverse,
 )
-from .symeig import least_eigenvalue, mm
+from .symeig import least_eigenvalue, mm, positive_definite
 from .symfunc import f_and_derivatives, f_and_F
 
-CONVEXITY_MARGIN = 1e-10  # least eigenvalue of Hess u + u sigma an iterate may have
+CONVEXITY_MARGIN = 1e-10  # Hess u + u sigma - margin I must be positive definite
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
 STAGNATION_WINDOW = 3     # Newton stops when the residual, over this many accepted
@@ -178,9 +180,13 @@ class OperatorEval:
     state: object
     f: np.ndarray         # operator value f(kappa)
     F: np.ndarray         # its derivative df/da, which builds the linearization
-    conv_min_eig: np.ndarray
     p_v_frame: np.ndarray | None = None
     r_v_frame: np.ndarray | None = None
+
+    @cached_property
+    def conv_min_eig(self):
+        """Least eigenvalue of Hess u + u sigma per node, for reports only."""
+        return least_eigenvalue(self.r_u + self.u[:, None, None] * np.eye(self.r_u.shape[-1]))
 
 
 class DiscreteOperator:
@@ -205,17 +211,11 @@ class DiscreteOperator:
                 "a profile other than the space form's needs the v-representation "
                 "with eta = exp (K = 0)")
 
-    def admissible_values(self, full):
-        lo = self.ambient.u_floor if self.rep == "u" else ranges(self.sf).v_lower
-        if not np.all(np.isfinite(full)):
-            return False
-        if np.isfinite(lo) and np.min(full) <= lo + 1e-12:
-            return False
-        return True
-
     def evaluate(self, full, need_f=True):
-        """Full geometric evaluation; returns None on range violations."""
-        if not self.admissible_values(full):
+        """Full geometric evaluation; None on range violations and, when need_f
+        is set, unless Hess u + u sigma - CONVEXITY_MARGIN I > 0 at every node."""
+        lo = self.ambient.u_floor if self.rep == "u" else ranges(self.sf).v_lower
+        if not np.all(np.isfinite(full)) or np.min(full) <= lo + RANGE_MARGIN:
             return None
         val, p_coord, hess_cov = grids.covariant_jets(self.grid, full)
         _, _, _, _, B = grids.chart_quantities(self.grid)
@@ -227,12 +227,11 @@ class DiscreteOperator:
         else:
             p_v, r_v = p_frame, r_frame
             u, p_u, r_u = v_slots_to_u(val, p_v, r_v, self.sf)
-        if np.min(u) <= self.ambient.u_floor + 1e-13:
+        if np.min(u) <= self.ambient.u_floor + RANGE_MARGIN:
             return None
-        S = r_u + u[:, None, None] * np.eye(self.grid.dim)
-        conv = least_eigenvalue(S)
-        # a trial that is not strictly convex is refused before its geometry is built
-        if need_f and np.min(conv) <= 0.0:
+        # a trial not convex by the margin is refused before its geometry is built
+        if need_f and not positive_definite(
+                r_u + (u - CONVEXITY_MARGIN)[:, None, None] * np.eye(self.grid.dim)):
             return None
         state = state_from_u_slots(u, p_u, r_u, self.ambient)
         f = F = None
@@ -243,11 +242,8 @@ class DiscreteOperator:
                 return None
         return OperatorEval(
             full=full, val=val, p_coord=p_coord, u=u, p_u=p_u, r_u=r_u,
-            state=state, f=f, F=F, conv_min_eig=conv, p_v_frame=p_v, r_v_frame=r_v,
+            state=state, f=f, F=F, p_v_frame=p_v, r_v_frame=r_v,
         )
-
-    def admissible(self, ev, margin):
-        return ev is not None and bool(np.min(ev.conv_min_eig) >= margin)
 
     def blocks(self, ev) -> linearize.LinearizedCoefficients:
         lc_u = linearize.coefficients_u(ev.state, ev.F)
@@ -405,7 +401,7 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
 
     x = np.asarray(x0, dtype=float).copy()
     ev = op.evaluate(compose(x))
-    if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
+    if ev is None:
         return NewtonResult(ADMISSIBILITY_LOSS, x, 0, np.inf, [])
     b = rhs.evaluate(op, ev)
     R = ev.f - b
@@ -423,7 +419,7 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
         while lam >= MIN_LAMBDA:
             x_t = x + lam * delta
             ev_t = op.evaluate(compose(x_t))
-            if ev_t is not None and op.admissible(ev_t, CONVEXITY_MARGIN):
+            if ev_t is not None:
                 b_t = rhs.evaluate(op, ev_t)
                 R_t = ev_t.f - b_t
                 rn_t = float(np.max(np.abs(R_t)))
@@ -683,7 +679,7 @@ def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t):
         full = boundary_at(s).copy()
         full[interior] = x
         ev = op.evaluate(full)
-        if ev is None or not op.admissible(ev, CONVEXITY_MARGIN):
+        if ev is None:
             return None
         return op, rhs, ev, ev.f - rhs.evaluate(op, ev)
 

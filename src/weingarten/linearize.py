@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from . import grids
 from .geometry import GeometryState
-from .spaceform import SpaceFormParams, eta, eta_prime
+from .spaceform import SpaceFormParams, eta_prime
 from .symeig import mm
 
 
@@ -105,14 +105,14 @@ def coefficients_v(state: GeometryState, F, v, p_v, sf: SpaceFormParams,
 def gv_closed_form(state: GeometryState, F, v, p_v, sf: SpaceFormParams):
     """Gv = (K/(w_v eta')) sum f_i + (eta/eta') sum f_i kappa_i.
 
-    sum f_i = tr F and sum f_i kappa_i = F : a, so no eigenvalue is needed.
+    sum f_i = tr F and sum f_i kappa_i = F : a, so no eigenvalue is needed;
+    eta = state.u, since the state is built through u = eta(v).
     """
-    ev = eta(sf, v)
     ep = eta_prime(sf, v)
     wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
     sum_fi = np.einsum("...ii->...", F)
     sum_fk = np.einsum("...ij,...ij->...", F, state.a)
-    return sf.K / (wv * ep) * sum_fi + (ev / ep) * sum_fk
+    return sf.K / (wv * ep) * sum_fi + (state.u / ep) * sum_fk
 
 
 def exp_chain_blocks(lc_u: LinearizedCoefficients, u, p_v, r_v) -> LinearizedCoefficients:

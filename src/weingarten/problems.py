@@ -263,6 +263,9 @@ def sphere_builder_rho(grid, radius, center):
 
 def build_grid(pf: ProblemFile, h_override=None) -> grids.Grid:
     h = float(h_override) if h_override is not None else pf.domain["h"]
+    if not 0.0 < h < np.inf:
+        key = "--h" if h_override is not None else "'h' in [domain]"
+        raise SemanticError(f"{key} must be a finite spacing > 0, got {h!r}")
     center = np.asarray(pf.domain["center"]) if "center" in pf.domain else None
     if pf.domain["kind"] == "cap":
         if pf.domain["chart"] != ch.GNOMONIC:

@@ -56,13 +56,18 @@ def random_admissible_u_field(grid, sf: SpaceFormParams, rng, base=None, amp=0.1
 
 
 def refuse_eigensolves(monkeypatch):
-    """Make every binding of symeig.eigh_descending in the package raise."""
+    """Make every eigenvalue routine raise: each binding of symeig.eigh_descending
+    and symeig.least_eigenvalue in the package, and numpy.linalg.eigh and
+    numpy.linalg.eigvalsh themselves."""
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve where none is needed")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("weingarten") and hasattr(module, "eigh_descending"):
-            monkeypatch.setattr(module, "eigh_descending", refuse)
+        for routine in ("eigh_descending", "least_eigenvalue"):
+            if name.startswith("weingarten") and hasattr(module, routine):
+                monkeypatch.setattr(module, routine, refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
 
 @pytest.fixture

@@ -188,6 +188,22 @@ def test_non_numeric_value_exits_1(problem_file, tmp_path, capsys, old, new, key
     assert repr(key) in payload["message"]
 
 
+@pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.1"])
+@pytest.mark.parametrize("route", ["file", "--h"])
+def test_invalid_spacing_exits_1(problem_file, tmp_path, capsys, h, route):
+    # a spacing that is not finite and > 0 is a SemanticError naming its
+    # key, from the problem file and from the --h override alike
+    text = GEODESIC_H.replace("h = 0.08", f"h = {h}") if route == "file" else GEODESIC_H
+    extra = ["--h", h] if route == "--h" else []
+    rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o"),
+               *extra])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    key = "'h' in [domain]" if route == "file" else "--h"
+    assert payload["message"].startswith(f"{key} must be a finite spacing > 0")
+
+
 @pytest.mark.parametrize("command", [["solve"], ["check-subsolution"], ["lincheck"]])
 def test_curvature_order_other_than_dimension_exits_1(problem_file, tmp_path, capsys, command):
     # the solver solves sigma_n(kappa) = psi only

@@ -178,7 +178,7 @@ def test_newton_quadratic_tail():
         trial = v_full.copy()
         trial[g.interior_ids] += amp * bump[g.interior_ids]
         ev = op.evaluate(trial)
-        if ev is not None and op.admissible(ev, 1e-8):
+        if ev is not None and ev.conv_min_eig.min() >= 1e-8:
             start = trial
             break
         amp *= 0.5
@@ -220,6 +220,16 @@ def test_non_convex_trial_is_refused_before_its_geometry(monkeypatch):
 
     monkeypatch.setattr(ct, "state_from_u_slots", refuse)
     assert op.evaluate(v_bad) is None
+
+
+def test_u_just_above_the_floor_is_out_of_range():
+    # u = e^-28 = 6.9e-13 lies within the range margin 1e-12 of the floor 0:
+    # the evaluation is None, as for any out-of-range field, not a raise
+    g = cap(h=0.1)
+    v = np.full(g.n_nodes, np.log(zeta_inverse(E, 0.6)))
+    v[g.interior_ids[0]] = -28.0
+    op, ev = ct.evaluate_stored(grids.GraphField(g, v, "v"), E)
+    assert ev is None and op.evaluate(v) is None
 
 
 PSI_TEMPLATE = """
@@ -641,14 +651,15 @@ def test_failed_line_search_on_admissible_trials_names_its_cause(monkeypatch, k0
     args, _, _ = k0_bridge_newton
     jacobian = ct._jacobian
     trials = []
-    admissible = ct.DiscreteOperator.admissible
+    evaluate = ct.DiscreteOperator.evaluate
 
-    def recording_admissible(self, ev, margin):
-        trials.append(admissible(self, ev, margin))
-        return trials[-1]
+    def recording_evaluate(self, full, need_f=True):
+        ev = evaluate(self, full, need_f)
+        trials.append(ev is not None)
+        return ev
 
     monkeypatch.setattr(ct, "_jacobian", lambda *a: -jacobian(*a))
-    monkeypatch.setattr(ct.DiscreteOperator, "admissible", recording_admissible)
+    monkeypatch.setattr(ct.DiscreteOperator, "evaluate", recording_evaluate)
     res = ct.newton_core(*args)
     assert res.status == ct.LINE_SEARCH_FAILURE
     assert res.iterations == 1 and len(res.history) == 1
@@ -695,7 +706,7 @@ def _jacobian_case(case):
 def test_fast_factor_agrees_with_the_default(case):
     op, field = _jacobian_case(case)
     ev = op.evaluate(field)
-    assert ev is not None and op.admissible(ev, ct.CONVEXITY_MARGIN)
+    assert ev is not None
     J = ct._jacobian(op, ev, ConstantRhs(np.zeros(op.grid.n_interior)))
     b = np.sin(np.arange(J.shape[0]) * 0.37)
     default = spla.splu(J)

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from weingarten.continuity import CONVEXITY_MARGIN
 from weingarten.errors import AdmissibilityError
-from weingarten.symeig import eigh_descending, least_eigenvalue, mm
+from weingarten.symeig import eigh_descending, least_eigenvalue, mm, positive_definite
 from weingarten.symfunc import (
     all_sigmas,
     f_and_derivatives,
@@ -159,7 +160,7 @@ def test_eigh_repeated_eigenvalues_n3(rng):
 
 def test_least_eigenvalue_is_the_last_of_eigh(rng):
     # bit for bit at n = 2 (the closed form shared with eigh_descending), to
-    # rounding at n = 3 (Smith's formula) and n = 4 (eigvalsh)
+    # rounding at n = 3 and 4 (eigvalsh)
     for n in (2, 3, 4):
         a = rng.normal(0.0, 1.0, (300, n, n))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
@@ -171,22 +172,36 @@ def test_least_eigenvalue_is_the_last_of_eigh(rng):
         else:
             assert np.max(np.abs(lam - ref)) < 1e-13
         assert np.max(np.abs(lam[-2:] - 2.5)) < 1e-14
-    # n = 3 near repeated eigenvalues.  c I + s E: a spread ~ s around a
-    # multiple of the identity
-    e = rng.normal(0.0, 1.0, (200, 3, 3))
-    e = 0.5 * (e + np.swapaxes(e, 1, 2))
-    stacks = [1.3 * np.eye(3) + s * e for s in (0.0, 1e-14, 1e-10, 1e-6)]
-    # an O(1) spread with the two smallest or the two largest eigenvalues
-    # (nearly) equal; the trigonometric formula alone loses half the digits
-    # of the split in the first case
-    q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (200, 3, 3)))
-    for gap in (0.0, 1e-14, 1e-10, 1e-6):
-        for w in ((0.4, 0.4 + gap, 2.0), (0.4, 2.0, 2.0 + gap)):
-            a = (q * np.array(w)) @ np.swapaxes(q, 1, 2)
-            stacks.append(0.5 * (a + np.swapaxes(a, 1, 2)))
-    for a in stacks:
-        ref = np.linalg.eigvalsh(a)[:, 0]
-        assert np.max(np.abs(least_eigenvalue(a) - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_positive_definite_agrees_with_eigvalsh(rng, n):
+    # the Newton trial test S - margin I > 0, on stacks whose least
+    # eigenvalue is half or twice the margin and the rest in [0.5, 2]
+    margin = CONVEXITY_MARGIN
+    q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (3000, n, n)))
+    w = rng.uniform(0.5, 2.0, (3000, n))
+
+    def stack(least):
+        w[:, 0] = least
+        s = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+        return 0.5 * (s + np.swapaxes(s, 1, 2)) - margin * np.eye(n)
+
+    for least in (0.5 * margin, 2.0 * margin):
+        a = stack(least)
+        ref = np.linalg.eigvalsh(a)[:, 0] > 0.0
+        assert np.all(ref == (least > margin))
+        assert positive_definite(a) == (least > margin)
+        assert all(positive_definite(a[i:i + 1]) == ref[i] for i in range(0, 3000, 97))
+    # one node short of the margin in a stack of thousands
+    good, bad = stack(2.0 * margin), stack(0.5 * margin)
+    good[1234] = bad[1234]
+    assert np.sum(np.linalg.eigvalsh(good)[:, 0] <= 0.0) == 1
+    assert not positive_definite(good)
+    good[1234] = np.eye(n)
+    assert positive_definite(good)
+    good[1234, n - 1, n - 1] = np.nan
+    assert not positive_definite(good)
 
 
 def test_eigh2_repeated_eigenvalues():
