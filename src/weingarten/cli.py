@@ -16,9 +16,9 @@ import numpy as np
 
 from . import continuity, grids, linearize
 from .continuity import (
-    DiscreteOperator,
     diagnostics_from_eval,
     evaluate_stored,
+    evaluate_target,
     solve_problem,
     to_plain,
     verify_subsolution,
@@ -149,12 +149,10 @@ def _cmd_solve(args):
         _error_json(f"solve ended with status {report.status}", kind=report.status)
         return 2 if report.status == continuity.ADMISSIBILITY_LOSS else 1
     grids.save_grid(out / "solution.grid", spec.grid, field, space_form=spec.sf.K)
-    op = DiscreteOperator(spec.grid, profile(spec.sf), rep=field.representation, sf=spec.sf)
-    ev = op.evaluate(field.values)
-    psi_hat = spec.psi_hat(op.bundle(ev))
+    op, ev, f, psi_hat = evaluate_target(spec, field)
     n = spec.grid.dim
     _write_csv(out / "solution.csv", spec.grid, op.ambient.rho_u(ev.u), ev.state.kappa,
-               "residual", ev.f**n - psi_hat**n)
+               "residual", f**n - psi_hat**n)
     sys.stdout.write(
         f"Converged: residual {report.final_residual:.3e} "
         f"(sigma-level {report.sigma_residual:.3e})\n"

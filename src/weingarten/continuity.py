@@ -56,7 +56,7 @@ from .spaceform import (
     zeta_inverse,
 )
 from .symeig import least_eigenvalue, mm, positive_definite
-from .symfunc import f_and_derivatives, f_and_F
+from .symfunc import f_and_F
 
 CONVEXITY_MARGIN = 1e-10  # Hess u + u sigma - margin I must be positive definite
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
@@ -584,10 +584,7 @@ def verify_subsolution(spec: ProblemSpec):
     sigma_n(kappa[subsolution]) >= psi  iff  f >= psi^(1/n).
     """
     grid = spec.grid
-    sf = spec.sf
-    u_sub = zeta_inverse(sf, spec.subsolution_rho)
-    op = DiscreteOperator(grid, profile(sf), rep="u", sf=sf)
-    ev = op.evaluate(u_sub, need_f=False)
+    op, ev = evaluate_stored(GraphField(grid, spec.subsolution_rho, "rho"), spec.sf)
     report = {"ok": True, "reasons": [], "worst_node": None}
     if ev is None:
         report["ok"] = False
@@ -603,7 +600,7 @@ def verify_subsolution(spec: ProblemSpec):
             f"subsolution not strictly locally convex: min eigenvalue {conv.min():.3e} at node {worst}"
         )
         return report
-    f_sub = f_and_derivatives(ev.state.kappa, grid.dim)[0]
+    f_sub = f_and_F(ev.state.a)[0]
     psi_hat = spec.psi_hat(op.bundle(ev))
     gap = f_sub - psi_hat
     report["inequality_margin"] = float(gap.min())
@@ -615,8 +612,8 @@ def verify_subsolution(spec: ProblemSpec):
             f"sigma_n(kappa[subsolution]) < psi: f-level gap {gap.min():.3e} at node {worst}"
         )
     # boundary match at the staircase nodes, in the u variable
-    u_data = zeta_inverse(sf, spec.boundary_rho)
-    diff = u_sub[grid.boundary_ids] - u_data[grid.boundary_ids]
+    u_data = zeta_inverse(spec.sf, spec.boundary_rho)
+    diff = ev.full[grid.boundary_ids] - u_data[grid.boundary_ids]
     scale = max(1.0, float(np.max(np.abs(u_data[grid.boundary_ids]))))
     tol = BOUNDARY_MATCH_FACTOR * grid.h * scale
     report["boundary_mismatch"] = float(np.max(np.abs(diff))) if diff.size else 0.0
@@ -826,18 +823,23 @@ def _xi_ratio(op, v_full):
     return ev.f / xi(op.sf, ev.val)
 
 
-def _finalize_report(spec, op, field, report):
+def evaluate_target(spec: ProblemSpec, field: GraphField):
+    """(operator, evaluation, f, psi_hat) of a field on the target equation:
+    the evaluation is evaluate_stored's and f = sigma_n^(1/n) is f_and_F's."""
+    op, ev = evaluate_stored(field, spec.sf)
+    return op, ev, f_and_F(ev.state.a)[0], spec.psi_hat(op.bundle(ev))
+
+
+def _finalize_report(spec, field, report):
     """Residuals against the target equation, final diagnostics, ordering gaps.
 
-    op is the last leg's operator at t = 1, the target equation's operator in
-    the field's representation; the final diagnostics are the last step
-    record's.  A v field also gets the Hopf check against the subsolution.
+    The final diagnostics are the last step record's.  A v field also gets
+    the Hopf check against the subsolution.
     """
-    ev = op.evaluate(field.values)
-    psi_hat = spec.psi_hat(op.bundle(ev))
-    report.final_residual = float(np.max(np.abs(ev.f - psi_hat)))
+    _, _, f, psi_hat = evaluate_target(spec, field)
+    report.final_residual = float(np.max(np.abs(f - psi_hat)))
     n = spec.grid.dim
-    report.sigma_residual = float(np.max(np.abs(ev.f**n - psi_hat**n)))
+    report.sigma_residual = float(np.max(np.abs(f**n - psi_hat**n)))
     report.diagnostics["final"] = dict(report.stages[-1]["diagnostics"])
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
@@ -1024,5 +1026,5 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     field, report.status, _ = run_legs(spec.grid, legs, start, cfg, report.stages)
     if report.status != CONVERGED:
         return None, report
-    _finalize_report(spec, legs[-1].op_at(1.0), field, report)
+    _finalize_report(spec, field, report)
     return field, report

@@ -11,10 +11,10 @@ orthonormal frame components, so the frame formulas apply verbatim:
 with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
 Principal curvatures are the eigenvalues of a, sorted descending; the graph is
-strictly locally convex iff Hess u + u d > 0.  kappa and its eigenvectors are
-computed on first read: the Newton iteration reads only a (symfunc.f_and_F),
-so only step records, diagnostics and the CLI pay an eigensolve.  The
-per-node products are symeig.mm, written out over the small matrices.
+strictly locally convex iff Hess u + u d > 0.  kappa is computed on first
+read: Newton and the subsolution gate read only a (symfunc.f_and_F), so
+only step records, diagnostics and the CLI pay an eigensolve.  The per-node
+products are symeig.mm, written out over the small matrices.
 
 This is the one state route:
 v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a
@@ -55,21 +55,10 @@ class GeometryState:
     def dim(self):
         return self.p.shape[-1]
 
-    # kappa and eigvecs come from one eigensolve, each kept unless already set
-
     @cached_property
     def kappa(self):
         """(N, n) principal curvatures, descending; assignable like a field."""
-        kappa, eigvecs = eigh_descending(self.a)
-        self.__dict__.setdefault("eigvecs", eigvecs)
-        return kappa
-
-    @cached_property
-    def eigvecs(self):
-        """(N, n, n) Q with a = Q diag(kappa) Q^T; assignable like a field."""
-        kappa, eigvecs = eigh_descending(self.a)
-        self.__dict__.setdefault("kappa", kappa)
-        return eigvecs
+        return eigh_descending(self.a)[0]
 
 
 def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:

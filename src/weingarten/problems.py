@@ -131,8 +131,10 @@ def _validate(raw) -> ProblemFile:
     kind = dom_raw.get("kind", "cap")
     if kind not in ("cap", "mask"):
         raise SemanticError(f"domain kind must be cap or mask, got {kind!r}")
-    domain = {"kind": kind, "h": _number(raw, "domain", "h"),
-              "chart": dom_raw.get("chart", "gnomonic")}
+    domain = {"kind": kind, "chart": dom_raw.get("chart", "gnomonic")}
+    # a mask file carries its own h; [domain] h may only restate it
+    if kind == "cap" or "h" in dom_raw:
+        domain["h"] = _number(raw, "domain", "h")
     if domain["chart"] not in (ch.GNOMONIC, ch.PLANE):
         raise SemanticError(f"chart must be gnomonic or plane, got {domain['chart']!r}")
     if kind == "cap":
@@ -143,6 +145,8 @@ def _validate(raw) -> ProblemFile:
             )
         domain["theta0"] = theta0
     else:
+        if n != 2:
+            raise SemanticError(f"mask domains are 2-D: dimension must be 2, got {n}")
         domain["mask_file"] = _need(raw, "domain", "mask_file")
         domain["radius"] = _number(raw, "domain", "radius") if "radius" in dom_raw else None
         if "origin" in dom_raw:
@@ -153,31 +157,18 @@ def _validate(raw) -> ProblemFile:
             raise SemanticError(f"chart center needs {n + 1} components")
 
     psi = parse_expression(_need(raw, "psi", "expr"))
-    boundary = parse_expression(_need(raw, "boundary", "rho"))
-    allowed = _point_vars(n) | _GEOM_VARS
-    for label, expr, extra in (("psi", psi, set()), ("boundary", boundary, set())):
-        bad = expr.variables - allowed - extra
-        if bad:
-            raise SemanticError(f"[{label}] references unknown variable(s) {sorted(bad)}")
-    # boundary / subsolution / exact are graphs over the chart: position only
-    pos_only = _position_vars(n)
-    for label, expr in (("boundary", boundary),):
-        bad = expr.variables - pos_only
-        if bad:
-            raise SemanticError(f"[{label}] may only reference chart coordinates, not {sorted(bad)}")
+    bad = psi.variables - _point_vars(n) - _GEOM_VARS
+    if bad:
+        raise SemanticError(f"[psi] references unknown variable(s) {sorted(bad)}")
+    boundary = _graph_expression(_need(raw, "boundary", "rho"), "boundary", n)
 
     sub_raw = raw.get("subsolution", {})
     given = [key for key in ("rho", "sphere", "file") if key in sub_raw]
     if len(given) != 1:
         raise SemanticError("[subsolution] needs exactly one of rho = / sphere = / file =")
     if given[0] == "rho":
-        expr = parse_expression(sub_raw["rho"])
-        bad = expr.variables - pos_only
-        if bad:
-            raise SemanticError(
-                f"[subsolution] may only reference chart coordinates, not {sorted(bad)}"
-            )
-        subsolution = {"kind": "expr", "expr": expr}
+        subsolution = {"kind": "expr",
+                       "expr": _graph_expression(sub_raw["rho"], "subsolution", n)}
     elif given[0] == "sphere":
         vals = _number(raw, "subsolution", "sphere", list)
         if len(vals) != n + 2:
@@ -190,10 +181,7 @@ def _validate(raw) -> ProblemFile:
 
     exact = None
     if "exact" in raw and "rho" in raw["exact"]:
-        exact = parse_expression(raw["exact"]["rho"])
-        bad = exact.variables - pos_only
-        if bad:
-            raise SemanticError(f"[exact] may only reference chart coordinates, not {sorted(bad)}")
+        exact = _graph_expression(raw["exact"]["rho"], "exact", n)
 
     solver = {key: _number(raw, "solver", key, _SOLVER_TYPES[key]) for key in raw.get("solver", {})}
 
@@ -204,6 +192,15 @@ def _validate(raw) -> ProblemFile:
     )
 
 
+def _graph_expression(text, label, n):
+    """[boundary], [subsolution] and [exact] are graphs over the chart: position only."""
+    expr = parse_expression(text)
+    bad = expr.variables - _position_vars(n)
+    if bad:
+        raise SemanticError(f"[{label}] may only reference chart coordinates, not {sorted(bad)}")
+    return expr
+
+
 def load_problem(path) -> ProblemFile:
     with open(path) as fh:
         return parse_problem(fh.read())
@@ -212,8 +209,20 @@ def load_problem(path) -> ProblemFile:
 # ---------------------------------------------------------------------------
 # mask files
 
+# what each mask header key must be: (type, count, test, description)
+_MASK_HEADER = {
+    "h": (float, 1, lambda x: 0.0 < x < np.inf, "a finite spacing > 0"),
+    "origin": (float, 2, np.isfinite, "two finite numbers"),
+    "rows": (int, 1, lambda x: x > 0, "a positive integer"),
+    "cols": (int, 1, lambda x: x > 0, "a positive integer"),
+}
+
+
 def load_mask(path):
-    """Mask file: header lines `h`, `origin`, `rows`, `cols`, then 0/1 rows."""
+    """Mask file: header lines `h`, `origin`, `rows`, `cols`, then 0/1 rows.
+
+    A header key that is missing or malformed is a ParseError naming it.
+    """
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     header = {}
@@ -222,10 +231,19 @@ def load_mask(path):
         parts = raw[i].split()
         header[parts[0]] = parts[1:]
         i += 1
-    h = float(header["h"][0])
-    origin = [float(v) for v in header["origin"]]
-    rows = int(header["rows"][0])
-    cols = int(header["cols"][0])
+    values = {}
+    for key, (kind, count, ok, what) in _MASK_HEADER.items():
+        if key not in header:
+            raise ParseError(f"mask file has no {key!r} header line")
+        try:
+            vals = [kind(v) for v in header[key]]
+        except ValueError:
+            vals = []
+        if len(vals) != count or not all(ok(v) for v in vals):
+            raise ParseError(f"mask header {key!r} must be {what}, got {' '.join(header[key])!r}")
+        values[key] = vals
+    h, origin = values["h"][0], values["origin"]
+    rows, cols = values["rows"][0], values["cols"][0]
     grid_rows = raw[i : i + rows]
     if len(grid_rows) != rows:
         raise ParseError(f"mask file lists {len(grid_rows)} rows, header says {rows}")
@@ -262,25 +280,28 @@ def sphere_builder_rho(grid, radius, center):
 
 
 def build_grid(pf: ProblemFile, h_override=None) -> grids.Grid:
-    h = float(h_override) if h_override is not None else pf.domain["h"]
-    if not 0.0 < h < np.inf:
-        key = "--h" if h_override is not None else "'h' in [domain]"
-        raise SemanticError(f"{key} must be a finite spacing > 0, got {h!r}")
     center = np.asarray(pf.domain["center"]) if "center" in pf.domain else None
     if pf.domain["kind"] == "cap":
+        h = float(h_override) if h_override is not None else pf.domain["h"]
+        if not 0.0 < h < np.inf:
+            key = "--h" if h_override is not None else "'h' in [domain]"
+            raise SemanticError(f"{key} must be a finite spacing > 0, got {h!r}")
         if pf.domain["chart"] != ch.GNOMONIC:
             raise SemanticError("cap domains use the gnomonic chart")
         return grids.build_cap_domain(pf.domain["theta0"], h, n=pf.dimension, center=center)
-    mask, h_mask, origin = load_mask(pf.domain["mask_file"])
     if h_override is not None:
         raise SemanticError("h override is not supported for mask domains")
+    mask, h, origin = load_mask(pf.domain["mask_file"])
+    if pf.domain.get("h", h) != h:
+        raise SemanticError(
+            f"'h' in [domain] ({pf.domain['h']!r}) differs from the mask file's h ({h!r})")
     chart = (
         ch.gnomonic_chart(pf.dimension, center)
         if pf.domain["chart"] == ch.GNOMONIC
         else ch.plane_chart(pf.dimension)
     )
     return grids.build_from_mask(
-        mask, h_mask, pf.domain.get("origin", origin), chart=chart,
+        mask, h, pf.domain.get("origin", origin), chart=chart,
         max_radius=pf.domain.get("radius"),
     )
 

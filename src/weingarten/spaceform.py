@@ -90,12 +90,7 @@ def _check_v(sf, v):
 
 def zeta(sf: SpaceFormParams, u):
     """rho = zeta(u): 1/u, arccot(u), arccoth(u) for K = 0, 1, -1.  Decreasing."""
-    u = _check_u(sf, u)
-    if sf.K == 0:
-        return 1.0 / u
-    if sf.K == 1:
-        return np.arctan2(1.0, u)
-    return 0.5 * np.log((u + 1.0) / (u - 1.0))
+    return profile(sf).rho_u(_check_u(sf, u))
 
 
 def zeta_inverse(sf: SpaceFormParams, rho):

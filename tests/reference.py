@@ -222,10 +222,7 @@ def state_from_v_slots(v, p_v, r_v, sf: SpaceFormParams) -> GeometryState:
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
     state = state_from_u_slots(u, p_u, r_u, profile(sf))
-    kappa, Q = eigh_descending(a)
-    state.a = a
-    state.kappa = kappa
-    state.eigvecs = Q
+    state.a = a  # kappa, read later, is computed from this a
     return state
 
 
@@ -273,10 +270,7 @@ def state_deformed_slots(u, p, r, t) -> GeometryState:
     )
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     state = state_from_u_slots(u, p, r, profile_deformed(t))
-    kappa, Q = eigh_descending(a)
-    state.a = a
-    state.kappa = kappa
-    state.eigvecs = Q
+    state.a = a  # kappa, read later, is computed from this a
     return state
 
 

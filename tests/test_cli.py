@@ -204,6 +204,68 @@ def test_invalid_spacing_exits_1(problem_file, tmp_path, capsys, h, route):
     assert payload["message"].startswith(f"{key} must be a finite spacing > 0")
 
 
+MASK_ROWS = "0000000\n0111110\n0111110\n0111110\n0111110\n0111110\n0000000\n"
+MASK_HEADER = "h 0.05\norigin -0.15 -0.15\nrows 7\ncols 7\n"
+
+
+def _mask_problem(problem_file, header=MASK_HEADER, domain=""):
+    """GEODESIC_H on a 7x7 mask domain; domain adds [domain] lines."""
+    mask = Path(problem_file(header + MASK_ROWS, name="dom.mask"))
+    text = GEODESIC_H.replace(CAP + "\nh = 0.08", f"kind = mask\nmask_file = {mask}{domain}")
+    return problem_file(text)
+
+
+@pytest.mark.parametrize("domain", ["", "\nh = 0.05"], ids=["no-h", "same-h"])
+def test_mask_domain_reads_its_spacing_from_the_mask_file(problem_file, tmp_path, domain):
+    # [domain] h is not needed for a mask domain, and may restate the header's
+    out = tmp_path / "o"
+    rc = main(["check-subsolution", "--problem", _mask_problem(problem_file, domain=domain),
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "subsolution.json").read_text())["ok"]
+
+
+@pytest.mark.parametrize("header, message", [
+    (MASK_HEADER.replace("h 0.05", "h 0"), "mask header 'h' must be a finite spacing > 0"),
+    (MASK_HEADER.replace("h 0.05", "h nan"), "mask header 'h' must be a finite"),
+    (MASK_HEADER.replace("h 0.05", "h x"), "mask header 'h' must be a finite"),
+    (MASK_HEADER.replace("h 0.05\n", ""), "mask file has no 'h' header line"),
+    (MASK_HEADER.replace("origin -0.15 -0.15", "origin -0.15"),
+     "mask header 'origin' must be two finite numbers"),
+    (MASK_HEADER.replace("rows 7", "rows 0"), "mask header 'rows' must be a positive"),
+    (MASK_HEADER.replace("cols 7", "cols 7.5"), "mask header 'cols' must be a positive"),
+], ids=["h-zero", "h-nan", "h-text", "h-missing", "origin-one-number", "rows-zero", "cols-fraction"])
+def test_malformed_mask_header_exits_1(problem_file, tmp_path, capsys, header, message):
+    # each header key is checked and named, with the error JSON, not a traceback
+    rc = main(["check-subsolution", "--problem", _mask_problem(problem_file, header),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ParseError"
+    assert message in payload["message"]
+
+
+def test_mask_domain_refuses_a_different_spacing(problem_file, tmp_path, capsys):
+    # the grid is the mask file's: a [domain] h other than its header's would be ignored
+    rc = main(["check-subsolution", "--problem", _mask_problem(problem_file, domain="\nh = 0.07"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert payload["message"] == "'h' in [domain] (0.07) differs from the mask file's h (0.05)"
+
+
+def test_mask_domain_in_three_dimensions_exits_1(problem_file, tmp_path, capsys):
+    # mask files are rows x cols: a mask domain is 2-D
+    text = Path(_mask_problem(problem_file)).read_text().replace(
+        "curvature_order = 2\ndimension = 2", "curvature_order = 3\ndimension = 3")
+    rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert "mask domains are 2-D: dimension must be 2, got 3" in payload["message"]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["check-subsolution"], ["lincheck"]])
 def test_curvature_order_other_than_dimension_exits_1(problem_file, tmp_path, capsys, command):
     # the solver solves sigma_n(kappa) = psi only

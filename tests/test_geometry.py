@@ -16,6 +16,7 @@ from weingarten.spaceform import (
     zeta,
     zeta_inverse,
 )
+from weingarten.symeig import eigh_descending
 from conftest import random_admissible_slots, random_admissible_u_field
 from reference import (
     convexity_matrix, frame_jets, lowered_forms, phi, rho_slots_to_u, state_deformed_slots,
@@ -63,7 +64,8 @@ def test_a_symmetric_kappa_descending(rng):
     st = state_from_u_slots(u, p, r, profile(E))
     assert np.max(np.abs(st.a - np.swapaxes(st.a, 1, 2))) < 1e-14
     assert np.all(np.diff(st.kappa, axis=1) <= 1e-14)
-    recon = np.einsum("nik,nk,njk->nij", st.eigvecs, st.kappa, st.eigvecs)
+    Q = eigh_descending(st.a)[1]
+    recon = np.einsum("nik,nk,njk->nij", Q, st.kappa, Q)
     assert np.max(np.abs(recon - st.a)) < 1e-12
 
 

@@ -170,6 +170,18 @@ def test_one_driver_walks_the_legs():
     assert referrers("run_legs") == {"continuity.solve_problem"}
 
 
+def test_fields_off_the_newton_path_read_the_solver_routes():
+    # f = sigma_n^(1/n) is f_and_F's everywhere; the eigen route is left only
+    # inside f_and_F (n >= 4) and as the independent FD oracle of lincheck
+    assert referrers("f_and_derivatives") == {
+        "symfunc.f_and_F", "cli.lincheck_report", "cli.ImportFrom"}
+    # the subsolution gate, the final report and solution.csv evaluate a
+    # field through evaluate_stored, not through an operator of their own
+    outside = {name for name in referrers("DiscreteOperator")
+               if name.startswith("cli.") or name == "continuity.verify_subsolution"}
+    assert outside == set()
+
+
 
 # where calls to the library are looked for
 CALLER_DIRS = ("src", "tests", "perfbench")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weingarten import continuity as ct
-from weingarten import grids, linearize, symfunc
+from weingarten import cli, grids, linearize, symfunc
 from weingarten.errors import SemanticError
 from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
@@ -278,8 +278,8 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
     def refuse(*args, **kwargs):
         raise AssertionError("f or its derivative computed while building blocks")
 
-    for module in (symfunc, ct):
-        monkeypatch.setattr(module, "f_and_derivatives", refuse)
+    monkeypatch.setattr(symfunc, "f_and_derivatives", refuse)
+    for module in (symfunc, ct, cli):
         monkeypatch.setattr(module, "f_and_F", refuse)
     lc = op.blocks(ev)
     assert np.all(np.isfinite(lc.Gu)) and np.min(np.linalg.eigvalsh(lc.Gij)) > 0

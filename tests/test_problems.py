@@ -85,6 +85,17 @@ def test_boundary_rejects_state_variables():
         parse_problem(bad)
 
 
+@pytest.mark.parametrize("old, new, label", [
+    ("[boundary]\nrho = 1", "[boundary]\nrho = 1 + q7", "boundary"),
+    ("[subsolution]\nsphere = 1 0 0 0", "[subsolution]\nrho = 1 + gradnorm", "subsolution"),
+    ("[subsolution]", "[exact]\nrho = nu_rad\n\n[subsolution]", "exact"),
+])
+def test_graphs_over_the_chart_reference_position_only(old, new, label):
+    # [boundary], [subsolution] rho and [exact] are graphs over the chart
+    with pytest.raises(SemanticError, match=rf"\[{label}\] may only reference chart coordinates"):
+        parse_problem(MINIMAL.replace(old, new))
+
+
 def test_psi_may_reference_state():
     ok = MINIMAL.replace("[psi]\nexpr = 1", "[psi]\nexpr = exp(-gradnorm) + nu_rad + v")
     pf = parse_problem(ok)
