@@ -70,6 +70,9 @@ def main(argv=None):
     except (ParseError, SemanticError, EvaluationError, DomainRangeError) as exc:
         _error_json(str(exc), kind=type(exc).__name__)
         return 1
+    except OSError as exc:        # an input file that is missing or unreadable names its path
+        _error_json(str(exc), kind=type(exc).__name__)
+        return 1
     except AdmissibilityError as exc:
         _error_json(str(exc), kind="AdmissibilityError")
         return 2

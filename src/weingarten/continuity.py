@@ -193,10 +193,9 @@ class DiscreteOperator:
     """Evaluates f(kappa[field]) = sigma_n^(1/n) and its linearization over the interior nodes.
 
     rep "u": unknowns are u values.  rep "v": unknowns are v with u = eta(v)
-    for the space form sf.  An ambient profile whose curvature ka differs from
-    sf.K is the deformed sphere path: eta = exp (sf K = 0) over a profile with
-    ka = t^2 > 0, where the closed-form v blocks do not hold and the blocks
-    come from the chain rule instead.
+    for the space form sf, over any ambient profile: the deformed sphere path
+    runs eta = exp (sf K = 0) over a profile with ka = t^2.  The v-blocks come
+    from the u-blocks by the chain rule, linearize.coefficients_v.
     """
 
     def __init__(self, grid, ambient: AmbientProfile, rep="v", sf=None):
@@ -206,10 +205,6 @@ class DiscreteOperator:
         self.sf = sf
         if rep == "v" and sf is None:
             raise SemanticError("v-representation needs a space form")
-        if sf is not None and ambient.curvature != sf.K and (rep != "v" or sf.K != 0):
-            raise SemanticError(
-                "a profile other than the space form's needs the v-representation "
-                "with eta = exp (K = 0)")
 
     def evaluate(self, full, need_f=True):
         """Full geometric evaluation; None on range violations and, when need_f
@@ -249,9 +244,8 @@ class DiscreteOperator:
         lc_u = linearize.coefficients_u(ev.state, ev.F)
         if self.rep == "u":
             return lc_u
-        if self.ambient.curvature != self.sf.K:
-            return linearize.exp_chain_blocks(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
-        return linearize.coefficients_v(ev.state, ev.F, ev.val, ev.p_v_frame, self.sf, lc_u)
+        return linearize.coefficients_v(
+            lc_u, ev.u, eta_prime(self.sf, ev.val), ev.p_v_frame, ev.r_v_frame)
 
     def u_values_all_nodes(self, full):
         """u at every non-exterior node (for diagnostics over the closure)."""
@@ -962,9 +956,9 @@ def sphere_legs(spec: ProblemSpec):
 
     Euclidean auxiliary solve, metric deformation, eps removal.  The t = 0
     legs are the K = 0 stage-1 and bridge legs with eps = delta2, since
-    profile_deformed(0) is the Euclidean profile and eta = exp there.  Only
-    the deformation needs the exp-chain operator, whose metric has ka = t^2
-    while eta stays exp.  The sphere-eps leg then runs on the K = +1 operator
+    profile_deformed(0) is the Euclidean profile and eta = exp there.  The
+    deformation runs the v-operator with eta = exp over the profile of
+    curvature ka = t^2.  The sphere-eps leg then runs on the K = +1 operator
     in u = e^v, on G[u] = psi_hat - (1 - t) eps: its t = 0 problem is the
     deformation's endpoint and its t = 1 problem the target equation.
     """

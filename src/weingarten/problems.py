@@ -8,6 +8,7 @@ See the README for the full schema and an annotated example.
 
 import json
 from dataclasses import dataclass, field as dc_field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -202,8 +203,15 @@ def _graph_expression(text, label, n):
 
 
 def load_problem(path) -> ProblemFile:
+    """Parse a problem file; its mask_file and [subsolution] file are read from its directory."""
     with open(path) as fh:
-        return parse_problem(fh.read())
+        pf = parse_problem(fh.read())
+    base = Path(path).parent
+    if "mask_file" in pf.domain:
+        pf.domain["mask_file"] = base / pf.domain["mask_file"]
+    if pf.subsolution["kind"] == "file":
+        pf.subsolution["path"] = base / pf.subsolution["path"]
+    return pf
 
 
 # ---------------------------------------------------------------------------

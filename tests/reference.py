@@ -4,7 +4,7 @@ The solver evaluates every quantity through one route: u-jets ->
 geometry.state_from_u_slots -> the closed-form linearization blocks.  The
 formulas here express the same quantities another way (direct v- and
 deformed-metric curvature matrices, the lowered-index metric forms, the mu u convexity product rule, the
-chain-rule Gv, the matrix F^{ij}, the scalar space-form functions of rho and
+closed-form Gv, the matrix F^{ij}, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
 route.  The solver writes its per-node products out entry by entry
@@ -278,21 +278,18 @@ def state_deformed_slots(u, p, r, t) -> GeometryState:
 # linearization
 
 
-def gv_chain_rule(lc_u: LinearizedCoefficients, sf: SpaceFormParams, v, p_v, r_v):
-    """Gv by the pointwise chain rule from the u-blocks (test fallback).
+def gv_closed_form(state: GeometryState, F, v, p_v, sf: SpaceFormParams):
+    """Gv = (K/(w_v eta')) sum f_i + (eta/eta') sum f_i kappa_i, w_v = sqrt(1 + |Dv|^2).
 
-    d/dv of (eta' r + eta'' p p^T, eta' p, eta) uses eta'' = eta and
-    eta''' = eta' on every branch.
+    The zero-order v-block of the space form's own profile in closed form.
+    sum f_i = tr F and sum f_i kappa_i = F : a; eta = state.u, since the
+    state is built through u = eta(v).
     """
-    ev = eta(sf, v)
     ep = eta_prime(sf, v)
-    pp = p_v[..., :, None] * p_v[..., None, :]
-    r_slot = ev[..., None, None] * r_v + ep[..., None, None] * pp
-    return (
-        np.einsum("...ij,...ij->...", lc_u.Gij, r_slot)
-        + ev * np.einsum("...s,...s->...", lc_u.Gs, p_v)
-        + lc_u.Gu * ep
-    )
+    wv = np.sqrt(1.0 + np.einsum("...i,...i->...", p_v, p_v))
+    sum_fi = np.einsum("...ii->...", F)
+    sum_fk = np.einsum("...ij,...ij->...", F, state.a)
+    return sf.K / (wv * ep) * sum_fi + (state.u / ep) * sum_fk
 
 
 def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):

@@ -17,6 +17,7 @@ from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
     eta,
+    eta_prime,
     profile,
     xi,
     xi_prime,
@@ -222,7 +223,8 @@ def test_criterion_03_linearization_oracle():
         v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
         uu, pu, ru = v_slots_to_u(v, p_v, r_v, sf)
         stv = state_from_u_slots(uu, pu, ru, amb)
-        gv = linearize.gv_closed_form(stv, f_and_F(stv.a)[1], v, p_v, sf)
+        lc_u = linearize.coefficients_u(stv, f_and_F(stv.a)[1])
+        gv = linearize.coefficients_v(lc_u, uu, eta_prime(sf, v), p_v, r_v).Gu
 
         def Gv(vv):
             a, b, c = v_slots_to_u(vv, p_v, r_v, sf)
@@ -247,11 +249,12 @@ def test_criterion_04_zero_order_sign():
             u, pu, ru = v_slots_to_u(v, p_v, r_v, sf)
             st = state_from_u_slots(u, pu, ru, profile(sf))
             keep = st.kappa[:, -1] > 5e-2
-            v, p_v = v[keep], p_v[keep]
+            v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
             st = state_from_u_slots(u[keep], pu[keep], ru[keep], profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
+            lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
+            gv = linearize.coefficients_v(lc_u, st.u, eta_prime(sf, v), p_v, r_v).Gu
             margin = max(margin, float(np.max(gv - psi_z * xi_prime(sf, v))))
             total += int(keep.sum())
         total = 0 if sf.K == 0 else total

@@ -10,6 +10,7 @@ from weingarten import grids
 from weingarten.cli import main
 from weingarten.continuity import diagnostics_monitor
 from weingarten.errors import AdmissibilityError
+from weingarten.problems import build_problem, load_problem
 from weingarten.spaceform import SpaceFormParams
 
 REPO = Path(__file__).resolve().parent.parent
@@ -264,6 +265,50 @@ def test_mask_domain_in_three_dimensions_exits_1(problem_file, tmp_path, capsys)
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "SemanticError"
     assert "mask domains are 2-D: dimension must be 2, got 3" in payload["message"]
+
+
+@pytest.mark.parametrize("case", ["problem", "mask_file", "subsolution", "grid"])
+def test_missing_input_file_exits_1(problem_file, tmp_path, capsys, case):
+    # a missing input file gives the error JSON naming its path, not a traceback
+    missing = tmp_path / "missing.txt"
+    if case == "problem":
+        command = ["check-subsolution", "--problem", str(missing)]
+    elif case == "mask_file":
+        text = GEODESIC_H.replace(CAP + "\nh = 0.08", "kind = mask\nmask_file = missing.txt")
+        command = ["check-subsolution", "--problem", problem_file(text)]
+    elif case == "subsolution":
+        text = GEODESIC_H.replace("[subsolution]\nrho = 0.6", "[subsolution]\nfile = missing.txt")
+        command = ["check-subsolution", "--problem", problem_file(text)]
+    else:
+        command = ["curvature", "--grid", str(missing)]
+    rc = main([*command, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "FileNotFoundError"
+    assert str(missing) in payload["message"]
+
+
+def test_relative_input_paths_follow_the_problem_file(tmp_path, monkeypatch):
+    # mask_file and [subsolution] file are read next to the problem file,
+    # wherever the solver runs from; the parsed raw text keeps them as written
+    inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+    inputs.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    (inputs / "dom.mask").write_text(MASK_HEADER + MASK_ROWS)
+    text = GEODESIC_H.replace(CAP + "\nh = 0.08", "kind = mask\nmask_file = dom.mask")
+    (inputs / "rho.wg").write_text(text)
+    spec = build_problem(load_problem("../inputs/rho.wg"))[0]
+    grids.save_grid(inputs / "sub.grid", spec.grid,
+                    grids.GraphField(spec.grid, spec.subsolution_rho, "rho"))
+    (inputs / "file.wg").write_text(
+        text.replace("[subsolution]\nrho = 0.6", "[subsolution]\nfile = sub.grid"))
+    pf = load_problem("../inputs/file.wg")
+    assert pf.raw["domain"]["mask_file"] == "dom.mask"
+    assert pf.raw["subsolution"]["file"] == "sub.grid"
+    out = tmp_path / "o"
+    assert main(["check-subsolution", "--problem", "../inputs/file.wg", "--out", str(out)]) == 0
+    assert json.loads((out / "subsolution.json").read_text())["ok"]
 
 
 @pytest.mark.parametrize("command", [["solve"], ["check-subsolution"], ["lincheck"]])

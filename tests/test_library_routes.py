@@ -13,10 +13,10 @@ A reference to name N defined in module M is one of
     ``spaceform.phi`` has no caller).
 
 The other tests here pin single routes (LU, Newton, the leg driver, the
-statuses) and keep three-operand einsum contractions out of the package,
-and batched ``@`` and eigensolves out of the Newton hot path, where the
-products written out (symeig.mm) and the Newton tensor (symfunc.f_and_F)
-take their place.
+v-blocks, the statuses) and keep three-operand einsum contractions out of
+the package, and batched ``@`` and eigensolves out of the Newton hot path,
+where the products written out (symeig.mm) and the Newton tensor
+(symfunc.f_and_F) take their place.
 """
 
 import ast
@@ -168,6 +168,12 @@ def test_one_driver_walks_the_legs():
     # every space form's legs are walked by the one run_legs call of
     # solve_problem, so the subsolution gate and the report finalizer run once
     assert referrers("run_legs") == {"continuity.solve_problem"}
+
+
+def test_one_chain_rule_builds_the_v_blocks():
+    # the benchmark's span list still names exp_chain_blocks; it must stay a
+    # second name of coefficients_v, not grow back into a second route
+    assert linearize.exp_chain_blocks is linearize.coefficients_v
 
 
 def test_fields_off_the_newton_path_read_the_solver_routes():

@@ -7,11 +7,11 @@ import pytest
 
 from weingarten import continuity as ct
 from weingarten import cli, grids, linearize, symfunc
-from weingarten.errors import SemanticError
 from weingarten.geometry import state_from_u_slots, v_slots_to_u
 from weingarten.spaceform import (
     SpaceFormParams,
     eta_inverse,
+    eta_prime,
     profile,
     profile_deformed,
     xi,
@@ -26,8 +26,7 @@ from reference import (
     curvature_matrix_einsum,
     deformed_monotonicity_check,
     frame_jets,
-    gv_chain_rule,
-    state_from_v_slots,
+    gv_closed_form,
     to_coordinate_einsum,
 )
 
@@ -121,93 +120,65 @@ def test_gu_bound_from_trace(rng):
 
 # ------------------------------------------------------------------ v-form
 
-def _v_states(rng, sf, count=50):
+def _v_states(rng, sf, n=2, count=50, amb=None):
+    """Random v-slots whose graph over amb (default: sf's profile) has kappa_min > 5e-2."""
     v = rng.uniform(0.4, 1.2, count)
-    p_v = rng.normal(0.0, 0.35, (count, 2))
-    r_v = rng.normal(0.0, 0.35, (count, 2, 2))
+    p_v = rng.normal(0.0, 0.35, (count, n))
+    r_v = rng.normal(0.0, 0.35, (count, n, n))
     r_v = 0.5 * (r_v + np.swapaxes(r_v, 1, 2))
-    st = state_from_v_slots(v, p_v, r_v, sf)
+    st = state_from_u_slots(*v_slots_to_u(v, p_v, r_v, sf), profile(sf) if amb is None else amb)
     keep = st.kappa[:, -1] > 5e-2
     return v[keep], p_v[keep], r_v[keep]
 
 
-def gv_value(v, p_v, r_v, sf, k):
+def v_blocks(v, p_v, r_v, sf, amb):
+    """The library's v-blocks and the u-state they come from."""
     u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
-    return g_value(u, p_u, r_u, profile(sf), k)
+    st = state_from_u_slots(u, p_u, r_u, amb)
+    lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
+    return linearize.coefficients_v(lc_u, u, eta_prime(sf, v), p_v, r_v), st
+
+
+# the deformed sphere path runs eta = exp (K = 0) over the ka = t^2 profile
+@pytest.mark.parametrize("sf, t", [(E, None), (S, None), (H, None), (E, 0.6)],
+                         ids=["sf0", "sf1", "sf2", "deformed"])
+def test_v_blocks_match_fd(rng, sf, t):
+    amb = profile(sf) if t is None else profile_deformed(t)
+    d = 1e-6
+    for n in (2, 3):
+        k = n
+        v, p_v, r_v = _v_states(rng, sf, n, amb=amb)
+        assert len(v) >= 10
+        lc, _ = v_blocks(v, p_v, r_v, sf, amb)
+
+        def G(vv, pp, rr):
+            return g_value(*v_slots_to_u(vv, pp, rr, sf), amb, k)
+
+        fd_v = (G(v + d, p_v, r_v) - G(v - d, p_v, r_v)) / (2 * d)
+        assert np.max(np.abs(fd_v - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu))) < 1e-5
+        for s in range(n):
+            dp = np.zeros_like(p_v)
+            dp[:, s] = d
+            fd_s = (G(v, p_v + dp, r_v) - G(v, p_v - dp, r_v)) / (2 * d)
+            assert np.max(np.abs(fd_s - lc.Gs[:, s])) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
+        for i in range(n):
+            for j in range(n):
+                dr = np.zeros_like(r_v)
+                dr[:, i, j] += d
+                dr[:, j, i] += d
+                fd_ij = (G(v, p_v, r_v + dr) - G(v, p_v, r_v - dr)) / (4 * d)
+                assert np.max(np.abs(fd_ij - lc.Gij[:, i, j])) / max(
+                    1.0, np.max(np.abs(lc.Gij))
+                ) < 1e-5
 
 
 @pytest.mark.parametrize("sf", [E, S, H])
-def test_v_blocks_match_fd(rng, sf):
-    k = 2
-    v, p_v, r_v = _v_states(rng, sf)
-    u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
-    st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    F = f_and_F(st.a)[1]
-    lc = linearize.coefficients_v(st, F, v, p_v, sf, linearize.coefficients_u(st, F))
-    d = 1e-6
-    fd_v = (gv_value(v + d, p_v, r_v, sf, k) - gv_value(v - d, p_v, r_v, sf, k)) / (2 * d)
-    assert np.max(np.abs(fd_v - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu))) < 1e-5
-    for s in range(2):
-        dp = np.zeros_like(p_v)
-        dp[:, s] = d
-        fd_s = (gv_value(v, p_v + dp, r_v, sf, k) - gv_value(v, p_v - dp, r_v, sf, k)) / (2 * d)
-        assert np.max(np.abs(fd_s - lc.Gs[:, s])) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
-    for i in range(2):
-        for j in range(2):
-            dr = np.zeros_like(r_v)
-            dr[:, i, j] += d
-            dr[:, j, i] += d
-            fd_ij = (
-                gv_value(v, p_v, r_v + dr, sf, k) - gv_value(v, p_v, r_v - dr, sf, k)
-            ) / (4 * d)
-            assert np.max(np.abs(fd_ij - lc.Gij[:, i, j])) / max(
-                1.0, np.max(np.abs(lc.Gij))
-            ) < 1e-5
-
-
-@pytest.mark.parametrize("sf", [E, H])
 def test_gv_closed_form_vs_chain_rule(rng, sf):
-    v, p_v, r_v = _v_states(rng, sf)
-    u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
-    st = state_from_u_slots(u, p_u, r_u, profile(sf))
-    lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
-    gv_closed = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
-    gv_chain = gv_chain_rule(lc_u, sf, v, p_v, r_v)
-    assert np.max(np.abs(gv_closed - gv_chain)) < 1e-9 * max(1.0, np.max(np.abs(gv_closed)))
-
-
-def test_exp_chain_blocks_match_fd(rng):
-    # deformed sphere path: v -> G^t[e^v]
-    t = 0.6
-    amb = profile_deformed(t)
-    k = 2
-
-    def val(v, p_v, r_v):
-        u = np.exp(v)
-        p_u = u[:, None] * p_v
-        r_u = u[:, None, None] * (r_v + p_v[:, :, None] * p_v[:, None, :])
-        return g_value(u, p_u, r_u, amb, k)
-
-    v = rng.uniform(0.2, 0.9, 40)
-    p_v = rng.normal(0.0, 0.3, (40, 2))
-    r_v = rng.normal(0.0, 0.3, (40, 2, 2))
-    r_v = 0.5 * (r_v + np.swapaxes(r_v, 1, 2))
-    u = np.exp(v)
-    p_u = u[:, None] * p_v
-    r_u = u[:, None, None] * (r_v + p_v[:, :, None] * p_v[:, None, :])
-    st = state_from_u_slots(u, p_u, r_u, amb)
-    keep = st.kappa[:, -1] > 5e-2
-    v, p_v, r_v, u, p_u, r_u = (a[keep] for a in (v, p_v, r_v, u, p_u, r_u))
-    st = state_from_u_slots(u, p_u, r_u, amb)
-    lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
-    lc = linearize.exp_chain_blocks(lc_u, u, p_v, r_v)
-    d = 1e-6
-    fd_v = (val(v + d, p_v, r_v) - val(v - d, p_v, r_v)) / (2 * d)
-    assert np.max(np.abs(fd_v - lc.Gu)) / max(1.0, np.max(np.abs(lc.Gu))) < 1e-5
-    dp = np.zeros_like(p_v)
-    dp[:, 0] = d
-    fd_s = (val(v, p_v + dp, r_v) - val(v, p_v - dp, r_v)) / (2 * d)
-    assert np.max(np.abs(fd_s - lc.Gs[:, 0])) / max(1.0, np.max(np.abs(lc.Gs))) < 1e-5
+    for n in (2, 3):
+        v, p_v, r_v = _v_states(rng, sf, n)
+        lc, st = v_blocks(v, p_v, r_v, sf, profile(sf))
+        gv_closed = gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
+        assert np.max(np.abs(lc.Gu - gv_closed)) <= 1e-13 * np.max(np.abs(gv_closed))
 
 
 # ------------------------------------------------------- structural properties
@@ -219,12 +190,10 @@ def test_zero_order_sign_property(rng):
         margins = []
         for _ in range(4):
             v, p_v, r_v = _v_states(rng, sf, count=100)
-            u, p_u, r_u = v_slots_to_u(v, p_v, r_v, sf)
-            st = state_from_u_slots(u, p_u, r_u, profile(sf))
+            lc, st = v_blocks(v, p_v, r_v, sf, profile(sf))
             f = f_and_derivatives(st.kappa, 2)[0]
             psi_z = f / xi(sf, v)
-            gv = linearize.gv_closed_form(st, f_and_F(st.a)[1], v, p_v, sf)
-            margins.append(np.max(gv - psi_z * xi_prime(sf, v)))
+            margins.append(np.max(lc.Gu - psi_z * xi_prime(sf, v)))
         assert max(margins) < 0.0
 
 
@@ -283,27 +252,6 @@ def test_blocks_read_the_evaluation(rng, cap_grid, monkeypatch, case):
         monkeypatch.setattr(module, "f_and_F", refuse)
     lc = op.blocks(ev)
     assert np.all(np.isfinite(lc.Gu)) and np.min(np.linalg.eigvalsh(lc.Gij)) > 0
-
-
-def test_operator_derives_the_chain_rule_blocks(rng, cap_grid):
-    # the exp-chain blocks run exactly when the profile is not the space
-    # form's own (ka = t^2 > 0 with eta = exp); at t = 0 the closed form holds
-    x = np.log(random_admissible_u_field(cap_grid, E, rng))
-    for t, expect in ((0.0, linearize.coefficients_v), (0.5, linearize.exp_chain_blocks)):
-        op = ct.DiscreteOperator(cap_grid, profile_deformed(t), rep="v", sf=E)
-        ev = op.evaluate(x)
-        lc_u = linearize.coefficients_u(ev.state, ev.F)
-        if expect is linearize.coefficients_v:
-            ref = expect(ev.state, ev.F, ev.val, ev.p_v_frame, E, lc_u)
-        else:
-            ref = expect(lc_u, ev.u, ev.p_v_frame, ev.r_v_frame)
-        lc = op.blocks(ev)
-        for a, b in ((lc.Gij, ref.Gij), (lc.Gs, ref.Gs), (lc.Gu, ref.Gu)):
-            assert np.array_equal(a, b)
-    with pytest.raises(SemanticError):
-        ct.DiscreteOperator(cap_grid, profile_deformed(0.5), rep="u", sf=E)
-    with pytest.raises(SemanticError):
-        ct.DiscreteOperator(cap_grid, profile(E), rep="v", sf=H)
 
 
 # ------------------------------------ batched matmul against the einsum forms
