@@ -28,6 +28,13 @@ on the K = +1 operator in the u-representation, started from u = e^v, so
 that the path ends on the target equation G[u] = psi itself.  Every accepted
 iterate on every path is kept strictly locally convex by the line search.  A
 solve that does not converge returns no field, only its report.
+
+On an n = 2 cap the path runs on the coarsest grid of a ladder that halves
+h down from the requested spacing while the lattice keeps LADDER_MIN_ACROSS
+nodes across (nested iteration, Hackbusch 1985).  Each finer grid prolongs
+the field below it and takes one Newton solve of the target equation, whose
+iteration count does not grow with the grid from such a start (Allgower, Boehmer, Potra &
+Rheinboldt 1986); a level whose solve fails runs the path instead.
 """
 
 import json
@@ -71,6 +78,7 @@ T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed m
 DT_INIT = 0.25           # first step in t of a leg, unless the leg sets its own
 DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
 DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
+LADDER_MIN_ACROSS = 19   # lattice nodes across the coarsest ladder grid (21 with the cap's rim)
 # SuperLU options of the first factor: the natural column order, since the grid
 # numbers its unknowns in nested-dissection order (grids.interior_ids), plus
 # symmetric mode and no pivoting, which suit the almost structurally symmetric
@@ -103,7 +111,11 @@ class ProblemSpec:
     arrays of radial distances (boundary slots of boundary_rho are the
     Dirichlet data; the subsolution keeps its own trace).  psi_reads_field is
     False when psi reads the chart coordinates y_i only, so that its
-    derivatives in the field vanish.
+    derivatives in the field vanish.  coarser, when set, builds the same
+    problem at another spacing h (coarser(h) is a ProblemSpec), from which
+    solve_problem's grid ladder takes its coarser levels.  problems.build_problem
+    sets it for cap domains.  A spec without it (mask domains, a subsolution
+    read from a grid file, specs built by hand) is solved on its own grid alone.
     """
 
     sf: SpaceFormParams
@@ -112,6 +124,7 @@ class ProblemSpec:
     boundary_rho: np.ndarray
     subsolution_rho: np.ndarray
     psi_reads_field: bool = True
+    coarser: object = None
 
     def psi_hat(self, bundle):
         """f-level right-hand side psi^(1/n); must be positive."""
@@ -470,15 +483,18 @@ def _jacobian(op: DiscreteOperator, ev: OperatorEval, rhs):
     return linearize.assemble_jacobian(op.grid, A2, b1 - d_p, c - d_val)
 
 
-def newton_solve(spec: ProblemSpec, rhs, initial: GraphField):
-    """Single Newton solve of f(kappa) = rhs in the initial field's representation."""
+def newton_solve(spec: ProblemSpec, rhs, initial: GraphField, cfg: HomotopyConfig):
+    """Single Newton solve of f(kappa) = rhs in the initial field's representation.
+
+    The initial field's boundary slots are the Dirichlet data; cfg gives the
+    tolerance and the iteration cap.
+    """
     rep = initial.representation
     if rep == "rho":
         raise SemanticError("newton_solve operates on u- or v-representation fields")
     op = DiscreteOperator(spec.grid, profile(spec.sf), rep=rep, sf=spec.sf)
     boundary_full = initial.values.copy()
-    res = newton_core(op, rhs, initial.values[spec.grid.interior_ids], boundary_full,
-                      HomotopyConfig())
+    res = newton_core(op, rhs, initial.values[spec.grid.interior_ids], boundary_full, cfg)
     out = initial.copy_with(values=boundary_full)
     out.values[spec.grid.interior_ids] = res.x
     return out, res
@@ -1003,11 +1019,65 @@ def sphere_legs(spec: ProblemSpec):
 # ---------------------------------------------------------------------------
 # the driver
 
-def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
-    """(field, SolveReport) when every leg converges, else (None, SolveReport).
+def _ladder(spec: ProblemSpec):
+    """The specs of the grid ladder, coarsest first and spec itself last.
 
-    Gates the subsolution, walks the legs of the space form's builder in
-    one run_legs call, and finalizes the report against the target equation.
+    The spacing doubles while the coarser lattice keeps LADDER_MIN_ACROSS
+    nodes across.  A cap lattice reaches m nodes out from its centre node,
+    and the cap's lattice of twice the spacing reaches m // 2, so the levels
+    follow from spec's grid before any of them is built.  Only n = 2 ladders:
+    no n = 3 ladder solve has been measured.
+    """
+    if spec.coarser is None or spec.grid.dim != 2:
+        return [spec]
+    reach = int(np.ptp(spec.grid.node_index[:, 0])) // 2
+    levels = [spec]
+    while 2 * (reach // 2) + 1 >= LADDER_MIN_ACROSS:
+        reach //= 2
+        levels.insert(0, spec.coarser(2.0 * levels[0].grid.h))
+    return levels
+
+
+def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
+    """Newton on the target equation from the prolonged coarse field.
+
+    The prolonged field keeps the coarse field's representation, that of the
+    path's last leg, and takes the level's own Dirichlet data.  Returns the
+    level's field after appending its refine record, whose ordering gap is
+    against the level's subsolution, or None after appending the message that
+    names why the level runs the path instead.
+    """
+    grid, rep = spec.grid, coarse.representation
+    to_rep = _rho_to_v if rep == "v" else zeta_inverse
+    start = grids.prolong(coarse.grid, coarse.values, grid)
+    start[grid.boundary_ids] = to_rep(spec.sf, spec.boundary_rho)[grid.boundary_ids]
+    floor = to_rep(spec.sf, spec.subsolution_rho)[grid.interior_ids]
+    if np.any(np.isnan(start)):
+        reason = "the prolongation leaves interior nodes without a value"
+    else:
+        rhs = Rhs(spec.sf, 0.0, PsiRhs(spec.psi_hat, spec.psi_reads_field), 1.0)
+        field, res = newton_solve(spec, rhs, GraphField(grid, start, rep), cfg)
+        if res.status == CONVERGED:
+            op = DiscreteOperator(grid, profile(spec.sf), rep=rep, sf=spec.sf)
+            _record_step(report.stages, "refine", 1.0, res, op, rhs, floor)
+            report.stages[-1]["h"] = grid.h
+            return field
+        reason = f"Newton ended {res.status}"
+    report.messages.append(f"level h={grid.h:.6g}: {reason}; this level runs the path")
+    return None
+
+
+def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
+    """(field, SolveReport) when the solve converges, else (None, SolveReport).
+
+    Gates the subsolution, then walks the grid ladder of _ladder, coarsest
+    first.  A level with no field from the level below (the coarsest one, or
+    one above a level that failed) runs the path: its subsolution gate, then
+    the legs of the space form's builder in one run_legs call.  Every other
+    level refines the field below it by one Newton solve (_refine) and runs
+    the path only when that fails.  A level below spec's whose gate, leg
+    builder or path fails leaves the path to the next level.  The report is
+    finalized once, against the target equation on spec's grid.
     """
     cfg = cfg or HomotopyConfig()
     sub = verify_subsolution(spec)
@@ -1015,10 +1085,32 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
                          diagnostics={"subsolution": sub})
     if not sub["ok"]:
         return None, report
-    build = sphere_legs if spec.sf.K == 1 else two_step_legs
-    legs, start, report.constants = build(spec)
-    field, report.status, _ = run_legs(spec.grid, legs, start, cfg, report.stages)
-    if report.status != CONVERGED:
+    field = None
+    for level in _ladder(spec):
+        if field is not None:
+            field = _refine(level, field, cfg, report)
+            if field is not None:
+                continue
+        where = f"level h={level.grid.h:.6g}"
+        build = sphere_legs if level.sf.K == 1 else two_step_legs
+        if level is spec:
+            legs, start, report.constants = build(level)
+        else:
+            gate = verify_subsolution(level)
+            try:
+                if not gate["ok"]:
+                    raise AdmissibilityError(f"subsolution gate failed ({'; '.join(gate['reasons'])})")
+                legs, start, report.constants = build(level)
+            except (AdmissibilityError, SemanticError) as exc:
+                report.messages.append(f"{where}: {exc}; the next level runs the path")
+                continue
+        field, report.status, _ = run_legs(level.grid, legs, start, cfg, report.stages)
+        if report.status != CONVERGED:
+            field = None
+            if level is not spec:
+                report.messages.append(f"{where}: the path ended {report.status}; "
+                                       "the next level runs the path")
+    if field is None:
         return None, report
     _finalize_report(spec, field, report)
     return field, report

@@ -316,6 +316,39 @@ def chart_quantities(grid):
     return grid._jet_cache[key]
 
 
+def prolong(coarse, values, fine):
+    """Values at the fine grid's nodes of a field on a nested grid of twice its spacing.
+
+    Coarse lattice index k sits on fine index 2k + shift.  Axis by axis, the
+    coarse lattice (NaN off its nodes) doubles: a midpoint takes the 4-point
+    cubic (-1, 9, 9, -1)/16 of its neighbours on that axis, or the one-sided
+    quadratic (3, 6, -1)/8 when one outer neighbour is missing, else NaN.
+    Fine nodes off the doubled lattice are NaN too.
+    """
+    shift = (coarse.origin - fine.origin) / fine.h
+    nested = np.isclose(coarse.h, 2.0 * fine.h, rtol=1e-12, atol=0.0)
+    if not nested or np.any(np.abs(shift - np.rint(shift)) > 1e-9):
+        raise AssemblyError("prolong needs nested lattices of spacings 2h and h")
+    a = np.full(coarse.lattice_shape, np.nan)
+    a[tuple(coarse.node_index.T)] = values
+    for axis in range(coarse.dim):
+        a = np.moveaxis(a, axis, 0)
+        pad = np.full((1,) + a.shape[1:], np.nan)
+        p = np.concatenate([pad, a, pad])
+        x0, x1, x2, x3 = p[:-3], p[1:-2], p[2:-1], p[3:]
+        mid = np.where(np.isnan(x0), (3.0 * x1 + 6.0 * x2 - x3) / 8.0,
+                       np.where(np.isnan(x3), (6.0 * x1 + 3.0 * x2 - x0) / 8.0,
+                                (9.0 * (x1 + x2) - x0 - x3) / 16.0))
+        out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+        out[0::2], out[1::2] = a, mid
+        a = np.moveaxis(out, 0, axis)
+    idx = fine.node_index - np.rint(shift).astype(int)
+    inside = np.all((idx >= 0) & (idx < a.shape), axis=1)
+    result = np.full(fine.n_nodes, np.nan)
+    result[inside] = a[tuple(idx[inside].T)]
+    return result
+
+
 def covariant_jets(grid, values):
     """(value, coordinate grad, covariant Hessian) at all interior nodes."""
     val, grad, hess = fd_jets(grid, values)

@@ -338,10 +338,22 @@ def build_problem(pf: ProblemFile, h_override=None):
         psi_sigma=pf.psi.evaluate,
         psi_reads_field=bool(pf.psi.variables - _position_vars(grid.dim)),
         boundary_rho=rho_data, subsolution_rho=rho_sub,
+        coarser=_coarser(pf),
     )
     cfg = HomotopyConfig(**pf.solver)
     exact = pf.exact.evaluate(env) + np.zeros(grid.n_nodes) if pf.exact is not None else None
     return spec, cfg, exact
+
+
+def _coarser(pf: ProblemFile):
+    """ProblemSpec.coarser: the problem built at another spacing.
+
+    Only cap domains ladder: a mask or a subsolution grid file exists at one
+    spacing.
+    """
+    if pf.domain["kind"] != "cap" or pf.subsolution["kind"] == "file":
+        return None
+    return lambda h: build_problem(pf, h)[0]
 
 
 def _range_check_rho(sf, rho, label):

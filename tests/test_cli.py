@@ -478,3 +478,23 @@ def test_convergence_applies_max_newton(problem_file, tmp_path, capsys):
     assert "MaxIterations" in capsys.readouterr().err
     assert main(["convergence", *common, "--levels", "1", "--out", str(tmp_path / "conv")]) == 1
     assert "MaxIterations" in capsys.readouterr().err
+
+
+def test_mask_domain_gets_no_refine_record(problem_file, tmp_path):
+    # a mask exists at one spacing, so a mask domain runs the path alone,
+    # where the cap of the same spacing and size ladders from 21 nodes across
+    h = 2.0 * float(np.tan(np.pi / 5)) / 40
+    idx = np.arange(41) - 20
+    rows = "".join("".join("1" if i * i + j * j < 400 else "0" for j in idx) + "\n" for i in idx)
+    mask = problem_file(f"h {h!r}\norigin {-20 * h!r} {-20 * h!r}\nrows 41\ncols 41\n" + rows,
+                        name="disk.mask")
+    text = GEODESIC_H.replace(CAP + "\nh = 0.08", f"kind = mask\nmask_file = {mask}")
+    cap_spec, _, _ = build_problem(load_problem(problem_file(GEODESIC_H, name="cap.wg")), h)
+    assert cap_spec.coarser is not None
+    spec, _, _ = build_problem(load_problem(problem_file(text)))
+    assert spec.coarser is None
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", problem_file(text), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "Converged"
+    assert not any(rec["stage"] == "refine" for rec in report["stages"])

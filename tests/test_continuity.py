@@ -153,7 +153,7 @@ def test_newton_fixed_point_converges_immediately():
     v_exact = np.full(g.n_nodes, float(np.log(zeta_inverse(E, 2.0))))
     field = grids.GraphField(g, v_exact, "v")
     rhs = ConstantRhs(np.full(g.n_interior, 0.5))
-    out, res = ct.newton_solve(spec, rhs, field)
+    out, res = ct.newton_solve(spec, rhs, field, ct.HomotopyConfig())
     assert res.status == ct.CONVERGED
     assert res.iterations <= 2
     assert res.residual < 1e-12
@@ -202,7 +202,7 @@ def test_newton_rejects_inadmissible_start():
     v_bad = np.log(1.0 / (1.5 + 2.0 * (y[:, 0] ** 2 - y[:, 1] ** 2)))
     field = grids.GraphField(g, -v_bad, "v")  # wildly non-convex
     rhs = ConstantRhs(np.full(g.n_interior, 0.5))
-    out, res = ct.newton_solve(spec, rhs, field)
+    out, res = ct.newton_solve(spec, rhs, field, ct.HomotopyConfig())
     assert res.status in (ct.ADMISSIBILITY_LOSS, ct.MAX_ITERATIONS)
 
 
@@ -780,7 +780,7 @@ def test_two_step_path_refinement_sweep():
         for nodes in nodes_across:
             h = 2.0 * np.tan(np.pi / 5) / (nodes - 1)
             spec, cfg, exact = problems.build_problem(pf, h_override=h)
-            field, report = ct.solve_problem(spec, cfg)
+            field, report = ct.solve_problem(replace(spec, coarser=None), cfg)
             assert report.status == ct.CONVERGED, (name, nodes)
             rho = zeta(spec.sf, eta(spec.sf, field.values))
             yield h, float(np.max(np.abs(rho - exact)[spec.grid.interior_ids]))
@@ -856,7 +856,7 @@ def test_offcenter_sphere_path_converges_at_second_order():
     errors = []
     for h in (2.0 * pf.domain["h"], pf.domain["h"]):
         spec, cfg, exact = problems.build_problem(pf, h_override=h)
-        field, report = ct.solve_problem(spec, cfg)
+        field, report = ct.solve_problem(replace(spec, coarser=None), cfg)
         assert report.status == ct.CONVERGED
         assert report.final_residual <= cfg.newton_tol
         ids = spec.grid.interior_ids

@@ -1,5 +1,7 @@
 """Domain construction, stencil classification, FD calculus, serialization."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -264,3 +266,62 @@ def test_n3_cap_domain_smoke():
     values = np.full(g.n_nodes, 1.0)
     conv = convexity_matrix(g, values)
     assert np.all(np.linalg.eigvalsh(conv) > 0)
+
+
+def _nested_caps(coarse_across, n):
+    """Cap grids of coarse_across and 2 coarse_across - 1 nodes across the pi/5 disk."""
+    h = 2.0 * np.tan(np.pi / 5) / (2 * coarse_across - 2)
+    return tuple(grids.build_cap_domain(np.pi / 5, s, n=n) for s in (2.0 * h, h))
+
+
+def _cubic_stencil_fits(coarse, fine):
+    """Fine nodes whose tensor 4-point stencil has no exterior coarse lattice point."""
+    shift = np.rint((coarse.origin - fine.origin) / fine.h).astype(int)
+    rel = fine.node_index - shift
+    fits = np.ones(fine.n_nodes, dtype=bool)
+    for node, j in enumerate(rel):
+        axes = [[j[a] // 2] if j[a] % 2 == 0 else [j[a] // 2 + d for d in (-1, 0, 1, 2)]
+                for a in range(fine.dim)]
+        for point in itertools.product(*axes):
+            inside = all(0 <= p < s for p, s in zip(point, coarse.lattice_shape))
+            if not inside or coarse.status[point] == grids.EXTERIOR:
+                fits[node] = False
+                break
+    return fits
+
+
+@pytest.mark.parametrize("n, coarse_across", [(2, 21), (3, 11)])
+def test_prolong_reproduces_cubics_where_the_stencil_fits(n, coarse_across):
+    coarse, fine = _nested_caps(coarse_across, n)
+
+    def cubic(y):
+        return 1.0 + 0.3 * y[:, 0] ** 3 - 0.7 * y[:, 0] ** 2 * y[:, 1] + 0.2 * y[:, 1] ** 2 \
+            + 0.1 * y[:, 0] * y[:, -1] ** 2 + y[:, -1] ** 3 - 0.4 * y[:, 1]
+
+    def quadratic(y):
+        return 0.5 + y[:, 0] ** 2 - 0.3 * y[:, 0] * y[:, -1] + 0.2 * y[:, 1]
+
+    fits = _cubic_stencil_fits(coarse, fine)
+    assert fits[fine.interior_ids].mean() > 0.6
+    out = grids.prolong(coarse, cubic(coarse.coords), fine)
+    assert np.max(np.abs(out - cubic(fine.coords))[fits]) <= 1e-13
+    # the one-sided quadratic fallback reproduces quadratics wherever a value is given
+    out = grids.prolong(coarse, quadratic(coarse.coords), fine)
+    given = ~np.isnan(out)
+    assert np.all(given | ~fits)
+    assert np.max(np.abs(out - quadratic(fine.coords))[given]) <= 1e-13
+
+
+@pytest.mark.parametrize("coarse_across", [21, 41])
+def test_prolong_gives_every_interior_node_a_value(coarse_across):
+    coarse, fine = _nested_caps(coarse_across, 2)
+    out = grids.prolong(coarse, np.ones(coarse.n_nodes), fine)
+    assert not np.any(np.isnan(out[fine.interior_ids]))
+    # coarse nodes keep their values on the fine lattice
+    assert np.all(out[~np.isnan(out)] == 1.0)
+
+
+def test_prolong_refuses_lattices_that_do_not_nest():
+    coarse, fine = _nested_caps(21, 2)
+    with pytest.raises(AssemblyError):
+        grids.prolong(fine, np.ones(fine.n_nodes), fine)

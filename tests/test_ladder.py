@@ -1,0 +1,206 @@
+"""solve_problem's grid ladder: the path on the coarsest grid, Newton alone on each finer one."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from weingarten import continuity as ct
+from weingarten import grids, problems
+from weingarten.errors import AdmissibilityError
+from weingarten.spaceform import eta, zeta
+
+REPO = Path(__file__).resolve().parents[1]
+PROBLEM_DIR = REPO / "problems"
+
+
+def cap_h(nodes_across):
+    """Spacing that puts nodes_across lattice nodes across the pi/5 cap's chart disk."""
+    return 2.0 * np.tan(np.pi / 5) / (nodes_across - 1)
+
+
+def build(name, nodes_across):
+    return problems.build_problem(problems.load_problem(PROBLEM_DIR / name), cap_h(nodes_across))
+
+
+def sup_error(spec, field, exact):
+    u = field.values if field.representation == "u" else eta(spec.sf, field.values)
+    return float(np.max(np.abs(zeta(spec.sf, u) - exact)[spec.grid.interior_ids]))
+
+
+def path_only(spec):
+    """The same problem without its ladder: the path runs on spec's own grid."""
+    return replace(spec, coarser=None)
+
+
+def lattice_across(grid):
+    return int(np.ptp(grid.node_index[:, 0])) + 1
+
+
+@pytest.mark.parametrize("name, nodes_across, ladder", [
+    ("offcenter_sphere_k0.wg", 81, (21, 41, 81)),
+    ("offcenter_sphere_k0.wg", 91, (23.5, 46, 91)),
+    ("offcenter_sphere_k0.wg", 121, (31, 61, 121)),
+    ("geodesic_spherical.wg", 49, (25, 49)),
+    ("offcenter_geodesic_spherical.wg", 23, (23,)),
+])
+def test_ladder_halves_down_to_19_lattice_nodes_across(name, nodes_across, ladder):
+    # 21 across by cap_h's count, which adds the two rim points off the lattice
+    spec, _, _ = build(name, nodes_across)
+    levels = ct._ladder(spec)
+    assert levels[-1] is spec
+    assert [s.grid.h for s in levels] == pytest.approx([cap_h(n) for n in ladder], rel=1e-12)
+    assert lattice_across(levels[0].grid) >= ct.LADDER_MIN_ACROSS
+    below, _, _ = build(name, (ladder[0] + 1) / 2)
+    assert lattice_across(below.grid) < ct.LADDER_MIN_ACROSS
+
+
+def test_n3_ladder_builds_no_coarser_grid(monkeypatch):
+    # n = 3 runs the path alone, at any spacing, and no spec of another
+    # spacing is built to find that out
+    pf = problems.load_problem(REPO / "perfbench" / "problems" / "hyperbolic_nu_n3.wg")
+    spec, _, _ = problems.build_problem(pf, 0.07)
+    builds = []
+    monkeypatch.setattr(problems, "build_problem", lambda *args: builds.append(args))
+    assert ct._ladder(spec) == [spec]
+    # 41 across, where an n = 2 cap ladders
+    fine = replace(spec, grid=grids.build_cap_domain(np.pi / 5, cap_h(41), n=3))
+    assert ct._ladder(fine) == [fine]
+    assert builds == []
+
+
+def test_spherical_ladder_refines_in_a_few_newton_iterations():
+    # K = +1 off-centre sphere, 23 -> 45 -> 89 across: every finer level
+    # converges from the prolonged field, and the error falls as h^2
+    spec, cfg, exact = build("offcenter_geodesic_spherical.wg", 89)
+    field, report = ct.solve_problem(spec, cfg)
+    assert report.status == ct.CONVERGED and report.messages == []
+    refine = [r for r in report.stages if r["stage"] == "refine"]
+    assert [r["h"] for r in refine] == pytest.approx([cap_h(45), cap_h(89)], rel=1e-12)
+    assert all(r["newton_iterations"] <= 4 for r in refine)
+    assert all(r["ordering_ok"] and r["diagnostics"]["min_conv_eig"] > 0 for r in refine)
+    assert report.final_residual <= cfg.newton_tol
+    spec45, cfg45, exact45 = build("offcenter_geodesic_spherical.wg", 45)
+    field45, report45 = ct.solve_problem(spec45, cfg45)
+    assert report45.status == ct.CONVERGED
+    order = np.log2(sup_error(spec45, field45, exact45) / sup_error(spec, field, exact))
+    assert 1.8 <= order <= 2.2
+    # the refined field is the path's own discrete solution
+    path_field, path_report = ct.solve_problem(path_only(spec45), cfg45)
+    assert not any(r["stage"] == "refine" for r in path_report.stages)
+    assert np.max(np.abs(field45.values - path_field.values)) <= 1e-12
+
+
+def test_hyperbolic_offcenter_sphere_converges_at_second_order():
+    # K = -1 geodesic sphere of radius 1 off the axis: not discretely exact,
+    # so its gate sees the error; 41 and 81 across refine on the ladder
+    errors = []
+    for nodes in (21, 41, 81):
+        spec, cfg, exact = build("offcenter_geodesic_hyperbolic.wg", nodes)
+        field, report = ct.solve_problem(spec, cfg)
+        assert report.status == ct.CONVERGED and report.messages == []
+        assert report.final_residual <= cfg.newton_tol
+        assert sum(r["stage"] == "refine" for r in report.stages) == {21: 0, 41: 1, 81: 2}[nodes]
+        assert all(r["diagnostics"]["min_conv_eig"] > 0 and r["ordering_ok"]
+                   for r in report.stages)
+        errors.append(sup_error(spec, field, exact))
+        if nodes == 41:
+            path_field, _ = ct.solve_problem(path_only(spec), cfg)
+            assert np.max(np.abs(field.values - path_field.values)) <= 1e-12
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8), orders
+
+
+def test_failed_refine_level_runs_the_path(monkeypatch):
+    newton_solve = ct.newton_solve
+
+    def fails(*args):
+        out, res = newton_solve(*args)
+        return out, replace(res, status=ct.MAX_ITERATIONS, ev=None)
+
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    path_field, path_report = ct.solve_problem(path_only(spec), cfg)
+    monkeypatch.setattr(ct, "newton_solve", fails)
+    field, report = ct.solve_problem(spec, cfg)
+    assert report.status == ct.CONVERGED
+    assert report.messages == [
+        f"level h={cap_h(41):.6g}: Newton ended MaxIterations; this level runs the path"]
+    assert not any(r["stage"] == "refine" for r in report.stages)
+    # the path ran twice, on the coarse level and again on the requested one
+    assert [r["stage"] for r in report.stages] == 2 * [r["stage"] for r in path_report.stages]
+    assert np.array_equal(field.values, path_field.values)
+
+
+def test_refine_honours_max_newton():
+    # the refine level's Newton solve reads the caller's cfg: one iteration
+    # cannot reach newton_tol from the prolonged field, so the level falls back
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    coarse = spec.coarser(2.0 * spec.grid.h)
+    coarse_field, _ = ct.solve_problem(coarse, cfg)
+    report = ct.SolveReport(ct.CONVERGED)
+    assert ct._refine(spec, coarse_field, ct.HomotopyConfig(max_newton=1), report) is None
+    assert report.stages == []
+    assert report.messages == [
+        f"level h={cap_h(41):.6g}: Newton ended MaxIterations; this level runs the path"]
+    assert ct._refine(spec, coarse_field, cfg, report) is not None
+    assert report.stages[-1]["stage"] == "refine" and report.stages[-1]["newton_iterations"] > 1
+
+
+def test_refine_below_the_subsolution_is_an_ordering_violation():
+    # ordering is in v = log(1/rho) on K = 0: against a subsolution whose rho
+    # is halved inside, the refined field lies below it; the level keeps its
+    # field, as a path step would, and the gap reaches the report
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    coarse_field, _ = ct.solve_problem(spec.coarser(2.0 * spec.grid.h), cfg)
+    above = spec.subsolution_rho.copy()
+    above[spec.grid.interior_ids] *= 0.5
+    above_spec = replace(spec, subsolution_rho=above)
+    report = ct.SolveReport(ct.CONVERGED)
+    field = ct._refine(above_spec, coarse_field, cfg, report)
+    assert field is not None and report.messages == []
+    [record] = report.stages
+    assert record["stage"] == "refine" and not record["ordering_ok"]
+    assert record["ordering_min_gap"] < -0.5
+    ct._finalize_report(above_spec, field, report)
+    assert report.ordering_violations == [record["ordering_min_gap"]]
+
+
+@pytest.mark.parametrize("failure", ["gate", "legs", "path"])
+def test_failed_coarse_level_leaves_the_path_to_the_next(monkeypatch, failure):
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    path_field, path_report = ct.solve_problem(path_only(spec), cfg)
+    coarse_h = 2.0 * spec.grid.h
+    verify, legs, cont = ct.verify_subsolution, ct.two_step_legs, ct._continue_in_t
+
+    def gate_fails_on_coarse(level):
+        report = verify(level)
+        if level.grid.h == coarse_h:
+            report.update(ok=False, reasons=["refused"])
+        return report
+
+    def legs_fail_on_coarse(level):
+        # the leg builders raise when a margin of the subsolution is too thin
+        if level.grid.h == coarse_h:
+            raise AdmissibilityError("subsolution is not admissible")
+        return legs(level)
+
+    def path_fails_on_coarse(leg, x0, cfg, records):
+        if leg.op_at(0.0).grid.h == coarse_h:
+            return x0, ct.STAGNATION
+        return cont(leg, x0, cfg, records)
+
+    if failure == "gate":
+        monkeypatch.setattr(ct, "verify_subsolution", gate_fails_on_coarse)
+        message = "subsolution gate failed (refused)"
+    elif failure == "legs":
+        monkeypatch.setattr(ct, "two_step_legs", legs_fail_on_coarse)
+        message = "subsolution is not admissible"
+    else:
+        monkeypatch.setattr(ct, "_continue_in_t", path_fails_on_coarse)
+        message = "the path ended Stagnation"
+    field, report = ct.solve_problem(spec, cfg)
+    assert report.status == ct.CONVERGED
+    assert report.messages == [f"level h={coarse_h:.6g}: {message}; the next level runs the path"]
+    assert report.stages == path_report.stages
+    assert np.array_equal(field.values, path_field.values)
