@@ -34,7 +34,9 @@ h down from the requested spacing while the lattice keeps LADDER_MIN_ACROSS
 nodes across (nested iteration, Hackbusch 1985).  Each finer grid prolongs
 the field below it and takes one Newton solve of the target equation, whose
 iteration count does not grow with the grid from such a start (Allgower, Boehmer, Potra &
-Rheinboldt 1986); a level whose solve fails runs the path instead.
+Rheinboldt 1986); a level whose solve fails runs the path instead.  A
+caller holding the field of the level below (a refinement study) passes it
+as solve_problem's coarse, and the path does not run again.
 """
 
 import json
@@ -1067,7 +1069,7 @@ def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
     return None
 
 
-def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
+def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=None):
     """(field, SolveReport) when the solve converges, else (None, SolveReport).
 
     Gates the subsolution, then walks the grid ladder of _ladder, coarsest
@@ -1078,6 +1080,10 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
     the path only when that fails.  A level below spec's whose gate, leg
     builder or path fails leaves the path to the next level.  The report is
     finalized once, against the target equation on spec's grid.
+
+    coarse, when given, is a converged GraphField on the nested grid of twice
+    spec's spacing (a refinement study holds the level below): spec alone is
+    then the ladder, refined from coarse, and runs the path if that fails.
     """
     cfg = cfg or HomotopyConfig()
     sub = verify_subsolution(spec)
@@ -1085,8 +1091,8 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None):
                          diagnostics={"subsolution": sub})
     if not sub["ok"]:
         return None, report
-    field = None
-    for level in _ladder(spec):
+    field = coarse
+    for level in _ladder(spec) if coarse is None else [spec]:
         if field is not None:
             field = _refine(level, field, cfg, report)
             if field is not None:

@@ -316,19 +316,25 @@ def chart_quantities(grid):
     return grid._jet_cache[key]
 
 
-def prolong(coarse, values, fine):
-    """Values at the fine grid's nodes of a field on a nested grid of twice its spacing.
-
-    Coarse lattice index k sits on fine index 2k + shift.  Axis by axis, the
-    coarse lattice (NaN off its nodes) doubles: a midpoint takes the 4-point
-    cubic (-1, 9, 9, -1)/16 of its neighbours on that axis, or the one-sided
-    quadratic (3, 6, -1)/8 when one outer neighbour is missing, else NaN.
-    Fine nodes off the doubled lattice are NaN too.
-    """
+def nesting_shift(coarse, fine):
+    """Integer s that puts coarse lattice index k on fine index 2k + s (spacings 2h and h)."""
     shift = (coarse.origin - fine.origin) / fine.h
     nested = np.isclose(coarse.h, 2.0 * fine.h, rtol=1e-12, atol=0.0)
     if not nested or np.any(np.abs(shift - np.rint(shift)) > 1e-9):
-        raise AssemblyError("prolong needs nested lattices of spacings 2h and h")
+        raise AssemblyError("nested lattices of spacings 2h and h expected")
+    return np.rint(shift).astype(int)
+
+
+def prolong(coarse, values, fine):
+    """Values at the fine grid's nodes of a field on a nested grid of twice its spacing.
+
+    Coarse lattice index k sits on fine index 2k + nesting_shift.  Axis by
+    axis, the coarse lattice (NaN off its nodes) doubles: a midpoint takes the
+    4-point cubic (-1, 9, 9, -1)/16 of its neighbours on that axis, or the
+    one-sided quadratic (3, 6, -1)/8 when one outer neighbour is missing, else
+    NaN.  Fine nodes off the doubled lattice are NaN too.
+    """
+    shift = nesting_shift(coarse, fine)
     a = np.full(coarse.lattice_shape, np.nan)
     a[tuple(coarse.node_index.T)] = values
     for axis in range(coarse.dim):
@@ -342,7 +348,7 @@ def prolong(coarse, values, fine):
         out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
         out[0::2], out[1::2] = a, mid
         a = np.moveaxis(out, 0, axis)
-    idx = fine.node_index - np.rint(shift).astype(int)
+    idx = fine.node_index - shift
     inside = np.all((idx >= 0) & (idx < a.shape), axis=1)
     result = np.full(fine.n_nodes, np.nan)
     result[inside] = a[tuple(idx[inside].T)]

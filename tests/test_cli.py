@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weingarten import grids
+from weingarten import cli, grids
+from weingarten import continuity as ct
 from weingarten.cli import main
 from weingarten.continuity import diagnostics_monitor
 from weingarten.errors import AdmissibilityError
@@ -480,16 +481,25 @@ def test_convergence_applies_max_newton(problem_file, tmp_path, capsys):
     assert "MaxIterations" in capsys.readouterr().err
 
 
-def test_mask_domain_gets_no_refine_record(problem_file, tmp_path):
-    # a mask exists at one spacing, so a mask domain runs the path alone,
-    # where the cap of the same spacing and size ladders from 21 nodes across
-    h = 2.0 * float(np.tan(np.pi / 5)) / 40
+DISK_MASK_H = 2.0 * float(np.tan(np.pi / 5)) / 40
+
+
+def disk_mask_problem(problem_file):
+    """GEODESIC_H on the 41^2 lattice disk of spacing DISK_MASK_H, given as a mask."""
+    h = DISK_MASK_H
     idx = np.arange(41) - 20
     rows = "".join("".join("1" if i * i + j * j < 400 else "0" for j in idx) + "\n" for i in idx)
     mask = problem_file(f"h {h!r}\norigin {-20 * h!r} {-20 * h!r}\nrows 41\ncols 41\n" + rows,
                         name="disk.mask")
-    text = GEODESIC_H.replace(CAP + "\nh = 0.08", f"kind = mask\nmask_file = {mask}")
-    cap_spec, _, _ = build_problem(load_problem(problem_file(GEODESIC_H, name="cap.wg")), h)
+    return GEODESIC_H.replace(CAP + "\nh = 0.08", f"kind = mask\nmask_file = {mask}")
+
+
+def test_mask_domain_gets_no_refine_record(problem_file, tmp_path):
+    # a mask exists at one spacing, so a mask domain runs the path alone,
+    # where the cap of the same spacing and size ladders from 21 nodes across
+    text = disk_mask_problem(problem_file)
+    cap_spec, _, _ = build_problem(load_problem(problem_file(GEODESIC_H, name="cap.wg")),
+                                   DISK_MASK_H)
     assert cap_spec.coarser is not None
     spec, _, _ = build_problem(load_problem(problem_file(text)))
     assert spec.coarser is None
@@ -498,3 +508,85 @@ def test_mask_domain_gets_no_refine_record(problem_file, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "Converged"
     assert not any(rec["stage"] == "refine" for rec in report["stages"])
+
+
+def test_convergence_on_a_mask_domain_solves_the_loaded_spacing(problem_file, tmp_path, capsys):
+    # one level is the problem as loaded, with no spacing override
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", problem_file(disk_mask_problem(problem_file)),
+                 "--out", str(out), "--levels", "1"]) == 0
+    [level] = json.loads((out / "convergence.json").read_text())["levels"]
+    assert level["h"] == DISK_MASK_H and level["error_vs_exact"] is None
+
+
+def test_convergence_on_a_mask_domain_refuses_more_levels(problem_file, tmp_path, capsys):
+    # more levels would need the mask at half its spacing: refused up front
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", problem_file(disk_mask_problem(problem_file)),
+                 "--out", str(out), "--levels", "2"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SemanticError" and "mask domain" in err["message"]
+    assert not out.exists()
+
+
+def _spy(monkeypatch, module, name):
+    """Record (args, result) of every call of module.name, which keeps working."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def test_convergence_runs_the_path_once(tmp_path, capsys, monkeypatch):
+    # 41, 81 and 161 across: the first level walks its own ladder from 21
+    # across, and each finer level refines the field of the level below
+    legs = _spy(monkeypatch, ct, "run_legs")
+    refines = _spy(monkeypatch, ct, "_refine")
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", str(REPO / "problems/offcenter_sphere_k0.wg"),
+                 "--out", str(out), "--levels", "3"]) == 0
+    assert [args[0].h for args, _ in legs] == pytest.approx([2.0 * np.tan(np.pi / 5) / 20])
+    assert [args[0].grid.h for args, _ in refines] == pytest.approx(
+        [2.0 * np.tan(np.pi / 5) / (across - 1) for across in (41, 81, 161)])
+    orders = json.loads((out / "convergence.json").read_text())["observed_orders"]
+    assert all(1.8 <= o <= 2.2 for o in orders)
+
+
+def test_convergence_richardson_difference(tmp_path, capsys, monkeypatch):
+    # without [exact] the study compares each level with the next on the
+    # nodes they share: 21, 41 and 81 across on the k0 off-centre sphere
+    text = (REPO / "problems/offcenter_sphere_k0.wg").read_text().split("\n[exact]")[0]
+    problem = tmp_path / "richardson.wg"
+    problem.write_text(text)
+    solved = _spy(monkeypatch, cli, "solve_problem")
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", str(problem), "--out", str(out),
+                 "--h", repr(2.0 * float(np.tan(np.pi / 5)) / 20), "--levels", "3"]) == 0
+    fields = [(spec.grid, cli._field_rho(field, spec)) for (spec, *_), (field, _) in solved]
+    assert len(fields) == 3
+    payload = json.loads((out / "convergence.json").read_text())
+    for level, (coarse, rho_c), (fine, rho_f) in zip(payload["levels"], fields, fields[1:]):
+        at = {tuple(np.round(y, 9)): rho_f[j] for j, y in enumerate(fine.coords)}
+        shared = [abs(rho_c[i] - at[tuple(np.round(coarse.coords[i], 9))])
+                  for i in coarse.interior_ids]
+        assert level["richardson_diff"] == max(shared)
+    assert "richardson_diff" not in payload["levels"][-1]
+    [order] = payload["observed_orders"]
+    assert 1.8 <= order <= 2.2
+
+
+def test_convergence_n3_offcenter_sphere(tmp_path, capsys):
+    # sigma_3 = 1 on the unit sphere off the axis: not discretely exact, so
+    # the n = 3 error falls with h (h = 0.14 and 0.07)
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", str(REPO / "problems/offcenter_sphere_k0_n3.wg"),
+                 "--out", str(out), "--levels", "2"]) == 0
+    payload = json.loads((out / "convergence.json").read_text())
+    assert all(lv["error_vs_exact"] > 0 for lv in payload["levels"])
+    [order] = payload["observed_orders"]
+    assert order >= 1.6

@@ -204,3 +204,22 @@ def test_failed_coarse_level_leaves_the_path_to_the_next(monkeypatch, failure):
     assert report.messages == [f"level h={coarse_h:.6g}: {message}; the next level runs the path"]
     assert report.stages == path_report.stages
     assert np.array_equal(field.values, path_field.values)
+
+
+def test_n3_refine_with_holes_in_the_prolongation_runs_the_path():
+    # at h = 0.14 -> 0.07 the prolongation leaves some n = 3 interior nodes
+    # without a value, so the level given a coarse field runs the path
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n3.wg")
+    coarse_spec, cfg, _ = problems.build_problem(pf, 0.14)
+    coarse_field, _ = ct.solve_problem(coarse_spec, cfg)
+    spec, _, _ = problems.build_problem(pf, 0.07)
+    assert np.isnan(grids.prolong(coarse_spec.grid, coarse_field.values,
+                                  spec.grid)[spec.grid.interior_ids]).any()
+    field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
+    assert report.status == ct.CONVERGED
+    assert report.messages == ["level h=0.07: the prolongation leaves interior nodes "
+                               "without a value; this level runs the path"]
+    assert not any(r["stage"] == "refine" for r in report.stages)
+    path_field, path_report = ct.solve_problem(spec, cfg)
+    assert report.stages == path_report.stages
+    assert np.array_equal(field.values, path_field.values)

@@ -170,6 +170,20 @@ def test_one_driver_walks_the_legs():
     assert referrers("run_legs") == {"continuity.solve_problem"}
 
 
+def test_cli_solves_only_through_solve_problem():
+    # solve and convergence share solve_problem's one level walk (a study
+    # passes each level's field on as coarse), so the CLI keeps no second
+    # ladder, path or Newton route
+    tree = _tree(SRC / "cli.py")
+    named = {getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert named.isdisjoint({"run_legs", "_refine", "_ladder", "newton_solve", "newton_core"})
+    callers = {fn.name for fn in tree.body if isinstance(fn, DEFS)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "solve_problem"}
+    assert callers == {"_cmd_solve", "_cmd_convergence"}
+
+
 def test_one_chain_rule_builds_the_v_blocks():
     # the benchmark's span list still names exp_chain_blocks; it must stay a
     # second name of coefficients_v, not grow back into a second route
