@@ -10,6 +10,7 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +101,10 @@ def _load(args):
 
 
 def _configured(cfg, args):
-    """cfg with the --tol and --max-newton overrides applied."""
-    if args.tol is not None:
-        cfg.newton_tol = args.tol
-    if args.max_newton is not None:
-        cfg.max_newton = args.max_newton
-    return cfg
+    """cfg with the --tol and --max-newton overrides applied, checked as
+    HomotopyConfig checks the [solver] keys."""
+    overrides = {"newton_tol": args.tol, "max_newton": args.max_newton}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _outdir(args):
@@ -121,6 +120,9 @@ def _sidecar(out):
 
 
 def _dispatch(args):
+    for count in ("samples", "levels"):
+        if getattr(args, count, 1) < 1:
+            raise SemanticError(f"--{count} must be >= 1, got {getattr(args, count)}")
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "check-subsolution":
@@ -136,8 +138,9 @@ def _dispatch(args):
 
 def _cmd_solve(args):
     pf, spec, cfg, _ = _load(args)
+    cfg = _configured(cfg, args)
     out = _outdir(args)
-    field, report = solve_problem(spec, _configured(cfg, args))
+    field, report = solve_problem(spec, cfg)
     payload = json.loads(report.to_json())
     payload["problem"] = pf.raw
     (out / "report.json").write_text(json.dumps(payload, indent=1) + "\n")
@@ -295,8 +298,8 @@ def _cmd_convergence(args):
         raise SemanticError(
             "convergence --levels > 1 builds the problem at halved spacings; a mask "
             "domain or a subsolution grid file exists at one spacing only")
-    out = _outdir(args)
     cfg = _configured(cfg, args)
+    out = _outdir(args)
     levels = []
     rhos = []
     field = None

@@ -29,7 +29,8 @@ that the path ends on the target equation G[u] = psi itself.  Every accepted
 iterate on every path is kept strictly locally convex by the line search.  A
 solve that does not converge returns no field, only its report.
 
-On an n = 2 cap the path runs on the coarsest grid of a ladder that halves
+On a problem that can be built at other spacings (ProblemSpec.coarser, set
+for cap domains) the path runs on the coarsest grid of a ladder that halves
 h down from the requested spacing while the lattice keeps LADDER_MIN_ACROSS
 nodes across (nested iteration, Hackbusch 1985).  Each finer grid prolongs
 the field below it and takes one Newton solve of the target equation, whose
@@ -98,10 +99,21 @@ STAGNATION = "Stagnation"
 
 @dataclass
 class HomotopyConfig:
-    """Newton's stopping rule, the only [solver] keys; every continuation constant is derived."""
+    """Newton's stopping rule, the only [solver] keys; every continuation constant is derived.
+
+    A newton_tol that is not finite and > 0, or a max_newton below 1, is a
+    SemanticError: the [solver] keys and the command-line overrides (applied
+    with dataclasses.replace) all pass through here.
+    """
 
     newton_tol: float = 1e-10
     max_newton: int = 30
+
+    def __post_init__(self):
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise SemanticError(f"newton_tol must be finite and > 0, got {self.newton_tol!r}")
+        if self.max_newton < 1:
+            raise SemanticError(f"max_newton must be >= 1, got {self.max_newton!r}")
 
 
 @dataclass
@@ -115,9 +127,10 @@ class ProblemSpec:
     False when psi reads the chart coordinates y_i only, so that its
     derivatives in the field vanish.  coarser, when set, builds the same
     problem at another spacing h (coarser(h) is a ProblemSpec), from which
-    solve_problem's grid ladder takes its coarser levels.  problems.build_problem
-    sets it for cap domains.  A spec without it (mask domains, a subsolution
-    read from a grid file, specs built by hand) is solved on its own grid alone.
+    solve_problem's grid ladder takes its coarser levels; it alone decides
+    whether a problem ladders, in any dimension.  problems.build_problem sets
+    it for cap domains.  A spec without it (mask domains, a subsolution read
+    from a grid file, specs built by hand) is solved on its own grid alone.
     """
 
     sf: SpaceFormParams
@@ -1027,10 +1040,10 @@ def _ladder(spec: ProblemSpec):
     The spacing doubles while the coarser lattice keeps LADDER_MIN_ACROSS
     nodes across.  A cap lattice reaches m nodes out from its centre node,
     and the cap's lattice of twice the spacing reaches m // 2, so the levels
-    follow from spec's grid before any of them is built.  Only n = 2 ladders:
-    no n = 3 ladder solve has been measured.
+    follow from spec's grid before any of them is built.  A spec without
+    coarser is its own ladder.
     """
-    if spec.coarser is None or spec.grid.dim != 2:
+    if spec.coarser is None:
         return [spec]
     reach = int(np.ptp(spec.grid.node_index[:, 0])) // 2
     levels = [spec]
@@ -1043,30 +1056,28 @@ def _ladder(spec: ProblemSpec):
 def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
     """Newton on the target equation from the prolonged coarse field.
 
-    The prolonged field keeps the coarse field's representation, that of the
-    path's last leg, and takes the level's own Dirichlet data.  Returns the
-    level's field after appending its refine record, whose ordering gap is
-    against the level's subsolution, or None after appending the message that
-    names why the level runs the path instead.
+    The prolonged field (grids.prolong, which gives every interior node a
+    value) keeps the coarse field's representation, that of the path's last
+    leg, and takes the level's own Dirichlet data.  Returns the level's field
+    after appending its refine record, whose ordering gap is against the
+    level's subsolution, or None after appending the message that names the
+    Newton status on which the level runs the path instead.
     """
     grid, rep = spec.grid, coarse.representation
     to_rep = _rho_to_v if rep == "v" else zeta_inverse
     start = grids.prolong(coarse.grid, coarse.values, grid)
     start[grid.boundary_ids] = to_rep(spec.sf, spec.boundary_rho)[grid.boundary_ids]
     floor = to_rep(spec.sf, spec.subsolution_rho)[grid.interior_ids]
-    if np.any(np.isnan(start)):
-        reason = "the prolongation leaves interior nodes without a value"
-    else:
-        rhs = Rhs(spec.sf, 0.0, PsiRhs(spec.psi_hat, spec.psi_reads_field), 1.0)
-        field, res = newton_solve(spec, rhs, GraphField(grid, start, rep), cfg)
-        if res.status == CONVERGED:
-            op = DiscreteOperator(grid, profile(spec.sf), rep=rep, sf=spec.sf)
-            _record_step(report.stages, "refine", 1.0, res, op, rhs, floor)
-            report.stages[-1]["h"] = grid.h
-            return field
-        reason = f"Newton ended {res.status}"
-    report.messages.append(f"level h={grid.h:.6g}: {reason}; this level runs the path")
-    return None
+    rhs = Rhs(spec.sf, 0.0, PsiRhs(spec.psi_hat, spec.psi_reads_field), 1.0)
+    field, res = newton_solve(spec, rhs, GraphField(grid, start, rep), cfg)
+    if res.status != CONVERGED:
+        report.messages.append(
+            f"level h={grid.h:.6g}: Newton ended {res.status}; this level runs the path")
+        return None
+    op = DiscreteOperator(grid, profile(spec.sf), rep=rep, sf=spec.sf)
+    _record_step(report.stages, "refine", 1.0, res, op, rhs, floor)
+    report.stages[-1]["h"] = grid.h
+    return field
 
 
 def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=None):
@@ -1077,9 +1088,10 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=N
     one above a level that failed) runs the path: its subsolution gate, then
     the legs of the space form's builder in one run_legs call.  Every other
     level refines the field below it by one Newton solve (_refine) and runs
-    the path only when that fails.  A level below spec's whose gate, leg
-    builder or path fails leaves the path to the next level.  The report is
-    finalized once, against the target equation on spec's grid.
+    the path only when that solve fails.  A level below spec's whose gate, leg
+    builder or path fails leaves the path to the next level.  A returned field
+    has status Converged, and the report is finalized once, against the
+    target equation on spec's grid.
 
     coarse, when given, is a converged GraphField on the nested grid of twice
     spec's spacing (a refinement study holds the level below): spec alone is
@@ -1118,5 +1130,6 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=N
                                        "the next level runs the path")
     if field is None:
         return None, report
+    report.status = CONVERGED
     _finalize_report(spec, field, report)
     return field, report

@@ -332,7 +332,14 @@ def prolong(coarse, values, fine):
     axis, the coarse lattice (NaN off its nodes) doubles: a midpoint takes the
     4-point cubic (-1, 9, 9, -1)/16 of its neighbours on that axis, or the
     one-sided quadratic (3, 6, -1)/8 when one outer neighbour is missing, else
-    NaN.  Fine nodes off the doubled lattice are NaN too.
+    NaN.  After all axes, a slot of the doubled lattice still NaN takes the
+    quadratic extrapolation (3, -3, 1) of the three values beside it along
+    the first axis and side that has them, read from the doubled lattice as
+    the passes left it.  Filling inside the passes would change the inputs of
+    later passes; filled afterwards, every slot that the passes give keeps
+    its value.  The fill leaves no interior node of a nested cap lattice
+    without a value (n = 2 and 3, tests/test_grids.py); any other fine node
+    left without one, or off the doubled lattice, is NaN.
     """
     shift = nesting_shift(coarse, fine)
     a = np.full(coarse.lattice_shape, np.nan)
@@ -348,6 +355,11 @@ def prolong(coarse, values, fine):
         out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
         out[0::2], out[1::2] = a, mid
         a = np.moveaxis(out, 0, axis)
+    passes = np.pad(a, 3, constant_values=np.nan)
+    for axis, side in itertools.product(range(coarse.dim), (1, -1)):
+        x1, x2, x3 = (np.roll(passes, -k * side, axis=axis)[(slice(3, -3),) * a.ndim]
+                      for k in (1, 2, 3))
+        a = np.where(np.isnan(a), 3.0 * x1 - 3.0 * x2 + x3, a)
     idx = fine.node_index - shift
     inside = np.all((idx >= 0) & (idx < a.shape), axis=1)
     result = np.full(fine.n_nodes, np.nan)

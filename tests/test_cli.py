@@ -471,6 +471,40 @@ def test_newton_flags_only_where_newton_runs(problem_file, tmp_path, capsys, com
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--tol", "inf"], "newton_tol must be finite and > 0, got inf"),
+    (["solve", "--tol", "nan"], "newton_tol must be finite and > 0, got nan"),
+    (["solve", "--tol", "-1"], "newton_tol must be finite and > 0, got -1.0"),
+    (["solve", "--tol", "0"], "newton_tol must be finite and > 0, got 0.0"),
+    (["solve", "--max-newton", "0"], "max_newton must be >= 1, got 0"),
+    (["convergence", "--tol", "inf"], "newton_tol must be finite and > 0, got inf"),
+    (["convergence", "--max-newton", "-2"], "max_newton must be >= 1, got -2"),
+    (["convergence", "--levels", "0"], "--levels must be >= 1, got 0"),
+    (["lincheck", "--samples", "0"], "--samples must be >= 1, got 0"),
+])
+def test_setting_out_of_range_exits_1(problem_file, tmp_path, capsys, args, message):
+    # a setting that could only stop Newton at once, never stop it, or do no
+    # work is refused before anything runs or is written
+    out = tmp_path / "o"
+    assert main([*args, "--problem", problem_file(GEODESIC_H), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "SemanticError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("newton_tol = inf", "newton_tol must be finite and > 0, got inf"),
+    ("newton_tol = 0", "newton_tol must be finite and > 0, got 0.0"),
+    ("max_newton = 0", "max_newton must be >= 1, got 0"),
+])
+def test_solver_key_out_of_range_exits_1(problem_file, tmp_path, capsys, line, message):
+    text = GEODESIC_H + "\n[solver]\n" + line + "\n"
+    rc = main(["solve", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "SemanticError", "message": message}
+
+
 def test_convergence_applies_max_newton(problem_file, tmp_path, capsys):
     # one Newton iteration is too few at h = 0.09, for solve and for every
     # level of a refinement study alike
@@ -580,12 +614,17 @@ def test_convergence_richardson_difference(tmp_path, capsys, monkeypatch):
     assert 1.8 <= order <= 2.2
 
 
-def test_convergence_n3_offcenter_sphere(tmp_path, capsys):
+def test_convergence_n3_offcenter_sphere(tmp_path, capsys, monkeypatch):
     # sigma_3 = 1 on the unit sphere off the axis: not discretely exact, so
-    # the n = 3 error falls with h (h = 0.14 and 0.07)
+    # the n = 3 error falls with h (h = 0.14 and 0.07); the path runs once,
+    # at 0.14, and 0.07 refines its field
+    legs = _spy(monkeypatch, ct, "run_legs")
+    refines = _spy(monkeypatch, ct, "_refine")
     out = tmp_path / "out"
     assert main(["convergence", "--problem", str(REPO / "problems/offcenter_sphere_k0_n3.wg"),
                  "--out", str(out), "--levels", "2"]) == 0
+    assert [args[0].h for args, _ in legs] == [0.14]
+    assert [args[0].grid.h for args, _ in refines] == [0.07]
     payload = json.loads((out / "convergence.json").read_text())
     assert all(lv["error_vs_exact"] > 0 for lv in payload["levels"])
     [order] = payload["observed_orders"]

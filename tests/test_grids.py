@@ -305,10 +305,11 @@ def test_prolong_reproduces_cubics_where_the_stencil_fits(n, coarse_across):
     assert fits[fine.interior_ids].mean() > 0.6
     out = grids.prolong(coarse, cubic(coarse.coords), fine)
     assert np.max(np.abs(out - cubic(fine.coords))[fits]) <= 1e-13
-    # the one-sided quadratic fallback reproduces quadratics wherever a value is given
+    # the one-sided quadratic and the (3, -3, 1) fill reproduce quadratics
+    # wherever a value is given, which is at every interior node
     out = grids.prolong(coarse, quadratic(coarse.coords), fine)
     given = ~np.isnan(out)
-    assert np.all(given | ~fits)
+    assert np.all(given[fine.interior_ids]) and np.all(given | ~fits)
     assert np.max(np.abs(out - quadratic(fine.coords))[given]) <= 1e-13
 
 
@@ -319,6 +320,21 @@ def test_prolong_gives_every_interior_node_a_value(coarse_across):
     assert not np.any(np.isnan(out[fine.interior_ids]))
     # coarse nodes keep their values on the fine lattice
     assert np.all(out[~np.isnan(out)] == 1.0)
+
+
+@pytest.mark.parametrize("n, h", [(2, 0.07), (2, 0.05), (3, 0.14), (3, 0.1), (3, 0.07), (3, 0.05)])
+def test_prolong_fills_every_interior_node_next_to_the_rim(n, h):
+    # at n = 3, h = 0.07 and 0.05 the axis passes leave interior nodes next
+    # to the rim without a value (30 and 24); the fill gives each one, and
+    # reproduces quadratics there
+    coarse, fine = (grids.build_cap_domain(np.pi / 5, s, n=n) for s in (2.0 * h, h))
+
+    def quadratic(y):
+        return 0.5 + y[:, 0] ** 2 - 0.3 * y[:, 0] * y[:, -1] + 0.2 * y[:, 1] - 0.4 * y[:, -1] ** 2
+
+    out = grids.prolong(coarse, quadratic(coarse.coords), fine)[fine.interior_ids]
+    assert not np.any(np.isnan(out))
+    assert np.max(np.abs(out - quadratic(fine.interior_coords()))) <= 1e-13
 
 
 def test_prolong_refuses_lattices_that_do_not_nest():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weingarten import continuity as ct
-from weingarten import grids, problems
+from weingarten import problems
 from weingarten.errors import AdmissibilityError
 from weingarten.spaceform import eta, zeta
 
@@ -56,18 +56,22 @@ def test_ladder_halves_down_to_19_lattice_nodes_across(name, nodes_across, ladde
     assert lattice_across(below.grid) < ct.LADDER_MIN_ACROSS
 
 
-def test_n3_ladder_builds_no_coarser_grid(monkeypatch):
-    # n = 3 runs the path alone, at any spacing, and no spec of another
-    # spacing is built to find that out
-    pf = problems.load_problem(REPO / "perfbench" / "problems" / "hyperbolic_nu_n3.wg")
-    spec, _, _ = problems.build_problem(pf, 0.07)
-    builds = []
-    monkeypatch.setattr(problems, "build_problem", lambda *args: builds.append(args))
-    assert ct._ladder(spec) == [spec]
-    # 41 across, where an n = 2 cap ladders
-    fine = replace(spec, grid=grids.build_cap_domain(np.pi / 5, cap_h(41), n=3))
-    assert ct._ladder(fine) == [fine]
-    assert builds == []
+def test_n3_ladder_halves_as_n2_does(monkeypatch):
+    # n = 3 ladders by the same rule as n = 2; the levels are built, not solved
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n3.wg")
+    spec, _, _ = problems.build_problem(pf, 0.04)
+
+    def no_solve(*args):
+        raise AssertionError("the ladder solves nothing")
+
+    monkeypatch.setattr(ct, "run_legs", no_solve)
+    monkeypatch.setattr(ct, "newton_core", no_solve)
+    levels = ct._ladder(spec)
+    assert levels[-1] is spec
+    assert [s.grid.h for s in levels] == pytest.approx([0.08, 0.04], rel=1e-12)
+    # at h = 0.07 the lattice of 0.14 would be too narrow: one level
+    spec07, _, _ = problems.build_problem(pf, 0.07)
+    assert ct._ladder(spec07) == [spec07]
 
 
 def test_spherical_ladder_refines_in_a_few_newton_iterations():
@@ -206,20 +210,29 @@ def test_failed_coarse_level_leaves_the_path_to_the_next(monkeypatch, failure):
     assert np.array_equal(field.values, path_field.values)
 
 
-def test_n3_refine_with_holes_in_the_prolongation_runs_the_path():
-    # at h = 0.14 -> 0.07 the prolongation leaves some n = 3 interior nodes
-    # without a value, so the level given a coarse field runs the path
+def test_n3_refine_from_the_coarse_field():
+    # h = 0.14 -> 0.07 on n = 3: the prolongation fills the nodes next to
+    # the rim, and one Newton solve reaches the path's own field
     pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n3.wg")
     coarse_spec, cfg, _ = problems.build_problem(pf, 0.14)
     coarse_field, _ = ct.solve_problem(coarse_spec, cfg)
     spec, _, _ = problems.build_problem(pf, 0.07)
-    assert np.isnan(grids.prolong(coarse_spec.grid, coarse_field.values,
-                                  spec.grid)[spec.grid.interior_ids]).any()
     field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
-    assert report.status == ct.CONVERGED
-    assert report.messages == ["level h=0.07: the prolongation leaves interior nodes "
-                               "without a value; this level runs the path"]
-    assert not any(r["stage"] == "refine" for r in report.stages)
-    path_field, path_report = ct.solve_problem(spec, cfg)
-    assert report.stages == path_report.stages
-    assert np.array_equal(field.values, path_field.values)
+    assert report.status == ct.CONVERGED and report.messages == []
+    [record] = report.stages
+    assert record["stage"] == "refine" and record["h"] == 0.07
+    assert record["newton_iterations"] <= 4 and record["ordering_ok"]
+    assert report.final_residual <= cfg.newton_tol
+    path_field, path_report = ct.solve_problem(path_only(spec), cfg)
+    assert not any(r["stage"] == "refine" for r in path_report.stages)
+    assert np.max(np.abs(field.values - path_field.values)) <= 1e-12
+
+
+def test_refine_only_solve_reports_converged():
+    # 21 -> 41 across given the coarse field: no path runs, and the returned
+    # field's status is Converged
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    coarse_field, _ = ct.solve_problem(spec.coarser(2.0 * spec.grid.h), cfg)
+    field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
+    assert field is not None and report.status == ct.CONVERGED
+    assert [r["stage"] for r in report.stages] == ["refine"]

@@ -1,6 +1,7 @@
 """Problem files: parsing, validation, lossless round trip, assembly."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_solver_keys_are_the_config_fields():
                 "theta_N", "boundary_match_factor", "perturb_seed", "t_samples"):
         with pytest.raises(ParseError, match="unknown key"):
             parse_problem(MINIMAL + f"\n[solver]\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "newton_tol = inf", "newton_tol = nan", "newton_tol = 0", "newton_tol = -1e-8",
+    "max_newton = 0", "max_newton = -1",
+])
+def test_solver_values_out_of_range(line):
+    # HomotopyConfig refuses them, from a [solver] key and from replace alike
+    key = line.split()[0]
+    with pytest.raises(SemanticError, match=f"^{key} must be"):
+        build_problem(parse_problem(MINIMAL + f"\n[solver]\n{line}\n"))
+    _, cfg, _ = build_problem(parse_problem(MINIMAL))
+    value = float(line.split()[-1]) if key == "newton_tol" else int(line.split()[-1])
+    with pytest.raises(SemanticError, match=f"^{key} must be"):
+        replace(cfg, **{key: value})
 
 
 def test_range_validation_at_build():
