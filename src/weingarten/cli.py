@@ -123,6 +123,8 @@ def _dispatch(args):
     for count in ("samples", "levels"):
         if getattr(args, count, 1) < 1:
             raise SemanticError(f"--{count} must be >= 1, got {getattr(args, count)}")
+    if getattr(args, "seed", 0) < 0:
+        raise SemanticError(f"--seed must be >= 0, got {args.seed}")
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "check-subsolution":

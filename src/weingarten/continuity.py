@@ -31,13 +31,15 @@ solve that does not converge returns no field, only its report.
 
 On a problem that can be built at other spacings (ProblemSpec.coarser, set
 for cap domains) the path runs on the coarsest grid of a ladder that halves
-h down from the requested spacing while the lattice keeps LADDER_MIN_ACROSS
-nodes across (nested iteration, Hackbusch 1985).  Each finer grid prolongs
-the field below it and takes one Newton solve of the target equation, whose
-iteration count does not grow with the grid from such a start (Allgower, Boehmer, Potra &
-Rheinboldt 1986); a level whose solve fails runs the path instead.  A
-caller holding the field of the level below (a refinement study) passes it
-as solve_problem's coarse, and the path does not run again.
+h down from the requested spacing while the coarser grid keeps
+LADDER_MIN_INTERIOR interior unknowns (nested iteration, Hackbusch 1985).
+Each finer grid prolongs the field below it and takes one Newton solve of
+the target equation, whose iteration count does not grow with the grid from
+such a start (Allgower, Boehmer, Potra & Rheinboldt 1986); a level whose
+solve fails runs the path instead.  A caller holding the field of the
+level below (a refinement study) passes it as solve_problem's coarse, and
+the path does not run again.  The floor restates 19 lattice nodes across in
+2-D (see LADDER_MIN_INTERIOR); in 3-D it lets h = 0.07 halve to 0.14.
 """
 
 import json
@@ -48,7 +50,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import charts, grids, linearize
-from .errors import AdmissibilityError, SemanticError
+from .errors import AdmissibilityError, AssemblyError, SemanticError
 from .geometry import state_from_u_slots, v_slots_to_u
 from .grids import GraphField
 from .spaceform import (
@@ -81,7 +83,12 @@ T_SAMPLES = 33           # t-lattice on which sphere_plan samples the deformed m
 DT_INIT = 0.25           # first step in t of a leg, unless the leg sets its own
 DT_MIN = 1e-4            # a leg whose failed step halves below this stops the solve
 DT_GROWTH = 1.5          # step growth after an accepted step (capped at 0.5)
-LADDER_MIN_ACROSS = 19   # lattice nodes across the coarsest ladder grid (21 with the cap's rim)
+# interior unknowns of the coarsest ladder grid.  A cap's lattice depends on
+# r/h alone and changes where (r/h)^2 crosses an integer; over every such 2-D
+# lattice, those 19 nodes across hold 189-241 interior nodes and those 17
+# across 149-185, so in 2-D this floor keeps exactly the lattices at least 19
+# across (21 with the cap's rim)
+LADDER_MIN_INTERIOR = 189
 # SuperLU options of the first factor: the natural column order, since the grid
 # numbers its unknowns in nested-dissection order (grids.interior_ids), plus
 # symmetric mode and no pivoting, which suit the almost structurally symmetric
@@ -127,8 +134,9 @@ class ProblemSpec:
     False when psi reads the chart coordinates y_i only, so that its
     derivatives in the field vanish.  coarser, when set, builds the same
     problem at another spacing h (coarser(h) is a ProblemSpec), from which
-    solve_problem's grid ladder takes its coarser levels; it alone decides
-    whether a problem ladders, in any dimension.  problems.build_problem sets
+    solve_problem's grid ladder takes its coarser levels, each with at least
+    LADDER_MIN_INTERIOR interior unknowns; it alone decides whether a
+    problem ladders, in any dimension.  problems.build_problem sets
     it for cap domains.  A spec without it (mask domains, a subsolution read
     from a grid file, specs built by hand) is solved on its own grid alone.
     """
@@ -1037,19 +1045,23 @@ def sphere_legs(spec: ProblemSpec):
 def _ladder(spec: ProblemSpec):
     """The specs of the grid ladder, coarsest first and spec itself last.
 
-    The spacing doubles while the coarser lattice keeps LADDER_MIN_ACROSS
-    nodes across.  A cap lattice reaches m nodes out from its centre node,
-    and the cap's lattice of twice the spacing reaches m // 2, so the levels
-    follow from spec's grid before any of them is built.  A spec without
-    coarser is its own ladder.
+    The spacing doubles while the coarser level holds LADDER_MIN_INTERIOR
+    interior unknowns, counted on the level as built.  A lattice of twice
+    the spacing nests in the finer one and has no more interior nodes, so a
+    level below the floor builds no coarser candidate, and a candidate with
+    none (grids raises AssemblyError; n = 5 caps with 221 interior nodes
+    halve to that) is below the floor.  A spec without coarser is its own
+    ladder.
     """
-    if spec.coarser is None:
-        return [spec]
-    reach = int(np.ptp(spec.grid.node_index[:, 0])) // 2
     levels = [spec]
-    while 2 * (reach // 2) + 1 >= LADDER_MIN_ACROSS:
-        reach //= 2
-        levels.insert(0, spec.coarser(2.0 * levels[0].grid.h))
+    while spec.coarser is not None and len(levels[0].grid.interior_ids) >= LADDER_MIN_INTERIOR:
+        try:
+            level = spec.coarser(2.0 * levels[0].grid.h)
+        except AssemblyError:
+            break
+        if len(level.grid.interior_ids) < LADDER_MIN_INTERIOR:
+            break
+        levels.insert(0, level)
     return levels
 
 

@@ -481,6 +481,7 @@ def test_newton_flags_only_where_newton_runs(problem_file, tmp_path, capsys, com
     (["convergence", "--max-newton", "-2"], "max_newton must be >= 1, got -2"),
     (["convergence", "--levels", "0"], "--levels must be >= 1, got 0"),
     (["lincheck", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["lincheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_setting_out_of_range_exits_1(problem_file, tmp_path, capsys, args, message):
     # a setting that could only stop Newton at once, never stop it, or do no

@@ -1,6 +1,7 @@
 """solve_problem's grid ladder: the path on the coarsest grid, Newton alone on each finer one."""
 
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from weingarten import continuity as ct
 from weingarten import problems
-from weingarten.errors import AdmissibilityError
+from weingarten.errors import AdmissibilityError, AssemblyError
 from weingarten.spaceform import eta, zeta
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,32 +47,76 @@ def lattice_across(grid):
     ("offcenter_geodesic_spherical.wg", 23, (23,)),
 ])
 def test_ladder_halves_down_to_19_lattice_nodes_across(name, nodes_across, ladder):
-    # 21 across by cap_h's count, which adds the two rim points off the lattice
+    # 21 across by cap_h's count, which adds the two rim points off the
+    # lattice; in 2-D the interior floor keeps exactly the lattices 19 across
     spec, _, _ = build(name, nodes_across)
     levels = ct._ladder(spec)
     assert levels[-1] is spec
     assert [s.grid.h for s in levels] == pytest.approx([cap_h(n) for n in ladder], rel=1e-12)
-    assert lattice_across(levels[0].grid) >= ct.LADDER_MIN_ACROSS
+    assert len(levels[0].grid.interior_ids) >= ct.LADDER_MIN_INTERIOR
+    assert lattice_across(levels[0].grid) >= 19
     below, _, _ = build(name, (ladder[0] + 1) / 2)
-    assert lattice_across(below.grid) < ct.LADDER_MIN_ACROSS
+    assert len(below.grid.interior_ids) < ct.LADDER_MIN_INTERIOR
+    assert lattice_across(below.grid) < 19
+
+
+def reach_rule(spec):
+    """Spacings of the ladder as it was once chosen: the width of each coarser
+    lattice predicted from spec's grid, 19 nodes across at least."""
+    reach = int(np.ptp(spec.grid.node_index[:, 0])) // 2
+    spacings = [spec.grid.h]
+    while 2 * (reach // 2) + 1 >= 19:
+        reach //= 2
+        spacings.insert(0, 2.0 * spacings[0])
+    return spacings
+
+
+def test_ladder_keeps_the_reach_rule_levels_on_2d_caps():
+    # every integer count from 21 to 161 across, and one spacing inside each
+    # window (37.06-37.22, 73.03-73.44 and 145.02-145.88 across) where the
+    # prediction admitted a coarsest lattice only 17 nodes across
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0.wg")
+    built = cache(lambda h: problems.build_problem(pf, h)[0])
+    narrower = []
+    for nodes in [*range(21, 162), 37.1, 73.2, 145.4]:
+        spec = replace(built(cap_h(nodes)), coarser=built)
+        spacings = [s.grid.h for s in ct._ladder(spec)]
+        reference = reach_rule(spec)
+        if spacings != reference:
+            assert lattice_across(built(reference[0]).grid) < 19
+            assert spacings == reference[1:]
+            narrower.append(nodes)
+    assert narrower == [37.1, 73.2, 145.4]
+
+
+def test_ladder_stops_at_a_spacing_with_no_interior_node():
+    # grids raises AssemblyError on a lattice with no interior node (n = 5
+    # caps with 221 interior nodes halve to one); the ladder ends there
+    spec, _, _ = build("offcenter_sphere_k0.wg", 41)
+
+    def no_interior(h):
+        raise AssemblyError("domain has no interior nodes at this resolution; decrease h")
+
+    lone = replace(spec, coarser=no_interior)
+    [level] = ct._ladder(lone)
+    assert level is lone
 
 
 def test_n3_ladder_halves_as_n2_does(monkeypatch):
     # n = 3 ladders by the same rule as n = 2; the levels are built, not solved
     pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n3.wg")
-    spec, _, _ = problems.build_problem(pf, 0.04)
 
     def no_solve(*args):
         raise AssertionError("the ladder solves nothing")
 
     monkeypatch.setattr(ct, "run_legs", no_solve)
     monkeypatch.setattr(ct, "newton_core", no_solve)
-    levels = ct._ladder(spec)
-    assert levels[-1] is spec
-    assert [s.grid.h for s in levels] == pytest.approx([0.08, 0.04], rel=1e-12)
-    # at h = 0.07 the lattice of 0.14 would be too narrow: one level
-    spec07, _, _ = problems.build_problem(pf, 0.07)
-    assert ct._ladder(spec07) == [spec07]
+    for h, ladder in [(0.07, [0.14, 0.07]), (0.05, [0.10, 0.05]), (0.04, [0.08, 0.04])]:
+        spec, _, _ = problems.build_problem(pf, h)
+        levels = ct._ladder(spec)
+        assert levels[-1] is spec
+        assert [s.grid.h for s in levels] == pytest.approx(ladder, rel=1e-12)
+        assert len(levels[0].grid.interior_ids) >= ct.LADDER_MIN_INTERIOR
 
 
 def test_spherical_ladder_refines_in_a_few_newton_iterations():
@@ -215,7 +260,7 @@ def test_n3_refine_from_the_coarse_field():
     # the rim, and one Newton solve reaches the path's own field
     pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n3.wg")
     coarse_spec, cfg, _ = problems.build_problem(pf, 0.14)
-    coarse_field, _ = ct.solve_problem(coarse_spec, cfg)
+    coarse_field, coarse_report = ct.solve_problem(coarse_spec, cfg)
     spec, _, _ = problems.build_problem(pf, 0.07)
     field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
     assert report.status == ct.CONVERGED and report.messages == []
@@ -226,6 +271,14 @@ def test_n3_refine_from_the_coarse_field():
     path_field, path_report = ct.solve_problem(path_only(spec), cfg)
     assert not any(r["stage"] == "refine" for r in path_report.stages)
     assert np.max(np.abs(field.values - path_field.values)) <= 1e-12
+    # the default route builds the same ladder: the path at 0.14, then one refine
+    ladder_field, ladder_report = ct.solve_problem(spec, cfg)
+    assert ladder_report.status == ct.CONVERGED and ladder_report.messages == []
+    *path, refine = ladder_report.stages
+    assert path == coarse_report.stages
+    assert refine["stage"] == "refine" and refine["h"] == 0.07
+    assert refine["newton_iterations"] <= 4 and refine["ordering_ok"]
+    assert np.max(np.abs(ladder_field.values - path_field.values)) <= 1e-12
 
 
 def test_refine_only_solve_reports_converged():
