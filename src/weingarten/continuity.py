@@ -67,7 +67,7 @@ from .spaceform import (
     xi_prime,
     zeta_inverse,
 )
-from .symeig import least_eigenvalue, mm, positive_definite
+from .symeig import eigvals_descending, mm, positive_definite
 from .symfunc import f_and_F
 
 CONVEXITY_MARGIN = 1e-10  # Hess u + u sigma - margin I must be positive definite
@@ -161,8 +161,9 @@ class ProblemSpec:
 class NewtonResult:
     """A Converged result carries the evaluation of x.
 
-    Failed results carry none.  Whoever keeps a result drops ev once it is
-    read, so that no evaluation is alive during the next solve.
+    Failed results carry none.  The step record reads it, and the
+    continuation engine keeps that of its last accepted point, from which
+    euler_tangent takes J and R at that point.
     """
 
     status: str
@@ -222,7 +223,8 @@ class OperatorEval:
     @cached_property
     def conv_min_eig(self):
         """Least eigenvalue of Hess u + u sigma per node, for reports only."""
-        return least_eigenvalue(self.r_u + self.u[:, None, None] * np.eye(self.r_u.shape[-1]))
+        conv = self.r_u + self.u[:, None, None] * np.eye(self.r_u.shape[-1])
+        return eigvals_descending(conv)[:, -1]
 
 
 class DiscreteOperator:
@@ -691,34 +693,28 @@ class Leg:
     first_step: float = DT_INIT
 
 
-def euler_tangent(op_at_t, problem_at_t, boundary_at, x, t):
-    """Path tangent dx/dt = -J(x, t)^{-1} dR/dt at a solution x of the t problem.
+def euler_tangent(leg: Leg, t, op, rhs, ev):
+    """Path tangent dx/dt = -J(x, t)^{-1} dR/dt at an accepted point x of the leg.
 
-    dR/dt is one difference of R = f - rhs in t of size TANGENT_FD_STEP, with
-    the operator, right-hand side and boundary data all taken at t + step.  It
-    is a forward difference unless that would leave [0, 1], which the deformed
-    metric refuses.  The LU factor lives only inside this call.  Returns None
-    when no tangent can be had: an inadmissible evaluation, or no finite
-    solve from either factor of _lu_solve.
+    op, rhs and ev are the t problem's operator, right-hand side and Newton's
+    evaluation of x, from which J and R = f - rhs at t come.  dR/dt is one
+    difference of R in t of size TANGENT_FD_STEP, with the operator,
+    right-hand side and boundary data all taken at t + step: the one
+    evaluation of this call.  It is a forward difference unless that would
+    leave [0, 1], which the deformed metric refuses.  The LU factor lives
+    only inside this call.  Returns None when no tangent can be had: an
+    inadmissible evaluation at t + step, or no finite solve from either
+    factor of _lu_solve.
     """
-    interior = op_at_t(t).grid.interior_ids
     step = TANGENT_FD_STEP if t + TANGENT_FD_STEP <= 1.0 else -TANGENT_FD_STEP
-
-    def residual_at(s):
-        op, rhs = op_at_t(s), problem_at_t(s)
-        full = boundary_at(s).copy()
-        full[interior] = x
-        ev = op.evaluate(full)
-        if ev is None:
-            return None
-        return op, rhs, ev, ev.f - rhs.evaluate(op, ev)
-
-    at_t, shifted = residual_at(t), residual_at(t + step)
-    if at_t is None or shifted is None:
+    op_s, rhs_s = leg.op_at(t + step), leg.rhs_at(t + step)
+    interior = op.grid.interior_ids
+    full = leg.boundary_at(t + step).copy()
+    full[interior] = ev.full[interior]
+    ev_s = op_s.evaluate(full)
+    if ev_s is None:
         return None
-    op, rhs, ev, R = at_t
-    *_, R_shifted = shifted
-    dR_dt = (R_shifted - R) / step
+    dR_dt = ((ev_s.f - rhs_s.evaluate(op_s, ev_s)) - (ev.f - rhs.evaluate(op, ev))) / step
     return _lu_solve(_jacobian(op, ev, rhs), -dR_dt)
 
 
@@ -728,18 +724,19 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
     Returns (x, status) and appends one record per accepted step.  A warm
     start that is itself inadmissible (typically moved boundary data breaking
     convexity at the ring nodes) is replaced by the Euler predictor
-    x + (t_try - t) dx/dt; the tangent is computed once per accepted point and
-    reused across dt halvings.  The first step is leg.first_step.  A failed
-    step t -> t_try is retried at half its length, t_try - t, which is less
-    than dt when t + dt was clipped to 1.
+    x + (t_try - t) dx/dt; the tangent is computed once per accepted point,
+    from the Newton evaluation kept with it, and reused across dt halvings.
+    The first step is leg.first_step.  A failed step t -> t_try is retried at
+    half its length, t_try - t, which is less than dt when t + dt was
+    clipped to 1.
     """
     t = 0.0
-    op0, rhs0 = leg.op_at(0.0), leg.rhs_at(0.0)
-    res = newton_core(op0, rhs0, x0, leg.boundary_at(0.0), cfg)
+    op, rhs = leg.op_at(0.0), leg.rhs_at(0.0)
+    res = newton_core(op, rhs, x0, leg.boundary_at(0.0), cfg)
     if res.status != CONVERGED:
         return x0, res.status
-    x = res.x
-    _record_step(records, leg.label, 0.0, res, op0, rhs0, leg.ordering_floor)
+    x, accepted = res.x, (op, rhs, res.ev)
+    _record_step(records, leg.label, 0.0, res, op, rhs, leg.ordering_floor)
     dt = leg.first_step
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
@@ -750,11 +747,11 @@ def _continue_in_t(leg: Leg, x0, cfg, records):
         if res.status == ADMISSIBILITY_LOSS and res.iterations == 0:
             if not tangent_tried:
                 tangent_tried = True
-                tangent = euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, t)
+                tangent = euler_tangent(leg, t, *accepted)
             if tangent is not None:
                 res = newton_core(op, rhs, x + (t_try - t) * tangent, leg.boundary_at(t_try), cfg)
         if res.status == CONVERGED:
-            t, x = t_try, res.x
+            t, x, accepted = t_try, res.x, (op, rhs, res.ev)
             tangent, tangent_tried = None, False
             _record_step(records, leg.label, t, res, op, rhs, leg.ordering_floor)
             dt = min(DT_GROWTH * dt, 0.5)
@@ -790,8 +787,8 @@ def run_legs(grid, legs, x0, cfg, records=None):
 
 
 def _record_step(records, label, t, res: NewtonResult, op, rhs, ordering_floor):
-    """Appends the record of a Converged result from its own evaluation, then drops it."""
-    ev, res.ev = res.ev, None
+    """Appends the record of a Converged result from its own evaluation."""
+    ev = res.ev
     rec = {
         "stage": label,
         "t": float(t),
@@ -950,7 +947,7 @@ def sphere_plan(spec: ProblemSpec):
     psi_min, psi_max = np.inf, -np.inf
     g_vals = {}
     for t in t_lattice:
-        op_t = DiscreteOperator(grid, profile_deformed(t), rep="u")
+        op_t = DiscreteOperator(grid, profile_deformed(t), rep="u", sf=spec.sf)
         ev_t = op_t.evaluate(u_sub)
         if ev_t is None:
             raise AdmissibilityError(f"subsolution is not admissible in the deformed metric t={t}")

@@ -10,11 +10,12 @@ orthonormal frame components, so the frame formulas apply verbatim:
 
 with the closed-form profile phi = 1/sqrt(u^2 + ka), zeta' = -phi^2 shared by
 the three space forms (ka = K) and the deformed metric family (ka = t^2).
-Principal curvatures are the eigenvalues of a, sorted descending; the graph is
-strictly locally convex iff Hess u + u d > 0.  kappa is computed on first
-read: Newton and the subsolution gate read only a (symfunc.f_and_F), so
-only step records, diagnostics and the CLI pay an eigensolve.  The per-node
-products are symeig.mm, written out over the small matrices.
+Principal curvatures are the eigenvalues of a, sorted descending, from
+symeig.eigvals_descending; the graph is strictly locally convex iff
+Hess u + u d > 0.  kappa is computed on first read: Newton and the
+subsolution gate read only a (symfunc.f_and_F), so only step records,
+diagnostics and the CLI pay an eigensolve, for the values alone.  The
+per-node products are symeig.mm, written out over the small matrices.
 
 This is the one state route:
 v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a
@@ -34,7 +35,7 @@ from .spaceform import (
     eta,
     eta_prime,
 )
-from .symeig import eigh_descending, mm
+from .symeig import eigvals_descending, mm
 
 
 @dataclass
@@ -58,7 +59,7 @@ class GeometryState:
     @cached_property
     def kappa(self):
         """(N, n) principal curvatures, descending; assignable like a field."""
-        return eigh_descending(self.a)[0]
+        return eigvals_descending(self.a)
 
 
 def state_from_u_slots(u, p, r, ambient: AmbientProfile) -> GeometryState:

@@ -57,13 +57,14 @@ def random_admissible_u_field(grid, sf: SpaceFormParams, rng, base=None, amp=0.1
 
 def refuse_eigensolves(monkeypatch):
     """Make every eigenvalue routine raise: each binding of symeig.eigh_descending
-    and symeig.least_eigenvalue in the package, and numpy.linalg.eigh and
-    numpy.linalg.eigvalsh themselves."""
+    and symeig.eigvals_descending in the package (the latter's 2x2 closed form
+    calls no numpy routine), and numpy.linalg.eigh and numpy.linalg.eigvalsh
+    themselves."""
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve where none is needed")
 
     for name, module in list(sys.modules.items()):
-        for routine in ("eigh_descending", "least_eigenvalue"):
+        for routine in ("eigh_descending", "eigvals_descending"):
             if name.startswith("weingarten") and hasattr(module, routine):
                 monkeypatch.setattr(module, routine, refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)

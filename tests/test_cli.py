@@ -121,6 +121,20 @@ def test_solve_report_deterministic(problem_file, tmp_path):
     assert ga == gb
 
 
+def test_spherical_psi_reads_v_as_ln_u(problem_file, tmp_path, capsys):
+    # on K = +1 psi's v is ln u wherever psi is read, the plan's samples of
+    # the deformed metric included; rho = 0.5 (v = ln cot 0.5) still solves
+    # psi = cot(0.5)^2 + (v - ln cot 0.5)^2
+    text = (REPO / "problems/geodesic_spherical.wg").read_text()
+    text = text.replace("expr = 3.3506852993400433",
+                        "expr = 3.3506852993400433 + (v - log(1.830487721712452))^2")
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", problem_file(text), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["status"] == "Converged"
+    rho = np.genfromtxt(out / "solution.csv", delimiter=",", names=True)["rho"]
+    assert np.max(np.abs(rho - 0.5)) < 1e-9
+
+
 def test_check_subsolution_saddle_exits_2(problem_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["check-subsolution", "--problem", problem_file(SADDLE), "--out", str(out)])

@@ -446,11 +446,20 @@ def k0_bridge_leg(nodes_across):
     return leg, v0.values[g.interior_ids]
 
 
+def accepted_point(leg, x, t):
+    """(operator, right-hand side, evaluation) of the leg's t problem at x,
+    what the engine keeps of an accepted point for euler_tangent."""
+    op, rhs = leg.op_at(t), leg.rhs_at(t)
+    full = leg.boundary_at(t).copy()
+    full[op.grid.interior_ids] = x
+    return op, rhs, op.evaluate(full)
+
+
 def test_euler_predictor_is_second_order():
     # x(dt) - x(0) - dt x'(0) = O(dt^2): the error quarters as dt halves
     leg, x = k0_bridge_leg(21)
     cfg = ct.HomotopyConfig()
-    tangent = ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0)
+    tangent = ct.euler_tangent(leg, 0.0, *accepted_point(leg, x, 0.0))
     assert tangent is not None
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
@@ -475,12 +484,30 @@ def test_euler_tangent_differences_inside_the_unit_interval():
     def rhs_at(t):
         return ct.Rhs(spec.sf, (1.0 - t) * plan["q"] + t * plan["epsilon"])
 
-    x = v_sub[spec.grid.interior_ids]
-    back = ct.euler_tangent(op_at, rhs_at, lambda t: v_sub, x, 1.0)
-    ahead = ct.euler_tangent(lambda t: op, rhs_at, lambda t: v_sub, x, 1.0)
+    leg = ct.Leg("probe", op_at, rhs_at, lambda t: v_sub)
+    point = accepted_point(leg, v_sub[spec.grid.interior_ids], 1.0)
+    back = ct.euler_tangent(leg, 1.0, *point)
+    ahead = ct.euler_tangent(replace(leg, op_at=lambda t: op), 1.0, *point)
     assert back is not None
     # the rhs is linear in t, so both differences give the same tangent
     np.testing.assert_allclose(back, ahead, rtol=1e-6, atol=1e-12)
+
+
+def test_euler_tangent_evaluates_the_operator_once(monkeypatch, k0_bridge_newton):
+    # J and R at t come from the accepted point's own evaluation: only the
+    # t + step problem is evaluated
+    _, leg, x = k0_bridge_newton
+    point = accepted_point(leg, x, 0.0)
+    calls = []
+    evaluate = ct.DiscreteOperator.evaluate
+
+    def counting_evaluate(self, *args, **kwargs):
+        calls.append(self)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ct.DiscreteOperator, "evaluate", counting_evaluate)
+    assert ct.euler_tangent(leg, 0.0, *point) is not None
+    assert len(calls) == 1
 
 
 class _TangentRequested(Exception):
@@ -615,7 +642,7 @@ def test_solver_breakdown_when_both_factors_fail(monkeypatch, k0_bridge_newton):
     assert res.status == ct.SOLVER_BREAKDOWN
     assert res.iterations == 1 and res.history == [r0]
     assert calls == [ct.FAST_LU, {}]
-    assert ct.euler_tangent(leg.op_at, leg.rhs_at, leg.boundary_at, x, 0.0) is None
+    assert ct.euler_tangent(leg, 0.0, *accepted_point(leg, x, 0.0)) is None
 
     calls.clear()
 

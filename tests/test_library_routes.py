@@ -116,29 +116,42 @@ def test_every_top_level_definition_is_referenced():
 LU_ENTRY_POINTS = ("splu", "spsolve", "factorized")
 
 
-def lu_references():
-    """(module, line) of every name or attribute in src/weingarten naming an LU entry point."""
+# numpy.linalg's eigensolvers
+EIGEN_ENTRY_POINTS = ("eig", "eigh", "eigvals", "eigvalsh")
+
+
+def references(names):
+    """(module, line, name) of every name or attribute in src/weingarten that is one of names."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "attr", None) or getattr(node, "id", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name in LU_ENTRY_POINTS:
-                out.append((path.stem, getattr(node, "lineno", None)))
+            if name in names:
+                out.append((path.stem, getattr(node, "lineno", None), name))
     return out
 
 
 def test_one_lu_factorization_route():
     # every linear solve goes through continuity._lu_solve, whose fallback
     # to pivoted LU a second call site would bypass
-    refs = lu_references()
+    refs = references(LU_ENTRY_POINTS)
     assert len(refs) == 1 and refs[0][0] == "continuity", refs
     tree = ast.parse((SRC / "continuity.py").read_text())
     helper = next(s for s in tree.body if getattr(s, "name", None) == "_lu_solve")
     calls = [n for n in ast.walk(helper) if isinstance(n, ast.Call)
              and getattr(n.func, "attr", None) == "splu"]
     assert [c.lineno for c in calls] == [refs[0][1]]
+
+
+def test_one_eigensolver_route():
+    # every eigenvalue comes from symeig.eigvals_descending (eigvalsh behind
+    # the 2x2 closed form) and every eigenvector from eigh_descending (eigh);
+    # a second call site would bypass the closed form or the descending order
+    refs = references(EIGEN_ENTRY_POINTS)
+    assert sorted((stem, name) for stem, _, name in refs) == [
+        ("symeig", "eigh"), ("symeig", "eigvalsh")], refs
 
 
 def referrers(name):

@@ -7,7 +7,7 @@ import pytest
 
 from weingarten.continuity import CONVEXITY_MARGIN
 from weingarten.errors import AdmissibilityError
-from weingarten.symeig import eigh_descending, least_eigenvalue, mm, positive_definite
+from weingarten.symeig import eigh_descending, eigvals_descending, mm, positive_definite
 from weingarten.symfunc import (
     all_sigmas,
     f_and_derivatives,
@@ -122,20 +122,8 @@ def test_f_concavity_spot(rng):
         assert np.min(fm - 0.5 * (fa + fb)) > -1e-12
 
 
-def test_eigh2_matches_lapack(rng):
-    a = rng.normal(0.0, 1.0, (300, 2, 2))
-    a = 0.5 * (a + np.swapaxes(a, 1, 2))
-    w, Q = eigh_descending(a)
-    w_ref = np.sort(np.linalg.eigvalsh(a), axis=1)[:, ::-1]
-    assert np.max(np.abs(w - w_ref)) < 1e-13
-    recon = np.einsum("nik,nk,njk->nij", Q, w, Q)
-    assert np.max(np.abs(recon - a)) < 1e-12
-    orth = np.einsum("nki,nkj->nij", Q, Q)
-    assert np.max(np.abs(orth - np.eye(2))) < 1e-13
-
-
 def test_eigh_matches_lapack_n3_up(rng):
-    for n in (3, 4, 6):
+    for n in (2, 3, 4, 6):
         a = rng.normal(0.0, 1.0, (100, n, n))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
         w, Q = eigh_descending(a)
@@ -149,29 +137,30 @@ def test_eigh_matches_lapack_n3_up(rng):
 
 def test_eigh_repeated_eigenvalues_n3(rng):
     R, _ = np.linalg.qr(rng.normal(0.0, 1.0, (3, 3)))
-    a = np.stack([R @ np.diag([2.0, 2.0, 1.0]) @ R.T, np.eye(3)])
-    w, Q = eigh_descending(a)
-    assert np.max(np.abs(w - [[2.0, 2.0, 1.0], [1.0, 1.0, 1.0]])) < 1e-13
-    recon = np.einsum("nik,nk,njk->nij", Q, w, Q)
-    assert np.max(np.abs(recon - a)) < 1e-13
-    orth = np.einsum("nki,nkj->nij", Q, Q)
-    assert np.max(np.abs(orth - np.eye(3))) < 1e-13
+    cases = [
+        (np.stack([R @ np.diag([2.0, 2.0, 1.0]) @ R.T, np.eye(3)]), [[2.0, 2.0, 1.0], [1.0, 1.0, 1.0]]),
+        (2.0 * np.eye(2)[None], [[2.0, 2.0]]),
+    ]
+    for a, w_ref in cases:
+        w, Q = eigh_descending(a)
+        assert np.max(np.abs(w - w_ref)) < 1e-13
+        recon = np.einsum("nik,nk,njk->nij", Q, w, Q)
+        assert np.max(np.abs(recon - a)) < 1e-13
+        orth = np.einsum("nki,nkj->nij", Q, Q)
+        assert np.max(np.abs(orth - np.eye(a.shape[-1]))) < 1e-13
 
 
-def test_least_eigenvalue_is_the_last_of_eigh(rng):
-    # bit for bit at n = 2 (the closed form shared with eigh_descending), to
-    # rounding at n = 3 and 4 (eigvalsh)
+def test_eigvals_descending_matches_eigh(rng):
+    # the 2x2 closed form and eigvalsh agree with LAPACK's eigh to rounding,
+    # and both are exact on multiples of the identity
     for n in (2, 3, 4):
         a = rng.normal(0.0, 1.0, (300, n, n))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
         a = np.concatenate([a, np.broadcast_to(2.5 * np.eye(n), (2, n, n))])
-        lam, ref = least_eigenvalue(a), eigh_descending(a)[0][..., -1]
-        assert lam.shape == (302,)
-        if n == 2:
-            assert np.array_equal(lam, ref)
-        else:
-            assert np.max(np.abs(lam - ref)) < 1e-13
-        assert np.max(np.abs(lam[-2:] - 2.5)) < 1e-14
+        w, ref = eigvals_descending(a), eigh_descending(a)[0]
+        assert w.shape == (302, n)
+        assert np.max(np.abs(w - ref)) < 1e-13
+        assert np.all(w[-2:] == 2.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -202,13 +191,6 @@ def test_positive_definite_agrees_with_eigvalsh(rng, n):
     assert positive_definite(good)
     good[1234, n - 1, n - 1] = np.nan
     assert not positive_definite(good)
-
-
-def test_eigh2_repeated_eigenvalues():
-    a = np.array([[[2.0, 0.0], [0.0, 2.0]]])
-    w, Q = eigh_descending(a)
-    assert np.allclose(w, 2.0)
-    assert np.allclose(Q @ np.swapaxes(Q, 1, 2), np.eye(2))
 
 
 def test_F_matrix_identity_case():
