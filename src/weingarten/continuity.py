@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import charts, grids, linearize
+from . import grids, linearize
 from .errors import AdmissibilityError, AssemblyError, SemanticError
 from .geometry import state_from_u_slots, v_slots_to_u
 from .grids import GraphField
@@ -162,8 +162,9 @@ class NewtonResult:
     """A Converged result carries the evaluation of x.
 
     Failed results carry none.  The step record reads it, and the
-    continuation engine keeps that of its last accepted point, from which
-    euler_tangent takes J and R at that point.
+    continuation engine keeps that of its last accepted point: euler_tangent
+    takes J and R at that point from it, the next Newton call on the same
+    operator starts from it, and the final report reads the last one.
     """
 
     status: str
@@ -208,6 +209,7 @@ class SolveReport:
 
 @dataclass
 class OperatorEval:
+    op: "DiscreteOperator"  # the operator that made it
     full: np.ndarray
     val: np.ndarray       # active-representation values at interior nodes
     p_coord: np.ndarray
@@ -219,6 +221,7 @@ class OperatorEval:
     F: np.ndarray         # its derivative df/da, which builds the linearization
     p_v_frame: np.ndarray | None = None
     r_v_frame: np.ndarray | None = None
+    lc: linearize.LinearizedCoefficients | None = None  # blocks a step record kept
 
     @cached_property
     def conv_min_eig(self):
@@ -274,11 +277,17 @@ class DiscreteOperator:
             except AdmissibilityError:
                 return None
         return OperatorEval(
-            full=full, val=val, p_coord=p_coord, u=u, p_u=p_u, r_u=r_u,
+            op=self, full=full, val=val, p_coord=p_coord, u=u, p_u=p_u, r_u=r_u,
             state=state, f=f, F=F, p_v_frame=p_v, r_v_frame=r_v,
         )
 
     def blocks(self, ev) -> linearize.LinearizedCoefficients:
+        """Linearization blocks at ev, an evaluation by this operator: those
+        kept in ev.lc, else built.  The step record of an accepted point keeps
+        them, so euler_tangent and a Newton call that starts there read the
+        record's; a trial iterate's blocks are dropped with its Jacobian."""
+        if ev.lc is not None:
+            return ev.lc
         lc_u = linearize.coefficients_u(ev.state, ev.F)
         if self.rep == "u":
             return lc_u
@@ -330,10 +339,12 @@ class DiscreteOperator:
 class PsiRhs:
     """rhs = psi_hat(bundle); derivatives by scale-aware central differences.
 
-    A psi that reads no field variable (reads_field False) depends only on
-    the grid's chart coordinates: evaluate computes it once and returns that
-    array (read-only) from then on, and derivatives returns exactly 0
-    without evaluating psi.
+    d_val differences psi in the unknown (two evaluations of psi), d_p in
+    each component of its coordinate gradient (two each).  A psi that reads
+    no field variable (reads_field False) depends only on the grid's chart
+    coordinates: evaluate computes it once and returns that array
+    (read-only) from then on, and d_val and d_p return exactly 0 without
+    evaluating psi.
     """
 
     def __init__(self, psi_hat, reads_field):
@@ -349,15 +360,19 @@ class PsiRhs:
             self._fixed.setflags(write=False)
         return self._fixed
 
-    def derivatives(self, op, ev):
-        n = op.grid.dim
+    def d_val(self, op, ev):
         if not self.reads_field:
-            return np.zeros(ev.val.shape[0]), np.zeros((ev.val.shape[0], n))
+            return np.zeros(ev.val.shape[0])
         s = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
-        d_val = (self.psi_hat(op.bundle(ev, dval=s)) - self.psi_hat(op.bundle(ev, dval=-s))) / (
+        return (self.psi_hat(op.bundle(ev, dval=s)) - self.psi_hat(op.bundle(ev, dval=-s))) / (
             2.0 * s
         )
+
+    def d_p(self, op, ev):
+        n = op.grid.dim
         d_p = np.zeros((ev.val.shape[0], n))
+        if not self.reads_field:
+            return d_p
         for i in range(n):
             dp = np.zeros_like(ev.p_coord)
             sp = PSI_FD_STEP * np.maximum(1.0, np.abs(ev.p_coord[:, i]))
@@ -365,7 +380,7 @@ class PsiRhs:
             d_p[:, i] = (
                 self.psi_hat(op.bundle(ev, dp=dp)) - self.psi_hat(op.bundle(ev, dp=-dp))
             ) / (2.0 * sp)
-        return d_val, d_p
+        return d_p
 
 
 class Rhs:
@@ -375,11 +390,11 @@ class Rhs:
     term is skipped when it is 0, so a leg whose space form has no xi
     (K = +1) takes a = 0, and psi is not evaluated when b = 0.
 
-    Like PsiRhs it has two methods: evaluate gives the values at the interior
-    nodes, all that a line-search trial reads, and derivatives gives
-    (d_val, d_p), the derivatives in the unknown and in its coordinate
-    gradient, shaped (N,) and (N, n), which only the Jacobian of an accepted
-    iterate and its step record read.
+    evaluate gives the values at the interior nodes, all that a line-search
+    trial reads.  derivatives gives (d_val, d_p), the derivatives in the
+    unknown and in its coordinate gradient, shaped (N,) and (N, n), which
+    only the Jacobian of an accepted iterate reads; its step record reads
+    d_val alone, which differences psi in the unknown only.
     """
 
     def __init__(self, sf, a, psi=None, b=0.0, c=0.0):
@@ -394,26 +409,34 @@ class Rhs:
             values = values + self.b * (self.psi.evaluate(op, ev) + self.c)
         return values
 
-    def derivatives(self, op, ev):
+    def d_val(self, op, ev):
         d_val = np.zeros(ev.val.shape[0])
-        d_p = np.zeros((ev.val.shape[0], op.grid.dim))
         if self.xi_term:
             d_val = self.a * xi_prime(self.sf, ev.val)
         if self.b:
-            psi_d_val, psi_d_p = self.psi.derivatives(op, ev)
-            d_val = d_val + self.b * psi_d_val
-            d_p = self.b * psi_d_p
-        return d_val, d_p
+            d_val = d_val + self.b * self.psi.d_val(op, ev)
+        return d_val
+
+    def derivatives(self, op, ev):
+        d_p = np.zeros((ev.val.shape[0], op.grid.dim))
+        if self.b:
+            d_p = self.b * self.psi.d_p(op, ev)
+        return self.d_val(op, ev), d_p
 
 
 # ---------------------------------------------------------------------------
 # Newton iteration
 
-def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfig) -> NewtonResult:
+def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfig,
+                start=None) -> NewtonResult:
     """Damped Newton with admissibility-preserving line search.
 
     boundary_full is a full-node array whose boundary slots supply the
-    Dirichlet data; interior slots are overwritten by the unknowns.
+    Dirichlet data; interior slots are overwritten by the unknowns.  start,
+    an earlier Newton evaluation or None, is taken as the evaluation of the
+    start point when op made it at that very point (same full array), so
+    that a step of a leg whose operator and data stay fixed does not
+    evaluate the point the last step accepted again.
 
     Converged means the residual reached cfg.newton_tol, or that it is
     already at its rounding floor (see rounding_floor) and the full step,
@@ -432,7 +455,9 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
         return full
 
     x = np.asarray(x0, dtype=float).copy()
-    ev = op.evaluate(compose(x))
+    ev = start
+    if ev is None or ev.op is not op or not np.array_equal(ev.full, compose(x)):
+        ev = op.evaluate(compose(x))
     if ev is None:
         return NewtonResult(ADMISSIBILITY_LOSS, x, 0, np.inf, [])
     b = rhs.evaluate(op, ev)
@@ -556,7 +581,7 @@ def diagnostics_from_eval(op: DiscreteOperator, ev: OperatorEval):
     grid = op.grid
     if grid.boundary_ids.size:
         p_bnd = grids.boundary_gradient_estimate(grid, u_all)
-        _, sigma_inv_b, _ = charts.chart_metric(grid.chart, grid.coords[grid.boundary_ids])
+        sigma_inv_b = grids.boundary_sigma_inv(grid)
         gn2 = np.einsum("nk,nk->n", p_bnd, (sigma_inv_b @ p_bnd[..., None])[..., 0])
         w_bnd_max = float(np.max(np.sqrt(u_all[grid.boundary_ids] ** 2 + gn2)))
     else:
@@ -718,48 +743,52 @@ def euler_tangent(leg: Leg, t, op, rhs, ev):
     return _lu_solve(_jacobian(op, ev, rhs), -dR_dt)
 
 
-def _continue_in_t(leg: Leg, x0, cfg, records):
+def _continue_in_t(leg: Leg, x0, cfg, records, start):
     """March the leg's t: 0 -> 1 with adaptive steps and warm starts.
 
-    Returns (x, status) and appends one record per accepted step.  A warm
-    start that is itself inadmissible (typically moved boundary data breaking
-    convexity at the ring nodes) is replaced by the Euler predictor
-    x + (t_try - t) dx/dt; the tangent is computed once per accepted point,
-    from the Newton evaluation kept with it, and reused across dt halvings.
-    The first step is leg.first_step.  A failed step t -> t_try is retried at
-    half its length, t_try - t, which is less than dt when t + dt was
-    clipped to 1.
+    Returns (x, status, ev), ev the Newton evaluation of the last accepted
+    point (None when the leg accepted none), and appends one record per
+    accepted step.  start is newton_core's for the t = 0 solve from x0: the
+    previous leg's last evaluation.  Each warm start passes the evaluation
+    of the point it starts from.  A warm start that is itself inadmissible
+    (typically moved boundary data breaking convexity at the ring nodes) is
+    replaced by the Euler predictor x + (t_try - t) dx/dt; the tangent is
+    computed once per accepted point, from the Newton evaluation kept with
+    it, and reused across dt halvings.  The first step is leg.first_step.  A
+    failed step t -> t_try is retried at half its length, t_try - t, which
+    is less than dt when t + dt was clipped to 1.
     """
     t = 0.0
     op, rhs = leg.op_at(0.0), leg.rhs_at(0.0)
-    res = newton_core(op, rhs, x0, leg.boundary_at(0.0), cfg)
+    res = newton_core(op, rhs, x0, leg.boundary_at(0.0), cfg, start)
     if res.status != CONVERGED:
-        return x0, res.status
+        return x0, res.status, None
     x, accepted = res.x, (op, rhs, res.ev)
-    _record_step(records, leg.label, 0.0, res, op, rhs, leg.ordering_floor)
+    _record_step(records, leg.label, 0.0, res, rhs, leg.ordering_floor)
     dt = leg.first_step
     tangent, tangent_tried = None, False
     while t < 1.0 - 1e-14:
         t_try = min(1.0, t + dt)
         op = leg.op_at(t_try)
         rhs = leg.rhs_at(t_try)
-        res = newton_core(op, rhs, x, leg.boundary_at(t_try), cfg)
+        res = newton_core(op, rhs, x, leg.boundary_at(t_try), cfg, accepted[2])
         if res.status == ADMISSIBILITY_LOSS and res.iterations == 0:
             if not tangent_tried:
                 tangent_tried = True
                 tangent = euler_tangent(leg, t, *accepted)
             if tangent is not None:
-                res = newton_core(op, rhs, x + (t_try - t) * tangent, leg.boundary_at(t_try), cfg)
+                res = newton_core(op, rhs, x + (t_try - t) * tangent, leg.boundary_at(t_try),
+                                  cfg, None)
         if res.status == CONVERGED:
             t, x, accepted = t_try, res.x, (op, rhs, res.ev)
             tangent, tangent_tried = None, False
-            _record_step(records, leg.label, t, res, op, rhs, leg.ordering_floor)
+            _record_step(records, leg.label, t, res, rhs, leg.ordering_floor)
             dt = min(DT_GROWTH * dt, 0.5)
             continue
         dt = 0.5 * (t_try - t)
         if dt < DT_MIN:
-            return x, res.status
-    return x, CONVERGED
+            return x, res.status, accepted[2]
+    return x, CONVERGED, accepted[2]
 
 
 def run_legs(grid, legs, x0, cfg, records=None):
@@ -767,28 +796,32 @@ def run_legs(grid, legs, x0, cfg, records=None):
 
     A u-representation leg after a v-representation leg starts from
     u = eta(v) in the space form of the previous operator.  Stops at the
-    first leg that does not converge.  Returns (field, status, records): the
-    field is the last leg's boundary data at t = 1 around its interior
-    unknowns, in the representation of that leg's operator, and records
-    holds every accepted step.
+    first leg that does not converge.  Returns (field, status, records, ev):
+    the field is the last leg's boundary data at t = 1 around its interior
+    unknowns, in the representation of that leg's operator, records holds
+    every accepted step, and ev, when status is Converged, is the Newton
+    evaluation of the field.  Each leg starts from the evaluation its
+    predecessor ended on, which its t = 0 Newton solve reads when the two
+    legs share the operator and the data (stage1 -> bridge -> stage2).
     """
     records = records if records is not None else []
-    x, status, op = x0, CONVERGED, None
+    x, status, op, ev = x0, CONVERGED, None, None
     for leg in legs:
         prev, op = op, leg.op_at(1.0)
         if prev is not None and prev.rep == "v" and op.rep == "u":
             x = eta(prev.sf, x)
-        x, status = _continue_in_t(leg, x, cfg, records)
+        x, status, ev = _continue_in_t(leg, x, cfg, records, ev)
         if status != CONVERGED:
             break
     full = leg.boundary_at(1.0).copy()
     full[grid.interior_ids] = x
-    return GraphField(grid, full, op.rep), status, records
+    return GraphField(grid, full, op.rep), status, records, ev
 
 
-def _record_step(records, label, t, res: NewtonResult, op, rhs, ordering_floor):
+def _record_step(records, label, t, res: NewtonResult, rhs, ordering_floor):
     """Appends the record of a Converged result from its own evaluation."""
     ev = res.ev
+    op = ev.op
     rec = {
         "stage": label,
         "t": float(t),
@@ -798,7 +831,8 @@ def _record_step(records, label, t, res: NewtonResult, op, rhs, ordering_floor):
     }
     # zero-order coefficient of the linearization at the accepted solution:
     # negative along the auxiliary stages by the maximum-principle sign
-    zero_order = op.blocks(ev).Gu - rhs.derivatives(op, ev)[0]
+    ev.lc = op.blocks(ev)
+    zero_order = ev.lc.Gu - rhs.d_val(op, ev)
     rec["zero_order_max"] = float(np.max(zero_order))
     rec["zero_order_negative"] = bool(np.max(zero_order) < 0.0)
     if ordering_floor is not None:
@@ -854,19 +888,22 @@ def _xi_ratio(op, v_full):
 
 
 def evaluate_target(spec: ProblemSpec, field: GraphField):
-    """(operator, evaluation, f, psi_hat) of a field on the target equation:
-    the evaluation is evaluate_stored's and f = sigma_n^(1/n) is f_and_F's."""
+    """(operator, evaluation, f, psi_hat) of a stored field on the target
+    equation, for solution.csv: the evaluation is evaluate_stored's and
+    f = sigma_n^(1/n) is f_and_F's, as in Newton."""
     op, ev = evaluate_stored(field, spec.sf)
     return op, ev, f_and_F(ev.state.a)[0], spec.psi_hat(op.bundle(ev))
 
 
-def _finalize_report(spec, field, report):
+def _finalize_report(spec, ev, report):
     """Residuals against the target equation, final diagnostics, ordering gaps.
 
-    The final diagnostics are the last step record's.  A v field also gets
-    the Hopf check against the subsolution.
+    ev is the final Newton evaluation, of the returned field on spec's
+    grid, whose equation at t = 1 is the target equation, so its f is
+    read, not computed again.  The final diagnostics are the last step
+    record's.  A v field also gets the Hopf check against the subsolution.
     """
-    _, _, f, psi_hat = evaluate_target(spec, field)
+    f, psi_hat = ev.f, spec.psi_hat(ev.op.bundle(ev))
     report.final_residual = float(np.max(np.abs(f - psi_hat)))
     n = spec.grid.dim
     report.sigma_residual = float(np.max(np.abs(f**n - psi_hat**n)))
@@ -874,9 +911,9 @@ def _finalize_report(spec, field, report):
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
     ]
-    if field.representation == "v":
+    if ev.op.rep == "v":
         report.diagnostics["hopf_min_inward_slope"] = hopf_boundary_check(
-            spec.grid, field.values, _rho_to_v(spec.sf, spec.subsolution_rho)
+            spec.grid, ev.full, _rho_to_v(spec.sf, spec.subsolution_rho)
         )
 
 
@@ -1068,9 +1105,10 @@ def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
     The prolonged field (grids.prolong, which gives every interior node a
     value) keeps the coarse field's representation, that of the path's last
     leg, and takes the level's own Dirichlet data.  Returns the level's field
-    after appending its refine record, whose ordering gap is against the
-    level's subsolution, or None after appending the message that names the
-    Newton status on which the level runs the path instead.
+    and its Newton evaluation after appending its refine record, whose
+    ordering gap is against the level's subsolution, or None after appending
+    the message that names the Newton status on which the level runs the
+    path instead.
     """
     grid, rep = spec.grid, coarse.representation
     to_rep = _rho_to_v if rep == "v" else zeta_inverse
@@ -1083,10 +1121,9 @@ def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
         report.messages.append(
             f"level h={grid.h:.6g}: Newton ended {res.status}; this level runs the path")
         return None
-    op = DiscreteOperator(grid, profile(spec.sf), rep=rep, sf=spec.sf)
-    _record_step(report.stages, "refine", 1.0, res, op, rhs, floor)
+    _record_step(report.stages, "refine", 1.0, res, rhs, floor)
     report.stages[-1]["h"] = grid.h
-    return field
+    return field, res.ev
 
 
 def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=None):
@@ -1112,10 +1149,11 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=N
                          diagnostics={"subsolution": sub})
     if not sub["ok"]:
         return None, report
-    field = coarse
+    field, ev = coarse, None
     for level in _ladder(spec) if coarse is None else [spec]:
         if field is not None:
-            field = _refine(level, field, cfg, report)
+            ev = None       # not kept while this level solves: it would raise the peak memory
+            field, ev = _refine(level, field, cfg, report) or (None, None)
             if field is not None:
                 continue
         where = f"level h={level.grid.h:.6g}"
@@ -1131,7 +1169,7 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=N
             except (AdmissibilityError, SemanticError) as exc:
                 report.messages.append(f"{where}: {exc}; the next level runs the path")
                 continue
-        field, report.status, _ = run_legs(level.grid, legs, start, cfg, report.stages)
+        field, report.status, _, ev = run_legs(level.grid, legs, start, cfg, report.stages)
         if report.status != CONVERGED:
             field = None
             if level is not spec:
@@ -1140,5 +1178,5 @@ def solve_problem(spec: ProblemSpec, cfg: HomotopyConfig | None = None, coarse=N
     if field is None:
         return None, report
     report.status = CONVERGED
-    _finalize_report(spec, field, report)
+    _finalize_report(spec, ev, report)
     return field, report

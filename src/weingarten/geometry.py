@@ -15,7 +15,8 @@ symeig.eigvals_descending; the graph is strictly locally convex iff
 Hess u + u d > 0.  kappa is computed on first read: Newton and the
 subsolution gate read only a (symfunc.f_and_F), so only step records,
 diagnostics and the CLI pay an eigensolve, for the values alone.  The
-per-node products are symeig.mm, written out over the small matrices.
+per-node products are symeig.mm: written out over 2x2 matrices, numpy's
+matmul for 3x3 and larger.
 
 This is the one state route:
 v-jets (u = eta(v)) are transformed pointwise to u-jets before it, and a

@@ -57,7 +57,13 @@ class Grid:
         return self.interior_ids.shape[0]
 
     def interior_coords(self):
-        return self.coords[self.interior_ids]
+        """(N_int, n) chart coordinates of the interior nodes; cached, read-only."""
+        key = "interior_coords"
+        if key not in self._jet_cache:
+            y = self.coords[self.interior_ids]
+            y.flags.writeable = False
+            self._jet_cache[key] = y
+        return self._jet_cache[key]
 
 
 def box_offsets(n):
@@ -167,11 +173,14 @@ def neighbor_ids(grid, nodes, offsets):
     """Node ids at lattice offsets (entries in {-1, 0, 1}) from each given node.
 
     Returns shape (len(nodes), len(offsets)), with -1 where the lattice point
-    is exterior or off the lattice: the id lattice is read padded by one cell.
+    is exterior or off the lattice: the id lattice is read padded by one cell,
+    at flat positions (node position plus offset, each dotted with the
+    padded lattice's strides).
     """
     padded = np.pad(grid.id_grid, 1, constant_values=-1)
-    pos = grid.node_index[nodes][:, None, :] + 1 + np.asarray(offsets)[None, :, :]
-    return padded[tuple(np.moveaxis(pos, -1, 0))]
+    strides = np.array(padded.strides) // padded.itemsize
+    base = (grid.node_index[nodes] + 1) @ strides
+    return padded.ravel()[base[:, None] + np.asarray(offsets) @ strides]
 
 
 def build_cap_domain(theta0, h, n=2, center=None) -> Grid:
@@ -356,15 +365,29 @@ def prolong(coarse, values, fine):
         out[0::2], out[1::2] = a, mid
         a = np.moveaxis(out, 0, axis)
     passes = np.pad(a, 3, constant_values=np.nan)
+
+    def beside(axis, shift):
+        """View of the passes' lattice shift slots along axis, read from the pad."""
+        window = [slice(3, -3)] * a.ndim
+        window[axis] = slice(3 + shift, passes.shape[axis] - 3 + shift)
+        return passes[tuple(window)]
+
     for axis, side in itertools.product(range(coarse.dim), (1, -1)):
-        x1, x2, x3 = (np.roll(passes, -k * side, axis=axis)[(slice(3, -3),) * a.ndim]
-                      for k in (1, 2, 3))
+        x1, x2, x3 = (beside(axis, k * side) for k in (1, 2, 3))
         a = np.where(np.isnan(a), 3.0 * x1 - 3.0 * x2 + x3, a)
     idx = fine.node_index - shift
     inside = np.all((idx >= 0) & (idx < a.shape), axis=1)
     result = np.full(fine.n_nodes, np.nan)
     result[inside] = a[tuple(idx[inside].T)]
     return result
+
+
+def boundary_sigma_inv(grid):
+    """sigma^{-1} at the boundary nodes; cached per grid."""
+    key = "boundary_sigma_inv"
+    if key not in grid._jet_cache:
+        grid._jet_cache[key] = ch.chart_metric(grid.chart, grid.coords[grid.boundary_ids])[1]
+    return grid._jet_cache[key]
 
 
 def covariant_jets(grid, values):
@@ -383,8 +406,11 @@ def boundary_gradient_estimate(grid, values):
     """
     n = grid.dim
     h = grid.h
-    eye = np.eye(n, dtype=int)
-    ids = neighbor_ids(grid, grid.boundary_ids, np.concatenate([eye, -eye]))
+    key = "boundary_axis_neighbors"
+    if key not in grid._jet_cache:
+        eye = np.eye(n, dtype=int)
+        grid._jet_cache[key] = neighbor_ids(grid, grid.boundary_ids, np.concatenate([eye, -eye]))
+    ids = grid._jet_cache[key]
     idp, idm = ids[:, :n], ids[:, n:]
     has_p, has_m = idp >= 0, idm >= 0
     vb = values[grid.boundary_ids][:, None]

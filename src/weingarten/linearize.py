@@ -20,7 +20,8 @@ rule u = eta(v), since eta'' = eta and eta''' = eta' for exp, sinh and cosh:
 
 All formulas are in orthonormal frame components; `to_coordinate` converts the
 blocks for assembly against plain finite-difference stencils.  The index sums
-run as products of the (N, n, n) stacks written out by symeig.mm:
+run as products of the (N, n, n) stacks by symeig.mm (written out for 2x2
+stacks and for products with a vector, numpy's matmul otherwise):
 G^{ij} from gamma F gamma^T, the two G^s sums as gamma^T (F a^T) p and
 gamma^T (F a^T)^T p, and A2 = B G B; tests/reference.py keeps them as einsum.
 """

@@ -1,6 +1,7 @@
 """Newton solver, subsolution gate, continuation drivers, diagnostics."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from weingarten import charts as ch
 from weingarten import continuity as ct
-from weingarten import grids, problems
+from weingarten import grids, linearize, problems
 from weingarten.spaceform import (
     SpaceFormParams, eta, eta_inverse, profile, profile_deformed, xi, zeta, zeta_inverse,
 )
@@ -280,7 +281,7 @@ def test_psi_of_chart_coordinates_is_not_differenced(expr):
     assert not spec.psi_reads_field
     psi, calls = counted(spec.psi_hat)
     rhs = ct.PsiRhs(psi, spec.psi_reads_field)
-    d_val, d_p = rhs.derivatives(op, ev)
+    d_val, d_p = rhs.d_val(op, ev), rhs.d_p(op, ev)
     assert calls == []
     assert np.all(d_val == 0.0) and np.all(d_p == 0.0)
     assert d_val.shape == ev.val.shape and d_p.shape == ev.p_coord.shape
@@ -296,7 +297,7 @@ def test_psi_of_the_normal_is_differenced():
     assert spec.psi_reads_field
     psi, calls = counted(spec.psi_hat)
     rhs = ct.PsiRhs(psi, spec.psi_reads_field)
-    d_val, d_p = rhs.derivatives(op, ev)
+    d_val, d_p = rhs.d_val(op, ev), rhs.d_p(op, ev)
     assert len(calls) == 2 + 2 * 3
     rhs.evaluate(op, ev)
     rhs.evaluate(op, ev)
@@ -317,7 +318,7 @@ def run_stage1(spec, cfg, plan):
     """(v field, status, records) of the K in {0, -1} stage-1 leg run to t = 1."""
     v_sub = plan["v_sub"]
     leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
-    return ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)
+    return ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)[:3]
 
 
 def test_stage1_t0_returns_subsolution():
@@ -345,7 +346,7 @@ def stage1_leg_run(label):
     v_sub = np.log(plan["u_sub"])
     op = ct.DiscreteOperator(spec.grid, profile(E), rep="v", sf=E)
     leg = ct.stage1_leg(label, op, E, ct._xi_ratio(op, v_sub), plan["delta2"], v_sub)
-    return (*ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg), op,
+    return (*ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)[:3], op,
             plan["delta2"])
 
 
@@ -554,13 +555,77 @@ def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
     spec, _ = k0_sphere_problem(h=2.0 * np.tan(np.pi / 5) / 20)
     _, report = ct.solve_problem(spec)
     assert report.status == ct.CONVERGED and len(report.stages) > 3
-    # verify_subsolution, _xi_ratio and the final evaluation
-    assert count["outside"] == 3
+    # verify_subsolution and _xi_ratio; the final report reads Newton's evaluation
+    assert count["outside"] == 2
     count["outside"] = 0
     _, report = ct.solve_problem(geodesic_problem(S, 0.5, h=0.09))
     assert report.status == ct.CONVERGED and len(report.stages) > 3
-    # the same three plus sphere_plan's samples of the deformed metric
-    assert count["outside"] == 3 + ct.T_SAMPLES
+    # the same two plus sphere_plan's samples of the deformed metric
+    assert count["outside"] == 2 + ct.T_SAMPLES
+
+
+def test_newton_starts_from_the_accepted_evaluation(monkeypatch):
+    # a step of a leg whose operator and data stay fixed, and the handoffs
+    # stage1 -> bridge -> stage2, start at the point the last step accepted:
+    # Newton reads that point's evaluation instead of evaluating it again
+    seen, count = set(), {"repeats": 0, "in_newton": False}
+    evaluate, newton_core = ct.DiscreteOperator.evaluate, ct.newton_core
+
+    def recording_evaluate(self, full, *args, **kwargs):
+        if count["in_newton"]:
+            key = (id(self), full.tobytes())
+            count["repeats"] += key in seen
+            seen.add(key)
+        return evaluate(self, full, *args, **kwargs)
+
+    def flagged_newton(*args):
+        count["in_newton"] = True
+        try:
+            return newton_core(*args)
+        finally:
+            count["in_newton"] = False
+
+    monkeypatch.setattr(ct.DiscreteOperator, "evaluate", recording_evaluate)
+    monkeypatch.setattr(ct, "newton_core", flagged_newton)
+    # every warm start of this solve is admissible, so no tangent is evaluated
+    _, report = ct.solve_problem(geodesic_problem(H, 0.6, h=0.07))
+    assert report.status == ct.CONVERGED
+    assert [r["stage"] for r in report.stages] == 2 * ["stage1"] + 2 * ["bridge"] + 2 * ["stage2"]
+    assert count["repeats"] == 0
+
+
+def test_step_record_blocks_serve_the_next_newton_call(monkeypatch):
+    # the blocks a step record builds at the accepted point are the ones the
+    # next Newton call's first Jacobian at that point reads
+    calls = Counter()
+    coefficients_u = linearize.coefficients_u
+
+    def counting(state, F):
+        calls[state.a.tobytes()] += 1
+        return coefficients_u(state, F)
+
+    monkeypatch.setattr(linearize, "coefficients_u", counting)
+    _, report = ct.solve_problem(geodesic_problem(H, 0.6, h=0.07))
+    assert report.status == ct.CONVERGED
+    # one set of blocks per record and per Newton iteration, none built twice
+    iterations = sum(r["newton_iterations"] for r in report.stages)
+    assert iterations > 0
+    assert max(calls.values()) == 1
+    assert len(calls) <= len(report.stages) + iterations
+
+
+def test_step_record_differences_psi_in_the_unknown_only():
+    # the zero-order term reads d rhs/dv alone: 2 evaluations of a psi that
+    # reads the field, not the 2 + 2n of the full derivatives
+    spec, op, ev = psi_case("4.529978038745476 * nu_rad^2", n=3, h=0.2)
+    psi, calls = counted(spec.psi_hat)
+    rhs = ct.Rhs(spec.sf, 0.0, ct.PsiRhs(psi, spec.psi_reads_field), 1.0)
+    records = []
+    ct._record_step(records, "probe", 1.0, ct.NewtonResult(ct.CONVERGED, ev.val, 0, 0.0, [], ev),
+                    rhs, None)
+    assert len(calls) == 2
+    zero_order = op.blocks(ev).Gu - rhs.derivatives(op, ev)[0]
+    assert records[0]["zero_order_max"] == float(np.max(zero_order))
 
 
 def test_failed_step_is_retried_at_half_its_length(monkeypatch):
@@ -574,7 +639,7 @@ def test_failed_step_is_retried_at_half_its_length(monkeypatch):
         asked.append(t)
         return t
 
-    def newton_fails_once_at_one(op, rhs, x, boundary, cfg):
+    def newton_fails_once_at_one(op, rhs, x, boundary, cfg, start):
         if op == 1.0 and asked.count(1.0) == 1:
             return ct.NewtonResult(ct.MAX_ITERATIONS, x, cfg.max_newton, 1.0, [])
         return ct.NewtonResult(ct.CONVERGED, x, 1, 0.0, [])
@@ -582,7 +647,7 @@ def test_failed_step_is_retried_at_half_its_length(monkeypatch):
     monkeypatch.setattr(ct, "newton_core", newton_fails_once_at_one)
     monkeypatch.setattr(ct, "_record_step", lambda *args: None)
     leg = ct.Leg("probe", op_at, lambda t: None, lambda t: None)
-    _, status = ct._continue_in_t(leg, np.zeros(1), ct.HomotopyConfig(), [])
+    _, status, _ = ct._continue_in_t(leg, np.zeros(1), ct.HomotopyConfig(), [], None)
     assert status == ct.CONVERGED
     assert asked[:4] == [0.0, 0.25, 0.625, 1.0]
     assert asked[4] - asked[2] == 0.5 * (asked[3] - asked[2])
@@ -858,12 +923,12 @@ def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
     newton_core = ct.newton_core
     eps_calls = []
 
-    def newton_fails_first_eps_step(op, rhs, x, boundary, cfg):
+    def newton_fails_first_eps_step(op, rhs, x, boundary, cfg, start):
         if op.rep == "u":           # only the sphere-eps leg runs in u
             eps_calls.append(-rhs.c)
             if len(eps_calls) == 2:
                 return ct.NewtonResult(ct.MAX_ITERATIONS, x, cfg.max_newton, 1.0, [])
-        return newton_core(op, rhs, x, boundary, cfg)
+        return newton_core(op, rhs, x, boundary, cfg, start)
 
     monkeypatch.setattr(ct, "newton_core", newton_fails_first_eps_step)
     r, cfg = 0.5, ct.HomotopyConfig()

@@ -206,12 +206,12 @@ def test_refine_below_the_subsolution_is_an_ordering_violation():
     above[spec.grid.interior_ids] *= 0.5
     above_spec = replace(spec, subsolution_rho=above)
     report = ct.SolveReport(ct.CONVERGED)
-    field = ct._refine(above_spec, coarse_field, cfg, report)
-    assert field is not None and report.messages == []
+    refined = ct._refine(above_spec, coarse_field, cfg, report)
+    assert refined is not None and report.messages == []
     [record] = report.stages
     assert record["stage"] == "refine" and not record["ordering_ok"]
     assert record["ordering_min_gap"] < -0.5
-    ct._finalize_report(above_spec, field, report)
+    ct._finalize_report(above_spec, refined[1], report)
     assert report.ordering_violations == [record["ordering_min_gap"]]
 
 
@@ -234,10 +234,10 @@ def test_failed_coarse_level_leaves_the_path_to_the_next(monkeypatch, failure):
             raise AdmissibilityError("subsolution is not admissible")
         return legs(level)
 
-    def path_fails_on_coarse(leg, x0, cfg, records):
+    def path_fails_on_coarse(leg, x0, cfg, records, start):
         if leg.op_at(0.0).grid.h == coarse_h:
-            return x0, ct.STAGNATION
-        return cont(leg, x0, cfg, records)
+            return x0, ct.STAGNATION, None
+        return cont(leg, x0, cfg, records, start)
 
     if failure == "gate":
         monkeypatch.setattr(ct, "verify_subsolution", gate_fails_on_coarse)

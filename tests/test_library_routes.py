@@ -15,8 +15,9 @@ A reference to name N defined in module M is one of
 The other tests here pin single routes (LU, Newton, the leg driver, the
 v-blocks, the statuses) and keep three-operand einsum contractions out of
 the package, and batched ``@`` and eigensolves out of the Newton hot path,
-where the products written out (symeig.mm) and the Newton tensor
-(symfunc.f_and_F) take their place.
+where symeig.mm (written out for 2x2 and matrix-vector products, which
+numpy's matmul loop runs slower) and the Newton tensor (symfunc.f_and_F)
+take their place.
 """
 
 import ast

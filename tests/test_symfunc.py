@@ -292,11 +292,13 @@ def test_f_and_F_refuses_states_outside_the_cone():
 
 
 def test_mm_matches_matmul(rng):
-    # each entry within two roundings of its sum of |products| of @'s entry
-    for n in (2, 3):
+    # each entry within two roundings of its sum of |products| of @'s entry;
+    # 2x2 and matrix-vector products run written out, products with three
+    # or more columns (n >= 3, also from a row vector) through numpy.matmul
+    for n in (2, 3, 4):
         A, B = rng.normal(size=(2, 300, n, n))
         p = rng.normal(size=(300, n, 1))
-        At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
-        for X, Y in ((A, B), (At, B), (A, Bt), (At, Bt), (A, p), (At, p)):
+        At, Bt, pt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2), np.swapaxes(p, -1, -2)
+        for X, Y in ((A, B), (At, B), (A, Bt), (At, Bt), (A, p), (At, p), (pt, A)):
             scale = np.abs(X) @ np.abs(Y)
             assert np.all(np.abs(mm(X, Y) - X @ Y) <= 1e-15 * scale)
