@@ -19,7 +19,6 @@ from . import continuity, grids, linearize
 from .continuity import (
     diagnostics_from_eval,
     evaluate_stored,
-    evaluate_target,
     solve_problem,
     to_plain,
     verify_subsolution,
@@ -157,10 +156,9 @@ def _cmd_solve(args):
         _error_json(f"solve ended with status {report.status}", kind=report.status)
         return 2 if report.status == continuity.ADMISSIBILITY_LOSS else 1
     grids.save_grid(out / "solution.grid", spec.grid, field, space_form=spec.sf.K)
-    op, ev, f, psi_hat = evaluate_target(spec, field)
-    n = spec.grid.dim
-    _write_csv(out / "solution.csv", spec.grid, op.ambient.rho_u(ev.u), ev.state.kappa,
-               "residual", f**n - psi_hat**n)
+    cols = report.per_node
+    _write_csv(out / "solution.csv", spec.grid, cols["rho"], cols["kappa"], "residual",
+               cols["residual"])
     sys.stdout.write(
         f"Converged: residual {report.final_residual:.3e} "
         f"(sigma-level {report.sigma_residual:.3e})\n"
@@ -324,7 +322,9 @@ def _cmd_convergence(args):
         seq = [lv["error_vs_exact"] for lv in levels]
     else:
         # Richardson: nested lattices share the coarse nodes
-        seq = [_nested_sup_diff(*rhos[i], *rhos[i + 1]) for i in range(len(rhos) - 1)]
+        seq = [float(np.max(np.abs(rho_c[gc.interior_ids]
+                                   - rho_f[grids.nested_interior_ids(gc, gf)])))
+               for (gc, rho_c), (gf, rho_f) in zip(rhos, rhos[1:])]
         for i, dv in enumerate(seq):
             levels[i]["richardson_diff"] = dv
     orders = []
@@ -347,14 +347,6 @@ def _cmd_convergence(args):
         + "\n"
     )
     return 0
-
-
-def _nested_sup_diff(gc, rho_c, gf, rho_f):
-    """Sup difference over the coarse interior nodes, which a nested cap
-    lattice of half the spacing has among its own interior nodes."""
-    ids = gc.interior_ids
-    fine = gf.id_grid[tuple((2 * gc.node_index[ids] + grids.nesting_shift(gc, gf)).T)]
-    return float(np.max(np.abs(rho_c[ids] - rho_f[fine])))
 
 
 def _field_rho(field, spec):

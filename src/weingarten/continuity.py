@@ -43,7 +43,7 @@ the path does not run again.  The floor restates 19 lattice nodes across in
 """
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,7 +132,8 @@ class ProblemSpec:
     arrays of radial distances (boundary slots of boundary_rho are the
     Dirichlet data; the subsolution keeps its own trace).  psi_reads_field is
     False when psi reads the chart coordinates y_i only, so that its
-    derivatives in the field vanish.  coarser, when set, builds the same
+    derivatives in the field vanish.  psi is the one PsiRhs of the problem, through
+    which every evaluation of psi on its grid goes.  coarser, when set, builds the same
     problem at another spacing h (coarser(h) is a ProblemSpec), from which
     solve_problem's grid ladder takes its coarser levels, each with at least
     LADDER_MIN_INTERIOR interior unknowns; it alone decides whether a
@@ -149,12 +150,11 @@ class ProblemSpec:
     psi_reads_field: bool = True
     coarser: object = None
 
-    def psi_hat(self, bundle):
-        """f-level right-hand side psi^(1/n); must be positive."""
-        vals = np.asarray(self.psi_sigma(bundle), dtype=float)
-        if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise SemanticError("psi must be positive and finite on the domain")
-        return vals ** (1.0 / self.grid.dim)
+    @cached_property
+    def psi(self):
+        # not from a bound method of the spec: a spec <-> PsiRhs cycle leaves
+        # every ladder level's spec and grid to the cyclic garbage collector
+        return PsiRhs(self.psi_sigma, self.psi_reads_field, self.grid.dim)
 
 
 @dataclass
@@ -198,10 +198,14 @@ class SolveReport:
     diagnostics: dict = dc_field(default_factory=dict)
     ordering_violations: list = dc_field(default_factory=list)
     messages: list = dc_field(default_factory=list)
+    # rho, kappa and the sigma-level residual of the returned field at the
+    # interior nodes, from Newton's evaluation: what solution.csv writes
+    per_node: dict | None = dc_field(default=None, repr=False, compare=False)
 
     def to_json(self):
-        """All fields in declaration order, the key order of report.json."""
-        return json.dumps(to_plain(asdict(self)), indent=1)
+        """All fields but per_node in declaration order, the key order of report.json."""
+        return json.dumps(to_plain({f.name: getattr(self, f.name) for f in fields(self)
+                                    if f.name != "per_node"}), indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +337,42 @@ class DiscreteOperator:
         return out
 
 
+def bundle_variables(n):
+    """(chart, field): the variables of DiscreteOperator.bundle at dimension n,
+    which psi may read: the chart coordinates y_i, and those of the field."""
+    chart = {f"y{i+1}" for i in range(n)}
+    field = {"u", "rho", "v", "gradnorm", "nu_rad"}
+    field |= {f"{name}{i+1}" for name in ("p", "nu_tan") for i in range(n)}
+    return chart, field
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 class PsiRhs:
-    """rhs = psi_hat(bundle); derivatives by scale-aware central differences.
+    """rhs = psi_hat(bundle) = psi_sigma(bundle)^(1/n); derivatives by scale-aware
+    central differences.
 
     d_val differences psi in the unknown (two evaluations of psi), d_p in
     each component of its coordinate gradient (two each).  A psi that reads
     no field variable (reads_field False) depends only on the grid's chart
     coordinates: evaluate computes it once and returns that array
     (read-only) from then on, and d_val and d_p return exactly 0 without
-    evaluating psi.
+    evaluating psi.  ProblemSpec.psi is a problem's one PsiRhs.
     """
 
-    def __init__(self, psi_hat, reads_field):
-        self.psi_hat = psi_hat
+    def __init__(self, psi_sigma, reads_field, n):
+        self.psi_sigma = psi_sigma
         self.reads_field = reads_field
+        self.n = n
         self._fixed = None
+
+    def psi_hat(self, bundle):
+        """f-level right-hand side psi^(1/n); must be positive."""
+        vals = np.asarray(self.psi_sigma(bundle), dtype=float)
+        if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
+            raise SemanticError("psi must be positive and finite on the domain")
+        return vals ** (1.0 / self.n)
 
     def evaluate(self, op, ev):
         if self.reads_field:
@@ -646,31 +668,29 @@ def verify_subsolution(spec: ProblemSpec):
     grid = spec.grid
     op, ev = evaluate_stored(GraphField(grid, spec.subsolution_rho, "rho"), spec.sf)
     report = {"ok": True, "reasons": [], "worst_node": None}
+
+    def refuse(worst, reason):
+        report.update(ok=False, worst_node=worst)
+        report["reasons"].append(reason)
+
     if ev is None:
-        report["ok"] = False
-        report["reasons"].append("subsolution leaves the variable range of this space form")
+        refuse(None, "subsolution leaves the variable range of this space form")
         return report
     conv = ev.conv_min_eig
     report["convexity_margin"] = float(conv.min())
     if conv.min() <= 0.0:
         worst = _lowest_node_at_min(grid, conv)
-        report["ok"] = False
-        report["worst_node"] = worst
-        report["reasons"].append(
-            f"subsolution not strictly locally convex: min eigenvalue {conv.min():.3e} at node {worst}"
-        )
+        refuse(worst, f"subsolution not strictly locally convex: min eigenvalue {conv.min():.3e} "
+                      f"at node {worst}")
         return report
     f_sub = f_and_F(ev.state.a)[0]
-    psi_hat = spec.psi_hat(op.bundle(ev))
-    gap = f_sub - psi_hat
+    target = spec.psi.evaluate(op, ev)
+    gap = f_sub - target
     report["inequality_margin"] = float(gap.min())
-    if gap.min() < -1e-9 * max(1.0, float(np.max(np.abs(psi_hat)))):
+    if gap.min() < -1e-9 * max(1.0, float(np.max(np.abs(target)))):
         worst = _lowest_node_at_min(grid, gap)
-        report["ok"] = False
-        report["worst_node"] = worst
-        report["reasons"].append(
-            f"sigma_n(kappa[subsolution]) < psi: f-level gap {gap.min():.3e} at node {worst}"
-        )
+        refuse(worst, f"sigma_n(kappa[subsolution]) < psi: f-level gap {gap.min():.3e} "
+                      f"at node {worst}")
     # boundary match at the staircase nodes, in the u variable
     u_data = zeta_inverse(spec.sf, spec.boundary_rho)
     diff = ev.full[grid.boundary_ids] - u_data[grid.boundary_ids]
@@ -680,20 +700,12 @@ def verify_subsolution(spec: ProblemSpec):
     report["boundary_tolerance"] = tol
     if diff.size and np.max(np.abs(diff)) > tol:
         worst = int(grid.boundary_ids[int(np.argmax(np.abs(diff)))])
-        report["ok"] = False
-        report["worst_node"] = worst
-        report["reasons"].append(
-            f"subsolution trace differs from boundary data by {np.max(np.abs(diff)):.3e} "
-            f"(tolerance {tol:.3e}) at node {worst}"
-        )
+        refuse(worst, f"subsolution trace differs from boundary data by "
+                      f"{np.max(np.abs(diff)):.3e} (tolerance {tol:.3e}) at node {worst}")
     if diff.size and np.max(diff) > 1e-9 * scale + 1e-12:
         worst = int(grid.boundary_ids[int(np.argmax(diff))])
-        report["ok"] = False
-        report["worst_node"] = worst
-        report["reasons"].append(
-            f"subsolution exceeds the boundary data by {np.max(diff):.3e} at node {worst}; "
-            "the ordering argument needs subsolution <= data"
-        )
+        refuse(worst, f"subsolution exceeds the boundary data by {np.max(diff):.3e} at node "
+                      f"{worst}; the ordering argument needs subsolution <= data")
     return report
 
 
@@ -791,8 +803,8 @@ def _continue_in_t(leg: Leg, x0, cfg, records, start):
     return x, CONVERGED, accepted[2]
 
 
-def run_legs(grid, legs, x0, cfg, records=None):
-    """Walk the legs in order, each warm-started from the previous endpoint.
+def run_legs(grid, legs, start, cfg, records=None):
+    """Walk the legs in order from start, each warm-started from the previous endpoint.
 
     A u-representation leg after a v-representation leg starts from
     u = eta(v) in the space form of the previous operator.  Stops at the
@@ -801,11 +813,12 @@ def run_legs(grid, legs, x0, cfg, records=None):
     unknowns, in the representation of that leg's operator, records holds
     every accepted step, and ev, when status is Converged, is the Newton
     evaluation of the field.  Each leg starts from the evaluation its
-    predecessor ended on, which its t = 0 Newton solve reads when the two
-    legs share the operator and the data (stage1 -> bridge -> stage2).
+    predecessor ended on, the first from start (the plan's evaluation of
+    the subsolution), which its t = 0 Newton solve reads when made by the
+    same operator on the same data (start, then stage1 -> bridge -> stage2).
     """
     records = records if records is not None else []
-    x, status, op, ev = x0, CONVERGED, None, None
+    x, status, op, ev = start.full[grid.interior_ids], CONVERGED, None, start
     for leg in legs:
         prev, op = op, leg.op_at(1.0)
         if prev is not None and prev.rep == "v" and op.rep == "u":
@@ -880,19 +893,12 @@ def bridge_leg(op, sf, eps, v_from, v_to, ordering_floor):
 
 
 def _xi_ratio(op, v_full):
-    """q = G[v]/xi(v) at the interior nodes, in the operator's space form."""
+    """(q, ev): q = G[v]/xi(v) at the interior nodes, in the operator's space
+    form, and ev the evaluation of v, the start the leg builders return."""
     ev = op.evaluate(v_full)
     if ev is None:
         raise AdmissibilityError("subsolution is not admissible")
-    return ev.f / xi(op.sf, ev.val)
-
-
-def evaluate_target(spec: ProblemSpec, field: GraphField):
-    """(operator, evaluation, f, psi_hat) of a stored field on the target
-    equation, for solution.csv: the evaluation is evaluate_stored's and
-    f = sigma_n^(1/n) is f_and_F's, as in Newton."""
-    op, ev = evaluate_stored(field, spec.sf)
-    return op, ev, f_and_F(ev.state.a)[0], spec.psi_hat(op.bundle(ev))
+    return ev.f / xi(op.sf, ev.val), ev
 
 
 def _finalize_report(spec, ev, report):
@@ -900,13 +906,18 @@ def _finalize_report(spec, ev, report):
 
     ev is the final Newton evaluation, of the returned field on spec's
     grid, whose equation at t = 1 is the target equation, so its f is
-    read, not computed again.  The final diagnostics are the last step
+    read, not computed again.  The report keeps from it the per-node
+    columns of solution.csv, not the whole evaluation with its geometry and
+    blocks.  The final diagnostics are the last step
     record's.  A v field also gets the Hopf check against the subsolution.
     """
-    f, psi_hat = ev.f, spec.psi_hat(ev.op.bundle(ev))
-    report.final_residual = float(np.max(np.abs(f - psi_hat)))
+    f, target = ev.f, spec.psi.evaluate(ev.op, ev)
+    report.final_residual = float(np.max(np.abs(f - target)))
     n = spec.grid.dim
-    report.sigma_residual = float(np.max(np.abs(f**n - psi_hat**n)))
+    residual = f**n - target**n
+    report.sigma_residual = float(np.max(np.abs(residual)))
+    report.per_node = {"rho": ev.op.ambient.rho_u(ev.u), "kappa": ev.state.kappa,
+                       "residual": residual}
     report.diagnostics["final"] = dict(report.stages[-1]["diagnostics"])
     report.ordering_violations = [
         r["ordering_min_gap"] for r in report.stages if not r.get("ordering_ok", True)
@@ -942,17 +953,19 @@ def _rho_to_v(sf, rho):
 
 
 def plan_stage_constants(spec: ProblemSpec):
-    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and eps = min q / 2."""
+    """Compute q = G[vbar]/xi(vbar) on the subsolution's own trace and eps = min q / 2;
+    start is the evaluation of vbar that gives q."""
     if spec.sf.K not in (0, -1):
         raise SemanticError("the xi-based continuation runs for K in {0, -1}")
     v_sub = _rho_to_v(spec.sf, spec.subsolution_rho)
     op = DiscreteOperator(spec.grid, profile(spec.sf), rep="v", sf=spec.sf)
-    q = _xi_ratio(op, v_sub)
-    return {"q": q, "epsilon": 0.5 * float(q.min()), "v_sub": v_sub, "op": op}
+    q, start = _xi_ratio(op, v_sub)
+    return {"q": q, "epsilon": 0.5 * float(q.min()), "v_sub": v_sub, "op": op, "start": start}
 
 
 def two_step_legs(spec: ProblemSpec):
-    """(legs, start, constants) of the K in {0, -1} path from the subsolution.
+    """(legs, start, constants) of the K in {0, -1} path from the subsolution,
+    start the subsolution's evaluation by the stage-1 operator.
 
     The zero-order coefficient of every leg's linearization has a fixed sign,
     so the linearization is invertible at every t and nothing along the path
@@ -963,14 +976,14 @@ def two_step_legs(spec: ProblemSpec):
     op, eps, v_sub = plan["op"], plan["epsilon"], plan["v_sub"]
     x_sub = v_sub[spec.grid.interior_ids]
     bridge = bridge_leg(op, spec.sf, eps, v_sub, _rho_to_v(spec.sf, spec.boundary_rho), x_sub)
-    v_data, psi = bridge.boundary_at(1.0), PsiRhs(spec.psi_hat, spec.psi_reads_field)
+    v_data, psi = bridge.boundary_at(1.0), spec.psi
     legs = [
         stage1_leg("stage1", op, spec.sf, plan["q"], eps, v_sub),
         bridge,
         Leg("stage2", lambda t: op, lambda t: Rhs(spec.sf, (1.0 - t) * eps, psi, t),
             lambda t: v_data, ordering_floor=x_sub),
     ]
-    return [replace(leg, first_step=1.0) for leg in legs], x_sub, {"epsilon": eps}
+    return [replace(leg, first_step=1.0) for leg in legs], plan["start"], {"epsilon": eps}
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +1001,7 @@ def sphere_plan(spec: ProblemSpec):
         ev_t = op_t.evaluate(u_sub)
         if ev_t is None:
             raise AdmissibilityError(f"subsolution is not admissible in the deformed metric t={t}")
-        ph = spec.psi_hat(op_t.bundle(ev_t))
+        ph = spec.psi.evaluate(op_t, ev_t)
         psi_min = min(psi_min, float(ph.min()))
         psi_max = max(psi_max, float(ph.max()))
         g_vals[float(t)] = (ev_t.f, ph)
@@ -1025,7 +1038,8 @@ def sphere_plan(spec: ProblemSpec):
 
 
 def sphere_legs(spec: ProblemSpec):
-    """(legs, start, constants) of the K = +1 path.
+    """(legs, start, constants) of the K = +1 path, start the subsolution's
+    evaluation by the sphere-aux operator.
 
     Euclidean auxiliary solve, metric deformation, eps removal.  The t = 0
     legs are the K = 0 stage-1 and bridge legs with eps = delta2, since
@@ -1051,8 +1065,8 @@ def sphere_legs(spec: ProblemSpec):
     # t = 0: the K = 0 auxiliary equation G0[v] = delta2 e^{2v}
     k0 = SpaceFormParams(0)
     op0 = DiscreteOperator(grid, profile(k0), rep="v", sf=k0)
-    q0 = _xi_ratio(op0, v_sub)
-    psi = PsiRhs(spec.psi_hat, spec.psi_reads_field)
+    q0, start = _xi_ratio(op0, v_sub)
+    psi = spec.psi
     op_u = DiscreteOperator(grid, profile(spec.sf), rep="u", sf=spec.sf)
 
     def op_t(t):
@@ -1070,7 +1084,7 @@ def sphere_legs(spec: ProblemSpec):
             lambda t: Rhs(spec.sf, 0.0, psi, 1.0, -(1.0 - t) * eps),
             lambda t: u_bnd),
     ]
-    return legs, x_sub, constants
+    return legs, start, constants
 
 
 # ---------------------------------------------------------------------------
@@ -1115,7 +1129,7 @@ def _refine(spec: ProblemSpec, coarse: GraphField, cfg, report):
     start = grids.prolong(coarse.grid, coarse.values, grid)
     start[grid.boundary_ids] = to_rep(spec.sf, spec.boundary_rho)[grid.boundary_ids]
     floor = to_rep(spec.sf, spec.subsolution_rho)[grid.interior_ids]
-    rhs = Rhs(spec.sf, 0.0, PsiRhs(spec.psi_hat, spec.psi_reads_field), 1.0)
+    rhs = Rhs(spec.sf, 0.0, spec.psi, 1.0)
     field, res = newton_solve(spec, rhs, GraphField(grid, start, rep), cfg)
     if res.status != CONVERGED:
         report.messages.append(

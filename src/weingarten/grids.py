@@ -12,6 +12,7 @@ components in the orthonormal frame sigma^{-1/2}.  Boundary nodes get a
 one-sided gradient estimate for diagnostics.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -24,6 +25,20 @@ INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
 DISSECTION_LEAF = 8  # nested dissection keeps node-id order in parts this small
 _CLASS_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
 _CLASS_IDS = {v: k for k, v in _CLASS_NAMES.items()}
+
+
+def per_grid(build):
+    """build(grid) made once per grid, its arrays read-only: the one cache of
+    per-grid data, kept in grid._jet_cache, which only this module touches."""
+    @functools.wraps(build)
+    def cached(grid):
+        if build.__name__ not in grid._jet_cache:
+            out = build(grid)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+            grid._jet_cache[build.__name__] = out
+        return grid._jet_cache[build.__name__]
+    return cached
 
 
 @dataclass
@@ -56,14 +71,10 @@ class Grid:
     def n_interior(self):
         return self.interior_ids.shape[0]
 
+    @per_grid
     def interior_coords(self):
-        """(N_int, n) chart coordinates of the interior nodes; cached, read-only."""
-        key = "interior_coords"
-        if key not in self._jet_cache:
-            y = self.coords[self.interior_ids]
-            y.flags.writeable = False
-            self._jet_cache[key] = y
-        return self._jet_cache[key]
+        """(N_int, n) chart coordinates of the interior nodes."""
+        return self.coords[self.interior_ids]
 
 
 def box_offsets(n):
@@ -260,11 +271,9 @@ class GraphField:
 # ---------------------------------------------------------------------------
 # finite differences
 
+@per_grid
 def _jet_weights(grid):
-    """First/second-derivative stencil weights over the 3^n box; cached per grid."""
-    key = "jet_weights"
-    if key in grid._jet_cache:
-        return grid._jet_cache[key]
+    """First/second-derivative stencil weights over the 3^n box."""
     n = grid.dim
     h = grid.h
     offs = box_offsets(n)
@@ -290,7 +299,6 @@ def _jet_weights(grid):
                 o[l] = sl
                 W2[k, l, pos[tuple(o)]] = sk * sl * 0.25 / h**2
                 W2[l, k, pos[tuple(o)]] = sk * sl * 0.25 / h**2
-    grid._jet_cache[key] = (W1, W2)
     return W1, W2
 
 
@@ -312,17 +320,14 @@ def fd_jets(grid, values):
     return center, grad, hess
 
 
+@per_grid
 def chart_quantities(grid):
-    """sigma, sigma_inv, mu, Gamma, B = sigma^{-1/2} at interior nodes; cached."""
-    key = "chart_quantities"
-    if key in grid._jet_cache:
-        return grid._jet_cache[key]
+    """sigma, sigma_inv, mu, Gamma, B = sigma^{-1/2} at interior nodes."""
     y = grid.interior_coords()
     sigma, sigma_inv, mu = ch.chart_metric(grid.chart, y)
     gamma = ch.christoffel(grid.chart, y)
     B = ch.inv_sqrt_metric(grid.chart, y)
-    grid._jet_cache[key] = (sigma, sigma_inv, mu, gamma, B)
-    return grid._jet_cache[key]
+    return sigma, sigma_inv, mu, gamma, B
 
 
 def nesting_shift(coarse, fine):
@@ -332,6 +337,13 @@ def nesting_shift(coarse, fine):
     if not nested or np.any(np.abs(shift - np.rint(shift)) > 1e-9):
         raise AssemblyError("nested lattices of spacings 2h and h expected")
     return np.rint(shift).astype(int)
+
+
+def nested_interior_ids(coarse, fine):
+    """Fine node id of each coarse interior node (coarse lattice index k sits on
+    fine index 2k + nesting_shift), an interior node of a nested cap lattice."""
+    index = 2 * coarse.node_index[coarse.interior_ids] + nesting_shift(coarse, fine)
+    return fine.id_grid[tuple(index.T)]
 
 
 def prolong(coarse, values, fine):
@@ -382,12 +394,10 @@ def prolong(coarse, values, fine):
     return result
 
 
+@per_grid
 def boundary_sigma_inv(grid):
-    """sigma^{-1} at the boundary nodes; cached per grid."""
-    key = "boundary_sigma_inv"
-    if key not in grid._jet_cache:
-        grid._jet_cache[key] = ch.chart_metric(grid.chart, grid.coords[grid.boundary_ids])[1]
-    return grid._jet_cache[key]
+    """sigma^{-1} at the boundary nodes."""
+    return ch.chart_metric(grid.chart, grid.coords[grid.boundary_ids])[1]
 
 
 def covariant_jets(grid, values):
@@ -406,17 +416,20 @@ def boundary_gradient_estimate(grid, values):
     """
     n = grid.dim
     h = grid.h
-    key = "boundary_axis_neighbors"
-    if key not in grid._jet_cache:
-        eye = np.eye(n, dtype=int)
-        grid._jet_cache[key] = neighbor_ids(grid, grid.boundary_ids, np.concatenate([eye, -eye]))
-    ids = grid._jet_cache[key]
+    ids = _boundary_axis_neighbors(grid)
     idp, idm = ids[:, :n], ids[:, n:]
     has_p, has_m = idp >= 0, idm >= 0
     vb = values[grid.boundary_ids][:, None]
     vp, vm = values[idp], values[idm]
     return np.where(has_p & has_m, (vp - vm) / (2.0 * h),
                     np.where(has_p, (vp - vb) / h, np.where(has_m, (vb - vm) / h, 0.0)))
+
+
+@per_grid
+def _boundary_axis_neighbors(grid):
+    """Node ids of each boundary node's neighbours at +e_k, then at -e_k (-1 where none)."""
+    eye = np.eye(grid.dim, dtype=int)
+    return neighbor_ids(grid, grid.boundary_ids, np.concatenate([eye, -eye]))
 
 
 # ---------------------------------------------------------------------------

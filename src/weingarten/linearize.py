@@ -117,8 +117,9 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
     return A2, b1, lc.Gu.copy()
 
 
+@grids.per_grid
 def _jacobian_pattern(grid):
-    """CSC index arrays of the interior Jacobian and its box-entry map; cached per grid.
+    """CSC index arrays of the interior Jacobian and its box-entry map, one per grid.
 
     Rows and columns follow grid.interior_ids, which is in nested-dissection
     order, so the matrix is factored as stored, with no fill-reducing
@@ -128,9 +129,6 @@ def _jacobian_pattern(grid):
     Dirichlet nodes are dropped; the box offsets are distinct, so no two
     entries share a position.
     """
-    key = "jacobian_pattern"
-    if key in grid._jet_cache:
-        return grid._jet_cache[key]
     n_int = grid.n_interior
     m = grid.box.shape[1]
     interior_slot = np.full(grid.n_nodes, -1, dtype=int)
@@ -141,11 +139,7 @@ def _jacobian_pattern(grid):
     perm = keep[np.lexsort((rows[keep], cols[keep]))]
     indptr = np.zeros(n_int + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols[perm], minlength=n_int), out=indptr[1:])
-    pattern = (indptr, rows[perm].astype(np.int32), perm)
-    for a in pattern:         # shared by every Jacobian of this grid
-        a.flags.writeable = False
-    grid._jet_cache[key] = pattern
-    return pattern
+    return indptr, rows[perm].astype(np.int32), perm
 
 
 def assemble_jacobian(grid, A2, b1, c) -> sp.csc_matrix:

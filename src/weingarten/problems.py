@@ -14,7 +14,7 @@ import numpy as np
 
 from . import charts as ch
 from . import grids
-from .continuity import HomotopyConfig, ProblemSpec
+from .continuity import HomotopyConfig, ProblemSpec, bundle_variables
 from .errors import ParseError, SemanticError
 from .expressions import Expression, parse_expression
 from .spaceform import SpaceFormParams, ranges
@@ -30,21 +30,6 @@ _SECTION_KEYS = {
     "exact": {"rho"},
     "solver": set(_SOLVER_TYPES),
 }
-
-# variables an expression may reference, per field role
-_GEOM_VARS = {"rho", "u", "v", "gradnorm", "nu_rad"}
-
-
-def _position_vars(n):
-    """The chart coordinates: what a graph over the chart may reference."""
-    return {f"y{i+1}" for i in range(n)}
-
-
-def _point_vars(n):
-    out = _position_vars(n)
-    out |= {f"p{i+1}" for i in range(n)}
-    out |= {f"nu_tan{i+1}" for i in range(n)}
-    return out
 
 
 @dataclass
@@ -158,7 +143,8 @@ def _validate(raw) -> ProblemFile:
             raise SemanticError(f"chart center needs {n + 1} components")
 
     psi = parse_expression(_need(raw, "psi", "expr"))
-    bad = psi.variables - _point_vars(n) - _GEOM_VARS
+    chart, field = bundle_variables(n)
+    bad = psi.variables - chart - field
     if bad:
         raise SemanticError(f"[psi] references unknown variable(s) {sorted(bad)}")
     boundary = _graph_expression(_need(raw, "boundary", "rho"), "boundary", n)
@@ -196,7 +182,7 @@ def _validate(raw) -> ProblemFile:
 def _graph_expression(text, label, n):
     """[boundary], [subsolution] and [exact] are graphs over the chart: position only."""
     expr = parse_expression(text)
-    bad = expr.variables - _position_vars(n)
+    bad = expr.variables - bundle_variables(n)[0]
     if bad:
         raise SemanticError(f"[{label}] may only reference chart coordinates, not {sorted(bad)}")
     return expr
@@ -336,7 +322,7 @@ def build_problem(pf: ProblemFile, h_override=None):
     spec = ProblemSpec(
         sf=sf, grid=grid,
         psi_sigma=pf.psi.evaluate,
-        psi_reads_field=bool(pf.psi.variables - _position_vars(grid.dim)),
+        psi_reads_field=bool(pf.psi.variables & bundle_variables(grid.dim)[1]),
         boundary_rho=rho_data, subsolution_rho=rho_sub,
         coarser=_coarser(pf),
     )

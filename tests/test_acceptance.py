@@ -96,10 +96,9 @@ def stage1_runs():
     ):
         cfg = ct.HomotopyConfig()
         plan = ct.plan_stage_constants(spec)
-        v_sub = plan["v_sub"]
-        leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
-        v0, status, records, _ = ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids],
-                                             cfg)
+        leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"],
+                            plan["v_sub"])
+        v0, status, records, _ = ct.run_legs(spec.grid, [leg], plan["start"], cfg)
         out[label] = {"spec": spec, "cfg": cfg, "plan": plan, "v0": v0,
                       "status": status, "records": records}
     return out

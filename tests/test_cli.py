@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from weingarten.continuity import diagnostics_monitor
 from weingarten.errors import AdmissibilityError
 from weingarten.problems import build_problem, load_problem
 from weingarten.spaceform import SpaceFormParams
+from weingarten.symfunc import f_and_F
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -432,6 +434,37 @@ def test_csv_rows_follow_node_ids(problem_file, tmp_path):
     for name in ("solution.csv", "curvature.csv"):
         y = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=(0, 1))
         assert np.array_equal(y, expect)
+
+
+@pytest.mark.parametrize("psi", ["3.467139042295287", "3.467139042295287 * nu_rad^2"])
+def test_solution_csv_reads_the_solve_evaluation(problem_file, tmp_path, monkeypatch, psi):
+    # solution.csv is written from the report's per-node columns, taken from
+    # Newton's own evaluation of the returned field: after solve_problem the
+    # command evaluates nothing and builds no psi bundle
+    after, solved = Counter(), []
+    for name in ("evaluate", "bundle"):
+        def counting(self, *args, _name=name, _fn=getattr(ct.DiscreteOperator, name), **kwargs):
+            after[_name] += bool(solved)
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(ct.DiscreteOperator, name, counting)
+    solve_problem = cli.solve_problem
+
+    def flagged(*args):
+        solved.append(solve_problem(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_problem", flagged)
+    path = problem_file(GEODESIC_H.replace("3.467139042295287   # coth(0.6)^2", psi))
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", path, "--out", str(out)]) == 0
+    assert solved and after == Counter()
+    # the residual column is f^n - psi_hat^n of the saved field, bit for bit
+    grid, field, K = grids.load_grid(out / "solution.grid")
+    op, ev = ct.evaluate_stored(field, SpaceFormParams(K))
+    spec, n = build_problem(load_problem(path))[0], grid.dim
+    expect = f_and_F(ev.state.a)[0] ** n - spec.psi.psi_hat(op.bundle(ev)) ** n
+    residual = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, usecols=n + 3)
+    assert np.array_equal(residual, expect[np.argsort(grid.interior_ids)])
 
 
 def test_lincheck(problem_file, tmp_path, capsys):

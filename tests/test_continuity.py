@@ -1,6 +1,8 @@
 """Newton solver, subsolution gate, continuation drivers, diagnostics."""
 
+import gc
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -279,8 +281,8 @@ def counted(psi_hat):
 def test_psi_of_chart_coordinates_is_not_differenced(expr):
     spec, op, ev = psi_case(expr)
     assert not spec.psi_reads_field
-    psi, calls = counted(spec.psi_hat)
-    rhs = ct.PsiRhs(psi, spec.psi_reads_field)
+    psi, calls = counted(spec.psi_sigma)
+    rhs = ct.PsiRhs(psi, spec.psi_reads_field, spec.grid.dim)
     d_val, d_p = rhs.d_val(op, ev), rhs.d_p(op, ev)
     assert calls == []
     assert np.all(d_val == 0.0) and np.all(d_p == 0.0)
@@ -288,21 +290,21 @@ def test_psi_of_chart_coordinates_is_not_differenced(expr):
     # psi of the y_i alone is evaluated once and kept
     values = rhs.evaluate(op, ev)
     assert rhs.evaluate(op, ev) is values and len(calls) == 1
-    assert np.array_equal(values, spec.psi_hat(op.bundle(ev)))
+    assert np.array_equal(values, rhs.psi_hat(op.bundle(ev)))
 
 
 def test_psi_of_the_normal_is_differenced():
     # n = 3, psi = c nu_rad^2: the central differences in v and each p_i
     spec, op, ev = psi_case("4.529978038745476 * nu_rad^2", n=3, h=0.2)
     assert spec.psi_reads_field
-    psi, calls = counted(spec.psi_hat)
-    rhs = ct.PsiRhs(psi, spec.psi_reads_field)
+    psi, calls = counted(spec.psi_sigma)
+    rhs = ct.PsiRhs(psi, spec.psi_reads_field, spec.grid.dim)
     d_val, d_p = rhs.d_val(op, ev), rhs.d_p(op, ev)
     assert len(calls) == 2 + 2 * 3
     rhs.evaluate(op, ev)
     rhs.evaluate(op, ev)
     assert len(calls) == 2 + 2 * 3 + 2
-    psi_at = lambda **shift: spec.psi_hat(op.bundle(ev, **shift))
+    psi_at = lambda **shift: spec.psi.psi_hat(op.bundle(ev, **shift))
     s = ct.PSI_FD_STEP * np.maximum(1.0, np.abs(ev.val))
     assert np.array_equal(d_val, (psi_at(dval=s) - psi_at(dval=-s)) / (2.0 * s))
     assert np.any(d_val != 0.0)
@@ -316,9 +318,8 @@ def test_psi_of_the_normal_is_differenced():
 
 def run_stage1(spec, cfg, plan):
     """(v field, status, records) of the K in {0, -1} stage-1 leg run to t = 1."""
-    v_sub = plan["v_sub"]
-    leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], v_sub)
-    return ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)[:3]
+    leg = ct.stage1_leg("stage1", plan["op"], spec.sf, plan["q"], plan["epsilon"], plan["v_sub"])
+    return ct.run_legs(spec.grid, [leg], plan["start"], cfg)[:3]
 
 
 def test_stage1_t0_returns_subsolution():
@@ -345,9 +346,9 @@ def stage1_leg_run(label):
     plan = ct.sphere_plan(spec)
     v_sub = np.log(plan["u_sub"])
     op = ct.DiscreteOperator(spec.grid, profile(E), rep="v", sf=E)
-    leg = ct.stage1_leg(label, op, E, ct._xi_ratio(op, v_sub), plan["delta2"], v_sub)
-    return (*ct.run_legs(spec.grid, [leg], v_sub[spec.grid.interior_ids], cfg)[:3], op,
-            plan["delta2"])
+    q, start = ct._xi_ratio(op, v_sub)
+    leg = ct.stage1_leg(label, op, E, q, plan["delta2"], v_sub)
+    return (*ct.run_legs(spec.grid, [leg], start, cfg)[:3], op, plan["delta2"])
 
 
 @pytest.mark.parametrize("label", ["stage1", "sphere-aux"])
@@ -565,28 +566,33 @@ def test_evaluations_outside_newton_do_not_grow_with_steps(monkeypatch):
 
 
 def test_newton_starts_from_the_accepted_evaluation(monkeypatch):
-    # a step of a leg whose operator and data stay fixed, and the handoffs
-    # stage1 -> bridge -> stage2, start at the point the last step accepted:
-    # Newton reads that point's evaluation instead of evaluating it again
-    seen, count = set(), {"repeats": 0, "in_newton": False}
-    evaluate, newton_core = ct.DiscreteOperator.evaluate, ct.newton_core
+    # the path's first Newton call starts from the plan's evaluation of the
+    # subsolution, and a step of a leg whose operator and data stay fixed,
+    # and the handoffs stage1 -> bridge -> stage2, start at the point the
+    # last step accepted: Newton reads that point's evaluation instead of
+    # evaluating it again
+    seen, count = set(), {"repeats": 0, "recording": False}
+    evaluate = ct.DiscreteOperator.evaluate
 
     def recording_evaluate(self, full, *args, **kwargs):
-        if count["in_newton"]:
+        if count["recording"]:
             key = (id(self), full.tobytes())
             count["repeats"] += key in seen
             seen.add(key)
         return evaluate(self, full, *args, **kwargs)
 
-    def flagged_newton(*args):
-        count["in_newton"] = True
-        try:
-            return newton_core(*args)
-        finally:
-            count["in_newton"] = False
+    def flagged(fn):
+        def wrapped(*args):
+            count["recording"] = True
+            try:
+                return fn(*args)
+            finally:
+                count["recording"] = False
+        return wrapped
 
     monkeypatch.setattr(ct.DiscreteOperator, "evaluate", recording_evaluate)
-    monkeypatch.setattr(ct, "newton_core", flagged_newton)
+    monkeypatch.setattr(ct, "newton_core", flagged(ct.newton_core))
+    monkeypatch.setattr(ct, "_xi_ratio", flagged(ct._xi_ratio))
     # every warm start of this solve is admissible, so no tangent is evaluated
     _, report = ct.solve_problem(geodesic_problem(H, 0.6, h=0.07))
     assert report.status == ct.CONVERGED
@@ -618,8 +624,8 @@ def test_step_record_differences_psi_in_the_unknown_only():
     # the zero-order term reads d rhs/dv alone: 2 evaluations of a psi that
     # reads the field, not the 2 + 2n of the full derivatives
     spec, op, ev = psi_case("4.529978038745476 * nu_rad^2", n=3, h=0.2)
-    psi, calls = counted(spec.psi_hat)
-    rhs = ct.Rhs(spec.sf, 0.0, ct.PsiRhs(psi, spec.psi_reads_field), 1.0)
+    psi, calls = counted(spec.psi_sigma)
+    rhs = ct.Rhs(spec.sf, 0.0, ct.PsiRhs(psi, spec.psi_reads_field, spec.grid.dim), 1.0)
     records = []
     ct._record_step(records, "probe", 1.0, ct.NewtonResult(ct.CONVERGED, ev.val, 0, 0.0, [], ev),
                     rhs, None)
@@ -1047,3 +1053,64 @@ def test_diagnostics_rho_representation():
     fld = grids.GraphField(g, np.full(g.n_nodes, 0.7), "rho")
     rec = ct.diagnostics_monitor(fld, H)
     assert rec["min_kappa"] > 0
+
+
+# ------------------------------------------------------------ one PsiRhs per problem
+
+def test_psi_of_the_chart_is_computed_once_per_ladder_level():
+    # the gate, sphere_plan's samples of the deformed metric, the legs, the
+    # refine and the report all read the level's one PsiRhs, so a psi of
+    # the chart coordinates alone is computed once on each level's grid
+    pf = problems.load_problem(PROBLEM_DIR / "geodesic_spherical.wg")
+    h = 2.0 * np.tan(np.pi / 5) / 48         # 49 across: the path runs at 25 across
+    spec, cfg, _ = problems.build_problem(pf, h)
+    levels = [level.grid.n_interior for level in ct._ladder(spec)]
+    assert len(levels) > 1
+    evaluate, sizes = pf.psi.evaluate, []
+
+    def counting(bundle):
+        sizes.append(len(bundle["y1"]))
+        return evaluate(bundle)
+
+    pf.psi.evaluate = counting              # coarser levels are built from pf too
+    spec, cfg, _ = problems.build_problem(pf, h)
+    _, report = ct.solve_problem(spec, cfg)
+    assert report.status == ct.CONVERGED
+    assert sorted(sizes) == sorted(levels)
+
+
+def test_a_solved_spec_is_freed_without_the_cycle_collector():
+    # nothing the solve leaves (the spec's PsiRhs, the field, the report)
+    # refers back to the spec, so dropping them frees it and its grid at
+    # once, not at the next collection
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0.wg")
+    gc.collect()
+    gc.disable()
+    try:
+        spec, cfg, _ = problems.build_problem(pf, 2.0 * np.tan(np.pi / 5) / 40)
+        field, report = ct.solve_problem(spec, cfg)
+        assert field is not None and report.per_node is not None
+        assert spec.psi is not None
+        ref = weakref.ref(spec)
+        del spec, field, report
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bundle_builds_the_variables_psi_may_read(n):
+    # problems validates [psi] against bundle_variables: every operator that
+    # evaluates psi builds exactly those variables
+    grid = grids.build_cap_domain(np.pi / 5, 0.1 if n == 2 else 0.2, n=n)
+    rho = 0.6 * (1.0 + 0.01 * np.cos(grid.coords @ np.ones(n)))
+    ops = [ct.DiscreteOperator(grid, profile(sf), rep="u", sf=sf) for sf in (E, S, H)]
+    ops += [ct.DiscreteOperator(grid, profile(sf), rep="v", sf=sf) for sf in (E, H)]
+    ops.append(ct.DiscreteOperator(grid, profile_deformed(0.5), rep="v", sf=E))
+    chart, field = ct.bundle_variables(n)
+    assert not chart & field
+    for op in ops:
+        u = zeta_inverse(op.sf, rho)
+        ev = op.evaluate(u if op.rep == "u" else eta_inverse(op.sf, u), need_f=False)
+        assert ev is not None
+        assert set(op.bundle(ev)) == chart | field

@@ -26,6 +26,15 @@ def test_cap_domain_radius():
         grids.build_cap_domain(np.pi / 2, 0.1)
 
 
+def test_per_grid_data_is_built_once_and_read_only(cap_grid):
+    # the per-grid cache hands every caller the same arrays, which none may change
+    for build in (grids.Grid.interior_coords, grids.chart_quantities, grids.boundary_sigma_inv,
+                  grids._jet_weights, linearize._jacobian_pattern):
+        data = build(cap_grid)
+        assert build(cap_grid) is data
+        assert not any(a.flags.writeable for a in (data if isinstance(data, tuple) else [data]))
+
+
 def test_interior_stencils_stay_inside(cap_grid):
     klass = cap_grid.node_class[cap_grid.box]
     assert np.all((klass == grids.INTERIOR) | (klass == grids.BOUNDARY))
@@ -341,3 +350,14 @@ def test_prolong_refuses_lattices_that_do_not_nest():
     coarse, fine = _nested_caps(21, 2)
     with pytest.raises(AssemblyError):
         grids.prolong(fine, np.ones(fine.n_nodes), fine)
+
+
+@pytest.mark.parametrize("n, coarse_across", [(2, 21), (3, 11)])
+def test_nested_interior_ids_pair_coarse_and_fine_nodes(n, coarse_across):
+    # coarse index k sits at fine index 2k + nesting_shift: each coarse
+    # interior node lands on a fine interior node at the same chart point
+    coarse, fine = _nested_caps(coarse_across, n)
+    ids = grids.nested_interior_ids(coarse, fine)
+    assert ids.shape == coarse.interior_ids.shape
+    assert np.all(ids >= 0) and np.all(fine.node_class[ids] == grids.INTERIOR)
+    assert np.max(np.abs(fine.coords[ids] - coarse.interior_coords())) <= 1e-12

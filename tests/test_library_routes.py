@@ -214,6 +214,35 @@ def test_fields_off_the_newton_path_read_the_solver_routes():
     outside = {name for name in referrers("DiscreteOperator")
                if name.startswith("cli.") or name == "continuity.verify_subsolution"}
     assert outside == set()
+    # solution.csv reads the solve's own evaluation (SolveReport.per_node):
+    # of the commands, only curvature evaluates a stored field
+    assert {name for name in referrers("evaluate_stored") if name.startswith("cli.")} == {
+        "cli._cmd_curvature", "cli.ImportFrom"}
+
+
+def namers(name):
+    """Top-level definitions in src/weingarten that name it anywhere: a
+    reference, an attribute, a definition, a parameter or an import."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            for node in ast.walk(stmt):
+                found = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
+                if name in found:
+                    out.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    return out
+
+
+def test_psi_has_one_route():
+    # psi^(1/n) is computed only by the PsiRhs that ProblemSpec.psi holds,
+    # which the gate, sphere_plan, the legs, the refine, the report and
+    # solution.csv all read
+    assert namers("psi_hat") == {"continuity.PsiRhs"}
+
+
+def test_per_grid_data_has_one_cache():
+    # grids.per_grid is the one get-or-build route of per-grid data
+    assert {stem for stem, _, _ in references({"_jet_cache"})} == {"grids"}
 
 
 
