@@ -40,6 +40,10 @@ solve fails runs the path instead.  A caller holding the field of the
 level below (a refinement study) passes it as solve_problem's coarse, and
 the path does not run again.  The floor restates 19 lattice nodes across in
 2-D (see LADDER_MIN_INTERIOR); in 3-D it lets h = 0.07 halve to 0.14.
+
+scipy.sparse.linalg is imported inside _lu_solve, not here: it is most of
+the package's import time, and the subsolution gate and the stored-field
+routes never factor a matrix.
 """
 
 import json
@@ -47,7 +51,6 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import grids, linearize
 from .errors import AdmissibilityError, AssemblyError, SemanticError
@@ -538,6 +541,8 @@ def _lu_solve(J, b):
     pivot or return a non-finite solve; then SuperLU's default options
     (COLAMD, partial pivoting) get one more try.
     """
+    import scipy.sparse.linalg as spla
+
     for options in (FAST_LU, {}):
         try:
             x = spla.splu(J, **options).solve(b)

@@ -24,12 +24,13 @@ run as products of the (N, n, n) stacks by symeig.mm (written out for 2x2
 stacks and for products with a vector, numpy's matmul otherwise):
 G^{ij} from gamma F gamma^T, the two G^s sums as gamma^T (F a^T) p and
 gamma^T (F a^T)^T p, and A2 = B G B; tests/reference.py keeps them as einsum.
+scipy.sparse is imported inside assemble_jacobian, its one user, so that
+importing the package does not pay for it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import grids
 from .geometry import GeometryState
@@ -142,7 +143,7 @@ def _jacobian_pattern(grid):
     return indptr, rows[perm].astype(np.int32), perm
 
 
-def assemble_jacobian(grid, A2, b1, c) -> sp.csc_matrix:
+def assemble_jacobian(grid, A2, b1, c) -> "scipy.sparse.csc_matrix":
     """Sparse CSC Jacobian over interior unknowns from coordinate-level blocks.
 
     Dirichlet boundary nodes are eliminated: their columns never enter (the
@@ -150,6 +151,8 @@ def assemble_jacobian(grid, A2, b1, c) -> sp.csc_matrix:
     The sparsity pattern is computed once per grid; each call only fills in
     the values.
     """
+    import scipy.sparse as sp
+
     W1, W2 = grids._jet_weights(grid)
     m = grid.box.shape[1]
     entries = np.einsum("nkl,klo->no", A2, W2) + np.einsum("nm,mo->no", b1, W1)

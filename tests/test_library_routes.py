@@ -17,11 +17,15 @@ v-blocks, the statuses) and keep three-operand einsum contractions out of
 the package, and batched ``@`` and eigensolves out of the Newton hot path,
 where symeig.mm (written out for 2x2 and matrix-vector products, which
 numpy's matmul loop runs slower) and the Newton tensor (symfunc.f_and_F)
-take their place.
+take their place.  SciPy is imported only by the Jacobian assembly and the LU
+factor, and a fresh interpreter shows which routes load it.
 """
 
 import ast
 import functools
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -440,3 +444,73 @@ def test_newton_work_runs_without_an_eigensolve(monkeypatch, n):
         assert ev is not None
         A2, b1, c = linearize.to_coordinate(op.blocks(ev), grid)
         assert np.all(np.isfinite(A2)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(c))
+
+
+def scipy_imports():
+    """(module, enclosing top-level definition or None) of every scipy import in src/weingarten."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    out.append((path.stem, stmt.name if isinstance(stmt, DEFS) else None))
+    return out
+
+
+def test_scipy_is_imported_only_where_it_factors():
+    # importing scipy.sparse is most of the package's import time; only the
+    # sparse assembly and the LU factor need it, so only they import it
+    assert sorted(scipy_imports()) == [
+        ("continuity", "_lu_solve"), ("linearize", "assemble_jacobian")]
+
+
+# (route, child code, whether the route loads scipy.sparse.linalg); the child
+# has SRC, PROBLEM and OUT bound and `cli` and `wg` imported
+IMPORT_ROUTES = (
+    ("import", "pass", False),
+    ("build", "wg.build_problem(wg.load_problem(PROBLEM), 0.1)", False),
+    ("verify_subsolution",
+     "assert wg.verify_subsolution(wg.build_problem(wg.load_problem(PROBLEM), 0.1)[0])['ok']",
+     False),
+    ("check-subsolution",
+     "assert cli.main(['check-subsolution', '--problem', PROBLEM, '--out', OUT, '--h', '0.1']) == 0",
+     False),
+    ("curvature",
+     "g = wg.build_cap_domain(0.6, 0.1)\n"
+     "wg.save_grid(OUT + '.grid', g, wg.GraphField(g, 0.7 + 0 * g.coords[:, 0], 'rho'), space_form=-1)\n"
+     "assert cli.main(['curvature', '--grid', OUT + '.grid', '--out', OUT]) == 0", False),
+    ("help", "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass", False),
+    ("solve", "assert wg.solve_problem(*wg.build_problem(wg.load_problem(PROBLEM), 0.1)[:2])[0]",
+     True),
+)
+
+IMPORT_CHILD = """
+import json, sys
+SRC, PROBLEM, OUT = sys.argv[1:4]
+sys.path.insert(0, SRC)
+import weingarten as wg
+from weingarten import cli
+{code}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("route, code, factors", IMPORT_ROUTES, ids=[r[0] for r in IMPORT_ROUTES])
+def test_scipy_loads_at_the_first_factorization(tmp_path, route, code, factors):
+    # a fresh interpreter: the test session itself has scipy loaded already
+    problem = SRC.parents[1] / "problems" / "offcenter_sphere_k0.wg"
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_CHILD.format(code=code),
+         str(SRC.parent), str(problem), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    if factors:
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == [], route
