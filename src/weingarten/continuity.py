@@ -40,6 +40,10 @@ solve fails runs the path instead.  A caller holding the field of the
 level below (a refinement study) passes it as solve_problem's coarse, and
 the path does not run again.  The floor restates 19 lattice nodes across in
 2-D (see LADDER_MIN_INTERIOR); in 3-D it lets h = 0.07 halve to 0.14.
+A prolonged start lies in Newton's quadratic basin, so its first full step
+typically cuts the residual 100-fold or more; newton_core then keeps that
+step's LU factor for chord steps, and a refine level factors its fine
+Jacobian once or twice instead of at every iteration.
 
 scipy.sparse.linalg is imported inside _lu_solve, not here: it is most of
 the package's import time, and the subsolution gate and the stored-field
@@ -76,6 +80,7 @@ from .symfunc import f_and_F
 CONVEXITY_MARGIN = 1e-10  # Hess u + u sigma - margin I must be positive definite
 MIN_LAMBDA = 1e-12        # the line search gives up below this damping
 ARMIJO = 1e-4             # sufficient-decrease constant of the line search
+CHORD_CUT = 0.01          # a first full step cutting the residual this much keeps its factor
 STAGNATION_WINDOW = 3     # Newton stops when the residual, over this many accepted
 STAGNATION_FACTOR = 0.9   # iterations, stays above this share of its earlier value
 TANGENT_FD_STEP = 1e-6   # difference step in t for dR/dt in the Euler predictor
@@ -168,6 +173,8 @@ class NewtonResult:
     continuation engine keeps that of its last accepted point: euler_tangent
     takes J and R at that point from it, the next Newton call on the same
     operator starts from it, and the final report reads the last one.
+    factors counts the Jacobians the call factored, which chord steps make
+    fewer than its iterations.
     """
 
     status: str
@@ -176,6 +183,7 @@ class NewtonResult:
     residual: float
     history: list
     ev: "OperatorEval | None" = None
+    factors: int = 0
 
 
 def to_plain(o):
@@ -471,6 +479,14 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     max_newton iterations on a flat residual.  A line search that finds no
     acceptable damping reports AdmissibilityLoss when one of its trials was
     inadmissible (as is a start at iteration 0), else LineSearchFailure.
+
+    When the first iteration's full step cuts the sup residual by CHORD_CUT
+    or more, its LU factor is kept, and each later iteration first tries the
+    chord step -J0^{-1} R from it (Kelley 1995, sec. 5.4), which must be
+    admissible and pass the Armijo test at lambda = 1.  The factor is dropped
+    for good when a chord step fails, or when it cuts the residual by less
+    than CHORD_CUT (its step is still taken); the iteration then goes on as a
+    Newton iteration with a fresh Jacobian.
     """
     grid = op.grid
 
@@ -489,41 +505,67 @@ def newton_core(op: DiscreteOperator, rhs, x0, boundary_full, cfg: HomotopyConfi
     R = ev.f - b
     rn = float(np.max(np.abs(R)))
     history = [rn]
+    factors = 0
+    chord = None    # the first iteration's LU factor, while chord steps keep it
+
+    def result(status, iterations, ev=None):
+        return NewtonResult(status, x, iterations, rn, history, ev, factors)
+
+    def trial(x_t):
+        """(x_t, its evaluation, rhs, residual, sup residual), or None when inadmissible."""
+        ev_t = op.evaluate(compose(x_t))
+        if ev_t is None:
+            return None
+        b_t = rhs.evaluate(op, ev_t)
+        R_t = ev_t.f - b_t
+        return x_t, ev_t, b_t, R_t, float(np.max(np.abs(R_t)))
+
+    def sufficient(step, lam):
+        return step[-1] <= max(cfg.newton_tol, (1.0 - ARMIJO * lam) * rn)
+
     for it in range(1, cfg.max_newton + 1):
         if rn <= cfg.newton_tol:
-            return NewtonResult(CONVERGED, x, it - 1, rn, history, ev)
-        J = _jacobian(op, ev, rhs)
-        delta = _lu_solve(J, -R)
-        if delta is None:
-            return NewtonResult(SOLVER_BREAKDOWN, x, it, rn, history)
-        lam = 1.0
-        accepted = inadmissible = False
-        while lam >= MIN_LAMBDA:
-            x_t = x + lam * delta
-            ev_t = op.evaluate(compose(x_t))
-            if ev_t is not None:
-                b_t = rhs.evaluate(op, ev_t)
-                R_t = ev_t.f - b_t
-                rn_t = float(np.max(np.abs(R_t)))
-                if rn_t <= max(cfg.newton_tol, (1.0 - ARMIJO * lam) * rn):
-                    x, ev, b, R, rn = x_t, ev_t, b_t, R_t, rn_t
-                    history.append(rn)
-                    accepted = True
+            return result(CONVERGED, it - 1, ev)
+        step = None
+        if chord is not None:
+            # a non-finite solve makes the trial inadmissible (evaluate refuses it)
+            step = trial(x + chord.solve(-R))
+            if step is None or not sufficient(step, 1.0):
+                step = chord = None
+        if step is None:
+            J = _jacobian(op, ev, rhs)
+            solved = _lu_solve(J, -R)
+            if solved is None:
+                return result(SOLVER_BREAKDOWN, it)
+            factors += 1
+            delta, chord = solved
+            del solved
+            if it > 1:
+                chord = None    # only the first factor can be kept; hold no other
+            lam = 1.0
+            inadmissible = False
+            while lam >= MIN_LAMBDA:
+                step = trial(x + lam * delta)
+                if step is None:
+                    inadmissible = True
+                elif sufficient(step, lam):
                     break
-                if lam == 1.0 and rn <= rounding_floor(J, x, b):
-                    return NewtonResult(CONVERGED, x, it - 1, rn, history, ev)
-            else:
-                inadmissible = True
-            lam *= 0.5
-        if not accepted:
-            return NewtonResult(ADMISSIBILITY_LOSS if inadmissible else LINE_SEARCH_FAILURE,
-                                x, it, rn, history)
+                elif lam == 1.0 and rn <= rounding_floor(J, x, b):
+                    return result(CONVERGED, it - 1, ev)
+                step = chord = None
+                lam *= 0.5
+            if step is None:
+                return result(ADMISSIBILITY_LOSS if inadmissible else LINE_SEARCH_FAILURE, it)
+        if step[-1] > CHORD_CUT * rn:
+            chord = None
+        x, ev, b, R, rn = step
+        history.append(rn)
         if (rn > cfg.newton_tol and len(history) > STAGNATION_WINDOW
                 and rn > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]):
-            return NewtonResult(STAGNATION, x, it, rn, history)
+            return result(STAGNATION, it)
     if rn <= cfg.newton_tol:
-        return NewtonResult(CONVERGED, x, cfg.max_newton, rn, history, ev)
-    return NewtonResult(MAX_ITERATIONS, x, cfg.max_newton, rn, history)
+        return result(CONVERGED, cfg.max_newton, ev)
+    return result(MAX_ITERATIONS, cfg.max_newton)
 
 
 def rounding_floor(J, x, b):
@@ -535,7 +577,8 @@ def rounding_floor(J, x, b):
 
 
 def _lu_solve(J, b):
-    """Solve J x = b by sparse LU; None when no finite solution can be had.
+    """(x, factor): J x = b solved by sparse LU, with the factor that solved it;
+    None when no finite solution can be had.
 
     The FAST_LU factor comes first.  Without pivoting it can meet a zero
     pivot or return a non-finite solve; then SuperLU's default options
@@ -545,11 +588,12 @@ def _lu_solve(J, b):
 
     for options in (FAST_LU, {}):
         try:
-            x = spla.splu(J, **options).solve(b)
+            factor = spla.splu(J, **options)
+            x = factor.solve(b)
         except RuntimeError:
             continue
         if np.all(np.isfinite(x)):
-            return x
+            return x, factor
     return None
 
 
@@ -757,7 +801,8 @@ def euler_tangent(leg: Leg, t, op, rhs, ev):
     if ev_s is None:
         return None
     dR_dt = ((ev_s.f - rhs_s.evaluate(op_s, ev_s)) - (ev.f - rhs.evaluate(op, ev))) / step
-    return _lu_solve(_jacobian(op, ev, rhs), -dR_dt)
+    solved = _lu_solve(_jacobian(op, ev, rhs), -dR_dt)
+    return None if solved is None else solved[0]
 
 
 def _continue_in_t(leg: Leg, x0, cfg, records, start):
@@ -844,6 +889,7 @@ def _record_step(records, label, t, res: NewtonResult, rhs, ordering_floor):
         "stage": label,
         "t": float(t),
         "newton_iterations": int(res.iterations),
+        "lu_factors": int(res.factors),
         "residual": float(res.residual),
         "diagnostics": diagnostics_from_eval(op, ev),
     }

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from weingarten import continuity as ct
 from weingarten import problems
@@ -289,3 +290,74 @@ def test_refine_only_solve_reports_converged():
     field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
     assert field is not None and report.status == ct.CONVERGED
     assert [r["stage"] for r in report.stages] == ["refine"]
+
+
+@cache
+def k0_refine_41():
+    """(spec, cfg, coarse field): the k0 file at 41 across and its converged 21-across field."""
+    spec, cfg, _ = build("offcenter_sphere_k0.wg", 41)
+    coarse_field, _ = ct.solve_problem(spec.coarser(2.0 * spec.grid.h), cfg)
+    return spec, cfg, coarse_field
+
+
+def counted_splu(monkeypatch, wrap=lambda lu: lu):
+    """Records the order of every matrix that splu factors; wrap may stand in for a factor."""
+    orders = []
+    splu = spla.splu
+
+    def counting(J, **options):
+        orders.append(J.shape[0])
+        return wrap(splu(J, **options))
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return orders
+
+
+def test_refine_keeps_its_first_factor(monkeypatch):
+    # the prolonged start's first full step cuts the residual more than
+    # 100-fold, so the later iterations take chord steps from its factor
+    spec, cfg, coarse_field = k0_refine_41()
+    orders = counted_splu(monkeypatch)
+    field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
+    assert report.status == ct.CONVERGED
+    [record] = report.stages
+    assert record["stage"] == "refine"
+    assert orders == [spec.grid.n_interior] * record["lu_factors"]
+    assert len(orders) <= 2 and record["newton_iterations"] <= 4
+    monkeypatch.undo()
+    path_field, _ = ct.solve_problem(path_only(spec), cfg)
+    assert np.max(np.abs(field.values - path_field.values)) <= 1e-12
+
+
+class _SecondSolveFails:
+    """A factor whose second solve is not finite."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        x = self.lu.solve(b)
+        return np.full_like(x, np.nan) if self.solves == 2 else x
+
+
+def test_a_failed_chord_step_takes_a_fresh_factor(monkeypatch):
+    # the kept factor's first chord step is not finite: the factor is dropped
+    # for good, and the iteration goes on as Newton with a fresh factor
+    spec, cfg, coarse_field = k0_refine_41()
+    plain_field, plain = ct.solve_problem(spec, cfg, coarse=coarse_field)
+    kept = []
+
+    def first_fails(lu):
+        kept.append(_SecondSolveFails(lu) if not kept else lu)
+        return kept[-1]
+
+    orders = counted_splu(monkeypatch, first_fails)
+    field, report = ct.solve_problem(spec, cfg, coarse=coarse_field)
+    assert report.status == ct.CONVERGED and report.messages == []
+    [record] = report.stages
+    assert kept[0].solves == 2
+    # a fresh factor for the failed chord step, then one per Newton iteration
+    assert len(orders) == record["lu_factors"] == record["newton_iterations"]
+    assert record["lu_factors"] == plain.stages[0]["lu_factors"] + 1
+    assert np.max(np.abs(field.values - plain_field.values)) <= 1e-12
