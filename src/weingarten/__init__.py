@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SemanticError,
 )
-from .expressions import eval_expression, parse_expression
+from .expressions import parse_expression
 from .grids import GraphField, build_cap_domain, build_from_mask, load_grid, save_grid
 from .problems import build_problem, load_problem, parse_problem
 from .spaceform import SpaceFormParams, VariableRanges, ranges
@@ -44,7 +44,6 @@ __all__ = [
     "build_from_mask",
     "build_problem",
     "diagnostics_monitor",
-    "eval_expression",
     "load_grid",
     "load_problem",
     "newton_solve",

@@ -23,7 +23,8 @@ from .continuity import (
     to_plain,
     verify_subsolution,
 )
-from .errors import AdmissibilityError, DomainRangeError, EvaluationError, ParseError, SemanticError
+from .errors import (AdmissibilityError, AssemblyError, DomainRangeError, EvaluationError,
+                     ParseError, SemanticError)
 from .geometry import state_from_u_slots
 from .problems import build_problem, load_problem
 from .spaceform import SpaceFormParams, eta, profile, zeta
@@ -67,7 +68,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, SemanticError, EvaluationError, DomainRangeError) as exc:
+    except (ParseError, SemanticError, EvaluationError, DomainRangeError, AssemblyError) as exc:
         _error_json(str(exc), kind=type(exc).__name__)
         return 1
     except OSError as exc:        # an input file that is missing or unreadable names its path
@@ -244,7 +245,7 @@ def lincheck_report(spec, samples=50, seed=0):
 
     def G(r, p, u):
         st = state_from_u_slots(u, p, r, amb)
-        return float(f_and_derivatives(st.kappa, n)[0][0])
+        return float(f_and_derivatives(st.kappa)[0][0])
 
     for _ in range(samples):
         u = np.array([rng.uniform(1.4, 2.5)])

@@ -269,7 +269,7 @@ class DiscreteOperator:
         if not np.all(np.isfinite(full)) or np.min(full) <= lo + RANGE_MARGIN:
             return None
         val, p_coord, hess_cov = grids.covariant_jets(self.grid, full)
-        _, _, _, _, B = grids.chart_quantities(self.grid)
+        _, B = grids.chart_quantities(self.grid)
         p_frame = np.einsum("nij,nj->ni", B, p_coord)
         r_frame = mm(mm(B, hess_cov), B)
         p_v = r_v = None
@@ -318,7 +318,7 @@ class DiscreteOperator:
     def bundle(self, ev, dval=0.0, dp=None):
         """Expression variables from first-order data; used by psi and its FD."""
         grid = self.grid
-        _, _, _, _, B = grids.chart_quantities(grid)
+        _, B = grids.chart_quantities(grid)
         val = ev.val + dval
         p_coord = ev.p_coord if dp is None else ev.p_coord + dp
         p_frame = np.einsum("nij,nj->ni", B, p_coord)

@@ -185,13 +185,6 @@ def parse_expression(source) -> Expression:
     return Expression(source, root, variables)
 
 
-def eval_expression(expr, env):
-    """Evaluate a source string or parsed Expression against a variable dict."""
-    if isinstance(expr, str):
-        expr = parse_expression(expr)
-    return expr.evaluate(env)
-
-
 def _eval(node, env, source):
     kind = node[0]
     if kind == "num":

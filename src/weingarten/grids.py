@@ -19,12 +19,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import charts as ch
-from .errors import AssemblyError
+from .errors import AssemblyError, ParseError
 
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
 DISSECTION_LEAF = 8  # nested dissection keeps node-id order in parts this small
 _CLASS_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
-_CLASS_IDS = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 def per_grid(build):
@@ -322,12 +321,9 @@ def fd_jets(grid, values):
 
 @per_grid
 def chart_quantities(grid):
-    """sigma, sigma_inv, mu, Gamma, B = sigma^{-1/2} at interior nodes."""
+    """Gamma and the frame B = sigma^{-1/2} at interior nodes."""
     y = grid.interior_coords()
-    sigma, sigma_inv, mu = ch.chart_metric(grid.chart, y)
-    gamma = ch.christoffel(grid.chart, y)
-    B = ch.inv_sqrt_metric(grid.chart, y)
-    return sigma, sigma_inv, mu, gamma, B
+    return ch.christoffel(grid.chart, y), ch.inv_sqrt_metric(grid.chart, y)
 
 
 def nesting_shift(coarse, fine):
@@ -403,7 +399,7 @@ def boundary_sigma_inv(grid):
 def covariant_jets(grid, values):
     """(value, coordinate grad, covariant Hessian) at all interior nodes."""
     val, grad, hess = fd_jets(grid, values)
-    _, _, _, gamma, _ = chart_quantities(grid)
+    gamma, _ = chart_quantities(grid)
     hess_cov = hess - np.einsum("nijk,nk->nij", gamma, grad)
     return val, grad, hess_cov
 
@@ -460,43 +456,88 @@ def save_grid(path, grid, field=None, space_form=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_grid(path):
-    """Inverse of save_grid.  Returns (grid, field_or_None, space_form_or_None)."""
+def read_header(path):
+    """(header, rows) of a text file: blank and '#' lines skipped, each leading
+    line that starts with a letter a header line `key value ...` (header[key]
+    = its values), the lines after them data rows."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
     i = 0
-    while i < len(raw):
-        keyword = raw[i].split()[0]
-        if keyword[0].isdigit() or keyword[0] == "-":
-            break
-        parts = raw[i].split()
-        header[parts[0]] = parts[1:]
+    while i < len(raw) and raw[i][0].isalpha():
         i += 1
-    n = int(header["dim"][0])
-    kind = header["chart"][0]
-    center = np.array([float(v) for v in header["center"]])
-    chart = ch.Chart(kind, n, center)
-    h = float(header["h"][0])
-    origin = np.array([float(v) for v in header["origin"]])
-    shape = tuple(int(v) for v in header["lattice"])
-    n_nodes = int(header["nodes"][0])
-    rep = header.get("representation", ["none"])[0]
-    sf = int(header["space_form"][0]) if "space_form" in header else None
-    status = np.full(shape, EXTERIOR, dtype=int)
-    values = np.empty(n_nodes)
-    rows = raw[i:]
+    return {key: values for key, *values in map(str.split, raw[:i])}, raw[i:]
+
+
+def header_values(header, keys, what):
+    """{key: values} of each key of keys, which maps it to (type, count, test,
+    description).  A key that is missing, or whose values are not count
+    values of that type that pass the test, is a ParseError naming it."""
+    out = {}
+    for key, (kind, count, ok, description) in keys.items():
+        if key not in header:
+            raise ParseError(f"{what} file has no {key!r} header line")
+        try:
+            out[key] = [kind(v) for v in header[key]]
+        except ValueError:
+            out[key] = []
+        if len(out[key]) != count or not all(map(ok, out[key])):
+            raise ParseError(
+                f"{what} header {key!r} must be {description}, got {' '.join(header[key])!r}")
+    return out
+
+
+def load_grid(path):
+    """Inverse of save_grid.  Returns (grid, field_or_None, space_form_or_None).
+
+    A header key that is missing or malformed, or a node row that does not
+    parse, lies off the lattice or carries another id than the rebuilt
+    lattice gives its index, is a ParseError naming the key or the row.
+    """
+    header, rows = read_header(path)
+    n = header_values(header, {"dim": (int, 1, lambda x: x >= 2, "an integer >= 2")},
+                      "grid")["dim"][0]
+    optional = {"space_form": (int, 1, lambda x: x in (-1, 0, 1), "-1, 0 or 1"),
+                "representation": (str, 1, lambda x: x in ("none", "rho", "u", "v"),
+                                   "none, rho, u or v")}
+    values = header_values(header, {
+        "chart": (str, 1, lambda x: x in (ch.GNOMONIC, ch.PLANE), "gnomonic or plane"),
+        "center": (float, n + 1, np.isfinite, f"{n + 1} finite numbers"),
+        "h": (float, 1, lambda x: 0.0 < x < np.inf, "a finite spacing > 0"),
+        "origin": (float, n, np.isfinite, f"{n} finite numbers"),
+        "lattice": (int, n, lambda x: x > 0, f"{n} positive integers"),
+        "nodes": (int, 1, lambda x: x > 0, "a positive integer"),
+        **{key: spec for key, spec in optional.items() if key in header}}, "grid")
+    try:
+        chart = ch.Chart(values["chart"][0], n, np.array(values["center"]))
+    except ValueError as exc:
+        raise ParseError(f"grid header 'center': {exc}") from None
+    shape, n_nodes = tuple(values["lattice"]), values["nodes"][0]
     if len(rows) != n_nodes:
-        raise AssemblyError(f"grid file lists {len(rows)} nodes, header says {n_nodes}")
-    for row in rows:
-        parts = row.split()
-        nid = int(parts[0])
-        idx = tuple(int(v) for v in parts[1 : 1 + n])
-        klass = parts[1 + n]
-        values[nid] = float(parts[2 + 2 * n])
-        status[idx] = _CLASS_IDS[klass]
-    grid = _finalize(chart, h, origin, status)
-    field = None
-    if rep != "none":
-        field = GraphField(grid, values, rep)
-    return grid, field, sf
+        raise ParseError(f"grid file lists {len(rows)} node rows, header says {n_nodes}")
+    ids, index = np.empty(n_nodes, dtype=int), np.empty((n_nodes, n), dtype=int)
+    field_values = np.empty(n_nodes)
+    status = np.full(shape, EXTERIOR, dtype=int)
+    for r, parts in enumerate(map(str.split, rows)):
+        try:
+            # numpy parses each string as int() or float() would
+            ids[r], index[r], field_values[r] = parts[0], parts[1 : 1 + n], parts[2 + 2 * n]
+            idx = tuple(index[r])
+            inside = len(parts) == 2 * n + 3 and all(0 <= i < m for i, m in zip(idx, shape))
+            if not inside or status[idx] != EXTERIOR:
+                raise ValueError
+            status[idx] = {"interior": INTERIOR, "boundary": BOUNDARY}[parts[1 + n]]
+        except (ValueError, KeyError, IndexError):
+            raise ParseError(
+                f"grid node row {r} must be an id, {n} lattice indices inside the lattice and "
+                f"not listed before, interior or boundary, {n} coordinates and a value; "
+                f"got {rows[r]!r}") from None
+    grid = _finalize(chart, values["h"][0], np.array(values["origin"]), status)
+    expect = grid.id_grid[tuple(index.T)]
+    bad = np.flatnonzero(expect != ids)
+    if bad.size:
+        r = bad[0]
+        raise ParseError(f"grid node row {r} has id {ids[r]}, but the lattice gives its index "
+                         f"{tuple(index[r].tolist())} id {expect[r]}")
+    rep = values.get("representation", ["none"])[0]
+    field = None if rep == "none" else GraphField(grid, field_values[np.argsort(ids)], rep)
+    return grid, field, values["space_form"][0] if "space_form" in values else None

@@ -112,7 +112,7 @@ def to_coordinate(lc: LinearizedCoefficients, grid) -> tuple:
     partials d_m u, and the node value.  The Christoffel correction of the
     covariant Hessian is folded into b1.
     """
-    _, _, _, gamma, B = grids.chart_quantities(grid)
+    gamma, B = grids.chart_quantities(grid)
     A2 = mm(mm(B, lc.Gij), B)
     b1 = np.einsum("nmi,ni->nm", B, lc.Gs) - np.einsum("nij,nijm->nm", A2, gamma)
     return A2, b1, lc.Gu.copy()

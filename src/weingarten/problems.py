@@ -217,28 +217,11 @@ def load_mask(path):
 
     A header key that is missing or malformed is a ParseError naming it.
     """
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
-    i = 0
-    while i < len(raw) and raw[i][0].isalpha():
-        parts = raw[i].split()
-        header[parts[0]] = parts[1:]
-        i += 1
-    values = {}
-    for key, (kind, count, ok, what) in _MASK_HEADER.items():
-        if key not in header:
-            raise ParseError(f"mask file has no {key!r} header line")
-        try:
-            vals = [kind(v) for v in header[key]]
-        except ValueError:
-            vals = []
-        if len(vals) != count or not all(ok(v) for v in vals):
-            raise ParseError(f"mask header {key!r} must be {what}, got {' '.join(header[key])!r}")
-        values[key] = vals
+    header, lines = grids.read_header(path)
+    values = grids.header_values(header, _MASK_HEADER, "mask")
     h, origin = values["h"][0], values["origin"]
     rows, cols = values["rows"][0], values["cols"][0]
-    grid_rows = raw[i : i + rows]
+    grid_rows = lines[:rows]
     if len(grid_rows) != rows:
         raise ParseError(f"mask file lists {len(grid_rows)} rows, header says {rows}")
     mask = np.zeros((rows, cols), dtype=bool)

@@ -1,9 +1,12 @@
-"""Elementary symmetric functions, Garding cones, and f = sigma_k^{1/k}.
+"""The elementary symmetric functions and f = sigma_n^{1/n}.
 
-All routines are batched over a leading axis of states; kappa arrays have
-shape (..., n).  sigma_k is evaluated by the incremental-product recurrence
-(coefficients of prod (x + kappa_i)), which is stable for the small n used
-here and avoids subset enumeration.
+The solver solves sigma_n(kappa) = psi, whose admissible cone Gamma_n is the
+positive cone: every kappa_i > 0.  There f = (prod kappa_i)^{1/n} and
+f_i = f / (n kappa_i), each within a few roundings, since no term is
+subtracted.  all_sigmas gives sigma_0 .. sigma_n for `weingarten curvature
+--k` by the incremental-product recurrence (the coefficients of
+prod (x + kappa_i)); its top coefficient is the same product, bit for bit.
+Kappa arrays have shape (..., n), batched over the leading axes.
 
 f_and_F works on the curvature matrix a itself: the derivative of
 f = sigma_n(kappa(a))^{1/n} in a is (1/n) sigma_n^{1/n-1} T_{n-1}(a), with
@@ -30,58 +33,30 @@ def all_sigmas(kappa):
     return e
 
 
-def sigma_k(kappa, k):
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} outside 1..{n}")
-    return all_sigmas(kappa)[..., k]
+def f_and_derivatives(kappa):
+    """f = sigma_n^{1/n} = (prod kappa_i)^{1/n} and its gradient f_i = f / (n kappa_i).
 
-
-def sigma_km1_drop(kappa, k):
-    """sigma_{k-1}(kappa | i) for every i, shape (..., n).
-
-    Synthetic division of the generating polynomial by (x + kappa_i).
+    Raises AdmissibilityError when any state leaves Gamma_n, some
+    kappa_i <= 0 (a Newton step left the cone); callers catch this to
+    trigger step damping.
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
-    e = all_sigmas(kappa)
-    out = np.empty_like(kappa)
-    for i in range(n):
-        ki = kappa[..., i]
-        # e_j(kappa|i) = e_j - ki * e_{j-1}(kappa|i), ascending j from e_0 = 1
-        prev = np.ones(kappa.shape[:-1])
-        for j in range(1, k):
-            prev = e[..., j] - ki * prev
-        out[..., i] = prev
-    return out
+    _refuse_outside(~np.all(kappa > 0.0, axis=-1), n)
+    sn = kappa[..., 0]         # in the order of all_sigmas, whose sigma_n it equals bit for bit
+    for i in range(1, n):
+        sn = sn * kappa[..., i]
+    f = sn ** (1.0 / n)
+    return f, f[..., None] / (n * kappa)
 
 
-def in_gamma_k(kappa, k):
-    """Strict Garding-cone membership: sigma_j > 0 for j = 1..k."""
-    e = all_sigmas(kappa)
-    ok = np.ones(e.shape[:-1], dtype=bool)
-    for j in range(1, k + 1):
-        ok &= e[..., j] > 0.0
-    return ok
-
-
-def f_and_derivatives(kappa, k):
-    """f = sigma_k^{1/k} and its gradient f_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(kappa|i).
-
-    Raises AdmissibilityError when any state leaves Gamma_k (a Newton step
-    left the cone); callers catch this to trigger step damping.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all(in_gamma_k(kappa, k)):
-        bad = np.argwhere(~in_gamma_k(kappa, k))
+def _refuse_outside(outside, n):
+    """AdmissibilityError naming the states that left Gamma_n, if any did."""
+    if np.any(outside):
         raise AdmissibilityError(
-            f"kappa outside Gamma_{k} at {bad.shape[0]} state(s); first index {bad[0] if bad.size else '?'}"
+            f"kappa outside Gamma_{n} at {np.count_nonzero(outside)} state(s); "
+            f"first index {np.argwhere(outside)[0]}"
         )
-    sk = sigma_k(kappa, k)
-    f = sk ** (1.0 / k)
-    fi = (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_km1_drop(kappa, k)
-    return f, fi
 
 
 def f_and_F(a):
@@ -98,15 +73,10 @@ def f_and_F(a):
     n = a.shape[-1]
     if n > 3:
         kappa, Q = eigh_descending(a)
-        f, fi = f_and_derivatives(kappa, n)
+        f, fi = f_and_derivatives(kappa)
         return f, mm(Q * fi[..., None, :], np.swapaxes(Q, -1, -2))
     sig, T = _det_adjugate(a)
-    outside = ~np.all(sig[..., 1:] > 0.0, axis=-1)
-    if np.any(outside):
-        raise AdmissibilityError(
-            f"kappa outside Gamma_{n} at {np.count_nonzero(outside)} state(s); "
-            f"first index {np.argwhere(outside)[0]}"
-        )
+    _refuse_outside(~np.all(sig[..., 1:] > 0.0, axis=-1), n)
     sn = sig[..., n]
     f = sn ** (1.0 / n)
     F = ((1.0 / n) * sn ** (1.0 / n - 1.0))[..., None, None] * T

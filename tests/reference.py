@@ -4,7 +4,7 @@ The solver evaluates every quantity through one route: u-jets ->
 geometry.state_from_u_slots -> the closed-form linearization blocks.  The
 formulas here express the same quantities another way (direct v- and
 deformed-metric curvature matrices, the lowered-index metric forms, the mu u convexity product rule, the
-closed-form Gv, the matrix F^{ij}, the scalar space-form functions of rho and
+closed-form Gv, the matrix F^{ij}, f = sigma_k^{1/k} of any order k, the scalar space-form functions of rho and
 zeta'(u), the frame jets of a field (frame_jets), and rho-jets transformed
 pointwise to u-jets (rho_slots_to_u)) and are used only to cross-check that
 route.  The solver writes its per-node products out entry by entry
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from weingarten import charts as ch
 from weingarten import grids
-from weingarten.errors import DomainRangeError
+from weingarten.errors import AdmissibilityError, DomainRangeError
 from weingarten.geometry import GeometryState, state_from_u_slots, v_slots_to_u
 from weingarten.linearize import LinearizedCoefficients
 from weingarten.spaceform import (
@@ -39,7 +39,7 @@ from weingarten.spaceform import (
     zeta_inverse,
 )
 from weingarten.symeig import eigh_descending
-from weingarten.symfunc import f_and_derivatives
+from weingarten.symfunc import all_sigmas
 
 # ---------------------------------------------------------------------------
 # space-form functions of rho, and zeta' of u
@@ -119,7 +119,7 @@ def sqrt_metric(chart: ch.Chart, y):
 def frame_jets(grid, values):
     """(value, frame grad, frame covariant Hessian): orthonormal components."""
     val, grad, hess_cov = grids.covariant_jets(grid, values)
-    _, _, _, _, B = grids.chart_quantities(grid)
+    _, B = grids.chart_quantities(grid)
     p = np.einsum("nij,nj->ni", B, grad)
     r = np.einsum("nia,nab,nbj->nij", B, hess_cov, B)
     return val, p, r
@@ -128,7 +128,7 @@ def frame_jets(grid, values):
 def convexity_matrix(grid, values_u):
     """Hess u + u sigma at interior nodes (coordinate components), direct route."""
     val, _, hess_cov = grids.covariant_jets(grid, values_u)
-    sigma, _, _, _, _ = grids.chart_quantities(grid)
+    sigma = ch.chart_metric(grid.chart, grid.interior_coords())[0]
     return hess_cov + val[:, None, None] * sigma
 
 
@@ -169,6 +169,37 @@ def convexity_matrix_fast(grid, values_u):
 
 
 # ---------------------------------------------------------------------------
+# f = sigma_k^{1/k} of any order k (the solver's is k = n, symfunc.f_and_derivatives)
+
+
+def in_gamma_k(kappa, k):
+    """Strict Garding-cone membership: sigma_j > 0 for j = 1..k."""
+    return np.all(all_sigmas(kappa)[..., 1:k + 1] > 0.0, axis=-1)
+
+
+def sigma_km1_drop(kappa, k):
+    """sigma_{k-1}(kappa | i) for every i, shape (..., n): all_sigmas of kappa
+    with kappa_i removed, so nothing is subtracted."""
+    kappa = np.asarray(kappa, dtype=float)
+    return np.stack([all_sigmas(np.delete(kappa, i, axis=-1))[..., k - 1]
+                     for i in range(kappa.shape[-1])], axis=-1)
+
+
+def f_k_and_gradient(kappa, k):
+    """f = sigma_k^{1/k} and its gradient f_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(kappa|i).
+
+    Raises AdmissibilityError when any state leaves Gamma_k.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all(in_gamma_k(kappa, k)):
+        raise AdmissibilityError(f"kappa outside Gamma_{k}")
+    sk = all_sigmas(kappa)[..., k]
+    f = sk ** (1.0 / k)
+    fi = (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_km1_drop(kappa, k)
+    return f, fi
+
+
+# ---------------------------------------------------------------------------
 # curvature matrices
 
 
@@ -179,7 +210,7 @@ def F_matrix(a, k):
     definite on the cone.  Repeated eigenvalues are harmless here.
     """
     w, Q = eigh_descending(a)
-    _, fi = f_and_derivatives(w, k)
+    _, fi = f_k_and_gradient(w, k)
     return np.einsum("...ik,...k,...jk->...ij", Q, fi, Q)
 
 
@@ -302,7 +333,7 @@ def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
     vals = []
     for t in t_values:
         st = state_deformed_slots(u, p, r, float(t))
-        vals.append(f_and_derivatives(st.kappa, k)[0])
+        vals.append(f_k_and_gradient(st.kappa, k)[0])
     vals = np.stack(vals, axis=0)  # (T, N)
     diffs = np.diff(vals, axis=0)
     worst = float(diffs.min()) if diffs.size else 0.0
@@ -312,8 +343,8 @@ def deformed_monotonicity_check(u, p, r, t_values, k, tol=1e-12, fd_step=1e-6):
         tl, tr = max(0.0, t - fd_step), min(1.0, t + fd_step)
         if tr - tl <= 0:
             continue
-        gl = f_and_derivatives(state_deformed_slots(u, p, r, tl).kappa, k)[0]
-        gr = f_and_derivatives(state_deformed_slots(u, p, r, tr).kappa, k)[0]
+        gl = f_k_and_gradient(state_deformed_slots(u, p, r, tl).kappa, k)[0]
+        gr = f_k_and_gradient(state_deformed_slots(u, p, r, tr).kappa, k)[0]
         min_deriv = min(min_deriv, float(((gr - gl) / (tr - tl)).min()))
     return {
         "t_values": t_values,
@@ -368,7 +399,7 @@ def coefficients_u_einsum(state: GeometryState, F) -> LinearizedCoefficients:
 
 def to_coordinate_einsum(lc: LinearizedCoefficients, grid):
     """(A2, b1) of linearize.to_coordinate: A2_kl = B_ki G^ij B_jl, b1 = B G^s - A2 : Gamma."""
-    _, _, _, gamma, B = grids.chart_quantities(grid)
+    gamma, B = grids.chart_quantities(grid)
     A2 = np.einsum("nki,nij,njl->nkl", B, lc.Gij, B)
     b1 = np.einsum("nmi,ni->nm", B, lc.Gs) - np.einsum("nij,nijm->nm", A2, gamma)
     return A2, b1

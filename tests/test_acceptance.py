@@ -24,9 +24,10 @@ from weingarten.spaceform import (
     zeta,
     zeta_inverse,
 )
-from weingarten.symfunc import all_sigmas, f_and_derivatives, f_and_F, in_gamma_k
+from weingarten.symfunc import all_sigmas, f_and_derivatives, f_and_F
 from conftest import random_admissible_slots, random_admissible_u_field
-from reference import deformed_monotonicity_check, frame_jets, lowered_forms
+from reference import (deformed_monotonicity_check, f_k_and_gradient, frame_jets, in_gamma_k,
+                       lowered_forms)
 
 E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 THETA0 = np.pi / 5
@@ -187,12 +188,12 @@ def test_criterion_02_sphere_oracles():
 def test_criterion_03_linearization_oracle():
     rng = np.random.default_rng(303)
     worst = 0.0
-    n, k = 2, 2
+    n = 2
     for sf in (E, S, H):
         amb = profile(sf)
 
         def G(u, p, r):
-            return f_and_derivatives(state_from_u_slots(u, p, r, amb).kappa, k)[0]
+            return f_and_derivatives(state_from_u_slots(u, p, r, amb).kappa)[0]
 
         u, p, r = random_admissible_slots(rng, n, amb, count=50)
         st = state_from_u_slots(u, p, r, amb)
@@ -228,7 +229,7 @@ def test_criterion_03_linearization_oracle():
 
         def Gv(vv):
             a, b, c = v_slots_to_u(vv, p_v, r_v, sf)
-            return f_and_derivatives(state_from_u_slots(a, b, c, amb).kappa, k)[0]
+            return f_and_derivatives(state_from_u_slots(a, b, c, amb).kappa)[0]
 
         fd_v = (Gv(v + d) - Gv(v - d)) / (2 * d)
         worst = max(worst, float(np.max(np.abs(fd_v - gv)) / max(1.0, np.max(np.abs(gv)))))
@@ -251,7 +252,7 @@ def test_criterion_04_zero_order_sign():
             keep = st.kappa[:, -1] > 5e-2
             v, p_v, r_v = v[keep], p_v[keep], r_v[keep]
             st = state_from_u_slots(u[keep], pu[keep], ru[keep], profile(sf))
-            f = f_and_derivatives(st.kappa, 2)[0]
+            f = f_and_derivatives(st.kappa)[0]
             psi_z = f / xi(sf, v)
             lc_u = linearize.coefficients_u(st, f_and_F(st.a)[1])
             gv = linearize.coefficients_v(lc_u, st.u, eta_prime(sf, v), p_v, r_v).Gu
@@ -357,9 +358,9 @@ def test_criterion_09_concavity_and_cones():
     # f concavity, 500 trials
     a = np.abs(rng.normal(1.0, 0.5, (500, 3))) + 0.05
     b = np.abs(rng.normal(1.0, 0.5, (500, 3))) + 0.05
-    fm = f_and_derivatives(0.5 * (a + b), 2)[0]
-    fa = f_and_derivatives(a, 2)[0]
-    fb = f_and_derivatives(b, 2)[0]
+    fm = f_k_and_gradient(0.5 * (a + b), 2)[0]
+    fa = f_k_and_gradient(a, 2)[0]
+    fb = f_k_and_gradient(b, 2)[0]
     conc_margin = float(np.min(fm - 0.5 * (fa + fb)))
     # sigma_k brute force, n <= 6, 500 trials
     worst_sigma = 0.0

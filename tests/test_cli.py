@@ -178,6 +178,17 @@ def test_parse_error_exit_1(problem_file, tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_assembly_error_exits_1(tmp_path, capsys):
+    # a spacing that leaves the cap no interior node is refused with the
+    # error JSON, not a traceback
+    rc = main(["check-subsolution", "--problem", str(REPO / "problems" / "offcenter_sphere_k0.wg"),
+               "--out", str(tmp_path / "o"), "--h", "2"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "AssemblyError"
+    assert "no interior nodes" in payload["message"]
+
+
 CAP = "kind = cap\ntheta0 = 0.6283185307179586"
 
 

@@ -253,7 +253,8 @@ def test_frame_bundle_brute_force(rng):
     sf = H
     u_full = random_admissible_u_field(g, sf, rng)
     val, grad, hess_cov = grids.covariant_jets(g, u_full)
-    sigma, _, _, _, B = grids.chart_quantities(g)
+    _, B = grids.chart_quantities(g)
+    sigma = ch.chart_metric(g.chart, g.interior_coords())[0]
     idx = rng.choice(len(val), size=5, replace=False)
     for i in idx:
         L = np.linalg.cholesky(sigma[i])
@@ -290,7 +291,7 @@ def test_grid_per_node_wrappers(cap_grid):
     conv = convexity_matrix(cap_grid, values)[slot]
     assert np.all(np.linalg.eigvalsh(conv) > 0)
     assert grad[slot].shape == (2,)
-    _, sigma_inv, _, _, _ = grids.chart_quantities(cap_grid)
+    sigma_inv = ch.chart_metric(cap_grid.chart, cap_grid.interior_coords())[1]
     gn2 = grad[slot] @ sigma_inv[slot] @ grad[slot]
     assert gn2 >= 0.0
 

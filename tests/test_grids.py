@@ -1,6 +1,7 @@
 """Domain construction, stencil classification, FD calculus, serialization."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import scipy.sparse as sp
 
 from weingarten import charts as ch
 from weingarten import grids, linearize
-from weingarten.errors import AssemblyError
+from weingarten.errors import AssemblyError, ParseError
 from reference import boundary_gradient_loop, convexity_matrix, convexity_matrix_fast
 
 
 def gradient_norm_sq(grid, values):
     """|grad u|^2 = sigma^{kl} u_k u_l at interior nodes."""
     grad = grids.fd_jets(grid, values)[1]
-    _, sigma_inv, _, _, _ = grids.chart_quantities(grid)
+    sigma_inv = ch.chart_metric(grid.chart, grid.interior_coords())[1]
     return np.einsum("nk,nkl,nl->n", grad, sigma_inv, grad)
 
 
@@ -205,7 +206,7 @@ def test_convexity_fast_path_plane_chart(rng):
 def test_constant_positive_field_convexity(cap_grid):
     values = np.full(cap_grid.n_nodes, 2.0)
     conv = convexity_matrix(cap_grid, values)
-    sigma, _, _, _, _ = grids.chart_quantities(cap_grid)
+    sigma = ch.chart_metric(cap_grid.chart, cap_grid.interior_coords())[0]
     assert np.max(np.abs(conv - 2.0 * sigma)) < 1e-14
     assert np.all(np.linalg.eigvalsh(conv) > 0)
 
@@ -259,6 +260,35 @@ def test_grid_serialization_round_trip(tmp_path, cap_grid, rng):
     assert np.array_equal(f2.values, values)  # bit-exact floats via repr
     assert np.allclose(g2.coords, cap_grid.coords)
     assert g2.chart.kind == cap_grid.chart.kind
+
+
+def _swap_ids(lines):
+    # the rows of nodes 4 and 5 trade ids: each row's value would sit on the other node
+    a = next(i for i, ln in enumerate(lines) if ln.startswith("4 "))
+    lines[a], lines[a + 1] = "5" + lines[a][1:], "4" + lines[a + 1][1:]
+    return lines
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [ln for ln in lines if not ln.startswith("dim ")],
+     "grid file has no 'dim' header line"),
+    (lambda lines: [("h x0.1" if ln.startswith("h ") else ln) for ln in lines],
+     "grid header 'h' must be a finite spacing > 0, got 'x0.1'"),
+    (lambda lines: [re.sub(" (interior|boundary) ", " inside ", ln) if ln.startswith("7 ") else ln
+                    for ln in lines], "grid node row 7 must be"),
+    (lambda lines: lines[:-3], "node rows, header says"),
+    (_swap_ids, "grid node row 4 has id 5"),
+], ids=["dim-missing", "h-text", "class-unknown", "rows-cut", "ids-swapped"])
+def test_load_grid_names_the_bad_key_or_row(tmp_path, cap_grid, edit, message):
+    # each malformed file is a ParseError, never a KeyError, a bare
+    # ValueError, an AssemblyError or a field whose values sit on other nodes
+    path = tmp_path / "g.grid"
+    field = grids.GraphField(cap_grid, np.arange(cap_grid.n_nodes, dtype=float), "rho")
+    grids.save_grid(path, cap_grid, field, space_form=0)
+    assert np.array_equal(grids.load_grid(path)[1].values, field.values)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        grids.load_grid(path)
 
 
 def test_field_representation_validation(cap_grid):

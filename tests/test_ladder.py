@@ -162,6 +162,21 @@ def test_hyperbolic_offcenter_sphere_converges_at_second_order():
     assert np.all(orders >= 1.8), orders
 
 
+def test_n4_offcenter_sphere_converges():
+    # sigma_4 = 1 on the unit sphere of R^5 off the axis: the paper's general
+    # n, on the eigen route of f_and_F; the error falls at order about 1.5
+    pf = problems.load_problem(PROBLEM_DIR / "offcenter_sphere_k0_n4.wg")
+    errors = []
+    for h in (0.2, 0.14):
+        spec, cfg, exact = problems.build_problem(pf, h)
+        field, report = ct.solve_problem(spec, cfg)
+        assert report.status == ct.CONVERGED
+        assert all(r["diagnostics"]["min_conv_eig"] > 0 and r["ordering_ok"]
+                   for r in report.stages)
+        errors.append(sup_error(spec, field, exact))
+    assert np.log(errors[0] / errors[1]) / np.log(0.2 / 0.14) >= 1.2, errors
+
+
 def test_failed_refine_level_runs_the_path(monkeypatch):
     newton_solve = ct.newton_solve
 

@@ -224,6 +224,19 @@ def test_fields_off_the_newton_path_read_the_solver_routes():
         "cli._cmd_curvature", "cli.ImportFrom"}
 
 
+def test_symfunc_computes_sigma_n_only():
+    # the solver solves sigma_n only, whose cone Gamma_n is the positive
+    # cone: no symfunc routine takes a curvature order, and the general-order
+    # sigma_k, drop-one sums and Garding test are tests/reference.py's
+    params = {fn.name: [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+              for fn in _tree(SRC / "symfunc.py").body if isinstance(fn, DEFS)}
+    assert params["f_and_derivatives"] == ["kappa"]
+    assert all({"k", "order"}.isdisjoint(args) for args in params.values()), params
+    defined = {node.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path))
+               if isinstance(node, DEFS)}
+    assert defined.isdisjoint({"sigma_k", "sigma_km1_drop", "in_gamma_k"})
+
+
 def namers(name):
     """Top-level definitions in src/weingarten that name it anywhere: a
     reference, an attribute, a definition, a parameter or an import."""

@@ -25,6 +25,7 @@ from reference import (
     coefficients_u_einsum,
     curvature_matrix_einsum,
     deformed_monotonicity_check,
+    f_k_and_gradient,
     frame_jets,
     gv_closed_form,
     to_coordinate_einsum,
@@ -35,7 +36,7 @@ E, S, H = SpaceFormParams(0), SpaceFormParams(1), SpaceFormParams(-1)
 
 def g_value(u, p, r, amb, k):
     st = state_from_u_slots(u, p, r, amb)
-    return f_and_derivatives(st.kappa, k)[0]
+    return f_k_and_gradient(st.kappa, k)[0]
 
 
 def fd_blocks(u, p, r, amb, k, d=1e-6):
@@ -191,7 +192,7 @@ def test_zero_order_sign_property(rng):
         for _ in range(4):
             v, p_v, r_v = _v_states(rng, sf, count=100)
             lc, st = v_blocks(v, p_v, r_v, sf, profile(sf))
-            f = f_and_derivatives(st.kappa, 2)[0]
+            f = f_and_derivatives(st.kappa)[0]
             psi_z = f / xi(sf, v)
             margins.append(np.max(lc.Gu - psi_z * xi_prime(sf, v)))
         assert max(margins) < 0.0
@@ -323,13 +324,12 @@ def test_jacobian_matches_fd_directional(rng, cap_grid):
     # directional FD of the assembled residual map validates the full
     # coordinate-level chain (frame transforms + Christoffel folding)
     sf = H
-    k = 2
     u_full = random_admissible_u_field(cap_grid, sf, rng)
 
     def residual(full):
         u, p, r = frame_jets(cap_grid, full)
         st = state_from_u_slots(u, p, r, profile(sf))
-        return f_and_derivatives(st.kappa, k)[0]
+        return f_and_derivatives(st.kappa)[0]
 
     u, p, r = frame_jets(cap_grid, u_full)
     st = state_from_u_slots(u, p, r, profile(sf))

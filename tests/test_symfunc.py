@@ -1,4 +1,7 @@
-"""Elementary symmetric functions, cones, f = sigma_k^{1/k}, eigensolvers."""
+"""Elementary symmetric functions, cones, f = sigma_n^{1/n}, eigensolvers.
+
+The orders k other than n read the general-order f from tests/reference.py.
+"""
 
 import itertools
 
@@ -8,15 +11,8 @@ import pytest
 from weingarten.continuity import CONVEXITY_MARGIN
 from weingarten.errors import AdmissibilityError
 from weingarten.symeig import eigh_descending, eigvals_descending, mm, positive_definite
-from weingarten.symfunc import (
-    all_sigmas,
-    f_and_derivatives,
-    f_and_F,
-    in_gamma_k,
-    sigma_k,
-    sigma_km1_drop,
-)
-from reference import F_matrix
+from weingarten.symfunc import all_sigmas, f_and_derivatives, f_and_F
+from reference import F_matrix, f_k_and_gradient, in_gamma_k, sigma_km1_drop
 
 
 def brute_sigma(kappa, k):
@@ -24,12 +20,12 @@ def brute_sigma(kappa, k):
 
 
 def test_sigma_small_cases():
-    assert sigma_k(np.array([1.0, 2.0, 3.0]), 2) == 11.0
+    assert all_sigmas(np.array([1.0, 2.0, 3.0]))[2] == 11.0
     ones = np.ones(5)
     from math import comb
 
     for k in range(1, 6):
-        assert sigma_k(ones, k) == comb(5, k)
+        assert all_sigmas(ones)[k] == comb(5, k)
 
 
 def test_sigma_brute_force_equivalence(rng):
@@ -74,7 +70,7 @@ def test_f_symmetric_point():
 
     for n in (2, 3, 4):
         for k in range(1, n + 1):
-            f, fi = f_and_derivatives(np.ones(n), k)
+            f, fi = f_k_and_gradient(np.ones(n), k)
             assert f == pytest.approx(comb(n, k) ** (1.0 / k), abs=1e-14)
             assert np.allclose(fi, fi[0])
 
@@ -82,8 +78,8 @@ def test_f_symmetric_point():
 def test_f_homogeneous(rng):
     kappa = np.abs(rng.normal(1.0, 0.4, (50, 3))) + 0.1
     for k in (1, 2, 3):
-        f1, _ = f_and_derivatives(kappa, k)
-        f2, _ = f_and_derivatives(2.0 * kappa, k)
+        f1, _ = f_k_and_gradient(kappa, k)
+        f2, _ = f_k_and_gradient(2.0 * kappa, k)
         assert np.max(np.abs(f2 - 2.0 * f1)) < 1e-13 * np.max(np.abs(f2))
 
 
@@ -91,13 +87,13 @@ def test_f_gradient_vs_fd(rng):
     n = 4
     kappa = np.abs(rng.normal(1.5, 0.4, (30, n))) + 0.1
     for k in (2, 3):
-        _, fi = f_and_derivatives(kappa, k)
+        _, fi = f_k_and_gradient(kappa, k)
         d = 1e-6
         for i in range(n):
             dk = np.zeros(n)
             dk[i] = d
-            fp, _ = f_and_derivatives(kappa + dk, k)
-            fm, _ = f_and_derivatives(kappa - dk, k)
+            fp, _ = f_k_and_gradient(kappa + dk, k)
+            fm, _ = f_k_and_gradient(kappa - dk, k)
             fd = (fp - fm) / (2 * d)
             rel = np.abs(fd - fi[:, i]) / np.maximum(1.0, np.abs(fi[:, i]))
             assert rel.max() < 1e-7
@@ -105,10 +101,36 @@ def test_f_gradient_vs_fd(rng):
 
 def test_f_positive_gradient_and_cone_error(rng):
     kappa = np.abs(rng.normal(1.0, 0.5, (50, 3))) + 0.05
-    _, fi = f_and_derivatives(kappa, 3)
+    _, fi = f_and_derivatives(kappa)
     assert np.all(fi > 0)
     with pytest.raises(AdmissibilityError):
-        f_and_derivatives(np.array([1.0, -2.0, 1.0]), 2)
+        f_k_and_gradient(np.array([1.0, -2.0, 1.0]), 2)
+    with pytest.raises(AdmissibilityError):
+        f_and_derivatives(np.array([1.0, -2.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_f_of_sigma_n_is_the_product_and_its_gradient_subtracts_nothing(rng, n):
+    # f is sigma_n^(1/n) of all_sigmas bit for bit, and f_i matches the
+    # drop-one sums of the general-order reference on kappa spread over five
+    # decades, where synthetic division e_j - kappa_i e_{j-1} loses digits
+    kappa = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), (2000, n)))
+    f, fi = f_and_derivatives(kappa)
+    assert np.all(f == all_sigmas(kappa)[:, n] ** (1.0 / n))
+    _, fi_ref = f_k_and_gradient(kappa, n)
+    assert np.max(np.abs(fi - fi_ref) / fi_ref) <= 1e-14
+
+
+def test_f_of_sigma_n_gradient_vs_fd(rng):
+    for n in (2, 3, 4, 5):
+        kappa = np.abs(rng.normal(1.5, 0.4, (30, n))) + 0.1
+        _, fi = f_and_derivatives(kappa)
+        d = 1e-6
+        for i in range(n):
+            dk = np.zeros(n)
+            dk[i] = d
+            fd = (f_and_derivatives(kappa + dk)[0] - f_and_derivatives(kappa - dk)[0]) / (2 * d)
+            assert np.max(np.abs(fd - fi[:, i]) / np.maximum(1.0, np.abs(fi[:, i]))) < 1e-7
 
 
 def test_f_concavity_spot(rng):
@@ -116,9 +138,9 @@ def test_f_concavity_spot(rng):
     for k in (2, 3):
         a = np.abs(rng.normal(1.0, 0.5, (500, n))) + 0.05
         b = np.abs(rng.normal(1.0, 0.5, (500, n))) + 0.05
-        fm, _ = f_and_derivatives(0.5 * (a + b), k)
-        fa, _ = f_and_derivatives(a, k)
-        fb, _ = f_and_derivatives(b, k)
+        fm, _ = f_k_and_gradient(0.5 * (a + b), k)
+        fa, _ = f_k_and_gradient(a, k)
+        fb, _ = f_k_and_gradient(b, k)
         assert np.min(fm - 0.5 * (fa + fb)) > -1e-12
 
 
@@ -230,7 +252,7 @@ def test_F_contraction_bounded_by_f(rng):
     # gives equality exactly; check the identity and the inequality direction)
     n, k = 3, 2
     kappa = np.abs(rng.normal(1.0, 0.5, (100, n))) + 0.05
-    f, fi = f_and_derivatives(kappa, k)
+    f, fi = f_k_and_gradient(kappa, k)
     contraction = np.einsum("ni,ni->n", fi, kappa)
     assert np.max(np.abs(contraction - f)) < 1e-12  # Euler identity
     assert np.all(contraction <= f + 1e-12)
@@ -253,7 +275,7 @@ def test_f_and_F_match_the_eigen_route(rng, n, spread):
     # F (its eigenvectors), and sigma_n of a near-singular a about as many
     a = stack_with_spread(rng, 1000, n, spread)
     f, F = f_and_F(a)
-    f_ref = f_and_derivatives(eigh_descending(a)[0], n)[0]
+    f_ref = f_and_derivatives(eigh_descending(a)[0])[0]
     F_ref = F_matrix(a, n)
     tol = 1e-10 if spread > 1e2 else 1e-12
     assert np.max(np.abs(f - f_ref) / f_ref) <= tol
@@ -265,14 +287,18 @@ def test_f_and_F_match_the_eigen_route(rng, n, spread):
 @pytest.mark.parametrize("spread", [1e2, 1e4])
 def test_f_and_F_from_n_4_match_lu(rng, n, spread):
     # n >= 4 takes the eigen route; the oracle is LU, not an eigensolve:
-    # f = det(a)^(1/n) and F = (f/n) a^-1, the adjugate over n det(a)^(1 - 1/n)
+    # f = det(a)^(1/n) and F = (f/n) a^-1, the adjugate over n det(a)^(1 - 1/n).
+    # f_i = f/(n kappa_i) subtracts nothing, so F keeps about 12 digits at
+    # spread 1e4 (a drop-one sum by synthetic division kept 6 at n = 5)
     a = stack_with_spread(rng, 1000, n, spread)
     f, F = f_and_F(a)
     f_lu = np.linalg.det(a) ** (1.0 / n)
     assert np.max(np.abs(f - f_lu) / f_lu) <= 1e-12
+    F_lu = (f_lu / n)[:, None, None] * np.linalg.inv(a)
     if spread == 1e2:
-        F_lu = (f_lu / n)[:, None, None] * np.linalg.inv(a)
         assert np.max(np.abs(F - F_lu)) <= 1e-9
+    err = np.max(np.abs(F - F_lu), axis=(-2, -1)) / np.max(np.abs(F_lu), axis=(-2, -1))
+    assert np.max(err) <= 1e-10
 
 
 def test_f_and_F_at_a_triple_eigenvalue():
