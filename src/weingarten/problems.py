@@ -139,8 +139,10 @@ def _validate(raw) -> ProblemFile:
             domain["origin"] = _number(raw, "domain", "origin", list)
     if "center" in dom_raw:
         domain["center"] = _number(raw, "domain", "center", list)
-        if len(domain["center"]) != n + 1:
-            raise SemanticError(f"chart center needs {n + 1} components")
+        try:
+            ch.gnomonic_chart(n, domain["center"])
+        except ValueError as exc:
+            raise SemanticError(f"'center' in [domain]: {exc}") from None
 
     psi = parse_expression(_need(raw, "psi", "expr"))
     chart, field = bundle_variables(n)
@@ -215,19 +217,24 @@ _MASK_HEADER = {
 def load_mask(path):
     """Mask file: header lines `h`, `origin`, `rows`, `cols`, then 0/1 rows.
 
-    A header key that is missing or malformed is a ParseError naming it.
+    A header key that is missing or malformed, or a row that is too long or
+    too short, holds another character than 0 or 1 or lies past the header's
+    rows, is a ParseError naming the key or the row.
     """
     header, lines = grids.read_header(path)
     values = grids.header_values(header, _MASK_HEADER, "mask")
     h, origin = values["h"][0], values["origin"]
     rows, cols = values["rows"][0], values["cols"][0]
-    grid_rows = lines[:rows]
-    if len(grid_rows) != rows:
-        raise ParseError(f"mask file lists {len(grid_rows)} rows, header says {rows}")
+    if len(lines) < rows:
+        raise ParseError(f"mask file lists {len(lines)} rows, header says {rows}")
+    if len(lines) > rows:
+        raise ParseError(f"mask row {rows} lies past the header's {rows} rows: {lines[rows]!r}")
     mask = np.zeros((rows, cols), dtype=bool)
-    for r, row in enumerate(grid_rows):
+    for r, row in enumerate(lines):
         if len(row) != cols:
             raise ParseError(f"mask row {r} has {len(row)} columns, header says {cols}")
+        if set(row) - {"0", "1"}:
+            raise ParseError(f"mask row {r} may hold only 0 and 1, got {row!r}")
         mask[r] = np.array([c == "1" for c in row])
     return mask, h, np.asarray(origin)
 
@@ -277,10 +284,13 @@ def build_grid(pf: ProblemFile, h_override=None) -> grids.Grid:
         if pf.domain["chart"] == ch.GNOMONIC
         else ch.plane_chart(pf.dimension)
     )
-    return grids.build_from_mask(
-        mask, h, pf.domain.get("origin", origin), chart=chart,
-        max_radius=pf.domain.get("radius"),
-    )
+    try:
+        return grids.build_from_mask(
+            mask, h, pf.domain.get("origin", origin), chart=chart,
+            max_radius=pf.domain.get("radius"),
+        )
+    except ValueError as exc:  # a mask node outside the chart disk
+        raise SemanticError(f"'radius' in [domain]: {exc}") from None
 
 
 def build_problem(pf: ProblemFile, h_override=None):

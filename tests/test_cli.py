@@ -217,6 +217,18 @@ def test_non_numeric_value_exits_1(problem_file, tmp_path, capsys, old, new, key
     assert repr(key) in payload["message"]
 
 
+@pytest.mark.parametrize("center", ["0 0 2", "0 0 0", "0.6 0.6 0.6"])
+def test_center_off_the_unit_sphere_exits_1(problem_file, tmp_path, capsys, center):
+    # the chart center is a point of the sphere: another vector is a
+    # SemanticError naming the key, not a traceback from the chart
+    text = GEODESIC_H.replace(CAP, CAP + f"\ncenter = {center}")
+    rc = main(["check-subsolution", "--problem", problem_file(text), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert payload["message"].startswith("'center' in [domain]: chart center must be a unit vector")
+
+
 @pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.1"])
 @pytest.mark.parametrize("route", ["file", "--h"])
 def test_invalid_spacing_exits_1(problem_file, tmp_path, capsys, h, route):
@@ -237,9 +249,9 @@ MASK_ROWS = "0000000\n0111110\n0111110\n0111110\n0111110\n0111110\n0000000\n"
 MASK_HEADER = "h 0.05\norigin -0.15 -0.15\nrows 7\ncols 7\n"
 
 
-def _mask_problem(problem_file, header=MASK_HEADER, domain=""):
+def _mask_problem(problem_file, header=MASK_HEADER, domain="", rows=MASK_ROWS):
     """GEODESIC_H on a 7x7 mask domain; domain adds [domain] lines."""
-    mask = Path(problem_file(header + MASK_ROWS, name="dom.mask"))
+    mask = Path(problem_file(header + rows, name="dom.mask"))
     text = GEODESIC_H.replace(CAP + "\nh = 0.08", f"kind = mask\nmask_file = {mask}{domain}")
     return problem_file(text)
 
@@ -272,6 +284,35 @@ def test_malformed_mask_header_exits_1(problem_file, tmp_path, capsys, header, m
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ParseError"
     assert message in payload["message"]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (MASK_ROWS.replace("0111110", "01x1110", 1), "mask row 1 may hold only 0 and 1, got '01x1110'"),
+    (MASK_ROWS.replace("0111110", "0111 10", 1), "mask row 1 may hold only 0 and 1"),
+    (MASK_ROWS + "0000000\n", "mask row 7 lies past the header's 7 rows"),
+    (MASK_ROWS.replace("0111110\n", "", 1), "mask file lists 6 rows, header says 7"),
+    (MASK_ROWS.replace("0111110", "011111", 1), "mask row 1 has 6 columns, header says 7"),
+], ids=["x-cell", "space-cell", "eighth-row", "six-rows", "short-row"])
+def test_malformed_mask_rows_exit_1(problem_file, tmp_path, capsys, rows, message):
+    # each row is checked and named: a cell other than 0 or 1 is not read
+    # as outside, and a row past the header's count is not dropped
+    rc = main(["check-subsolution", "--problem", _mask_problem(problem_file, rows=rows),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ParseError"
+    assert message in payload["message"]
+
+
+def test_mask_node_outside_the_radius_exits_1(problem_file, tmp_path, capsys):
+    # the 7x7 mask reaches |y| = 0.21 > 0.1: a SemanticError naming the key,
+    # not a traceback from the grid builder
+    rc = main(["check-subsolution", "--problem",
+               _mask_problem(problem_file, domain="\nradius = 0.1"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SemanticError"
+    assert payload["message"].startswith("'radius' in [domain]: mask node at |y|=")
 
 
 def test_mask_domain_refuses_a_different_spacing(problem_file, tmp_path, capsys):

@@ -58,12 +58,45 @@ def test_parse_errors_located():
         parse_expression("2 + * 3")
     with pytest.raises(ParseError, match="unknown function"):
         parse_expression("tan(1)")
-    with pytest.raises(ParseError, match="trailing"):
+    with pytest.raises(ParseError, match=r"unmatched '\)' \(col 7\)"):
         parse_expression("1 + 2 )")
     with pytest.raises(ParseError):
         parse_expression("min(1)")
     with pytest.raises(ParseError):
         parse_expression("1 + @")
+
+
+@pytest.mark.parametrize("source", [
+    "2**3", "0x1f", "1_0", "1j", "+x", "x % 2", "a < b", "x.y", "x[0]", "min(a, b=1)",
+    "exp(x)(1)", "exp(x,)", "(exp)(1)", "1 # note", "min(*a, b)",
+])
+def test_python_syntax_outside_the_language_is_refused(source):
+    # Python parses each of these; the language does not
+    with pytest.raises(ParseError):
+        parse_expression(source)
+
+
+@pytest.mark.parametrize("source, column", [
+    ("2**3", 3), ("x % 2", 3), ("1 + 2 )", 7), ("(y1 - 1)^2 / )", 14), ("  2 + * 3", 7),
+    ("exp(x) + min(1)", 10),
+])
+def test_error_columns_count_source_characters(source, column):
+    # ^ is parsed as **, and leading whitespace is dropped: columns still
+    # count characters of the source as written
+    with pytest.raises(ParseError, match=rf"\(col {column}\)"):
+        parse_expression(source)
+
+
+def test_python_text_is_read_as_the_language():
+    # leading whitespace, newlines and integers with leading zeros are
+    # Python syntax errors, not errors of the language
+    assert ev("  007 + 1e-01 +\n 00") == 7.1
+    assert ev("e-01", e=1.0) == 0.0
+
+
+def test_evaluation_error_names_the_operator_column():
+    with pytest.raises(EvaluationError, match="'/' at position 4 of"):
+        ev("u^2/(u-u)", u=3.0)
 
 
 def test_variables_recorded():

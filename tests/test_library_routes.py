@@ -18,7 +18,8 @@ the package, and batched ``@`` and eigensolves out of the Newton hot path,
 where symeig.mm (written out for 2x2 and matrix-vector products, which
 numpy's matmul loop runs slower) and the Newton tensor (symfunc.f_and_F)
 take their place.  SciPy is imported only by the Jacobian assembly and the LU
-factor, and a fresh interpreter shows which routes load it.
+factor, and a fresh interpreter shows which routes load it.  An expression is
+parsed by ast and walked, never run.
 """
 
 import ast
@@ -481,6 +482,20 @@ def test_scipy_is_imported_only_where_it_factors():
     # sparse assembly and the LU factor need it, so only they import it
     assert sorted(scipy_imports()) == [
         ("continuity", "_lu_solve"), ("linearize", "assemble_jacobian")]
+
+
+def expression_calls():
+    """Names of the functions and methods that expressions.py calls."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(_tree(SRC / "expressions.py")) if isinstance(node, ast.Call)}
+
+
+def test_expressions_are_walked_never_run():
+    # ast parses an expression and a walk over the tree evaluates it: no
+    # source or tree is handed to Python to run
+    called = expression_calls()
+    assert "parse" in called
+    assert not called & {"eval", "exec", "compile"}
 
 
 # (route, child code, whether the route loads scipy.sparse.linalg); the child
