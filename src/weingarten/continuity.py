@@ -316,44 +316,32 @@ class DiscreteOperator:
         return eta(self.sf, full)
 
     def bundle(self, ev, dval=0.0, dp=None):
-        """Expression variables from first-order data; used by psi and its FD."""
+        """The variables of psi(X, nu) from first-order data (psi and its FD):
+        y_i, the graph's u and rho, and its outer unit normal nu_rad, nu_tan_i."""
         grid = self.grid
         _, B = grids.chart_quantities(grid)
         val = ev.val + dval
         p_coord = ev.p_coord if dp is None else ev.p_coord + dp
-        p_frame = np.einsum("nij,nj->ni", B, p_coord)
-        if self.rep == "u":
-            u = val
-            p_u = p_frame
-        else:
-            u = eta(self.sf, val)
-            p_u = eta_prime(self.sf, val)[:, None] * p_frame
+        u, p_u = val, np.einsum("nij,nj->ni", B, p_coord)
+        if self.rep == "v":
+            u, p_u = eta(self.sf, val), eta_prime(self.sf, val)[:, None] * p_u
         amb = self.ambient
         phi = amb.phi_u(u)
         w = np.sqrt(phi**2 + (phi**2) ** 2 * np.einsum("ni,ni->n", p_u, p_u))
-        out = {"u": u, "rho": amb.rho_u(u), "gradnorm": np.sqrt(np.einsum("ni,ni->n", p_frame, p_frame))}
-        if self.rep == "v":
-            out["v"] = val
-        elif self.sf is not None and self.sf.K == 1:
-            # the spherical homotopy runs in v = ln u; expose that convention
-            out["v"] = np.log(u)
-        elif self.sf is not None:
-            out["v"] = eta_inverse(self.sf, u)
+        out = {"u": u, "rho": amb.rho_u(u), "nu_rad": phi / w}
         y = grid.interior_coords()
         for i in range(grid.dim):
             out[f"y{i+1}"] = y[:, i]
-            out[f"p{i+1}"] = p_coord[:, i]
             out[f"nu_tan{i+1}"] = phi * p_u[:, i] / w
-        out["nu_rad"] = phi / w
         return out
 
 
 def bundle_variables(n):
     """(chart, field): the variables of DiscreteOperator.bundle at dimension n,
-    which psi may read: the chart coordinates y_i, and those of the field."""
+    which psi may read: the chart coordinates y_i, and the graph's position
+    and unit normal, psi(X, nu)."""
     chart = {f"y{i+1}" for i in range(n)}
-    field = {"u", "rho", "v", "gradnorm", "nu_rad"}
-    field |= {f"{name}{i+1}" for name in ("p", "nu_tan") for i in range(n)}
+    field = {"u", "rho", "nu_rad"} | {f"nu_tan{i+1}" for i in range(n)}
     return chart, field
 
 

@@ -13,6 +13,7 @@ walks the tree over numpy arrays; a non-finite result raises a located Evaluatio
 import ast
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class Expression:
         self._cols = [i for i, c in enumerate(body) if i >= start
                       for _ in c.replace("^", "**").encode()] + [len(source)]
         try:
-            self.root = ast.parse(text, mode="eval").body
+            with warnings.catch_warnings():  # a literal run into a name is an error, not a warning
+                warnings.simplefilter("error", SyntaxWarning)
+                self.root = ast.parse(text, mode="eval").body
         except SyntaxError as exc:
             at = len(text[: exc.offset - 1].encode()) if exc.offset else len(self._bytes)
             raise ParseError(exc.msg, column=self._cols[at] + 1) from None

@@ -124,12 +124,13 @@ def test_solve_report_deterministic(problem_file, tmp_path):
 
 
 def test_spherical_psi_reads_v_as_ln_u(problem_file, tmp_path, capsys):
-    # on K = +1 psi's v is ln u wherever psi is read, the plan's samples of
-    # the deformed metric included; rho = 0.5 (v = ln cot 0.5) still solves
-    # psi = cot(0.5)^2 + (v - ln cot 0.5)^2
+    # on K = +1 psi's u is the graph's u wherever psi is read, so log(u) is
+    # the v = ln u of every leg, the plan's samples of the deformed metric
+    # included; rho = 0.5 (u = cot 0.5) still solves
+    # psi = cot(0.5)^2 + (log(u) - ln cot 0.5)^2
     text = (REPO / "problems/geodesic_spherical.wg").read_text()
     text = text.replace("expr = 3.3506852993400433",
-                        "expr = 3.3506852993400433 + (v - log(1.830487721712452))^2")
+                        "expr = 3.3506852993400433 + (log(u) - log(1.830487721712452))^2")
     out = tmp_path / "out"
     assert main(["solve", "--problem", problem_file(text), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["status"] == "Converged"
@@ -540,6 +541,23 @@ def test_lincheck_on_every_problem_file(tmp_path, capsys, path):
     report = json.loads((out / "lincheck.json").read_text())
     assert report["k"] == report["dimension"]
     assert report["max_rel_err"] < report["tolerance"]
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
+def test_solve_on_every_problem_file(tmp_path, capsys, path):
+    # every shipped file passes its gate and converges at its own h, to its
+    # [exact] graph within 0.06 h^2 (the largest ratio is about 0.052)
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "Converged"
+    assert report["diagnostics"]["subsolution"]["ok"] and report["messages"] == []
+    pf = load_problem(path)
+    _, cfg, _ = build_problem(pf)
+    assert report["final_residual"] <= cfg.newton_tol
+    table = np.genfromtxt(out / "solution.csv", delimiter=",", names=True)
+    exact = pf.exact.evaluate({f"y{i+1}": table[f"y{i+1}"] for i in range(pf.dimension)})
+    assert np.max(np.abs(table["rho"] - exact)) <= 0.06 * pf.domain["h"] ** 2
 
 
 def test_convergence_subcommand(problem_file, tmp_path, capsys):

@@ -414,15 +414,15 @@ def test_hopf_check_matches_the_loop(rng):
 
 
 def test_stage2_gradient_dependent_psi():
-    # psi = c (1 + 0.1 / sqrt(1 + |Dv|^2)): nu-style dependence through the
-    # bundle.  Boundary data = subsolution trace; sigma_2 of the subsolution
+    # psi = c (1 + 0.1 nu_rad), which on the K = 0 v-path is
+    # c (1 + 0.1 / sqrt(1 + |Dv|^2)): gradient dependence through the normal.
+    # Boundary data = subsolution trace; sigma_2 of the subsolution
     # (1/1.472^2 = 0.4615) dominates max psi = 1.1/1.6^2 = 0.43.
     g = cap(0.07)
     rho = np.full(g.n_nodes, 1.472)
 
     def psi(b):
-        w = np.sqrt(1.0 + b["gradnorm"] ** 2)
-        return (1.0 / 1.6**2) * (1.0 + 0.1 / w)
+        return (1.0 / 1.6**2) * (1.0 + 0.1 * b["nu_rad"])
 
     spec = ct.ProblemSpec(sf=E, grid=g, psi_sigma=psi,
                           boundary_rho=rho, subsolution_rho=rho)
@@ -872,7 +872,8 @@ def test_two_step_legs_first_try_the_whole_leg(monkeypatch):
 
 def test_two_step_path_refinement_sweep():
     # whole-leg first steps converge at every grid of a sweep: the off-centre
-    # K = 0 sphere at second order, the K = -1 geodesic sphere to rounding
+    # K = 0 sphere at second order, with constant and with normal-dependent
+    # psi, the K = -1 geodesic sphere to rounding
     def sweep(name, nodes_across):
         pf = problems.load_problem(PROBLEM_DIR / name)
         for nodes in nodes_across:
@@ -883,9 +884,10 @@ def test_two_step_path_refinement_sweep():
             rho = zeta(spec.sf, eta(spec.sf, field.values))
             yield h, float(np.max(np.abs(rho - exact)[spec.grid.interior_ids]))
 
-    h, err = np.array(list(sweep("offcenter_sphere_k0.wg", (17, 23, 41)))).T
-    order = np.polyfit(np.log(h), np.log(err), 1)[0]
-    assert 1.8 <= order <= 2.2, (err, order)
+    for name in ("offcenter_sphere_k0.wg", "offcenter_sphere_k0_normal_psi.wg"):
+        h, err = np.array(list(sweep(name, (17, 23, 41)))).T
+        order = np.polyfit(np.log(h), np.log(err), 1)[0]
+        assert 1.8 <= order <= 2.2, (name, err, order)
     for _, err in sweep("geodesic_hyperbolic.wg", (17, 41)):
         assert err <= 1e-12
 
@@ -949,17 +951,19 @@ def test_sphere_eps_step_is_retried_at_half_its_length(monkeypatch):
 
 def test_offcenter_sphere_path_converges_at_second_order():
     # the off-centre geodesic sphere is not discretely exact: at two nested
-    # spacings the K = +1 path reaches G[u] = psi and the error falls as h^2
-    pf = problems.load_problem(PROBLEM_DIR / "offcenter_geodesic_spherical.wg")
-    errors = []
-    for h in (2.0 * pf.domain["h"], pf.domain["h"]):
-        spec, cfg, exact = problems.build_problem(pf, h_override=h)
-        field, report = ct.solve_problem(replace(spec, coarser=None), cfg)
-        assert report.status == ct.CONVERGED
-        assert report.final_residual <= cfg.newton_tol
-        ids = spec.grid.interior_ids
-        errors.append(float(np.max(np.abs(zeta(S, field.values) - exact)[ids])))
-    assert 1.8 <= np.log2(errors[0] / errors[1]) <= 2.2
+    # spacings the K = +1 path reaches G[u] = psi and the error falls as h^2,
+    # also when all four legs read psi's normal
+    for name in ("offcenter_geodesic_spherical.wg", "offcenter_geodesic_spherical_normal_psi.wg"):
+        pf = problems.load_problem(PROBLEM_DIR / name)
+        errors = []
+        for h in (2.0 * pf.domain["h"], pf.domain["h"]):
+            spec, cfg, exact = problems.build_problem(pf, h_override=h)
+            field, report = ct.solve_problem(replace(spec, coarser=None), cfg)
+            assert report.status == ct.CONVERGED
+            assert report.final_residual <= cfg.newton_tol
+            ids = spec.grid.interior_ids
+            errors.append(float(np.max(np.abs(zeta(S, field.values) - exact)[ids])))
+        assert 1.8 <= np.log2(errors[0] / errors[1]) <= 2.2, (name, errors)
 
 
 def test_sphere_path_lists_ordering_violations(monkeypatch):
@@ -1108,9 +1112,23 @@ def test_bundle_builds_the_variables_psi_may_read(n):
     ops += [ct.DiscreteOperator(grid, profile(sf), rep="v", sf=sf) for sf in (E, H)]
     ops.append(ct.DiscreteOperator(grid, profile_deformed(0.5), rep="v", sf=E))
     chart, field = ct.bundle_variables(n)
-    assert not chart & field
+    assert chart == {f"y{i+1}" for i in range(n)}
+    assert field == {"u", "rho", "nu_rad"} | {f"nu_tan{i+1}" for i in range(n)}
     for op in ops:
         u = zeta_inverse(op.sf, rho)
         ev = op.evaluate(u if op.rep == "u" else eta_inverse(op.sf, u), need_f=False)
         assert ev is not None
         assert set(op.bundle(ev)) == chart | field
+    # every variable is one of the graph, not of the operator's unknown: the
+    # u-operator and the v-operator of a leg give it the same value on the
+    # same field, up to their differences' O(h^2).  K = +1 compares the
+    # sphere's u-operator with the E v-operator of the deformed metric at t = 1
+    h = grid.h
+    for u_op, v_op in ((ops[0], ops[3]), (ops[2], ops[4]),
+                       (ops[1], ct.DiscreteOperator(grid, profile_deformed(1.0), rep="v", sf=E))):
+        u = zeta_inverse(u_op.sf, rho)
+        by_u = u_op.bundle(u_op.evaluate(u, need_f=False))
+        by_v = v_op.bundle(v_op.evaluate(eta_inverse(v_op.sf, u), need_f=False))
+        for name in chart | field:
+            gap = np.max(np.abs(by_u[name] - by_v[name]))
+            assert gap <= 1e-3 * h**2, (u_op.sf.K, name, gap / h**2)

@@ -1,5 +1,6 @@
 """Expression language: evaluation, errors, golden-file agreement."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,19 @@ def test_error_columns_count_source_characters(source, column):
     # count characters of the source as written
     with pytest.raises(ParseError, match=rf"\(col {column}\)"):
         parse_expression(source)
+
+
+@pytest.mark.parametrize("source, column", [
+    ("1if 2", 1), ("  1if 2", 3), ("y1^2if 1", 4), ("0x1for", 4),
+])
+def test_literal_run_into_a_name_is_refused_without_a_warning(source, column):
+    # Python warns of such a literal before it fails to parse the text: the
+    # warning is the error, located in the source, and nothing reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=rf"invalid \w+ literal \(col {column}\)"):
+            parse_expression(source)
+    assert not caught
 
 
 def test_python_text_is_read_as_the_language():

@@ -98,15 +98,18 @@ def test_graphs_over_the_chart_reference_position_only(old, new, label):
 
 
 def test_psi_may_reference_state():
-    ok = MINIMAL.replace("[psi]\nexpr = 1", "[psi]\nexpr = exp(-gradnorm) + nu_rad + v")
+    ok = MINIMAL.replace("[psi]\nexpr = 1", "[psi]\nexpr = exp(-u) + rho * nu_rad")
     pf = parse_problem(ok)
-    assert "v" in pf.psi.variables
+    assert pf.psi.variables == {"u", "rho", "nu_rad"}
 
 
 def test_psi_unknown_variable_rejected():
-    bad = MINIMAL.replace("[psi]\nexpr = 1", "[psi]\nexpr = 1 + q7")
-    with pytest.raises(SemanticError, match="q7"):
-        parse_problem(bad)
+    # psi is psi(X, nu): besides a name of no variable (q7), the unknown of a
+    # continuation leg (v) and its partials (p1, gradnorm) are refused
+    for name in ("q7", "v", "p1", "gradnorm"):
+        bad = MINIMAL.replace("[psi]\nexpr = 1", f"[psi]\nexpr = 1 + {name}")
+        with pytest.raises(SemanticError, match=rf"unknown variable\(s\) \['{name}'\]"):
+            parse_problem(bad)
 
 
 def test_lossless_round_trip():
